@@ -331,6 +331,33 @@ func runCore() ([]Entry, error) {
 		}
 	})
 
+	// The fleet's FDAF shape: a 32-point real transform, and one block of
+	// the partitioned filter at M = 64, B = 16 (four partitions).
+	rp32 := dsp.PlanRFFT(32)
+	rin32 := noise(12, 32)
+	rout32 := make([]complex128, rp32.Bins())
+	add("fft.rfft.32", func() {
+		rp32.Forward(rout32, rin32)
+	})
+	bl16, err := core.NewBlock(core.BlockConfig{
+		FilterTaps: 64, BlockSize: 16, Mu: 0.4,
+		SecondaryPath: secPathTaps, NonCausalTaps: 16,
+	})
+	if err != nil {
+		return nil, err
+	}
+	bx16 := noise(13, 16)
+	be16 := noise(14, 16)
+	for i := range be16 {
+		be16[i] *= 0.01
+	}
+	bout16 := make([]float64, 16)
+	add("blocklanc.block.16", func() {
+		if err := bl16.ProcessBlockInto(bout16, bx16, be16); err != nil {
+			panic(err)
+		}
+	})
+
 	return entries, nil
 }
 

@@ -24,6 +24,7 @@ func TestCoreSuiteRuns(t *testing.T) {
 		"calibrate", "fft.roundtrip.1024", "fft.rfft.1024",
 		"convolver.block.57x4096", "convolver.ols.256x4096",
 		"lanc.step", "blocklanc.block.32", "gccphat.correlate.1024",
+		"fft.rfft.32", "blocklanc.block.16",
 	}
 	if len(rep.Entries) != len(want) {
 		t.Fatalf("got %d entries, want %d", len(rep.Entries), len(want))

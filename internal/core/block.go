@@ -23,12 +23,20 @@ import (
 // block is computed B−1 samples before its error is observable, so choose
 // BlockSize ≤ the non-causal budget.
 //
+// Every window but the input pair is half zero or half discarded, and the
+// transforms say so instead of padding: the error window [0…0, e] goes
+// through ForwardTail, each gradient's constraint keeps only its first B
+// taps (InverseHead) and re-transforms them with an implied zero tail
+// (ForwardHead), and overlap-save reads only the second half of the
+// output (InverseTail). The pruned transforms are bit-identical to the
+// full ones on those windows, so only the cost changes.
+//
 // All state and scratch is preallocated: steady-state ProcessBlockInto
 // calls allocate nothing.
 type BlockLANC struct {
-	m, b, f  int // filter taps, block size, FFT size (2B)
+	m, b     int // filter taps, block size (the FFT size is 2B)
 	np       int // partitions
-	bins     int // f/2 + 1
+	bins     int // B + 1 half-spectrum bins of the 2B-point FFT
 	nonCausN int // declared non-causal taps (for LimitNonCausal)
 	skip     int // leading (most-future) taps forced to zero
 
@@ -46,11 +54,11 @@ type BlockLANC struct {
 	primed bool
 
 	// Scratch (struct-owned so steady state is allocation-free).
-	win   []float64    // 2B time-domain window
-	spec  []complex128 // transform scratch
+	win   []float64    // 2B [previous, new] input window
+	spec  []complex128 // error spectrum
 	acc   []complex128 // output spectrum accumulator
 	grad  []complex128 // per-partition gradient spectrum
-	gTime []float64    // constrained gradient time response
+	gTime []float64    // constrained gradient's first B taps
 	fxNew []float64    // current block's filtered-x samples
 }
 
@@ -109,7 +117,6 @@ func NewBlock(cfg BlockConfig) (*BlockLANC, error) {
 	bl := &BlockLANC{
 		m:        cfg.FilterTaps,
 		b:        b,
-		f:        f,
 		np:       np,
 		bins:     plan.Bins(),
 		nonCausN: cfg.NonCausalTaps,
@@ -124,7 +131,7 @@ func NewBlock(cfg BlockConfig) (*BlockLANC, error) {
 		spec:     make([]complex128, plan.Bins()),
 		acc:      make([]complex128, plan.Bins()),
 		grad:     make([]complex128, plan.Bins()),
-		gTime:    make([]float64, f),
+		gTime:    make([]float64, b),
 		fxNew:    make([]float64, b),
 	}
 	bl.w = make([][]complex128, np)
@@ -210,7 +217,7 @@ func (bl *BlockLANC) ProcessBlockInto(out, xNew, ePrev []float64) error {
 	}
 
 	// 3. Output block: sum the per-partition spectral products, inverse
-	//    transform, keep the alias-free second half (overlap-save).
+	//    transform only the alias-free second half (overlap-save).
 	acc := bl.acc
 	for k := range acc {
 		acc[k] = 0
@@ -222,8 +229,7 @@ func (bl *BlockLANC) ProcessBlockInto(out, xNew, ePrev []float64) error {
 			acc[k] += xs[k] * w
 		}
 	}
-	bl.plan.Inverse(bl.gTime, acc)
-	copy(out, bl.gTime[bl.b:])
+	bl.plan.InverseTail(out, acc)
 	bl.primed = true
 	return nil
 }
@@ -233,11 +239,7 @@ func (bl *BlockLANC) ProcessBlockInto(out, xNew, ePrev []float64) error {
 func (bl *BlockLANC) adapt(ePrev []float64) {
 	// E = RFFT([0…0, ePrev]): the errors sit in the second half, aligned
 	// with the overlap-save output positions.
-	for i := 0; i < bl.b; i++ {
-		bl.win[i] = 0
-	}
-	copy(bl.win[bl.b:], ePrev)
-	bl.plan.Forward(bl.spec, bl.win)
+	bl.plan.ForwardTail(bl.spec, ePrev)
 	// The P partitions take one gradient step each per block, and their
 	// updates compound on the same residual; dividing the step by P keeps
 	// the total projection — and hence the stability region — independent
@@ -259,11 +261,12 @@ func (bl *BlockLANC) adapt(ePrev []float64) {
 			grad[k] = complex((fr*er+fi*ei)/norm, (fr*ei-fi*er)/norm)
 		}
 		// Gradient constraint: force the update to this partition's live
-		// taps — zero the circular-aliasing tail and, on the last short
-		// partition, the tap slots beyond M.
-		bl.plan.Inverse(bl.gTime, grad)
+		// taps — drop the circular-aliasing tail (only the first B taps are
+		// transformed back) and, on the last short partition, zero the tap
+		// slots beyond M.
+		bl.plan.InverseHead(bl.gTime, grad)
 		live := bl.partTaps(p)
-		for i := live; i < bl.f; i++ {
+		for i := live; i < bl.b; i++ {
 			bl.gTime[i] = 0
 		}
 		// Non-causal limiting: global taps below skip stay zero.
@@ -275,17 +278,15 @@ func (bl *BlockLANC) adapt(ePrev []float64) {
 				bl.gTime[i] = 0
 			}
 		}
-		bl.plan.Forward(bl.spec2(), bl.gTime)
+		// grad's spectrum was consumed by the inverse; reuse it for the
+		// constrained gradient's spectrum.
+		bl.plan.ForwardHead(grad, bl.gTime)
 		wp := bl.w[p]
-		for k, g := range bl.spec2() {
+		for k, g := range grad {
 			wp[k] -= mu * g
 		}
 	}
 }
-
-// spec2 aliases the gradient scratch for the re-transform step (grad's
-// spectrum is consumed by the inverse transform before this runs).
-func (bl *BlockLANC) spec2() []complex128 { return bl.grad }
 
 // Weights returns the current sample-domain filter taps (length M). The
 // constrained updates keep every partition a causal B-tap filter, so the
@@ -293,10 +294,10 @@ func (bl *BlockLANC) spec2() []complex128 { return bl.grad }
 func (bl *BlockLANC) Weights() []float64 {
 	out := make([]float64, bl.m)
 	spec := make([]complex128, bl.bins)
-	g := make([]float64, bl.f)
+	g := make([]float64, bl.b)
 	for p := 0; p < bl.np; p++ {
 		copy(spec, bl.w[p])
-		bl.plan.Inverse(g, spec)
+		bl.plan.InverseHead(g, spec)
 		copy(out[p*bl.b:], g[:bl.partTaps(p)])
 	}
 	return out
@@ -311,14 +312,14 @@ func (bl *BlockLANC) SetWeights(w []float64) error {
 	if len(w) != bl.m {
 		return fmt.Errorf("core: weight length %d != %d", len(w), bl.m)
 	}
-	g := make([]float64, bl.f)
+	g := make([]float64, bl.b)
 	for p := 0; p < bl.np; p++ {
 		n := bl.partTaps(p)
 		copy(g[:n], w[p*bl.b:p*bl.b+n])
-		for i := n; i < bl.f; i++ {
+		for i := n; i < bl.b; i++ {
 			g[i] = 0
 		}
-		bl.plan.Forward(bl.w[p], g)
+		bl.plan.ForwardHead(bl.w[p], g)
 	}
 	if bl.skip > 0 {
 		bl.LimitNonCausal(bl.nonCausN - bl.skip)
@@ -345,10 +346,10 @@ func (bl *BlockLANC) LimitNonCausal(n int) {
 	bl.skip = bl.nonCausN - n
 	// Re-establish w[:skip] == 0 across the affected partitions.
 	spec := make([]complex128, bl.bins)
-	g := make([]float64, bl.f)
+	g := make([]float64, bl.b)
 	for p := 0; p*bl.b < bl.skip && p < bl.np; p++ {
 		copy(spec, bl.w[p])
-		bl.plan.Inverse(g, spec)
+		bl.plan.InverseHead(g, spec)
 		lo := bl.skip - p*bl.b
 		if lo > bl.b {
 			lo = bl.b
@@ -356,10 +357,7 @@ func (bl *BlockLANC) LimitNonCausal(n int) {
 		for i := 0; i < lo; i++ {
 			g[i] = 0
 		}
-		for i := bl.b; i < bl.f; i++ {
-			g[i] = 0
-		}
-		bl.plan.Forward(bl.w[p], g)
+		bl.plan.ForwardHead(bl.w[p], g)
 	}
 }
 

@@ -275,6 +275,16 @@ func TestPlanTransformsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { rp.Forward(spec, src); rp.Inverse(dst, spec) }); n != 0 {
 		t.Errorf("RFFTPlan Forward+Inverse allocated %.1f times per run", n)
 	}
+	halfSrc := make([]float64, 512)
+	halfDst := make([]float64, 512)
+	if n := testing.AllocsPerRun(50, func() {
+		rp.ForwardHead(spec, halfSrc)
+		rp.InverseHead(halfDst, spec)
+		rp.ForwardTail(spec, halfSrc)
+		rp.InverseTail(halfDst, spec)
+	}); n != 0 {
+		t.Errorf("RFFTPlan pruned transforms allocated %.1f times per run", n)
+	}
 }
 
 // FuzzRFFTRoundTrip cross-checks the packed real transform against the full

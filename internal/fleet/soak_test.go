@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"mute/internal/stream"
@@ -39,6 +40,11 @@ func TestServeSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime's sync.Pool drops puts at random; pool-backed zero-alloc is unmeasurable under -race")
 	}
+	// testing.AllocsPerRun sets GOMAXPROCS to 1, and a GOMAXPROCS change
+	// makes sync.Pool drop its per-P caches, so frames warmed under more
+	// Ps would be lost and re-allocated in the measured loop. Pin one P
+	// across warm-up and measurement alike.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const sessions, runs, warmup = 16, 100, 8
 	srv := NewServer(Config{Shards: 1})
 	defer srv.Close()

@@ -417,7 +417,10 @@ func (pl *Pipeline) processFDAFBlock() (int, error) {
 	for i := got; i < b; i++ {
 		pl.x[i] = 0
 	}
-	blockStart := time.Now()
+	var blockStart time.Time
+	if pl.blockNS != nil {
+		blockStart = time.Now()
+	}
 	if err := pl.FDAF.ProcessBlockInto(pl.a, pl.x, pl.eb); err != nil {
 		return 0, err
 	}
