@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"mute/internal/audio"
-	"mute/internal/core"
-	"mute/internal/dsp"
-	"mute/internal/headphone"
+	"mute/internal/graph"
 	"mute/internal/sim"
 	"mute/internal/stream"
 	"mute/internal/supervisor"
@@ -164,9 +162,6 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 	const (
 		frameN = 40 // 5 ms frames at 8 kHz
 		prime  = 1  // one priming frame of playout buffer
-		nTaps  = 12
-		causal = 96
-		slack  = 4 // lookahead margin beyond the non-causal taps
 	)
 	c := dc.cfg
 	n := int(c.Duration * c.SampleRate)
@@ -200,109 +195,59 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 	}
 	drift := stats.Drift
 
-	secPath := []float64{0.85, 0.22, 0.06}
-	lanc, err := core.New(core.Config{
-		NonCausalTaps: nTaps,
-		CausalTaps:    causal,
-		Mu:            0.1,
-		Normalized:    true,
-		Leak:          0.0005,
-		SecondaryPath: secPath,
-		LossAware:     true,
-	})
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	var sup *supervisor.Supervisor
+	sd := synthDeployment{nonCausal: 12, causal: 96, lossAware: true}
+	shift := sd.shift()
 	if dc.policy == driftSupervised {
-		hcfg := headphone.DefaultConfig(c.SampleRate, secPath)
-		hcfg.PipelineDelaySamples = 0
-		fb, err := headphone.NewANC(hcfg)
-		if err != nil {
-			return 0, nil, nil, err
-		}
 		// Health thresholds as in the outage cell (above the priming
 		// transient); the drift rungs are tuned to this cell's tap span:
 		// ~60 ppm is where a 12-tap lead no longer outlasts the run, and
 		// twice that forces the causal fallback, which has no alignment
 		// to lose.
-		sup, err = supervisor.New(supervisor.Config{
+		sd.sup = &supervisor.Config{
 			DegradeThreshold: 0.2, FallbackThreshold: 0.5, StarvationRun: 400,
 			DriftDegradePPM: 60, DriftFallbackPPM: 120,
-		}, lanc, fb)
-		if err != nil {
-			return 0, nil, nil, err
 		}
 	}
-
-	earCh := dsp.NewStreamConvolver([]float64{0.8, 0.25, 0.1, 0.05})
-	secCh := dsp.NewStreamConvolver(secPath)
-	const shift = nTaps + slack
-	steps := n - shift
-	// Drift-stage hooks on the cell's loop clock: the reference is read
-	// shift samples ahead, so window w of the received stream is consumed
-	// at t = w − shift.
-	var holdAt map[int]bool
+	// Drift-stage decisions replayed on the cell's loop clock: the
+	// reference is read shift samples ahead, so window w of the received
+	// stream is consumed at t = w − shift.
+	replay := &graph.DriftReplay{HoldSamples: 2 * frameN}
 	if drift != nil && dc.policy == driftCorrected {
+		replay.Holds = make(map[int64]bool, len(drift.RateJumps))
 		for _, j := range drift.RateJumps {
-			if holdAt == nil {
-				holdAt = make(map[int]bool)
-			}
-			holdAt[int(j)-shift] = true
+			replay.Holds[j-int64(shift)] = true
 		}
 	}
-	var wins []sim.DriftWindow
-	if drift != nil && sup != nil {
-		wins = drift.Windows
-	}
-	wi := 0
-	var resPow, priPow float64
-	e := 0.0
-	for t := 0; t < steps; t++ {
-		for wi < len(wins) && int(wins[wi].AtSample)-shift <= t {
-			if int(wins[wi].AtSample)-shift == t {
-				sup.ObserveDrift(wins[wi].PPM, wins[wi].Locked)
-			}
-			wi++
-		}
-		if holdAt[t] {
-			lanc.HoldAdaptation(2*frameN, 0)
-		}
-		x, real := recv[t+shift], mask[t+shift]
-		d := earCh.Process(clean[t])
-		var a float64
-		if sup != nil {
-			a = sup.Step(x, d, e, real)
-		} else {
-			a = lanc.StepMasked(x, e, real)
-		}
-		e = d + secCh.Process(a)
-		if t >= steps/2 {
-			resPow += e * e
-			priPow += d * d
+	if drift != nil && sd.sup != nil {
+		for _, w := range drift.Windows {
+			replay.Windows = append(replay.Windows, graph.DriftObservation{
+				At: w.AtSample - int64(shift), PPM: w.PPM, Locked: w.Locked,
+			})
 		}
 	}
-	db := dsp.DB((resPow + dsp.EpsilonPower) / (priPow + dsp.EpsilonPower))
+	sd.drift = replay
+	pl, d, res, err := sd.run(c, clean, &graph.SliceSource{Samples: recv[shift:], Mask: mask[shift:]})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	db := secondHalfDB(d, res, nil)
 
 	var supRep *supervisor.Report
-	if sup != nil {
-		r := sup.Report()
+	if pl.Sup != nil {
+		r := pl.Sup.Report()
 		supRep = &r
 	}
 	if reg != nil {
 		// Observation only: the run above never branches on reg, so the
 		// returned dB is byte-identical with telemetry on or off.
 		reg.Counter("drift.runs").Inc()
-		reg.Counter("drift.samples").Add(int64(steps))
+		reg.Counter("drift.samples").Add(int64(len(res)))
 		if drift != nil {
 			reg.Counter("drift.rate_jumps").Add(int64(len(drift.RateJumps)))
 			reg.Gauge("drift.final_ppm").Set(drift.FinalPPM)
 		}
 		if supRep != nil {
-			reg.Counter("supervisor.transitions").Add(int64(len(supRep.Transitions)))
-			for st, samples := range supRep.TimeInState {
-				reg.Counter("supervisor.time_in_" + supervisor.State(st).String()).Add(samples)
-			}
+			supRep.Publish(reg)
 		}
 		reg.Histogram("drift.cell_residual_db", telemetry.HistogramOpts{Lo: 1e-2, Ratio: 2, Buckets: 16}).Observe(-db)
 	}

@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"mute/internal/audio"
-	"mute/internal/core"
-	"mute/internal/dsp"
+	"mute/internal/graph"
 	"mute/internal/sim"
 	"mute/internal/stream"
 	"mute/internal/telemetry"
@@ -131,9 +130,6 @@ func lossRun(c Config, link stream.LossParams, fec, freeze bool, noiseSeed uint6
 	const (
 		frameN = 40 // 5 ms frames at 8 kHz
 		prime  = 4  // playout buffer covers the FEC group and jitter
-		nTaps  = 32
-		causal = 128
-		slack  = 4 // lookahead margin beyond the non-causal taps
 	)
 	n := int(c.Duration * c.SampleRate)
 	clean := audio.Render(audio.NewWhiteNoise(noiseSeed, c.SampleRate, c.NoiseAmp), n)
@@ -146,56 +142,34 @@ func lossRun(c Config, link stream.LossParams, fec, freeze bool, noiseSeed uint6
 		return 0, err
 	}
 
-	// The same synthetic acoustic leg as cmd/muteear's self-test: the ear
-	// hears the source through a short room tail while the reference
-	// stream runs shift = N + slack samples ahead — what remains of the
-	// deployment's lookahead after the playout buffer consumed its share.
-	secPath := []float64{0.85, 0.22, 0.06}
-	lanc, err := core.New(core.Config{
-		NonCausalTaps: nTaps,
-		CausalTaps:    causal,
-		Mu:            0.1,
-		Normalized:    true,
-		Leak:          0.0005,
-		SecondaryPath: secPath,
-		LossAware:     freeze,
-	})
+	sd := synthDeployment{nonCausal: 32, causal: 128, lossAware: freeze}
+	shift := sd.shift()
+	pl, d, res, err := sd.run(c, clean, &graph.SliceSource{Samples: recv[shift:], Mask: mask[shift:]})
 	if err != nil {
 		return 0, err
 	}
-	earCh := dsp.NewStreamConvolver([]float64{0.8, 0.25, 0.1, 0.05})
-	secCh := dsp.NewStreamConvolver(secPath)
-	const shift = nTaps + slack
-	steps := n - shift
-	var resPow, priPow float64
-	window := 0 // samples until the anti-noise window is all-real again
-	e := 0.0
-	for t := 0; t < steps; t++ {
-		real := mask[t+shift]
-		a := lanc.StepMasked(recv[t+shift], e, real)
-		d := earCh.Process(clean[t])
-		e = d + secCh.Process(a)
-		if real {
+	// Score only where the anti-noise window is all-real again.
+	keep := make([]bool, len(res))
+	window := 0
+	for t := range keep {
+		if mask[t+shift] {
 			window--
 		} else {
-			window = nTaps + causal + 1
+			window = sd.nonCausal + sd.causal + 1
 		}
-		if t >= steps/2 && window <= 0 {
-			resPow += e * e
-			priPow += d * d
-		}
+		keep[t] = window <= 0
 	}
-	db := dsp.DB((resPow + dsp.EpsilonPower) / (priPow + dsp.EpsilonPower))
+	db := secondHalfDB(d, res, keep)
 	if reg != nil {
 		// Observation only: the run above never branches on reg, so the
 		// returned dB is byte-identical with telemetry on or off.
 		reg.Counter("loss.runs").Inc()
-		reg.Counter("loss.samples").Add(int64(steps))
+		reg.Counter("loss.samples").Add(int64(len(res)))
 		stats.Jitter.Publish(reg, "stream.")
 		stats.Link.Publish(reg, "link.")
 		reg.Counter("stream.fec_recovered").Add(int64(stats.FECRecovered))
-		reg.Gauge("lanc.tap_energy").Set(lanc.TapEnergy())
-		reg.Gauge("lanc.mu_eff").Set(lanc.EffectiveStep())
+		reg.Gauge("lanc.tap_energy").Set(pl.LANC.TapEnergy())
+		reg.Gauge("lanc.mu_eff").Set(pl.LANC.EffectiveStep())
 		reg.Histogram("loss.cell_residual_db", telemetry.HistogramOpts{Lo: 1e-2, Ratio: 2, Buckets: 16}).Observe(-db)
 	}
 	return db, nil

@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"mute/internal/audio"
-	"mute/internal/core"
-	"mute/internal/dsp"
-	"mute/internal/headphone"
+	"mute/internal/graph"
 	"mute/internal/sim"
 	"mute/internal/stream"
 	"mute/internal/supervisor"
@@ -159,9 +157,6 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 	const (
 		frameN = 40 // 5 ms frames at 8 kHz
 		prime  = 1  // one priming frame of playout buffer
-		nTaps  = 32
-		causal = 128
-		slack  = 4 // lookahead margin beyond the non-causal taps
 	)
 	c := oc.cfg
 	n := int(c.Duration * c.SampleRate)
@@ -197,112 +192,60 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		return 0, nil, 0, err
 	}
 
-	secPath := []float64{0.85, 0.22, 0.06}
-	lanc, err := core.New(core.Config{
-		NonCausalTaps: nTaps,
-		CausalTaps:    causal,
-		Mu:            0.1,
-		Normalized:    true,
-		Leak:          0.0005,
-		SecondaryPath: secPath,
-		LossAware:     oc.policy != outageNaive,
-	})
-	if err != nil {
-		return 0, nil, 0, err
-	}
-
-	var sup *supervisor.Supervisor
-	if oc.policy == outageSupervised {
-		hcfg := headphone.DefaultConfig(c.SampleRate, secPath)
-		hcfg.PipelineDelaySamples = 0
-		fb, err := headphone.NewANC(hcfg)
-		if err != nil {
-			return 0, nil, 0, err
-		}
+	sd := synthDeployment{nonCausal: 32, causal: 128, lossAware: oc.policy != outageNaive}
+	shift := sd.shift()
+	var ref graph.SampleSource = &graph.SliceSource{Samples: recv0[shift:], Mask: mask0[shift:]}
+	var fo *failoverSource
+	switch oc.policy {
+	case outageSupervised:
 		// Demotion thresholds sit above the priming transient's EWMA peak
 		// so ladder moves are attributable to link health, not startup;
 		// StarvationRun gets margin over a background loss burst (4
 		// frames = 160 samples) so only a genuinely dead link — 50 ms of
 		// consecutive concealment — forces the FALLBACK demotion.
-		sup, err = supervisor.New(supervisor.Config{
-			DegradeThreshold: 0.2, FallbackThreshold: 0.5, StarvationRun: 400,
-		}, lanc, fb)
-		if err != nil {
-			return 0, nil, 0, err
-		}
-	}
-	var fo *supervisor.Failover
-	var recv1 []float64
-	var mask1 []bool
-	if oc.policy == outageFailover {
+		sd.sup = &supervisor.Config{DegradeThreshold: 0.2, FallbackThreshold: 0.5, StarvationRun: 400}
+	case outageFailover:
 		// The second relay hears the same source over an independent,
 		// outage-free link: the redundancy the failover is meant to buy.
-		recv1, mask1, err = packetize(oc.linkSeed+13, false)
+		recv1, mask1, err := packetize(oc.linkSeed+13, false)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		fo, err = supervisor.NewFailover(supervisor.FailoverConfig{Relays: 2}, nil)
+		f, err := supervisor.NewFailover(supervisor.FailoverConfig{Relays: 2}, nil)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-	}
-
-	earCh := dsp.NewStreamConvolver([]float64{0.8, 0.25, 0.1, 0.05})
-	secCh := dsp.NewStreamConvolver(secPath)
-	const shift = nTaps + slack
-	steps := n - shift
-	var resPow, priPow float64
-	e := 0.0
-	fwd := make([]float64, 2)
-	real2 := make([]bool, 2)
-	for t := 0; t < steps; t++ {
-		x, real := recv0[t+shift], mask0[t+shift]
-		d := earCh.Process(clean[t])
-		var a float64
-		switch oc.policy {
-		case outageSupervised:
-			a = sup.Step(x, d, e, real)
-		case outageFailover:
-			fwd[0], fwd[1] = x, recv1[t+shift]
-			real2[0], real2[1] = real, mask1[t+shift]
-			idx, err := fo.Step(d, fwd, real2)
-			if err != nil {
-				return 0, nil, 0, err
-			}
-			a = lanc.StepMasked(fwd[idx], e, real2[idx])
-		default:
-			a = lanc.StepMasked(x, e, real)
+		fo = &failoverSource{
+			fo:   f,
+			recv: [2][]float64{recv0[shift:], recv1[shift:]},
+			mask: [2][]bool{mask0[shift:], mask1[shift:]},
 		}
-		e = d + secCh.Process(a)
-		if t >= steps/2 {
-			resPow += e * e
-			priPow += d * d
-		}
+		ref = fo
 	}
-	db := dsp.DB((resPow + dsp.EpsilonPower) / (priPow + dsp.EpsilonPower))
-
-	var rep *supervisor.Report
+	pl, d, res, err := sd.run(c, clean, ref)
+	if err != nil {
+		return 0, nil, 0, err
+	}
 	var moves int
-	if sup != nil {
-		r := sup.Report()
-		rep = &r
-	}
 	if fo != nil {
-		moves = fo.Switches()
+		if fo.err != nil {
+			return 0, nil, 0, fo.err
+		}
+		moves = fo.fo.Switches()
+	}
+	db := secondHalfDB(d, res, nil)
+	var rep *supervisor.Report
+	if pl.Sup != nil {
+		r := pl.Sup.Report()
+		rep = &r
 	}
 	if reg != nil {
 		// Observation only: the run above never branches on reg, so the
 		// returned dB is byte-identical with telemetry on or off.
 		reg.Counter("outage.runs").Inc()
-		reg.Counter("outage.samples").Add(int64(steps))
+		reg.Counter("outage.samples").Add(int64(len(res)))
 		if rep != nil {
-			reg.Counter("supervisor.transitions").Add(int64(len(rep.Transitions)))
-			reg.Counter("supervisor.probes").Add(int64(rep.Probes))
-			reg.Counter("supervisor.warm_starts").Add(int64(rep.WarmStarts))
-			reg.Counter("supervisor.tainted_suppressed").Add(rep.TaintedSuppressed)
-			for st, samples := range rep.TimeInState {
-				reg.Counter("supervisor.time_in_" + supervisor.State(st).String()).Add(samples)
-			}
+			rep.Publish(reg)
 		}
 		if fo != nil {
 			reg.Counter("failover.switches").Add(int64(moves))

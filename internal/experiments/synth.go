@@ -1,0 +1,130 @@
+package experiments
+
+import (
+	"mute/internal/dsp"
+	"mute/internal/graph"
+	"mute/internal/supervisor"
+)
+
+// The synthetic deployment the loss, outage and drift cells share — the
+// same acoustic leg as cmd/muteear's self-test: the ear hears the source
+// through a short room tail, the anti-noise reaches the error microphone
+// through synthSecondary (used as its own estimate ĥ_se), and the
+// forwarded reference runs N + synthSlack samples ahead of the wavefront —
+// what remains of a large geometric lookahead after the playout buffer
+// consumed its share.
+var (
+	synthEar       = []float64{0.8, 0.25, 0.1, 0.05}
+	synthSecondary = []float64{0.85, 0.22, 0.06}
+)
+
+// synthSlack is the lookahead margin beyond the non-causal taps.
+const synthSlack = 4
+
+// synthDeployment is one canceller configuration on the synthetic
+// deployment. The cancellation loop itself is graph.Build's; a cell only
+// chooses the tap counts, loss awareness, the optional ladder and the
+// optional drift control, and binds its reference source.
+type synthDeployment struct {
+	nonCausal, causal int
+	lossAware         bool
+	// sup, when non-nil, runs the canceller under the degradation ladder
+	// with this tuning.
+	sup *supervisor.Config
+	// drift is the optional drift-control stage (on the cell's loop clock,
+	// where reference sample t+shift meets wavefront sample t).
+	drift graph.DriftControl
+}
+
+// shift is how far the reference leads the wavefront, in samples: the
+// index into the received stream that the canceller consumes at t = 0.
+func (sd synthDeployment) shift() int { return sd.nonCausal + synthSlack }
+
+// run renders the ear signal d from the clean source, cancels it with ref
+// (which must already lead by shift samples), and returns the pipeline,
+// d and the error-microphone residual, both len(clean) − shift long.
+func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource) (pl *graph.Pipeline, d, residual []float64, err error) {
+	steps := len(clean) - sd.shift()
+	d = dsp.NewStreamConvolver(synthEar).ProcessBlock(clean[:steps])
+	residual = make([]float64, steps)
+	cfg := graph.Config{
+		SampleRate:       c.SampleRate,
+		Lookahead:        sd.shift(),
+		MaxNonCausalTaps: sd.nonCausal,
+		Canceller: graph.CancellerParams{
+			CausalTaps:    sd.causal,
+			Mu:            0.1,
+			SecondaryPath: synthSecondary,
+			LossAware:     sd.lossAware,
+		},
+		Reference:   ref,
+		Ambient:     &graph.SliceAmbient{Local: d, Cup: d},
+		Drift:       sd.drift,
+		SecondaryIR: synthSecondary,
+		Residual:    residual,
+	}
+	if sd.sup != nil {
+		cfg.Supervise = true
+		cfg.SupervisorConfig = sd.sup
+		cfg.FallbackSecondary = synthSecondary
+	}
+	if pl, err = graph.Build(cfg); err != nil {
+		return nil, nil, nil, err
+	}
+	if err = pl.Run(steps, 0); err != nil {
+		return nil, nil, nil, err
+	}
+	return pl, d, residual, nil
+}
+
+// secondHalfDB scores a run: residual power at the ear versus the
+// uncancelled primary d, in dB over the converged second half (negative
+// is better; 0 dB is the passive floor). A non-nil keep restricts the
+// score to the samples it marks.
+func secondHalfDB(d, residual []float64, keep []bool) float64 {
+	var resPow, priPow float64
+	for t := len(d) / 2; t < len(d); t++ {
+		if keep != nil && !keep[t] {
+			continue
+		}
+		resPow += residual[t] * residual[t]
+		priPow += d[t] * d[t]
+	}
+	return dsp.DB((resPow + dsp.EpsilonPower) / (priPow + dsp.EpsilonPower))
+}
+
+// failoverSource feeds the canceller from whichever of two relays a
+// supervisor.Failover selects, stepping the failover once per sample.
+// The failover runs without a relay tracker, so Step never reads its
+// local (error-microphone) input and the source needs no feedback from
+// the loop.
+type failoverSource struct {
+	fo   *supervisor.Failover
+	recv [2][]float64 // per relay, already leading by the deployment shift
+	mask [2][]bool
+	pos  int
+	err  error // the failover's error, if any; the stream ends there
+
+	x    [2]float64
+	live [2]bool
+}
+
+// Pull implements graph.SampleSource.
+func (s *failoverSource) Pull(dst []float64, mask []bool, _ int64) int {
+	for i := range dst {
+		if s.pos == len(s.recv[0]) {
+			return i
+		}
+		for r := range s.x {
+			s.x[r], s.live[r] = s.recv[r][s.pos], s.mask[r][s.pos]
+		}
+		idx, err := s.fo.Step(0, s.x[:], s.live[:])
+		if err != nil {
+			s.err = err
+			return i
+		}
+		dst[i], mask[i] = s.x[idx], s.live[idx]
+		s.pos++
+	}
+	return len(dst)
+}

@@ -159,15 +159,15 @@ func tinyProfile() Profile {
 // the demux must not panic, must keep ticking, and must never let a
 // datagram addressed elsewhere touch session 2's state.
 func FuzzFleetDemux(f *testing.F) {
-	f.Add(validDatagram(f, 1, 0, 0, 16))                // in-session delivery
-	f.Add(validDatagram(f, 2, 3, 48, 16))               // the observed session
-	f.Add(validDatagram(f, 99, 0, 0, 16))               // unknown session
-	f.Add(validDatagram(f, 1, 0, 0, 16)[:20])           // truncated inner frame
-	f.Add([]byte{})                                     // empty
-	f.Add([]byte{0x4D, 0x46})                           // short envelope
-	f.Add([]byte{0x4D, 0x46, 1, 0, 0, 0, 1})            // envelope only, no frame
-	f.Add([]byte{0x00, 0x11, 1, 0, 0, 0, 1, 0x4D})      // bad magic
-	f.Add([]byte{0x4D, 0x46, 9, 0, 0, 0, 1})            // bad version
+	f.Add(validDatagram(f, 1, 0, 0, 16))           // in-session delivery
+	f.Add(validDatagram(f, 2, 3, 48, 16))          // the observed session
+	f.Add(validDatagram(f, 99, 0, 0, 16))          // unknown session
+	f.Add(validDatagram(f, 1, 0, 0, 16)[:20])      // truncated inner frame
+	f.Add([]byte{})                                // empty
+	f.Add([]byte{0x4D, 0x46})                      // short envelope
+	f.Add([]byte{0x4D, 0x46, 1, 0, 0, 0, 1})       // envelope only, no frame
+	f.Add([]byte{0x00, 0x11, 1, 0, 0, 0, 1, 0x4D}) // bad magic
+	f.Add([]byte{0x4D, 0x46, 9, 0, 0, 0, 1})       // bad version
 	parity := validDatagram(f, 1, 5, 0, 16)
 	parity[EnvelopeOverhead+3] = 1 | 4<<1 // flag the inner frame as FEC parity
 	f.Add(parity)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -81,7 +82,8 @@ type Config struct {
 	// Canceller is the sample-domain canceller policy.
 	Canceller CancellerParams
 	// FDAF, when non-nil, replaces the sample-domain canceller with the
-	// block frequency-domain one. Incompatible with Supervise and Drift.
+	// block frequency-domain one. Incompatible with Supervise, Drift and
+	// Canceller.Profiling (Build returns ErrUnsupported).
 	FDAF *FDAFParams
 
 	// Supervise runs the canceller under the degradation ladder.
@@ -197,6 +199,11 @@ type Pipeline struct {
 	resPow   float64
 }
 
+// ErrUnsupported marks a Config combining stages Build cannot wire
+// together. Build wraps it with the combination's name, so callers test
+// for it with errors.Is.
+var ErrUnsupported = errors.New("graph: unsupported stage combination")
+
 // Build plans the lookahead budget and assembles the pipeline. This is
 // the one place the cancellation stages are wired: the simulator and the
 // live CLIs differ only in the sources, controls, and hooks they bind.
@@ -216,8 +223,17 @@ func Build(cfg Config) (*Pipeline, error) {
 	if cfg.NoiseRMS != 0 && cfg.Noise == nil {
 		return nil, fmt.Errorf("graph: NoiseRMS set without a Noise generator")
 	}
-	if cfg.FDAF != nil && (cfg.Supervise || cfg.Drift != nil) {
-		return nil, fmt.Errorf("graph: the FDAF path is incompatible with the supervisor and drift control")
+	if cfg.FDAF != nil {
+		// The ladder, drift holds and filter profiles all act on the
+		// sample-domain canceller; the block canceller has none of them.
+		switch {
+		case cfg.Supervise:
+			return nil, fmt.Errorf("%w: FDAF with Supervise", ErrUnsupported)
+		case cfg.Drift != nil:
+			return nil, fmt.Errorf("%w: FDAF with Drift control", ErrUnsupported)
+		case cfg.Canceller.Profiling:
+			return nil, fmt.Errorf("%w: FDAF with Canceller.Profiling", ErrUnsupported)
+		}
 	}
 	blockLat := 0
 	if cfg.FDAF != nil {

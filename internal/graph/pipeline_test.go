@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"testing"
 
 	"mute/internal/core"
@@ -30,32 +31,46 @@ func validConfig(n int) Config {
 }
 
 // TestBuildValidation checks every required binding and the illegal
-// combinations fail at Build, not mid-run.
+// combinations fail at Build, not mid-run. Unsupported stage
+// combinations are refused with ErrUnsupported (so callers can tell them
+// from a missing binding with errors.Is); missing or malformed bindings
+// are not.
 func TestBuildValidation(t *testing.T) {
+	fdaf := &FDAFParams{BlockSize: 64, Mu: 0.05}
 	cases := []struct {
-		name   string
-		mutate func(*Config)
+		name        string
+		mutate      func(*Config)
+		unsupported bool
 	}{
-		{"zero sample rate", func(c *Config) { c.SampleRate = 0 }},
-		{"nil reference", func(c *Config) { c.Reference = nil }},
-		{"nil ambient", func(c *Config) { c.Ambient = nil }},
-		{"empty secondary IR", func(c *Config) { c.SecondaryIR = nil }},
-		{"noise without generator", func(c *Config) { c.NoiseRMS = 0.01 }},
+		{"zero sample rate", func(c *Config) { c.SampleRate = 0 }, false},
+		{"nil reference", func(c *Config) { c.Reference = nil }, false},
+		{"nil ambient", func(c *Config) { c.Ambient = nil }, false},
+		{"empty secondary IR", func(c *Config) { c.SecondaryIR = nil }, false},
+		{"noise without generator", func(c *Config) { c.NoiseRMS = 0.01 }, false},
 		{"fdaf with supervisor", func(c *Config) {
-			c.FDAF = &FDAFParams{BlockSize: 64, Mu: 0.05}
+			c.FDAF = fdaf
 			c.Supervise = true
 			c.FallbackSecondary = c.SecondaryIR
-		}},
+		}, true},
 		{"fdaf with drift control", func(c *Config) {
-			c.FDAF = &FDAFParams{BlockSize: 64, Mu: 0.05}
+			c.FDAF = fdaf
 			c.Drift = &DriftReplay{}
-		}},
+		}, true},
+		{"fdaf with profiling", func(c *Config) {
+			c.FDAF = fdaf
+			c.Canceller.Profiling = true
+		}, true},
 	}
 	for _, tc := range cases {
 		cfg := validConfig(256)
 		tc.mutate(&cfg)
-		if _, err := Build(cfg); err == nil {
+		_, err := Build(cfg)
+		if err == nil {
 			t.Errorf("%s: Build accepted an invalid config", tc.name)
+			continue
+		}
+		if got := errors.Is(err, ErrUnsupported); got != tc.unsupported {
+			t.Errorf("%s: errors.Is(%v, ErrUnsupported) = %v, want %v", tc.name, err, got, tc.unsupported)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"mute/internal/anc"
 	"mute/internal/audio"
 	"mute/internal/core"
 	"mute/internal/dsp"
@@ -376,37 +375,19 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	}
 
 	// --- Secondary (speaker → error mic) chain ------------------------------
-	// The acoustic part (transducer response and the centimeter air gap)
-	// is shared; each device then adds its own processing latency.
-	trans, err := NewTransducer(fs)
-	if err != nil {
-		return nil, err
-	}
-	acousticSec := dsp.Convolve(trans.ImpulseResponse(48), EarSecondaryPath())
-	var secIR []float64
-	if scheme.usesLANC() {
-		// MUTE's TI-board pipeline: whole samples of converter latency.
-		secIR = acousticSec
-		if pipe := p.Pipeline.Total(); pipe > 0 {
-			delta := make([]float64, pipe+1)
-			delta[pipe] = 1
-			secIR = dsp.Convolve(delta, secIR)
-		}
-	} else {
+	// The acoustic part is shared; each device adds its own latency.
+	delay := sampleDelay(p.Pipeline.Total()) // MUTE's TI-board pipeline
+	if !scheme.usesLANC() {
 		// The commercial headphone's optimized (sub-sample) latency.
 		late := p.BoseLatencySamples
 		if late == 0 {
 			late = 0.5
 		}
-		frac, err := dsp.FractionalDelayFIR(late)
-		if err != nil {
+		if delay, err = dsp.FractionalDelayFIR(late); err != nil {
 			return nil, err
 		}
-		secIR = dsp.Convolve(frac, acousticSec)
 	}
-	// Calibrate ĥ_se by probing the true chain, as the paper does with a
-	// known preamble.
-	secEst, err := anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, p.EarMicNoiseRMS, p.Seed+11)
+	secIR, secEst, err := secondaryChain(p, delay)
 	if err != nil {
 		return nil, err
 	}
@@ -710,14 +691,7 @@ func instrumentRun(reg *telemetry.Registry, r *Result, n int) {
 		}
 	}
 	if r.Supervision != nil {
-		reg.Counter("supervisor.transitions").Add(int64(len(r.Supervision.Transitions)))
-		reg.Counter("supervisor.probes").Add(int64(r.Supervision.Probes))
-		reg.Counter("supervisor.failed_probes").Add(int64(r.Supervision.FailedProbes))
-		reg.Counter("supervisor.warm_starts").Add(int64(r.Supervision.WarmStarts))
-		reg.Counter("supervisor.tainted_suppressed").Add(r.Supervision.TaintedSuppressed)
-		for st, samples := range r.Supervision.TimeInState {
-			reg.Counter("supervisor.time_in_" + supervisor.State(st).String()).Add(samples)
-		}
+		r.Supervision.Publish(reg)
 	}
 }
 

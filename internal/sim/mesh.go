@@ -220,8 +220,8 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 	pBurst := bgLoss / burstLen
 
 	mcfg := mesh.Config{
-		Capacity:        sc.Relays,
-		EarPos:          meshEar,
+		Capacity: sc.Relays,
+		EarPos:   meshEar,
 		// 128 ms window: long enough to steady PHAT lags on band-limited
 		// noise, short enough that a walking source's changing TDOA is not
 		// smeared across the estimate.
@@ -242,8 +242,8 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 		// must stay marked unhealthy through its up-phases, not be
 		// forgiven the moment its stream briefly recovers.
 		HealthAlpha: 1.0 / 2048,
-		CellSize:        1.5,
-		MinX:            0, MinY: 0, MaxX: 12, MaxY: 12,
+		CellSize:    1.5,
+		MinX:        0, MinY: 0, MaxX: 12, MaxY: 12,
 		// Band-limited noise widens the PHAT peak, so the switch margin
 		// sits above the per-round lag jitter: a challenger must out-lead
 		// the incumbent by more than measurement noise, for a full dwell,
@@ -311,7 +311,7 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 			LossAware:     true,
 		},
 		Reference:   ref,
-		Ambient:     &meshAmbient{sig: earSig},
+		Ambient:     &graph.SliceAmbient{Local: earSig, Cup: earSig},
 		SecondaryIR: secPath,
 		Residual:    residual,
 		Trace:       sc.Trace,
@@ -336,18 +336,4 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 		MaxLeadSamples: maxLead,
 		FaultEvents:    inj.Events(),
 	}, nil
-}
-
-// meshAmbient binds the precomputed ear signal as the graph's acoustic
-// leg: the open-ear and under-cup signals coincide (no passive cup
-// attenuation), as in the other synthetic-deployment experiments.
-type meshAmbient struct {
-	sig []float64
-	i   int
-}
-
-func (a *meshAmbient) Next(_ float64) (local, cup float64) {
-	v := a.sig[a.i]
-	a.i++
-	return v, v
 }

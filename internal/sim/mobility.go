@@ -4,10 +4,9 @@ import (
 	"fmt"
 
 	"mute/internal/acoustics"
-	"mute/internal/anc"
 	"mute/internal/audio"
-	"mute/internal/core"
 	"mute/internal/dsp"
+	"mute/internal/graph"
 )
 
 // MobilityParams configures a head-mobility run (Section 6, "Head
@@ -114,52 +113,39 @@ func RunMobile(mp MobilityParams) (*Result, error) {
 		}
 	}
 
-	// Ear device: same LANC assembly as Run (no passive).
-	trans, err := NewTransducer(fs)
-	if err != nil {
-		return nil, err
-	}
-	secIR := dsp.Convolve(trans.ImpulseResponse(48), EarSecondaryPath())
-	if pipe := p.Pipeline.Total(); pipe > 0 {
-		delta := make([]float64, pipe+1)
-		delta[pipe] = 1
-		secIR = dsp.Convolve(delta, secIR)
-	}
-	secEst, err := anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, p.EarMicNoiseRMS, p.Seed+11)
+	// Ear device: Run's MUTE_Hollow wiring through the one graph (no
+	// passive cup, so the open-ear and under-cup fields coincide).
+	secIR, secEst, err := secondaryChain(p, sampleDelay(p.Pipeline.Total()))
 	if err != nil {
 		return nil, err
 	}
 	la := p.Scene.LookaheadSamples()
-	budget, err := core.NewBudget(la, p.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	nTaps := budget.UsableTaps
-	if p.MaxNonCausalTaps > 0 && nTaps > p.MaxNonCausalTaps {
-		nTaps = p.MaxNonCausalTaps
-	}
-	lanc, err := core.New(core.Config{
-		NonCausalTaps: nTaps,
-		CausalTaps:    p.CausalTaps,
-		Mu:            p.Mu,
-		Normalized:    !p.PlainLMS,
-		Leak:          0.0005,
-		SecondaryPath: secEst,
+	on := make([]float64, n)
+	residual := make([]float64, n)
+	pl, err := graph.Build(graph.Config{
+		SampleRate:       fs,
+		Lookahead:        la,
+		Pipeline:         p.Pipeline,
+		MaxNonCausalTaps: p.MaxNonCausalTaps,
+		Canceller: graph.CancellerParams{
+			CausalTaps:    p.CausalTaps,
+			Mu:            p.Mu,
+			PlainLMS:      p.PlainLMS,
+			SecondaryPath: secEst,
+		},
+		Reference:   &graph.SliceSource{Samples: ref},
+		Ambient:     &graph.SliceAmbient{Local: open, Cup: open},
+		SecondaryIR: secIR,
+		NoiseRMS:    p.EarMicNoiseRMS,
+		Noise:       audio.NewRNG(p.Seed + 23),
+		On:          on,
+		Residual:    residual,
 	})
 	if err != nil {
 		return nil, err
 	}
-	secCh := dsp.NewStreamConvolver(secIR)
-	earNoise := audio.NewRNG(p.Seed + 23)
-	on := make([]float64, n)
-	residual := make([]float64, n)
-	e := 0.0
-	for t := 0; t < n; t++ {
-		a := lanc.Step(ref[t], e)
-		meas := open[t] + secCh.Process(a)
-		on[t] = meas
-		e = meas + p.EarMicNoiseRMS*earNoise.Norm()
-		residual[t] = e
+	if err := pl.Run(n, 0); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Scheme:            MUTEHollow,
@@ -168,8 +154,8 @@ func RunMobile(mp MobilityParams) (*Result, error) {
 		On:                on,
 		Residual:          residual,
 		LookaheadSamples:  la,
-		Budget:            budget,
-		UsedNonCausalTaps: nTaps,
+		Budget:            pl.Budget,
+		UsedNonCausalTaps: pl.NonCausalTaps,
 		SampleRate:        fs,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mute/internal/acoustics"
-	"mute/internal/anc"
 	"mute/internal/audio"
 	"mute/internal/core"
 	"mute/internal/dsp"
@@ -87,17 +86,7 @@ func RunMultiRelay(mp MultiRelayParams) (*Result, error) {
 	}
 
 	// Secondary chain and per-relay budgets.
-	trans, err := NewTransducer(fs)
-	if err != nil {
-		return nil, err
-	}
-	secIR := dsp.Convolve(trans.ImpulseResponse(48), EarSecondaryPath())
-	if pipe := p.Pipeline.Total(); pipe > 0 {
-		delta := make([]float64, pipe+1)
-		delta[pipe] = 1
-		secIR = dsp.Convolve(delta, secIR)
-	}
-	secEst, err := anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, p.EarMicNoiseRMS, p.Seed+11)
+	secIR, secEst, err := secondaryChain(p, sampleDelay(p.Pipeline.Total()))
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"mute/internal/acoustics"
+	"mute/internal/anc"
 	"mute/internal/audio"
 	"mute/internal/dsp"
 )
@@ -140,3 +141,26 @@ func (t *Transducer) ImpulseResponse(n int) []float64 {
 // speaker to the error microphone a couple of centimeters away: a strong
 // direct tap with slight near-field spill.
 func EarSecondaryPath() []float64 { return []float64{0.85, 0.22, 0.06} }
+
+// secondaryChain returns the true speaker→error-mic impulse response of
+// an ear device — its processing-latency kernel delay convolved with the
+// shared acoustic part (transducer response and the centimeter air gap) —
+// together with the ĥ_se estimate calibrated by probing that chain, as the
+// paper does with a known preamble.
+func secondaryChain(p Params, delay []float64) (secIR, secEst []float64, err error) {
+	trans, err := NewTransducer(p.Scene.SampleRate)
+	if err != nil {
+		return nil, nil, err
+	}
+	secIR = dsp.Convolve(delay, dsp.Convolve(trans.ImpulseResponse(48), EarSecondaryPath()))
+	secEst, err = anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, p.EarMicNoiseRMS, p.Seed+11)
+	return secIR, secEst, err
+}
+
+// sampleDelay is the kernel of an n-sample delay: MUTE's whole samples of
+// converter latency.
+func sampleDelay(n int) []float64 {
+	k := make([]float64, n+1)
+	k[n] = 1
+	return k
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mute/internal/acoustics"
-	"mute/internal/anc"
 	"mute/internal/audio"
 	"mute/internal/core"
 	"mute/internal/dsp"
@@ -122,18 +121,7 @@ func runTabletop(vp VariantParams) (*Result, error) {
 	open := sumStreams(earStreams, n)
 
 	// Secondary chain: pipeline + downlink framing delay + transducer + air.
-	trans, err := NewTransducer(fs)
-	if err != nil {
-		return nil, err
-	}
-	secIR := dsp.Convolve(trans.ImpulseResponse(48), EarSecondaryPath())
-	total := p.Pipeline.Total() + loop/2 // downlink half of the loop
-	if total > 0 {
-		delta := make([]float64, total+1)
-		delta[total] = 1
-		secIR = dsp.Convolve(delta, secIR)
-	}
-	secEst, err := anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, p.EarMicNoiseRMS, p.Seed+11)
+	secIR, secEst, err := secondaryChain(p, sampleDelay(p.Pipeline.Total()+loop/2)) // downlink half of the loop
 	if err != nil {
 		return nil, err
 	}

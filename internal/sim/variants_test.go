@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"mute/internal/acoustics"
@@ -150,5 +151,45 @@ func TestRunMobileStationaryMatchesStaticClosely(t *testing.T) {
 	}
 	if db > -6 {
 		t.Errorf("stationary mobile run = %.1f dB, want < -6", db)
+	}
+}
+
+// TestRunMobileBitsPinned holds a moving-ear run's residual to the exact
+// bits it had when RunMobile stepped its own LANC loop, with and without
+// error-microphone self-noise (the graph draws the noise only when its
+// RMS is non-zero).
+func TestRunMobileBitsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		rms           float64
+		pow, last, on uint64
+	}{
+		{0, 0x40600df57510e4d1, 0xbfaf4a1fa520015a, 0xbfaf4a1fa520015a},
+		{1e-3, 0x40600ed45392ca69, 0xbfaffa66da633885, 0xbfaf583b128980ae},
+	} {
+		base := DefaultParams(whiteScene(4))
+		base.Duration = 2
+		base.EarMicNoiseRMS = tc.rms
+		r, err := RunMobile(MobilityParams{Base: base, EarEnd: acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pow float64
+		for _, v := range r.Residual {
+			pow += v * v
+		}
+		n := len(r.Residual)
+		if got := math.Float64bits(pow); got != tc.pow {
+			t.Errorf("rms %g: residual power bits %#x, want %#x", tc.rms, got, tc.pow)
+		}
+		if got := math.Float64bits(r.Residual[n-1]); got != tc.last {
+			t.Errorf("rms %g: last residual bits %#x, want %#x", tc.rms, got, tc.last)
+		}
+		if got := math.Float64bits(r.On[n-1]); got != tc.on {
+			t.Errorf("rms %g: last measured bits %#x, want %#x", tc.rms, got, tc.on)
+		}
+		if r.LookaheadSamples != 70 || r.UsedNonCausalTaps != 32 || r.Budget.UsableTaps != 66 || !r.Budget.DeadlineMet {
+			t.Errorf("rms %g: lookahead %d, taps %d, budget %+v; want 70, 32, 66 usable",
+				tc.rms, r.LookaheadSamples, r.UsedNonCausalTaps, r.Budget)
+		}
 	}
 }

@@ -199,6 +199,22 @@ type Report struct {
 	ConcealEWMA float64
 }
 
+// Publish adds the report's counters to reg: supervisor.transitions,
+// .probes, .failed_probes, .warm_starts, .tainted_suppressed, and one
+// supervisor.time_in_<STATE> per rung (summing to the run length).
+// Every supervised run publishes through here, so the series set cannot
+// differ between call sites.
+func (r Report) Publish(reg *telemetry.Registry) {
+	reg.Counter("supervisor.transitions").Add(int64(len(r.Transitions)))
+	reg.Counter("supervisor.probes").Add(int64(r.Probes))
+	reg.Counter("supervisor.failed_probes").Add(int64(r.FailedProbes))
+	reg.Counter("supervisor.warm_starts").Add(int64(r.WarmStarts))
+	reg.Counter("supervisor.tainted_suppressed").Add(r.TaintedSuppressed)
+	for st, samples := range r.TimeInState {
+		reg.Counter("supervisor.time_in_" + State(st).String()).Add(samples)
+	}
+}
+
 // Supervisor drives one canceller pair through the degradation ladder.
 // It is not safe for concurrent use; one instance per simulated ear.
 type Supervisor struct {
