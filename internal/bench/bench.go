@@ -316,7 +316,7 @@ func runCore() ([]Entry, error) {
 		}
 	})
 
-	// GCC-PHAT correlation over the tracker's window.
+	// GCC-PHAT correlation over a mesh-sized selection window.
 	corr, err := relaysel.NewCorrelator(1024)
 	if err != nil {
 		return nil, err

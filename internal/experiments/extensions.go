@@ -4,7 +4,7 @@ import (
 	"mute/internal/acoustics"
 	"mute/internal/audio"
 	"mute/internal/dsp"
-	"mute/internal/relaysel"
+	"mute/internal/mesh"
 	"mute/internal/rf"
 	"mute/internal/sim"
 )
@@ -161,8 +161,8 @@ func Contention(c Config) (*Figure, error) {
 }
 
 // TrackerExperiment exercises the Section 4.2 periodic re-correlation: the
-// sound source jumps between two positions and the tracker must re-associate
-// with the relay nearest the active position.
+// sound source jumps between two positions and the mesh supervisor must
+// re-associate with the relay nearest the active position.
 func TrackerExperiment(c Config) (*Figure, error) {
 	c = c.Defaults()
 	room := acoustics.DefaultRoom()
@@ -199,14 +199,28 @@ func TrackerExperiment(c Config) (*Figure, error) {
 		}
 		cc = append(cc, entry)
 	}
-	tracker, err := relaysel.NewTracker(relaysel.TrackerConfig{
-		Relays:          len(relayPos),
+	// The ear associates through the relay mesh's supervisor — the one
+	// relay re-selection design — with both relays joined for the whole
+	// run and every stream genuinely received.
+	sup, err := mesh.NewSupervisor(mesh.Config{
+		Capacity:        len(relayPos),
+		EarPos:          client,
 		WindowSamples:   2048,
 		IntervalSamples: 1024,
 		MaxLagSamples:   int(0.012 * fs),
-	})
+	}, nil, nil)
 	if err != nil {
 		return nil, err
+	}
+	for r, rp := range relayPos {
+		if _, err := sup.Join(int64(r), rp); err != nil {
+			return nil, err
+		}
+	}
+	row := make([]float64, len(relayPos))
+	allReal := make([]bool, len(relayPos))
+	for r := range allReal {
+		allReal[r] = true
 	}
 	fig := &Figure{
 		ID:     "tracker",
@@ -226,24 +240,23 @@ func TrackerExperiment(c Config) (*Figure, error) {
 			fwd[r] = dsp.ConvolveSame(wave, cc[active].toRelay[r])
 		}
 		for i := 0; i < segment; i++ {
-			row := make([]float64, len(relayPos))
 			for r := range relayPos {
 				row[r] = fwd[r][i]
 			}
-			if _, err := tracker.Push(local[i], row); err != nil {
+			if _, _, err := sup.Push(local[i], row, allReal); err != nil {
 				return nil, err
 			}
 		}
 		s.X = append(s.X, float64(seg))
-		s.Y = append(s.Y, float64(tracker.Current()+1))
+		s.Y = append(s.Y, float64(sup.Current()+1))
 		total++
-		if tracker.Current() == active {
+		if sup.Current() == active {
 			correct++
 		}
 	}
 	fig.Series = []Series{s}
 	fig.Notes = append(fig.Notes,
 		note("tracker matched the active source's nearest relay in %d/%d segments with %d association switches",
-			correct, total, tracker.Switches()))
+			correct, total, sup.Report().Handoffs))
 	return fig, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mute/internal/stream"
@@ -157,6 +158,27 @@ func TestSupervisedCellsPublishFullReport(t *testing.T) {
 			if g, ok := got[series]; !ok || g != v {
 				t.Errorf("%s cell: counter %s = %d (present %v), want %d", name, series, g, ok, v)
 			}
+		}
+	}
+}
+
+// TestTrackerExperimentPinned pins the Section 4.2 tracking figure — the
+// association at the end of each segment and the switch-count note — to
+// what the standalone relay tracker produced before the experiment ran on
+// mesh.Supervisor.
+func TestTrackerExperimentPinned(t *testing.T) {
+	for _, seed := range []uint64{1, 5} {
+		fig, err := TrackerExperiment(Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := fig.Series[0]
+		if !reflect.DeepEqual(s.X, []float64{0, 1, 2, 3}) || !reflect.DeepEqual(s.Y, []float64{1, 2, 1, 2}) {
+			t.Errorf("seed %d: series X=%v Y=%v, want X=[0 1 2 3] Y=[1 2 1 2]", seed, s.X, s.Y)
+		}
+		want := []string{"tracker matched the active source's nearest relay in 4/4 segments with 4 association switches"}
+		if !reflect.DeepEqual(fig.Notes, want) {
+			t.Errorf("seed %d: notes %q, want %q", seed, fig.Notes, want)
 		}
 	}
 }

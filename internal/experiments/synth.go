@@ -95,9 +95,8 @@ func secondHalfDB(d, residual []float64, keep []bool) float64 {
 
 // failoverSource feeds the canceller from whichever of two relays a
 // supervisor.Failover selects, stepping the failover once per sample.
-// The failover runs without a relay tracker, so Step never reads its
-// local (error-microphone) input and the source needs no feedback from
-// the loop.
+// The failover reads only link health, so the source needs no feedback
+// from the loop.
 type failoverSource struct {
 	fo   *supervisor.Failover
 	recv [2][]float64 // per relay, already leading by the deployment shift
@@ -118,7 +117,7 @@ func (s *failoverSource) Pull(dst []float64, mask []bool, _ int64) int {
 		for r := range s.x {
 			s.x[r], s.live[r] = s.recv[r][s.pos], s.mask[r][s.pos]
 		}
-		idx, err := s.fo.Step(0, s.x[:], s.live[:])
+		idx, err := s.fo.Step(s.x[:], s.live[:])
 		if err != nil {
 			s.err = err
 			return i

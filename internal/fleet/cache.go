@@ -1,112 +1,41 @@
 package fleet
 
 import (
-	"math"
-	"sync"
-
 	"mute/internal/anc"
 	"mute/internal/dsp"
 )
 
-// memo is the cross-session memoization cache: the serving-path
-// generalization of the simulator's render cache (internal/sim,
-// PR 1). A fleet opens thousands of sessions that mostly share a handful
-// of acoustic profiles, and the expensive per-session setup — probing the
+// memo is the cross-session memoization cache: the serving-path use of
+// the content-keyed dsp.Memo the simulator's render cache also uses. A
+// fleet opens thousands of sessions that mostly share a handful of
+// acoustic profiles, and the expensive per-session setup — probing the
 // secondary-path estimate ĥ_se, pre-rendering a room IR into the ambient
 // channel — is a pure function of profile content. Keying on content
 // (not profile identity) means two sessions configured independently with
-// the same floats share one computation, and the cached slice is the
-// exact output of the original call, so memoization is bit-invisible:
-// a session served from the cache runs sample-for-sample identically to
-// one that computed its own.
+// the same floats share one computation, and a session served from the
+// cache runs sample-for-sample identically to one that computed its own.
 //
 // Cached slices are shared across sessions and MUST be treated as
 // read-only — which they are: graph.Build and core.New copy what they
 // mutate and only ever read the configured IRs.
-type memo struct {
-	mu      sync.Mutex
-	entries map[memoKey][]float64
-	order   []memoKey
-	cap     int
-	hits    uint64
-	misses  uint64
-}
+type memo struct{ *dsp.Memo }
 
-// memoKey identifies a computation by the content of its two float-slice
-// inputs plus a kind tag; two independent 64-bit mixes and both lengths
-// make accidental collisions implausible (~2^-128 per pair).
-type memoKey struct {
-	aHash, bHash uint64
-	aLen, bLen   int
-	kind         uint8
-}
-
+// Kind tags separating the computations sharing the cache.
 const (
 	memoKindSecondaryEst = iota // anc.EstimateSecondaryPath over a profile's chain
 	memoKindRoomRender          // room IR ⊛ multipath channel pre-render
 )
 
-func newMemo(capacity int) *memo {
-	return &memo{entries: make(map[memoKey][]float64, capacity), cap: capacity}
-}
-
 // sharedSetup is the process-wide cross-session setup cache. Capacity 64
 // covers dozens of distinct acoustic profiles; a fleet serving one or a
 // few profiles uses one entry per computation kind.
-var sharedSetup = newMemo(64)
-
-// hashFloats mixes a float slice's raw bit patterns (splitmix-style
-// xor-multiply-shift), matching the simulator's render-cache hashing.
-func hashFloats(xs []float64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, x := range xs {
-		h ^= math.Float64bits(x)
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
-	return h
-}
-
-func (m *memo) memoized(a, b []float64, kind uint8, compute func() ([]float64, error)) ([]float64, error) {
-	key := memoKey{hashFloats(a), hashFloats(b), len(a), len(b), kind}
-	m.mu.Lock()
-	if out, ok := m.entries[key]; ok {
-		m.hits++
-		m.mu.Unlock()
-		return out, nil
-	}
-	m.misses++
-	m.mu.Unlock()
-
-	// Compute outside the lock: two sessions opening concurrently with the
-	// same profile may duplicate the work, but both produce identical bits
-	// and only one result is retained.
-	out, err := compute()
-	if err != nil {
-		return nil, err
-	}
-
-	m.mu.Lock()
-	if cached, ok := m.entries[key]; ok {
-		out = cached
-	} else {
-		if len(m.order) >= m.cap {
-			oldest := m.order[0]
-			m.order = m.order[1:]
-			delete(m.entries, oldest)
-		}
-		m.entries[key] = out
-		m.order = append(m.order, key)
-	}
-	m.mu.Unlock()
-	return out, nil
-}
+var sharedSetup = memo{dsp.NewMemo(64)}
 
 // secondaryEstimate returns the calibrated ĥ_se for a profile's true
 // secondary chain, memoized across every session that shares the chain.
-func (m *memo) secondaryEstimate(secIR []float64, noiseRMS float64, seed uint64) ([]float64, error) {
+func (m memo) secondaryEstimate(secIR []float64, noiseRMS float64, seed uint64) ([]float64, error) {
 	params := []float64{noiseRMS, float64(seed)}
-	return m.memoized(secIR, params, memoKindSecondaryEst, func() ([]float64, error) {
+	return m.Get(secIR, params, memoKindSecondaryEst, func() ([]float64, error) {
 		return anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, noiseRMS, seed)
 	})
 }
@@ -115,24 +44,8 @@ func (m *memo) secondaryEstimate(secIR []float64, noiseRMS float64, seed uint64)
 // convolved with the multipath channel, memoized. Sessions sharing a room
 // share the pre-render the way the simulator's schemes share acoustic
 // renders.
-func (m *memo) roomRender(roomIR, channelIR []float64) ([]float64, error) {
-	return m.memoized(roomIR, channelIR, memoKindRoomRender, func() ([]float64, error) {
+func (m memo) roomRender(roomIR, channelIR []float64) ([]float64, error) {
+	return m.Get(roomIR, channelIR, memoKindRoomRender, func() ([]float64, error) {
 		return dsp.Convolve(roomIR, channelIR), nil
 	})
-}
-
-// stats reports lifetime hit/miss counters.
-func (m *memo) stats() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
-// reset empties the cache (tests).
-func (m *memo) reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries = make(map[memoKey][]float64, m.cap)
-	m.order = nil
-	m.hits, m.misses = 0, 0
 }

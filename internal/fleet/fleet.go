@@ -15,8 +15,8 @@
 //     consumed frames back, and the steady-state serving path allocates
 //     nothing;
 //   - expensive per-profile setup (secondary-path calibration, room IR
-//     pre-renders) is memoized across sessions by content hash (memo),
-//     generalizing the simulator's render cache;
+//     pre-renders) is memoized across sessions by content hash (memo, a
+//     dsp.Memo like the simulator's render cache);
 //   - one server socket carries every session's frames, demultiplexed by
 //     the fleet envelope's session id.
 //
@@ -80,8 +80,10 @@ type Profile struct {
 	EstimateNoiseRMS float64
 	// EstimateSeed seeds the calibration probe (default 1).
 	EstimateSeed uint64
-	// LossAware gates adaptation on the concealment mask (default on;
-	// set LossBlind to disable).
+	// LossBlind disables the sample-domain canceller's loss-aware mode,
+	// which gates adaptation on the concealment mask (on by default). FDAF
+	// sessions (FDAFBlock > 0) are always loss-blind: the block canceller
+	// has no concealment gate, so LossBlind has no effect on them.
 	LossBlind bool
 	// FDAFBlock, when non-zero, runs the session on the partitioned
 	// frequency-domain canceller with this block size (power of two):
@@ -297,7 +299,7 @@ type Server struct {
 	shards   int
 
 	pool  *framePool
-	cache *memo
+	cache memo
 
 	// Lifecycle state (lifecycle.go): the ladder itself lives in lc; the
 	// current rung and its change epoch are mirrored into atomics so the
@@ -437,7 +439,7 @@ func (s *Server) Open(id uint32, profile Profile, opts ...SessionOption) (*Sessi
 			CausalTaps:    p.CausalTaps,
 			Mu:            p.Mu,
 			SecondaryPath: secEst,
-			LossAware:     !p.LossBlind,
+			LossAware:     !p.LossBlind && p.FDAFBlock == 0,
 		},
 		MaxNonCausalTaps: p.MaxNonCausalTaps,
 		Reference:        &graph.ReceiverSource{Buf: buf},
@@ -756,7 +758,7 @@ func (s *Server) ObserveTick(latenessNS int64) {
 func (s *Server) PoolStats() (news, gets, puts int64) { return s.pool.counters() }
 
 // CacheStats returns the cross-session setup cache's hit/miss counters.
-func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.stats() }
+func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 
 // Registry returns the server-level registry (fleet.* metrics).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }

@@ -156,7 +156,7 @@ func TestFleetOpenCloseLeaksNoGoroutines(t *testing.T) {
 // must also leave sessions bit-identical (covered transitively by the
 // isolation suite, which runs all sessions through the same cache).
 func TestSetupCacheShared(t *testing.T) {
-	sharedSetup.reset()
+	sharedSetup.Reset()
 	srv := NewServer(Config{})
 	defer srv.Close()
 	p := lightProfile()

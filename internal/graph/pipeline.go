@@ -82,8 +82,9 @@ type Config struct {
 	// Canceller is the sample-domain canceller policy.
 	Canceller CancellerParams
 	// FDAF, when non-nil, replaces the sample-domain canceller with the
-	// block frequency-domain one. Incompatible with Supervise, Drift and
-	// Canceller.Profiling (Build returns ErrUnsupported).
+	// block frequency-domain one. Incompatible with Supervise, Drift,
+	// Canceller.Profiling and Canceller.LossAware (Build returns
+	// ErrUnsupported).
 	FDAF *FDAFParams
 
 	// Supervise runs the canceller under the degradation ladder.
@@ -224,8 +225,9 @@ func Build(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("graph: NoiseRMS set without a Noise generator")
 	}
 	if cfg.FDAF != nil {
-		// The ladder, drift holds and filter profiles all act on the
-		// sample-domain canceller; the block canceller has none of them.
+		// The ladder, drift holds, filter profiles and the concealment
+		// gate all act on the sample-domain canceller; the block canceller
+		// has none of them.
 		switch {
 		case cfg.Supervise:
 			return nil, fmt.Errorf("%w: FDAF with Supervise", ErrUnsupported)
@@ -233,6 +235,8 @@ func Build(cfg Config) (*Pipeline, error) {
 			return nil, fmt.Errorf("%w: FDAF with Drift control", ErrUnsupported)
 		case cfg.Canceller.Profiling:
 			return nil, fmt.Errorf("%w: FDAF with Canceller.Profiling", ErrUnsupported)
+		case cfg.Canceller.LossAware:
+			return nil, fmt.Errorf("%w: FDAF with Canceller.LossAware", ErrUnsupported)
 		}
 	}
 	blockLat := 0

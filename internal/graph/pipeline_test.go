@@ -60,6 +60,10 @@ func TestBuildValidation(t *testing.T) {
 			c.FDAF = fdaf
 			c.Canceller.Profiling = true
 		}, true},
+		{"fdaf with loss-aware", func(c *Config) {
+			c.FDAF = fdaf
+			c.Canceller.LossAware = true
+		}, true},
 	}
 	for _, tc := range cases {
 		cfg := validConfig(256)

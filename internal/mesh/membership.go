@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mute/internal/acoustics"
+	"mute/internal/supervisor"
 )
 
 // memberState is a slot's lifecycle state.
@@ -24,11 +25,10 @@ type member struct {
 	cell  int
 	state memberState
 
-	// Liveness, fused per PR 4's link-health estimator: the smoothed
-	// concealment ratio plus the current runs.
-	health   float64 // concealment EWMA in [0, 1]
-	cleanRun int     // consecutive real samples (warm-up gate)
-	beatAge  int     // samples since the last real sample (heartbeat age)
+	// Liveness: the concealment EWMA (eligibility), the clean run
+	// (warm-up gate) and the concealed run — samples since the last real
+	// one, i.e. the heartbeat age.
+	health supervisor.LinkHealth
 
 	// ring is the doubled-ring forwarded history: 2*window samples with
 	// each sample mirrored at cursor and cursor+window, so the current
@@ -97,7 +97,7 @@ func (m *membership) join(id int64, pos acoustics.Point) (int32, error) {
 			if mb.ring == nil {
 				mb.ring = make([]float64, 2*m.cfg.WindowSamples)
 			}
-			mb.health = 0
+			mb.health = supervisor.NewLinkHealth(m.cfg.HealthAlpha)
 			m.joins++
 			m.activate(slot, pos)
 			return slot, nil
@@ -115,8 +115,7 @@ func (m *membership) activate(slot int32, pos acoustics.Point) {
 	mb.state = live
 	mb.pos = pos
 	mb.cell = m.grid.cellOf(pos)
-	mb.cleanRun = 0
-	mb.beatAge = 0
+	mb.health.ResetRuns()
 	for i := range mb.ring {
 		mb.ring[i] = 0
 	}
@@ -181,17 +180,8 @@ func (m *membership) observe(slot int32, cursor int, x float64, real bool) (expi
 	mb := &m.members[slot]
 	mb.ring[cursor] = x
 	mb.ring[cursor+m.cfg.WindowSamples] = x
-	c := 0.0
-	if real {
-		mb.cleanRun++
-		mb.beatAge = 0
-	} else {
-		c = 1
-		mb.cleanRun = 0
-		mb.beatAge++
-	}
-	mb.health += m.cfg.HealthAlpha * (c - mb.health)
-	return mb.beatAge > m.cfg.HeartbeatTimeoutSamples
+	mb.health.Observe(real)
+	return mb.health.ConcealedRun() > m.cfg.HeartbeatTimeoutSamples
 }
 
 // window returns a member's current correlation window (oldest→newest)
@@ -205,14 +195,14 @@ func (m *membership) window(slot int32, cursor int) []float64 {
 // concealed reference.
 func (m *membership) warm(slot int32) bool {
 	mb := &m.members[slot]
-	return mb.state == live && mb.cleanRun >= m.cfg.WarmupSamples
+	return mb.state == live && mb.health.CleanRun() >= m.cfg.WarmupSamples
 }
 
 // healthy reports whether a member is live with an acceptable smoothed
 // concealment ratio.
 func (m *membership) healthy(slot int32) bool {
 	mb := &m.members[slot]
-	return mb.state == live && mb.health < m.cfg.UnhealthyHealth
+	return mb.state == live && mb.health.EWMA() < m.cfg.UnhealthyHealth
 }
 
 // Live returns the number of live members.

@@ -10,9 +10,11 @@
 // The package is organized as four cooperating pieces:
 //
 //   - Membership (membership.go) tracks the dynamic relay set with
-//     per-relay liveness fused from heartbeat age and a concealment
-//     EWMA — the same link-health estimator the outage supervisor uses —
-//     so relays can come and go without resetting anyone's state.
+//     per-relay liveness from a supervisor.LinkHealth — the estimator
+//     the outage ladder and the multi-relay failover also use: its
+//     concealed run is the heartbeat age, its clean run the warm-up
+//     gate, its EWMA the eligibility test — so relays can come and go
+//     without resetting anyone's state.
 //   - A spatial grid index (grid.go) prunes each selection round to the
 //     O(k) live relays nearest the current association, so re-running
 //     GCC-PHAT over a 200-relay mesh costs the same as over 8 relays.
@@ -27,7 +29,9 @@
 //
 // Source (source.go) adapts a Supervisor to graph.SampleSource, so the
 // mesh drops into the standard cancellation pipeline exactly where a
-// single relay's jitter buffer would sit.
+// single relay's jitter buffer would sit. The Supervisor is also the
+// repository's one periodic relay re-selector: the two-relay Section 4.2
+// tracking experiment runs on it with default policy settings.
 package mesh
 
 import (

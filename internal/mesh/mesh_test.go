@@ -5,6 +5,7 @@ import (
 
 	"mute/internal/acoustics"
 	"mute/internal/audio"
+	"mute/internal/supervisor"
 )
 
 // testConfig is a small, fast mesh config shared by the tests.
@@ -265,6 +266,13 @@ func TestMeshGracefulLeaveOrphansWhenAlone(t *testing.T) {
 	}
 }
 
+// observeRun folds n identical concealment flags into a member's health.
+func observeRun(h *supervisor.LinkHealth, real bool, n int) {
+	for i := 0; i < n; i++ {
+		h.Observe(real)
+	}
+}
+
 // TestMeshDecideHysteresis unit-tests the handoff state machine directly:
 // a flapping challenger is suppressed, a sustained one switches, and a
 // cold one waits for warm-up even after the dwell is satisfied.
@@ -280,8 +288,8 @@ func TestMeshDecideHysteresis(t *testing.T) {
 	if _, err := sup.Join(101, acoustics.Point{X: 9, Y: 8}); err != nil {
 		t.Fatal(err)
 	}
-	sup.mem.members[0].cleanRun = 10 * cfg.WarmupSamples
-	sup.mem.members[1].cleanRun = 10 * cfg.WarmupSamples
+	observeRun(&sup.mem.members[0].health, true, 10*cfg.WarmupSamples)
+	observeRun(&sup.mem.members[1].health, true, 10*cfg.WarmupSamples)
 	sup.current = 0
 	sup.currentLag = 20
 
@@ -314,7 +322,7 @@ func TestMeshDecideHysteresis(t *testing.T) {
 		t.Fatalf("challenger within the margin started a candidacy (pendRun %d)", sup.pendRun)
 	}
 	// Sustained challenger, but cold: dwell satisfied, switch held.
-	sup.mem.members[1].cleanRun = 0
+	observeRun(&sup.mem.members[1].health, false, 1)
 	for i := 0; i < cfg.DwellRounds+2; i++ {
 		rank(20, 32)
 		sup.decide(1)
@@ -323,7 +331,7 @@ func TestMeshDecideHysteresis(t *testing.T) {
 		t.Fatal("switched to a cold relay (warm-up gate bypassed)")
 	}
 	// The stream warms: the held switch completes with a crossfade.
-	sup.mem.members[1].cleanRun = cfg.WarmupSamples
+	observeRun(&sup.mem.members[1].health, true, cfg.WarmupSamples)
 	rank(20, 32)
 	sup.decide(1)
 	if sup.current != 1 {
@@ -383,7 +391,41 @@ func TestMeshUnhealthyRelayIneligible(t *testing.T) {
 		h.step(1)
 	}
 	if got := h.sup.Current(); got != 1 {
-		t.Fatalf("associated with lossy slot %d, want 1; health %.3f", got, h.sup.mem.members[0].health)
+		t.Fatalf("associated with lossy slot %d, want 1; health %.3f", got, h.sup.mem.members[0].health.EWMA())
 	}
 	h.assertSwitchesWarm(cfg.WarmupSamples)
+}
+
+// TestMeshRejoinKeepsHealth: a relay that leaves and rejoins keeps its
+// concealment EWMA (its link history) but restarts cold — both runs reset,
+// so the warm-up gate holds until its stream has refilled.
+func TestMeshRejoinKeepsHealth(t *testing.T) {
+	cfg := testConfig(2)
+	h := newMeshHarness(t, cfg, 4000)
+	h.join(0, 12, acoustics.Point{X: 8, Y: 8.5})
+	for i := 0; i < 2000; i++ {
+		h.down[0] = i%4 == 0
+		h.step(1)
+	}
+	h.down[0] = false
+	h.step(cfg.WarmupSamples)
+	mb := &h.sup.mem.members[0]
+	ewma := mb.health.EWMA()
+	if ewma <= 0 || !h.sup.mem.warm(0) {
+		t.Fatalf("setup: ewma %v, warm %v", ewma, h.sup.mem.warm(0))
+	}
+	h.sup.Leave(100)
+	if _, err := h.sup.Join(100, acoustics.Point{X: 8, Y: 8.5}); err != nil {
+		t.Fatal(err)
+	}
+	if mb.health.EWMA() != ewma {
+		t.Errorf("rejoin changed the health EWMA: %v → %v", ewma, mb.health.EWMA())
+	}
+	if mb.health.CleanRun() != 0 || mb.health.ConcealedRun() != 0 || h.sup.mem.warm(0) {
+		t.Errorf("rejoined relay is not cold: clean %d, concealed %d, warm %v",
+			mb.health.CleanRun(), mb.health.ConcealedRun(), h.sup.mem.warm(0))
+	}
+	if rep := h.sup.Report(); rep.Rejoins != 1 || rep.Leaves != 1 {
+		t.Errorf("membership accounting: %+v", rep)
+	}
 }

@@ -315,7 +315,7 @@ func (s *Supervisor) Push(local float64, forwarded []float64, real []bool) (floa
 	// than the emergency run but has not yet aged out of membership. The
 	// naive baseline gets none of this — it plays concealment until its
 	// next round.
-	if s.current >= 0 && !s.cfg.Naive && s.mem.members[s.current].beatAge > s.cfg.EmergencyRunSamples {
+	if s.current >= 0 && !s.cfg.Naive && s.mem.members[s.current].health.ConcealedRun() > s.cfg.EmergencyRunSamples {
 		s.emergency()
 	}
 

@@ -44,9 +44,9 @@ func TestCorrelateAllocFree(t *testing.T) {
 	}
 }
 
-// TestTrackerRoundAllocFree pins the tracker's full selection round
-// (multi-relay SelectInto) at zero steady-state allocations.
-func TestTrackerRoundAllocFree(t *testing.T) {
+// TestSelectIntoAllocFree pins a full multi-relay selection round
+// (SelectInto) at zero steady-state allocations.
+func TestSelectIntoAllocFree(t *testing.T) {
 	const n, maxLag = 1024, 255
 	fwd, local := corrSignals(n)
 	fwd2 := make([]float64, n)

@@ -2,7 +2,8 @@
 // (Section 4.2): GCC-PHAT cross-correlation between the wirelessly
 // forwarded sound and the locally heard sound determines whether a relay
 // offers positive lookahead, and with multiple relays, which one offers the
-// most. Correlation is repeated periodically to track moving sources.
+// most. Repeating the correlation periodically to follow a moving source
+// is the relay mesh's job (internal/mesh); this package is the primitive.
 package relaysel
 
 import (
@@ -33,8 +34,8 @@ type Correlation struct {
 const phatFloorRel = 1e-3
 
 // Correlator computes GCC-PHAT correlations for a fixed window length with
-// preallocated transform plans and scratch: a periodic tracker reuses one
-// Correlator across rounds, so the steady-state correlation path performs
+// preallocated transform plans and scratch: the mesh supervisor reuses one
+// Correlator across selection rounds, so the steady-state correlation path performs
 // no allocation. The real-input signals go through the packed RFFT plan —
 // half the butterflies of the full complex transform the per-call path
 // previously paid for, per signal, per round.

@@ -123,13 +123,13 @@ func TestRenderCacheBitIdentical(t *testing.T) {
 			t.Fatalf("cached render diverges at %d: %g != %g", i, got1[i], want[i])
 		}
 	}
-	if hits, misses := c.stats(); hits != 1 || misses != 1 {
+	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
 
 	// A different IR is a different key.
 	c.render(wave, []float64{1})
-	if hits, misses := c.stats(); hits != 1 || misses != 2 {
+	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
 		t.Errorf("stats after distinct IR = %d/%d, want 1/2", hits, misses)
 	}
 }
@@ -148,9 +148,9 @@ func TestRenderCacheEviction(t *testing.T) {
 		}
 	}
 	// irs[0] was evicted by irs[2]; re-rendering must miss and match bits.
-	_, missesBefore := c.stats()
+	_, missesBefore := c.Stats()
 	out := c.render(wave, irs[0])
-	_, missesAfter := c.stats()
+	_, missesAfter := c.Stats()
 	if missesAfter != missesBefore+1 {
 		t.Error("evicted entry should re-render")
 	}

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"mute/internal/mesh"
+)
 
 // TestRunMeshWalkingPolicies is the pipeline-level mesh check: one seeded
 // walking-source run per policy with churn and flappers on. The hysteretic
@@ -71,5 +76,44 @@ func TestRunMeshValidation(t *testing.T) {
 	}
 	if _, err := RunMesh(MeshScenario{Duration: 1, Relays: 10, BgLoss: -1}); err == nil {
 		t.Error("negative loss accepted")
+	}
+}
+
+// TestRunMeshBitsPinned pins one walking, churning mesh cell per policy to
+// the exact residual bits and supervisor report it produced before the
+// mesh members shared supervisor.LinkHealth with the outage ladder. The
+// churn rate is high enough that the cell sees expirations, a rejoin (the
+// EWMA must survive it while both runs restart) and a suppressed flap.
+func TestRunMeshBitsPinned(t *testing.T) {
+	base := MeshScenario{Duration: 6, Relays: 40, Seed: 29, Walking: true, ChurnPerMin: 2}
+	for _, tc := range []struct {
+		naive bool
+		bits  uint64
+		rep   mesh.Report
+	}{
+		{false, 0xc01da250d4d8c559, mesh.Report{
+			Joins: 40, Rejoins: 1, Expirations: 7, Live: 34,
+			Rounds: 92, Correlations: 984, DistressRounds: 5,
+			Handoffs: 4, EmergencyHandoffs: 1, FlapsSuppressed: 1,
+			OrphanedSamples: 1023,
+		}},
+		{true, 0xc0047be5d81e7458, mesh.Report{
+			Joins: 40, Rejoins: 1, Expirations: 7, Live: 34,
+			Rounds: 92, Correlations: 908, DistressRounds: 1,
+			Handoffs: 25, OrphanedSamples: 1023,
+		}},
+	} {
+		sc := base
+		sc.Naive = tc.naive
+		r, err := RunMesh(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := math.Float64bits(r.ResidualDB); b != tc.bits {
+			t.Errorf("naive=%v: residual %v dB (bits %#x), want bits %#x", tc.naive, r.ResidualDB, b, tc.bits)
+		}
+		if r.Report != tc.rep {
+			t.Errorf("naive=%v: report\n%+v\nwant\n%+v", tc.naive, r.Report, tc.rep)
+		}
 	}
 }

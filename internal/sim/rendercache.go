@@ -1,54 +1,25 @@
 package sim
 
-import (
-	"math"
-	"sync"
-
-	"mute/internal/dsp"
-)
+import "mute/internal/dsp"
 
 // renderCache memoizes acoustic pre-renders: the convolution of a source
 // waveform with a room impulse response. The comparison experiments run the
 // same scene through several schemes (Figure 12 alone runs four), and every
 // scheme re-renders identical source→relay and source→ear streams; keying
-// the render on the *content* of (wave, IR) lets later schemes — and later
-// runs in the same process, as in parameter sweeps — reuse the first
-// render. The cached slice is the exact output of the original computation,
-// so memoization is bit-invisible to every consumer.
-//
-// Entries are evicted FIFO past a fixed capacity, bounding memory across
-// long sweeps, and the cache is safe for the concurrent scheme fan-out the
-// experiment runner uses.
-type renderCache struct {
-	mu      sync.Mutex
-	entries map[renderKey][]float64
-	order   []renderKey
-	cap     int
-	hits    uint64
-	misses  uint64
-}
+// the render on the *content* of (wave, IR) through a dsp.Memo lets later
+// schemes — and later runs in the same process, as in parameter sweeps —
+// reuse the first render, bit-identically.
+type renderCache struct{ *dsp.Memo }
 
-// renderKey identifies a (wave, IR) pair by content. Two independent 64-bit
-// mixes plus both lengths make accidental collisions implausible
-// (~2^-128 per pair) without retaining the inputs; kind separates the two
-// convolution semantics sharing the cache.
-type renderKey struct {
-	waveHash, irHash uint64
-	waveLen, irLen   int
-	kind             uint8
-}
-
+// Kind tags separating the convolution semantics sharing the cache.
 const (
 	renderKindStream  = iota // StreamConvolver.ProcessBlock semantics
 	renderKindSame           // ConvolveSame semantics
 	renderKindCapture        // relay analog capture ("ir" = parameter vector)
 )
 
-func newRenderCache(capacity int) *renderCache {
-	return &renderCache{
-		entries: make(map[renderKey][]float64, capacity),
-		cap:     capacity,
-	}
+func newRenderCache(capacity int) renderCache {
+	return renderCache{dsp.NewMemo(capacity)}
 }
 
 // acousticRenders is the process-wide pre-render cache. Capacity 32 covers
@@ -56,23 +27,10 @@ func newRenderCache(capacity int) *renderCache {
 // a figure with room to spare.
 var acousticRenders = newRenderCache(32)
 
-// hashFloats mixes a float slice's raw bit patterns (splitmix-style
-// xor-multiply-shift). NaN payloads and signed zeros hash by their exact
-// bits, matching the bit-identity contract of the cache.
-func hashFloats(xs []float64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, x := range xs {
-		h ^= math.Float64bits(x)
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
-	return h
-}
-
 // render returns wave convolved with ir under the streaming-from-zero
 // semantics of dsp.StreamConvolver.ProcessBlock, memoized. The returned
 // slice is shared across callers and MUST be treated as read-only.
-func (c *renderCache) render(wave, ir []float64) []float64 {
+func (c renderCache) render(wave, ir []float64) []float64 {
 	return c.memoized(wave, ir, renderKindStream, func() []float64 {
 		return dsp.NewStreamConvolver(ir).ProcessBlock(wave)
 	})
@@ -80,56 +38,14 @@ func (c *renderCache) render(wave, ir []float64) []float64 {
 
 // renderSame is render with dsp.ConvolveSame semantics (the passive-cup
 // application), under the same bit-identity and read-only contracts.
-func (c *renderCache) renderSame(x, h []float64) []float64 {
+func (c renderCache) renderSame(x, h []float64) []float64 {
 	return c.memoized(x, h, renderKindSame, func() []float64 {
 		return dsp.ConvolveSame(x, h)
 	})
 }
 
-func (c *renderCache) memoized(wave, ir []float64, kind uint8, compute func() []float64) []float64 {
-	key := renderKey{hashFloats(wave), hashFloats(ir), len(wave), len(ir), kind}
-	c.mu.Lock()
-	if out, ok := c.entries[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return out
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	// Render outside the lock: concurrent first-time renders of the same
-	// key may duplicate work, but both produce identical bits and only one
-	// is retained.
-	out := compute()
-
-	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok {
-		if len(c.order) >= c.cap {
-			oldest := c.order[0]
-			c.order = c.order[1:]
-			delete(c.entries, oldest)
-		}
-		c.entries[key] = out
-		c.order = append(c.order, key)
-	} else {
-		out = c.entries[key]
-	}
-	c.mu.Unlock()
+// memoized is dsp.Memo.Get for the simulator's infallible renders.
+func (c renderCache) memoized(wave, ir []float64, kind uint8, compute func() []float64) []float64 {
+	out, _ := c.Get(wave, ir, kind, func() ([]float64, error) { return compute(), nil })
 	return out
-}
-
-// stats reports lifetime hit/miss counters (tests and diagnostics).
-func (c *renderCache) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// reset empties the cache (tests).
-func (c *renderCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[renderKey][]float64, c.cap)
-	c.order = nil
-	c.hits, c.misses = 0, 0
 }

@@ -1,10 +1,6 @@
 package supervisor
 
-import (
-	"fmt"
-
-	"mute/internal/relaysel"
-)
+import "fmt"
 
 // FailoverConfig parameterizes multi-relay failover.
 type FailoverConfig struct {
@@ -54,86 +50,60 @@ func (c *FailoverConfig) fill() error {
 	return nil
 }
 
-// Failover selects which relay's forwarded stream feeds the canceller. It
-// layers link health over acoustic preference: the relaysel.Tracker keeps
-// answering "which relay hears the noise source earliest?" (Section 4.2's
-// periodic GCC-PHAT re-selection) while per-relay concealment EWMAs answer
-// "which relays are actually delivering frames?". The acoustically best
-// relay wins whenever it is healthy; when its link dies the failover moves
-// to the healthiest alternative and returns once the preferred relay's
-// link recovers by a clear margin.
+// Failover selects which relay's forwarded stream feeds the canceller by
+// link health alone: relay 0 is the standing preference and feeds the
+// canceller whenever its link is healthy; when its link dies the failover
+// moves to the healthiest alternative and returns once relay 0 recovers
+// by a clear margin. Which relay is acoustically best (Section 4.2's
+// periodic GCC-PHAT re-selection) is the relay mesh's job
+// (internal/mesh).
 type Failover struct {
-	cfg      FailoverConfig
-	tracker  *relaysel.Tracker
-	ewma     []float64
-	cleanRun []int // consecutive real samples per relay (warm-up gate)
-	active   int
-	held     int
-	t        int64
-	moves    int
+	cfg    FailoverConfig
+	health []LinkHealth
+	active int
+	held   int
+	moves  int
 }
 
-// NewFailover wraps a tracker (which may be nil when acoustic re-selection
-// is not wanted; relay 0 is then the standing preference).
-func NewFailover(cfg FailoverConfig, tracker *relaysel.Tracker) (*Failover, error) {
+// NewFailover builds a failover over cfg.Relays streams.
+func NewFailover(cfg FailoverConfig) (*Failover, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return &Failover{
-		cfg:      cfg,
-		tracker:  tracker,
-		ewma:     make([]float64, cfg.Relays),
-		cleanRun: make([]int, cfg.Relays),
-		held:     cfg.HoldSamples, // free to switch immediately at start
-	}, nil
+	f := &Failover{
+		cfg:    cfg,
+		health: make([]LinkHealth, cfg.Relays),
+		held:   cfg.HoldSamples, // free to switch immediately at start
+	}
+	for i := range f.health {
+		f.health[i] = NewLinkHealth(cfg.EWMAAlpha)
+	}
+	return f, nil
 }
 
-// Step feeds one sample period: the local (error-mic) sample, one
-// forwarded sample per relay, and each relay's concealment flag (true =
-// genuinely received). It returns the relay index whose stream the
-// canceller should consume this period.
-func (f *Failover) Step(local float64, forwarded []float64, real []bool) (int, error) {
+// Step feeds one sample period: one forwarded sample per relay and each
+// relay's concealment flag (true = genuinely received). It returns the
+// relay index whose stream the canceller should consume this period.
+func (f *Failover) Step(forwarded []float64, real []bool) (int, error) {
 	if len(forwarded) != f.cfg.Relays || len(real) != f.cfg.Relays {
 		return 0, fmt.Errorf("supervisor: failover fed %d/%d streams, want %d",
 			len(forwarded), len(real), f.cfg.Relays)
 	}
 	for i, r := range real {
-		x := 1.0
-		if r {
-			x = 0
-			f.cleanRun[i]++
-		} else {
-			f.cleanRun[i] = 0
-		}
-		f.ewma[i] += f.cfg.EWMAAlpha * (x - f.ewma[i])
+		f.health[i].Observe(r)
 	}
-	if f.tracker != nil {
-		if _, err := f.tracker.Push(local, forwarded); err != nil {
-			return 0, err
-		}
-	}
-	f.t++
 	if f.held < f.cfg.HoldSamples {
 		f.held++
 		return f.active, nil
 	}
 
-	// The acoustic preference: the tracker's pick when it has one, relay 0
-	// as the standing preference when re-selection is disabled, and the
-	// current association while a tracker is still warming up.
-	preferred := f.active
-	if f.tracker == nil {
-		preferred = 0
-	} else if cur := f.tracker.Current(); cur >= 0 {
-		preferred = cur
-	}
-	// The acoustic preference wins whenever its link is healthy — with
-	// hysteresis at half the threshold so a link hovering at the boundary
-	// does not pull the association back and forth — and warm: a stream
-	// whose recent window still holds concealment zeros is never adopted,
-	// however healthy its smoothed ratio looks.
-	if preferred != f.active && f.ewma[preferred] < f.cfg.UnhealthyThreshold/2 && f.warm(preferred) {
-		f.switchTo(preferred)
+	// Relay 0 wins whenever its link is healthy — with hysteresis at half
+	// the threshold so a link hovering at the boundary does not pull the
+	// association back and forth — and warm: a stream whose recent window
+	// still holds concealment zeros is never adopted, however healthy its
+	// smoothed ratio looks.
+	if f.active != 0 && f.health[0].EWMA() < f.cfg.UnhealthyThreshold/2 && f.warm(0) {
+		f.switchTo(0)
 		return f.active, nil
 	}
 	// Otherwise move only when the active link has gone unhealthy and a
@@ -141,17 +111,17 @@ func (f *Failover) Step(local float64, forwarded []float64, real []bool) (int, e
 	// outage (every stream concealed) nothing is warm and the failover
 	// holds position rather than thrash between equally dead relays; the
 	// first relay to deliver WarmupSamples consecutive real samples wins.
-	if f.ewma[f.active] >= f.cfg.UnhealthyThreshold {
+	if cur := f.health[f.active].EWMA(); cur >= f.cfg.UnhealthyThreshold {
 		best := f.active
-		for i, e := range f.ewma {
+		for i := range f.health {
 			if i != f.active && !f.warm(i) {
 				continue
 			}
-			if e < f.ewma[best] {
+			if f.health[i].EWMA() < f.health[best].EWMA() {
 				best = i
 			}
 		}
-		if best != f.active && f.ewma[best]+f.cfg.SwitchMargin <= f.ewma[f.active] {
+		if best != f.active && f.health[best].EWMA()+f.cfg.SwitchMargin <= cur {
 			f.switchTo(best)
 		}
 	}
@@ -162,7 +132,7 @@ func (f *Failover) Step(local float64, forwarded []float64, real []bool) (int, e
 // real samples that switching to it cannot feed the canceller concealed
 // reference.
 func (f *Failover) warm(relay int) bool {
-	return f.cleanRun[relay] >= f.cfg.WarmupSamples
+	return f.health[relay].CleanRun() >= f.cfg.WarmupSamples
 }
 
 func (f *Failover) switchTo(relay int) {
@@ -179,5 +149,9 @@ func (f *Failover) Switches() int { return f.moves }
 
 // Health returns a copy of the per-relay smoothed concealment ratios.
 func (f *Failover) Health() []float64 {
-	return append([]float64(nil), f.ewma...)
+	out := make([]float64, len(f.health))
+	for i := range f.health {
+		out[i] = f.health[i].EWMA()
+	}
+	return out
 }

@@ -21,7 +21,7 @@ type failoverHarness struct {
 
 func newFailoverHarness(t *testing.T, cfg FailoverConfig) *failoverHarness {
 	t.Helper()
-	f, err := NewFailover(cfg, nil)
+	f, err := NewFailover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func (h *failoverHarness) feed(n int, real []bool) {
 			h.history[r] = append(h.history[r], real[r])
 		}
 		prev := h.f.Active()
-		idx, err := h.f.Step(x, fwd, rl)
+		idx, err := h.f.Step(fwd, rl)
 		if err != nil {
 			h.t.Fatal(err)
 		}

@@ -24,30 +24,49 @@
 // inputs, so a seeded run yields a byte-identical transition trace.
 package supervisor
 
-// health is the link-health estimator. Its single per-sample input is the
-// transport concealment flag (stream.JitterBuffer's PopMask verdict): a
-// concealed sample is evidence of loss, jitter-buffer starvation, or a
+// LinkHealth is the link-health estimator shared by the ladder, the
+// multi-relay Failover and the relay mesh. Its single per-sample input is
+// the transport concealment flag (stream.JitterBuffer's PopMask verdict):
+// a concealed sample is evidence of loss, jitter-buffer starvation, or a
 // lookahead-budget deficit — whichever layer failed, the canceller saw a
 // fabricated reference sample. From the flag it maintains the EWMA
-// concealment ratio (the smoothed loss rate) and the current starvation
-// run (consecutive concealed samples, the outage detector).
-type health struct {
-	alpha float64 // EWMA smoothing constant
-	ewma  float64 // smoothed concealment ratio in [0, 1]
-	run   int     // current consecutive-concealed run
-	clean int     // current consecutive-real run
+// concealment ratio (the smoothed loss rate), the current concealed run
+// (the outage and heartbeat detector) and the current clean run (the
+// recovery dwell and make-before-break warm-up gate).
+type LinkHealth struct {
+	alpha     float64 // EWMA smoothing constant
+	ewma      float64 // smoothed concealment ratio in [0, 1]
+	concealed int     // current consecutive-concealed run
+	clean     int     // current consecutive-real run
 }
 
-// observe folds one sample period's concealment flag into the estimate.
-func (h *health) observe(real bool) {
+// NewLinkHealth returns a pristine estimator smoothing with alpha.
+func NewLinkHealth(alpha float64) LinkHealth { return LinkHealth{alpha: alpha} }
+
+// Observe folds one sample period's concealment flag into the estimate.
+func (h *LinkHealth) Observe(real bool) {
 	x := 0.0
 	if real {
-		h.run = 0
+		h.concealed = 0
 		h.clean++
 	} else {
 		x = 1
-		h.run++
+		h.concealed++
 		h.clean = 0
 	}
 	h.ewma += h.alpha * (x - h.ewma)
 }
+
+// EWMA returns the smoothed concealment ratio in [0, 1].
+func (h *LinkHealth) EWMA() float64 { return h.ewma }
+
+// ConcealedRun returns the current run of consecutive concealed samples.
+func (h *LinkHealth) ConcealedRun() int { return h.concealed }
+
+// CleanRun returns the current run of consecutive real samples.
+func (h *LinkHealth) CleanRun() int { return h.clean }
+
+// ResetRuns zeroes both runs while keeping the EWMA: a stream that
+// restarts (a relay rejoining the mesh) must re-earn its clean run, but
+// its concealment history remains evidence about the link.
+func (h *LinkHealth) ResetRuns() { h.concealed, h.clean = 0, 0 }

@@ -222,7 +222,7 @@ type Supervisor struct {
 	lanc *core.LANC
 	fb   *headphone.ANC
 
-	h     health
+	h     LinkHealth
 	state State
 	t     int64 // sample clock
 
@@ -311,7 +311,7 @@ func New(cfg Config, lanc *core.LANC, fallback *headphone.ANC) (*Supervisor, err
 		cfg:        cfg,
 		lanc:       lanc,
 		fb:         fallback,
-		h:          health{alpha: cfg.EWMAAlpha},
+		h:          NewLinkHealth(cfg.EWMAAlpha),
 		window:     window,
 		fullN:      lanc.NonCausalTaps(),
 		causalTaps: lanc.CausalTaps(),
@@ -327,7 +327,7 @@ func (s *Supervisor) State() State { return s.state }
 func (s *Supervisor) Report() Report {
 	r := s.rep
 	r.FinalState = s.state
-	r.ConcealEWMA = s.h.ewma
+	r.ConcealEWMA = s.h.EWMA()
 	r.Transitions = append([]Transition(nil), s.rep.Transitions...)
 	return r
 }
@@ -340,7 +340,7 @@ func (s *Supervisor) Report() Report {
 // StateLANC and the output is bit-identical to calling the wrapped LANC's
 // StepMasked directly.
 func (s *Supervisor) Step(fwd, local, ePrev float64, real bool) float64 {
-	s.h.observe(real)
+	s.h.Observe(real)
 	if !real {
 		// A concealed sample enters LANC's anti-noise window at +N and
 		// takes N+L+1 pushes to slide out of it.
@@ -415,7 +415,7 @@ func (s *Supervisor) maybeTransition() {
 	switch s.state {
 	case StateLANC, StateDegraded:
 		// A hard starvation run is a dead link: demote immediately.
-		if s.h.run >= s.cfg.StarvationRun {
+		if s.h.ConcealedRun() >= s.cfg.StarvationRun {
 			s.moveTo(StateFallback)
 			return
 		}
@@ -425,7 +425,7 @@ func (s *Supervisor) maybeTransition() {
 			down = s.cfg.FallbackThreshold
 			dppm = s.cfg.DriftFallbackPPM
 		}
-		if s.h.ewma >= down || s.driftExcess(dppm) {
+		if s.h.EWMA() >= down || s.driftExcess(dppm) {
 			s.breachRun++
 			if s.breachRun >= s.cfg.DownDwell {
 				s.moveTo(s.state + 1)
@@ -434,7 +434,7 @@ func (s *Supervisor) maybeTransition() {
 		}
 		s.breachRun = 0
 		if s.state == StateDegraded &&
-			s.h.ewma < s.cfg.DegradeThreshold/2 && s.h.clean >= s.cfg.UpDwell &&
+			s.h.EWMA() < s.cfg.DegradeThreshold/2 && s.h.CleanRun() >= s.cfg.UpDwell &&
 			!s.driftExcess(s.cfg.DriftDegradePPM) {
 			// Hysteresis: promotion needs the ratio well under the demote
 			// threshold plus a sustained clean run (and no drift breach).
@@ -464,8 +464,8 @@ func (s *Supervisor) probe() {
 		return
 	}
 	s.rep.Probes++
-	healthy := s.h.clean >= s.cfg.UpDwell && s.taint == 0 &&
-		s.h.ewma < s.cfg.DegradeThreshold/2 &&
+	healthy := s.h.CleanRun() >= s.cfg.UpDwell && s.taint == 0 &&
+		s.h.EWMA() < s.cfg.DegradeThreshold/2 &&
 		!s.driftExcess(s.cfg.DriftDegradePPM)
 	if healthy {
 		if s.state == StatePassthrough {
@@ -475,8 +475,8 @@ func (s *Supervisor) probe() {
 		}
 		return
 	}
-	if s.h.clean >= s.cfg.UpDwell && s.taint == 0 &&
-		s.state == StateFallback && s.h.ewma < s.cfg.FallbackThreshold/2 &&
+	if s.h.CleanRun() >= s.cfg.UpDwell && s.taint == 0 &&
+		s.state == StateFallback && s.h.EWMA() < s.cfg.FallbackThreshold/2 &&
 		!s.driftExcess(s.cfg.DriftFallbackPPM) {
 		// Partially recovered: the link delivers frames again but the
 		// smoothed loss rate is still too high for the full window.
@@ -525,8 +525,8 @@ func (s *Supervisor) moveTo(to State) {
 		s.cfg.Trace.Record(s.t, telemetry.StageSupervisor, "transition", map[string]float64{
 			"from":         float64(from),
 			"to":           float64(to),
-			"conceal_ewma": s.h.ewma,
-			"conceal_run":  float64(s.h.run),
+			"conceal_ewma": s.h.EWMA(),
+			"conceal_run":  float64(s.h.ConcealedRun()),
 		})
 	}
 }
@@ -540,9 +540,9 @@ func (s *Supervisor) TraceState(tr *telemetry.Trace, t int64) {
 	}
 	tr.Record(t, telemetry.StageSupervisor, "state", map[string]float64{
 		"state":        float64(s.state),
-		"conceal_ewma": s.h.ewma,
-		"conceal_run":  float64(s.h.run),
-		"clean_run":    float64(s.h.clean),
+		"conceal_ewma": s.h.EWMA(),
+		"conceal_run":  float64(s.h.ConcealedRun()),
+		"clean_run":    float64(s.h.CleanRun()),
 		"fade_left":    float64(s.fadeLeft),
 		"taint":        float64(s.taint),
 	})

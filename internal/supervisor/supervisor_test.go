@@ -377,7 +377,7 @@ func TestFailoverSwitchesAndReturns(t *testing.T) {
 		UnhealthyThreshold: 0.3,
 		SwitchMargin:       0.1,
 		HoldSamples:        32,
-	}, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestFailoverSwitchesAndReturns(t *testing.T) {
 	feed := func(n int, real0 bool) {
 		for i := 0; i < n; i++ {
 			x := gen.Next()
-			if _, err := f.Step(x, []float64{x, x}, []bool{real0, true}); err != nil {
+			if _, err := f.Step([]float64{x, x}, []bool{real0, true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -401,7 +401,7 @@ func TestFailoverSwitchesAndReturns(t *testing.T) {
 	if f.Switches() != 1 {
 		t.Fatalf("switches = %d, want 1", f.Switches())
 	}
-	feed(600, true) // relay 0 recovers; with no tracker, relay 0 stays preferred
+	feed(600, true) // relay 0 recovers and, as the standing preference, wins back
 	if f.Active() != 0 {
 		t.Fatalf("active = %d after relay-0 recovery, want 0 (health %v)", f.Active(), f.Health())
 	}

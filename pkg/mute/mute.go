@@ -478,30 +478,17 @@ func NewSupervisor(cfg SupervisorConfig, lanc *Canceller, fallback *LocalCancell
 	return supervisor.New(cfg, lanc, fallback)
 }
 
-// RelayTracker re-runs GCC-PHAT relay selection periodically over live
-// streams (Section 4.2's mobility story).
-type RelayTracker = relaysel.Tracker
-
-// RelayTrackerConfig parameterizes a RelayTracker.
-type RelayTrackerConfig = relaysel.TrackerConfig
-
-// NewRelayTracker builds a periodic relay re-selector.
-func NewRelayTracker(cfg RelayTrackerConfig) (*RelayTracker, error) {
-	return relaysel.NewTracker(cfg)
-}
-
-// Failover layers per-relay link health over the tracker's acoustic
-// preference: the acoustically best relay feeds the canceller while its
-// link is healthy, a healthier alternative takes over when it dies, and
-// the association returns once the preferred link recovers.
+// Failover picks a relay by per-relay link health: relay 0 feeds the
+// canceller while its link is healthy, a healthier alternative takes over
+// when it dies, and the association returns once relay 0 recovers.
 type Failover = supervisor.Failover
 
 // FailoverConfig tunes the failover's health thresholds and dwell.
 type FailoverConfig = supervisor.FailoverConfig
 
-// NewFailover wraps a tracker (nil = relay 0 is the standing preference).
-func NewFailover(cfg FailoverConfig, tracker *RelayTracker) (*Failover, error) {
-	return supervisor.NewFailover(cfg, tracker)
+// NewFailover builds a health-driven multi-relay failover.
+func NewFailover(cfg FailoverConfig) (*Failover, error) {
+	return supervisor.NewFailover(cfg)
 }
 
 // --- Unified pipeline graph -----------------------------------------------------
