@@ -6,7 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation. Per-module micro-benchmarks (FFT,
-// convolution, FxLMS, LANC step, FM link, GCC-PHAT) live in their
+// convolution, headphone step, LANC step, FM link, GCC-PHAT) live in their
 // packages.
 package repro_test
 

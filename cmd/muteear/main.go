@@ -150,16 +150,15 @@ func main() {
 			SecondaryPath: secPath,
 			LossAware:     *lossAware,
 		},
-		Supervise:         *supervise,
-		FallbackSecondary: secPath,
-		Reference:         ref,
-		Ambient:           &mute.DerivedAmbient{Delay: acousticDelay, Channel: earChannel},
-		Drift:             driftCtl,
-		SecondaryIR:       secPath,
-		Trace:             tr,
-		TraceBlock:        *frame,
-		LiveHooks:         true,
-		Telemetry:         reg,
+		Supervise:   *supervise,
+		Reference:   ref,
+		Ambient:     &mute.DerivedAmbient{Delay: acousticDelay, Channel: earChannel},
+		Drift:       driftCtl,
+		SecondaryIR: secPath,
+		Trace:       tr,
+		TraceBlock:  *frame,
+		LiveHooks:   true,
+		Telemetry:   reg,
 	})
 	if err != nil {
 		fatal(err)

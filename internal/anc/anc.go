@@ -1,8 +1,9 @@
 // Package anc implements the classical adaptive-filtering machinery of
-// active noise cancellation: LMS/NLMS weight adaptation, the filtered-x LMS
-// (FxLMS) structure used by commercial headphones, and secondary-path
-// estimation. The lookahead-aware algorithm (LANC) that is the paper's
-// contribution builds on these primitives in package core.
+// active noise cancellation: LMS/NLMS and RLS weight adaptation and
+// secondary-path estimation. The filtered-x canceller itself is the
+// lookahead-aware LANC in package core, the paper's contribution; the
+// conventional headphone (package headphone) is LANC with no non-causal
+// taps.
 package anc
 
 import (

@@ -160,92 +160,6 @@ func TestLMSConvergenceMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestFxLMSCancelsToneThroughSecondaryPath(t *testing.T) {
-	// Single-frequency feedforward ANC with an identified secondary path:
-	// the residual at the error mic should drop well below the
-	// uncanceled level.
-	fs := 8000.0
-	primary := []float64{0, 0, 0.9, 0.3, -0.1} // noise → error mic
-	secondary := []float64{0.7, 0.25, 0.1}     // speaker → error mic
-	fx, err := NewFxLMS(LMSConfig{Taps: 16, Mu: 0.5, Normalized: true}, secondary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priCh := dsp.NewStreamConvolver(primary)
-	secCh := dsp.NewStreamConvolver(secondary)
-	tone := audio.NewTone(400, fs, 0.5, 0)
-	var uncanceled, residual float64
-	const n = 24000
-	for i := 0; i < n; i++ {
-		x := tone.Next()
-		fx.Push(x)
-		a := fx.AntiNoise()
-		d := priCh.Process(x)
-		e := d + secCh.Process(a)
-		fx.Adapt(e)
-		if i >= n-4000 {
-			uncanceled += d * d
-			residual += e * e
-		}
-	}
-	gain := 10 * math.Log10(residual/uncanceled)
-	if gain > -20 {
-		t.Errorf("FxLMS cancellation = %.1f dB, want < -20 dB", gain)
-	}
-}
-
-func TestFxLMSErrors(t *testing.T) {
-	if _, err := NewFxLMS(LMSConfig{Taps: 0, Mu: 1}, []float64{1}); err == nil {
-		t.Error("invalid config should error")
-	}
-	if _, err := NewFxLMS(LMSConfig{Taps: 4, Mu: 0.1}, nil); err == nil {
-		t.Error("empty secondary path should error")
-	}
-}
-
-func TestFxLMSSetWeightsResetRoundTrip(t *testing.T) {
-	fx, err := NewFxLMS(LMSConfig{Taps: 4, Mu: 0.1}, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := []float64{0.1, 0.2, 0.3, 0.4}
-	if err := fx.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	got := fx.Weights()
-	for i := range w {
-		if got[i] != w[i] {
-			t.Fatal("weights round trip failed")
-		}
-	}
-	if err := fx.SetWeights([]float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	fx.Reset()
-	for _, v := range fx.Weights() {
-		if v != 0 {
-			t.Error("reset should zero weights")
-		}
-	}
-}
-
-func TestFxLMSLeakStable(t *testing.T) {
-	fx, err := NewFxLMS(LMSConfig{Taps: 8, Mu: 0.05, Leak: 0.01}, []float64{0.8, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := audio.NewRNG(5)
-	for i := 0; i < 20000; i++ {
-		fx.Push(rng.Uniform())
-		fx.Adapt(rng.Uniform())
-	}
-	for _, w := range fx.Weights() {
-		if math.IsNaN(w) || math.Abs(w) > 100 {
-			t.Fatalf("leaky FxLMS weight diverged: %g", w)
-		}
-	}
-}
-
 func TestEstimateSecondaryPath(t *testing.T) {
 	truePath := []float64{0.6, 0.3, -0.1, 0.05}
 	est, err := EstimateSecondaryPath(truePath, 8, 20000, 0.001, 1)
@@ -273,18 +187,5 @@ func TestEstimateSecondaryPathErrors(t *testing.T) {
 	}
 	if _, err := EstimateSecondaryPath([]float64{1}, 0, 100, 0, 1); err == nil {
 		t.Error("zero taps should error")
-	}
-}
-
-func BenchmarkFxLMSStep(b *testing.B) {
-	fx, err := NewFxLMS(LMSConfig{Taps: 128, Mu: 0.1, Normalized: true}, []float64{0.7, 0.2, 0.1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fx.Push(0.5)
-		a := fx.AntiNoise()
-		fx.Adapt(0.1 - a*0.01)
 	}
 }

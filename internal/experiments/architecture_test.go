@@ -27,9 +27,7 @@ var cancellerConstructors = map[string]bool{
 // "dir/file.go:Func callee", each with the graph feature it is waiting
 // for. Every other run goes through graph.Build.
 var handWired = map[string]string{
-	"sim/variants.go:runTabletop mute/internal/core.New":                "Tabletop feeds the error back through an uplink delay; the graph has no error-feedback delay stage",
 	"sim/multisource.go:RunMultiRelay mute/internal/core.NewMulti":      "multi-reference LANC (core.MultiLANC) is not a graph canceller kind",
-	"sim/engine.go:Run mute/internal/headphone.NewANC":                  "the Bose baselines run the headphone FxLMS, which is not a graph canceller kind",
 	"experiments/fig17.go:alternatingSourceGain mute/internal/core.New": "controlled isolation of profile switching on a leak-free LANC; the graph fixes the leak",
 }
 

@@ -57,7 +57,11 @@ func TestOutageCellBitsPinned(t *testing.T) {
 	}{
 		{"naive", outageNaive, 0xc01078d8a4dca5da, 0, -1},
 		{"freeze", outageFreeze, 0xc011a585d95430fa, 0, -1},
-		{"supervised", outageSupervised, 0xc012f719fe3fbb0e, 0, 3},
+		// The FALLBACK rung's headphone canceller moved the last bits
+		// (was 0xc012f719fe3fbb0e) when it became a zero-lookahead LANC,
+		// whose NLMS window powers are rescanned exactly every 64 samples
+		// where the old FxLMS slid them forever (EXPERIMENTS.md).
+		{"supervised", outageSupervised, 0xc012f719fe3fbb07, 0, 3},
 		{"failover_2relay", outageFailover, 0xc03329770b6331b5, 2, -1},
 	} {
 		cell := outageCell{

@@ -66,7 +66,6 @@ func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource)
 	if sd.sup != nil {
 		cfg.Supervise = true
 		cfg.SupervisorConfig = sd.sup
-		cfg.FallbackSecondary = synthSecondary
 	}
 	if pl, err = graph.Build(cfg); err != nil {
 		return nil, nil, nil, err

@@ -98,7 +98,6 @@ func TestCrossWiringEquivalence(t *testing.T) {
 				}
 				if tc.supervise {
 					cfg.Supervise = true
-					cfg.FallbackSecondary = secPath
 				}
 				return cfg
 			}

@@ -14,6 +14,11 @@ import (
 	"mute/internal/telemetry"
 )
 
+// Leak is the LMS leakage of every LANC Build wires. It is fixed here, not
+// a CancellerParams field, so the policy constant cannot fork between
+// deployments.
+const Leak = 0.0005
+
 // CancellerParams is the canceller-policy slice of the pipeline
 // configuration: the tuning a caller legitimately varies. Everything
 // else about the canceller — leakage, the non-causal tap count (planned
@@ -83,18 +88,31 @@ type Config struct {
 	Canceller CancellerParams
 	// FDAF, when non-nil, replaces the sample-domain canceller with the
 	// block frequency-domain one. Incompatible with Supervise, Drift,
-	// Canceller.Profiling and Canceller.LossAware (Build returns
-	// ErrUnsupported).
+	// Canceller.Profiling, Canceller.LossAware and ErrorDelay (Build
+	// returns ErrUnsupported).
 	FDAF *FDAFParams
+	// Headphone replaces LANC with the conventional headphone canceller
+	// (headphone.ANC, the Bose-class baseline): a zero-lookahead LANC
+	// with the product's own tuning, stepped on the Reference — the cup
+	// microphone — around Canceller.SecondaryPath. It has no wireless
+	// lookahead, so no budget is planned and the lookahead fields and the
+	// rest of Canceller are not read. Incompatible with FDAF, Supervise,
+	// Drift, Canceller.Profiling, Canceller.LossAware and ErrorDelay
+	// (Build returns ErrUnsupported).
+	Headphone bool
+	// ErrorDelay is how many samples late the measured error reaches the
+	// adaptation — the uplink leg of the Tabletop variant, whose DSP sits
+	// at the relay. The fed-back error passes through a delay line and
+	// the canceller pairs it with equally stale filtered-x history.
+	// Incompatible with Supervise and FDAF (Build returns ErrUnsupported).
+	ErrorDelay int
 
 	// Supervise runs the canceller under the degradation ladder.
 	Supervise bool
 	// SupervisorConfig overrides the ladder tuning (nil = defaults). Its
-	// Trace field is managed by Build.
+	// Trace field is managed by Build. The ladder's FALLBACK canceller is
+	// the Headphone kind's, built around Canceller.SecondaryPath.
 	SupervisorConfig *supervisor.Config
-	// FallbackSecondary is the secondary-path estimate the ladder's local
-	// fallback canceller is built around (required when Supervise).
-	FallbackSecondary []float64
 
 	// Reference is the pulled reference input (required).
 	Reference SampleSource
@@ -150,16 +168,21 @@ type DriftStats interface {
 // Pipeline is a built cancellation graph. Exported fields are the wired
 // stages, fixed at Build; drive the graph with ProcessBlock or Run.
 type Pipeline struct {
-	// LANC is the sample-domain canceller (nil on the FDAF path).
+	// LANC is the sample-domain canceller (nil on the FDAF and Headphone
+	// paths).
 	LANC *core.LANC
+	// Headphone is the conventional canceller of the Headphone kind (nil
+	// otherwise).
+	Headphone *headphone.ANC
 	// Sup is the degradation-ladder supervisor (nil unless Supervise).
 	Sup *supervisor.Supervisor
 	// FDAF is the block canceller (nil on the sample path).
 	FDAF *core.BlockLANC
-	// Budget is the lookahead budget the canceller was planned with.
+	// Budget is the lookahead budget the canceller was planned with
+	// (zero for the Headphone kind).
 	Budget core.Budget
 	// Spend itemizes where the lookahead went (recorded into the trace
-	// at Build).
+	// at Build; nil for the Headphone kind).
 	Spend *telemetry.BudgetReport
 	// NonCausalTaps is the N the canceller actually runs with.
 	NonCausalTaps int
@@ -168,6 +191,9 @@ type Pipeline struct {
 	amb   Ambient
 	drift DriftControl
 	sec   *dsp.StreamConvolver
+	// errDelay holds the fed-back error for ErrorDelay samples (nil when
+	// the error is fed back at once).
+	errDelay *dsp.DelayLine
 
 	noiseRMS float64
 	noise    *audio.RNG
@@ -224,125 +250,42 @@ func Build(cfg Config) (*Pipeline, error) {
 	if cfg.NoiseRMS != 0 && cfg.Noise == nil {
 		return nil, fmt.Errorf("graph: NoiseRMS set without a Noise generator")
 	}
-	if cfg.FDAF != nil {
-		// The ladder, drift holds, filter profiles and the concealment
-		// gate all act on the sample-domain canceller; the block canceller
-		// has none of them.
-		switch {
-		case cfg.Supervise:
-			return nil, fmt.Errorf("%w: FDAF with Supervise", ErrUnsupported)
-		case cfg.Drift != nil:
-			return nil, fmt.Errorf("%w: FDAF with Drift control", ErrUnsupported)
-		case cfg.Canceller.Profiling:
-			return nil, fmt.Errorf("%w: FDAF with Canceller.Profiling", ErrUnsupported)
-		case cfg.Canceller.LossAware:
-			return nil, fmt.Errorf("%w: FDAF with Canceller.LossAware", ErrUnsupported)
-		}
-	}
-	blockLat := 0
-	if cfg.FDAF != nil {
-		blockLat = cfg.FDAF.BlockSize - 1
-	}
-	la := cfg.Lookahead - cfg.ExtraReferenceDelay - cfg.PrimeSamples - cfg.DriftGuard - blockLat
-	if la < 0 {
-		la = 0
-	}
-	budget, err := core.NewBudget(la, cfg.Pipeline)
-	if err != nil {
+	if err := refuseCombinations(cfg); err != nil {
 		return nil, err
-	}
-	nTaps := budget.UsableTaps
-	if cfg.MaxNonCausalTaps > 0 && nTaps > cfg.MaxNonCausalTaps {
-		nTaps = cfg.MaxNonCausalTaps
 	}
 	traceEvery := int64(cfg.TraceBlock)
 	if traceEvery <= 0 {
 		traceEvery = 512
 	}
 	pl := &Pipeline{
-		Budget:        budget,
-		NonCausalTaps: nTaps,
-		ref:           cfg.Reference,
-		amb:           cfg.Ambient,
-		drift:         cfg.Drift,
-		sec:           dsp.NewStreamConvolver(cfg.SecondaryIR),
-		noiseRMS:      cfg.NoiseRMS,
-		noise:         cfg.Noise,
-		on:            cfg.On,
-		residual:      cfg.Residual,
-		trace:         cfg.Trace,
-		traceEvery:    traceEvery,
-		liveHooks:     cfg.LiveHooks,
-		reg:           cfg.Telemetry,
+		ref:        cfg.Reference,
+		amb:        cfg.Ambient,
+		drift:      cfg.Drift,
+		sec:        dsp.NewStreamConvolver(cfg.SecondaryIR),
+		noiseRMS:   cfg.NoiseRMS,
+		noise:      cfg.Noise,
+		on:         cfg.On,
+		residual:   cfg.Residual,
+		trace:      cfg.Trace,
+		traceEvery: traceEvery,
+		liveHooks:  cfg.LiveHooks,
+		reg:        cfg.Telemetry,
 	}
-	pl.Spend = Plan(cfg.SampleRate, cfg.Lookahead, cfg.PrimeSamples, cfg.ExtraReferenceDelay,
-		cfg.DriftGuard, blockLat, cfg.Pipeline, nTaps)
-	pl.Spend.Record(cfg.Trace)
-
-	if cfg.FDAF != nil {
-		bl, err := core.NewBlock(core.BlockConfig{
-			FilterTaps:    cfg.Canceller.CausalTaps + nTaps,
-			BlockSize:     cfg.FDAF.BlockSize,
-			Mu:            cfg.FDAF.Mu,
-			SecondaryPath: cfg.Canceller.SecondaryPath,
-			NonCausalTaps: nTaps,
-		})
+	if cfg.Headphone {
+		hp, err := newHeadphone(cfg)
 		if err != nil {
 			return nil, err
 		}
-		pl.FDAF = bl
-		pl.fdafSize = cfg.FDAF.BlockSize
-		pl.x = make([]float64, pl.fdafSize)
-		pl.a = make([]float64, pl.fdafSize)
-		pl.eb = make([]float64, pl.fdafSize)
-		pl.m = make([]bool, pl.fdafSize)
-		if cfg.Telemetry != nil {
-			pl.blockNS = cfg.Telemetry.Histogram("lanc.block_ns",
-				telemetry.HistogramOpts{Lo: 1e3, Ratio: 2, Buckets: 20})
-		}
-	} else {
-		c := cfg.Canceller
-		lanc, err := core.New(core.Config{
-			NonCausalTaps:    nTaps,
-			CausalTaps:       c.CausalTaps,
-			Mu:               c.Mu,
-			Normalized:       !c.PlainLMS,
-			Leak:             0.0005,
-			SecondaryPath:    c.SecondaryPath,
-			Profiling:        c.Profiling,
-			ProfileWindow:    c.ProfileWindow,
-			ProfileHop:       c.ProfileHop,
-			ProfileThreshold: c.ProfileThreshold,
-			MaxProfiles:      c.MaxProfiles,
-			SampleRate:       cfg.SampleRate,
-			LossAware:        c.LossAware,
-			RecoveryRamp:     c.RecoveryRamp,
-		})
+		pl.Headphone = hp
+	} else if err := pl.planCanceller(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.ErrorDelay > 0 {
+		dl, err := dsp.NewDelayLine(cfg.ErrorDelay)
 		if err != nil {
 			return nil, err
 		}
-		pl.LANC = lanc
-		if cfg.Supervise {
-			// The fallback is the Bose-class local canceller: its reference
-			// microphone hears the open-ear field, and its physical latency
-			// is already inside SecondaryIR via the shared chain.
-			hcfg := headphone.DefaultConfig(cfg.SampleRate, cfg.FallbackSecondary)
-			hcfg.PipelineDelaySamples = 0
-			fb, err := headphone.NewANC(hcfg)
-			if err != nil {
-				return nil, err
-			}
-			scfg := supervisor.DefaultConfig()
-			if cfg.SupervisorConfig != nil {
-				scfg = *cfg.SupervisorConfig
-			}
-			scfg.Trace = cfg.Trace
-			sup, err := supervisor.New(scfg, lanc, fb)
-			if err != nil {
-				return nil, err
-			}
-			pl.Sup = sup
-		}
+		pl.errDelay = dl
 	}
 
 	if cfg.LiveHooks {
@@ -365,6 +308,143 @@ func Build(cfg Config) (*Pipeline, error) {
 		}
 	}
 	return pl, nil
+}
+
+// refuseCombinations rejects the stage combinations Build cannot wire
+// together with ErrUnsupported, and a negative ErrorDelay as a malformed
+// binding.
+func refuseCombinations(cfg Config) error {
+	if cfg.ErrorDelay < 0 {
+		return fmt.Errorf("graph: negative error delay %d", cfg.ErrorDelay)
+	}
+	if cfg.Headphone && cfg.FDAF != nil {
+		return fmt.Errorf("%w: Headphone with FDAF", ErrUnsupported)
+	}
+	if cfg.ErrorDelay > 0 && cfg.Supervise {
+		// The FALLBACK canceller adapts on the error as it arrives.
+		return fmt.Errorf("%w: ErrorDelay with Supervise", ErrUnsupported)
+	}
+	// The ladder, drift holds, filter profiles, the concealment gate and
+	// the stale-error pairing all act on the sample-domain LANC; the block
+	// canceller and the headphone canceller have none of them.
+	kind := "FDAF"
+	if cfg.Headphone {
+		kind = "Headphone"
+	} else if cfg.FDAF == nil {
+		return nil
+	}
+	switch {
+	case cfg.Supervise:
+		return fmt.Errorf("%w: %s with Supervise", ErrUnsupported, kind)
+	case cfg.Drift != nil:
+		return fmt.Errorf("%w: %s with Drift control", ErrUnsupported, kind)
+	case cfg.Canceller.Profiling:
+		return fmt.Errorf("%w: %s with Canceller.Profiling", ErrUnsupported, kind)
+	case cfg.Canceller.LossAware:
+		return fmt.Errorf("%w: %s with Canceller.LossAware", ErrUnsupported, kind)
+	case cfg.ErrorDelay > 0:
+		return fmt.Errorf("%w: %s with ErrorDelay", ErrUnsupported, kind)
+	}
+	return nil
+}
+
+// newHeadphone builds the conventional headphone canceller — the
+// Headphone kind, and the ladder's FALLBACK rung. Its reference
+// microphone hears the open-ear field, and its physical latency is
+// already inside SecondaryIR via the shared chain.
+func newHeadphone(cfg Config) (*headphone.ANC, error) {
+	return headphone.NewANC(headphone.DefaultConfig(cfg.SampleRate, cfg.Canceller.SecondaryPath))
+}
+
+// planCanceller plans the lookahead budget, records its spend into the
+// trace, and builds the canceller it funds: the block FDAF or LANC,
+// supervised when asked.
+func (pl *Pipeline) planCanceller(cfg Config) error {
+	blockLat := 0
+	if cfg.FDAF != nil {
+		blockLat = cfg.FDAF.BlockSize - 1
+	}
+	la := cfg.Lookahead - cfg.ExtraReferenceDelay - cfg.PrimeSamples - cfg.DriftGuard - blockLat
+	if la < 0 {
+		la = 0
+	}
+	budget, err := core.NewBudget(la, cfg.Pipeline)
+	if err != nil {
+		return err
+	}
+	nTaps := budget.UsableTaps
+	if cfg.MaxNonCausalTaps > 0 && nTaps > cfg.MaxNonCausalTaps {
+		nTaps = cfg.MaxNonCausalTaps
+	}
+	pl.Budget = budget
+	pl.NonCausalTaps = nTaps
+	pl.Spend = Plan(cfg.SampleRate, cfg.Lookahead, cfg.PrimeSamples, cfg.ExtraReferenceDelay,
+		cfg.DriftGuard, blockLat, cfg.Pipeline, nTaps)
+	pl.Spend.Record(cfg.Trace)
+
+	if cfg.FDAF != nil {
+		bl, err := core.NewBlock(core.BlockConfig{
+			FilterTaps:    cfg.Canceller.CausalTaps + nTaps,
+			BlockSize:     cfg.FDAF.BlockSize,
+			Mu:            cfg.FDAF.Mu,
+			SecondaryPath: cfg.Canceller.SecondaryPath,
+			NonCausalTaps: nTaps,
+		})
+		if err != nil {
+			return err
+		}
+		pl.FDAF = bl
+		pl.fdafSize = cfg.FDAF.BlockSize
+		pl.x = make([]float64, pl.fdafSize)
+		pl.a = make([]float64, pl.fdafSize)
+		pl.eb = make([]float64, pl.fdafSize)
+		pl.m = make([]bool, pl.fdafSize)
+		if cfg.Telemetry != nil {
+			pl.blockNS = cfg.Telemetry.Histogram("lanc.block_ns",
+				telemetry.HistogramOpts{Lo: 1e3, Ratio: 2, Buckets: 20})
+		}
+		return nil
+	}
+	c := cfg.Canceller
+	lanc, err := core.New(core.Config{
+		NonCausalTaps:    nTaps,
+		CausalTaps:       c.CausalTaps,
+		Mu:               c.Mu,
+		Normalized:       !c.PlainLMS,
+		Leak:             Leak,
+		SecondaryPath:    c.SecondaryPath,
+		ErrorDelay:       cfg.ErrorDelay,
+		Profiling:        c.Profiling,
+		ProfileWindow:    c.ProfileWindow,
+		ProfileHop:       c.ProfileHop,
+		ProfileThreshold: c.ProfileThreshold,
+		MaxProfiles:      c.MaxProfiles,
+		SampleRate:       cfg.SampleRate,
+		LossAware:        c.LossAware,
+		RecoveryRamp:     c.RecoveryRamp,
+	})
+	if err != nil {
+		return err
+	}
+	pl.LANC = lanc
+	if !cfg.Supervise {
+		return nil
+	}
+	fb, err := newHeadphone(cfg)
+	if err != nil {
+		return err
+	}
+	scfg := supervisor.DefaultConfig()
+	if cfg.SupervisorConfig != nil {
+		scfg = *cfg.SupervisorConfig
+	}
+	scfg.Trace = cfg.Trace
+	sup, err := supervisor.New(scfg, lanc, fb)
+	if err != nil {
+		return err
+	}
+	pl.Sup = sup
+	return nil
 }
 
 // ProcessBlock pulls and cancels up to n reference samples, returning how
@@ -397,9 +477,12 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 		}
 		local, cup := pl.amb.Next(x[i])
 		var a float64
-		if pl.Sup != nil {
+		switch {
+		case pl.Sup != nil:
 			a = pl.Sup.Step(x[i], local, pl.e, m[i])
-		} else {
+		case pl.Headphone != nil:
+			a = pl.Headphone.Step(x[i], pl.e)
+		default:
 			a = pl.LANC.StepMasked(x[i], pl.e, m[i])
 		}
 		meas := cup + pl.sec.Process(a)
@@ -414,6 +497,9 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 			pl.residual[pl.t] = e
 		}
 		pl.e = e
+		if pl.errDelay != nil {
+			pl.e = pl.errDelay.Process(e)
+		}
 		pl.noisePow += cup * cup
 		pl.resPow += e * e
 		blockRes += e * e
@@ -536,6 +622,9 @@ func (pl *Pipeline) Meters() (noisePow, resPow float64) {
 // posture, and (when supervised) the ladder state. All reads — the run's
 // samples are unchanged.
 func (pl *Pipeline) traceCancelState() {
+	if pl.LANC == nil {
+		return // the headphone canceller exposes no LANC state
+	}
 	gain, frozen, rampLeft := pl.LANC.LossState()
 	fz := 0.0
 	if frozen {

@@ -2,9 +2,13 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"mute/internal/audio"
 	"mute/internal/core"
+	"mute/internal/dsp"
+	"mute/internal/headphone"
 	"mute/internal/telemetry"
 )
 
@@ -50,7 +54,6 @@ func TestBuildValidation(t *testing.T) {
 		{"fdaf with supervisor", func(c *Config) {
 			c.FDAF = fdaf
 			c.Supervise = true
-			c.FallbackSecondary = c.SecondaryIR
 		}, true},
 		{"fdaf with drift control", func(c *Config) {
 			c.FDAF = fdaf
@@ -64,6 +67,39 @@ func TestBuildValidation(t *testing.T) {
 			c.FDAF = fdaf
 			c.Canceller.LossAware = true
 		}, true},
+		{"fdaf with error delay", func(c *Config) {
+			c.FDAF = fdaf
+			c.ErrorDelay = 2
+		}, true},
+		{"headphone with fdaf", func(c *Config) {
+			c.Headphone = true
+			c.FDAF = fdaf
+		}, true},
+		{"headphone with supervisor", func(c *Config) {
+			c.Headphone = true
+			c.Supervise = true
+		}, true},
+		{"headphone with drift control", func(c *Config) {
+			c.Headphone = true
+			c.Drift = &DriftReplay{}
+		}, true},
+		{"headphone with profiling", func(c *Config) {
+			c.Headphone = true
+			c.Canceller.Profiling = true
+		}, true},
+		{"headphone with loss-aware", func(c *Config) {
+			c.Headphone = true
+			c.Canceller.LossAware = true
+		}, true},
+		{"headphone with error delay", func(c *Config) {
+			c.Headphone = true
+			c.ErrorDelay = 2
+		}, true},
+		{"error delay with supervisor", func(c *Config) {
+			c.ErrorDelay = 2
+			c.Supervise = true
+		}, true},
+		{"negative error delay", func(c *Config) { c.ErrorDelay = -1 }, false},
 	}
 	for _, tc := range cases {
 		cfg := validConfig(256)
@@ -182,5 +218,136 @@ func TestLiveHooksRegistry(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["lanc.tap_energy"]; !ok {
 		t.Error("lanc.tap_energy gauge missing from the live registry")
+	}
+}
+
+// kindSignals renders a white-noise reference and the under-cup field it
+// produces through a short primary channel.
+func kindSignals(n int) (x, cup []float64) {
+	rng := audio.NewRNG(11)
+	x = make([]float64, n)
+	for i := range x {
+		x[i] = 0.5 * rng.Uniform()
+	}
+	cup = dsp.NewStreamConvolver([]float64{0, 0.9, 0.35, -0.1}).ProcessBlock(x)
+	return x, cup
+}
+
+// runKind builds cfg over (x, cup) with error-mic noise and returns the
+// residual, so a test-side loop can be compared against it bit for bit.
+func runKind(t *testing.T, cfg Config, x, cup []float64) (*Pipeline, []float64) {
+	t.Helper()
+	residual := make([]float64, len(x))
+	cfg.Reference = &SliceSource{Samples: x}
+	cfg.Ambient = &SliceAmbient{Local: x, Cup: cup}
+	cfg.NoiseRMS = 1e-3
+	cfg.Noise = audio.NewRNG(3)
+	cfg.Residual = residual
+	pl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Run(len(x), 64); err != nil {
+		t.Fatal(err)
+	}
+	return pl, residual
+}
+
+// sameBits fails at the first sample where the two residuals differ in
+// any bit.
+func sameBits(t *testing.T, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d: pipeline %v, hand loop %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestHeadphoneKindMatchesHandLoop shows the Headphone kind is exactly a
+// headphone.ANC stepped on the reference against the previous sample's
+// noisy error — the loop the Bose baselines used to run by hand — and that it
+// plans and traces no lookahead budget.
+func TestHeadphoneKindMatchesHandLoop(t *testing.T) {
+	const n = 6000
+	x, cup := kindSignals(n)
+	cfg := validConfig(n)
+	cfg.Headphone = true
+	tr := telemetry.NewTrace()
+	cfg.Trace = tr
+	pl, got := runKind(t, cfg, x, cup)
+	if pl.Headphone == nil || pl.LANC != nil || pl.Spend != nil || pl.Budget != (core.Budget{}) || pl.NonCausalTaps != 0 {
+		t.Fatalf("headphone pipeline wired LANC %v, spend %v, budget %+v, N %d", pl.LANC, pl.Spend, pl.Budget, pl.NonCausalTaps)
+	}
+	if ev := tr.Events(); len(ev) != 0 {
+		t.Errorf("headphone pipeline traced %d events, want none", len(ev))
+	}
+
+	hp, err := headphone.NewANC(headphone.DefaultConfig(cfg.SampleRate, cfg.Canceller.SecondaryPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := dsp.NewStreamConvolver(cfg.SecondaryIR)
+	noise := audio.NewRNG(3)
+	want := make([]float64, n)
+	e := 0.0
+	for i := range x {
+		a := hp.Step(x[i], e)
+		e = cup[i] + sec.Process(a) + 1e-3*noise.Norm()
+		want[i] = e
+	}
+	sameBits(t, got, want)
+}
+
+// TestErrorDelayMatchesHandLoop shows an ErrorDelay pipeline is exactly a
+// core.LANC (with the same ErrorDelay) whose fed-back error passes
+// through a delay line — the Tabletop variant's uplink leg.
+func TestErrorDelayMatchesHandLoop(t *testing.T) {
+	const n, delay = 6000, 3
+	x, cup := kindSignals(n)
+	cfg := validConfig(n)
+	cfg.ErrorDelay = delay
+	pl, got := runKind(t, cfg, x, cup)
+
+	c := cfg.Canceller
+	lanc, err := core.New(core.Config{
+		NonCausalTaps: pl.NonCausalTaps,
+		CausalTaps:    c.CausalTaps,
+		Mu:            c.Mu,
+		Normalized:    true,
+		Leak:          Leak,
+		SecondaryPath: c.SecondaryPath,
+		ErrorDelay:    delay,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, err := dsp.NewDelayLine(delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := dsp.NewStreamConvolver(cfg.SecondaryIR)
+	noise := audio.NewRNG(3)
+	want := make([]float64, n)
+	e := 0.0
+	for i := range x {
+		a := lanc.Step(x[i], dl.Process(e))
+		e = cup[i] + sec.Process(a) + 1e-3*noise.Norm()
+		want[i] = e
+	}
+	sameBits(t, got, want)
+
+	// The delay is not a no-op: the undelayed pipeline differs.
+	cfg.ErrorDelay = 0
+	_, undelayed := runKind(t, cfg, x, cup)
+	same := true
+	for i := range got {
+		if got[i] != undelayed[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Error("ErrorDelay changed nothing")
 	}
 }

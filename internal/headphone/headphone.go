@@ -1,5 +1,5 @@
 // Package headphone models the conventional ANC headphone the paper
-// compares against (the Bose QC35 in Section 5): a feedforward FxLMS
+// compares against (the Bose QC35 in Section 5): a feedforward filtered-x
 // canceller whose reference microphone sits on the ear cup — microseconds
 // of lookahead, so its anti-noise reaches the speaker late — plus the
 // passive sound-absorbing ear cup that supplies most of the attenuation
@@ -7,19 +7,28 @@
 //
 // The model encodes exactly the two limitations the paper attributes to
 // commercial headphones: (1) the missed timing deadline of Figure 5(a),
-// modeled as an output pipeline delay the causal filter cannot compensate
-// for broadband sound, and (2) causal-only filtering, which cannot realize
-// the non-causal inverse channel. Its strengths are also retained: clean
-// microphones (negligible self-noise) and a deliberately band-limited
-// anti-noise path that keeps the adaptation stable at low frequency.
+// carried by the physical speaker chain the anti-noise traverses (the
+// simulator's sub-sample Bose latency), and (2) causal-only filtering,
+// which cannot realize the non-causal inverse channel. The canceller is
+// therefore LANC (core.LANC) with its non-causal half removed:
+// NonCausalTaps 0, CausalTaps Taps−1. Its strengths are also retained:
+// clean microphones (negligible self-noise) and a deliberately
+// band-limited anti-noise path that keeps the adaptation stable at low
+// frequency.
 package headphone
 
 import (
 	"fmt"
 
-	"mute/internal/anc"
+	"mute/internal/core"
 	"mute/internal/dsp"
 )
+
+// Leak is the headphone model's LMS leakage — the product's own tuning,
+// twice MUTE's graph.Leak: the Bose baselines are calibrated with it
+// (graph.Leak would move fig14's Music Bose_Overall from −19.8 to
+// −20.6 dB).
+const Leak = 0.001
 
 // Config parameterizes the conventional headphone baseline.
 type Config struct {
@@ -29,11 +38,6 @@ type Config struct {
 	Taps int
 	// Mu is the LMS step size.
 	Mu float64
-	// PipelineDelaySamples is how many samples late the anti-noise
-	// reaches the speaker relative to the reference capture — the missed
-	// deadline. At 8 kHz, 1 sample = 125 µs, about 4× the 30 µs budget
-	// the paper quotes.
-	PipelineDelaySamples int
 	// AntiNoiseCutoffHz band-limits the anti-noise path; commercial ANC
 	// deliberately cancels only below ~1 kHz (Section 1).
 	AntiNoiseCutoffHz float64
@@ -44,12 +48,11 @@ type Config struct {
 // DefaultConfig returns the QC35-like baseline at the given sample rate.
 func DefaultConfig(sampleRate float64, secondaryPath []float64) Config {
 	return Config{
-		SampleRate:           sampleRate,
-		Taps:                 64,
-		Mu:                   0.05,
-		PipelineDelaySamples: 1,
-		AntiNoiseCutoffHz:    1000,
-		SecondaryPath:        secondaryPath,
+		SampleRate:        sampleRate,
+		Taps:              64,
+		Mu:                0.05,
+		AntiNoiseCutoffHz: 1000,
+		SecondaryPath:     secondaryPath,
 	}
 }
 
@@ -64,9 +67,6 @@ func (c Config) Validate() error {
 	if c.Mu <= 0 {
 		return fmt.Errorf("headphone: mu must be positive, got %g", c.Mu)
 	}
-	if c.PipelineDelaySamples < 0 {
-		return fmt.Errorf("headphone: negative pipeline delay %d", c.PipelineDelaySamples)
-	}
 	if c.AntiNoiseCutoffHz <= 0 || c.AntiNoiseCutoffHz >= c.SampleRate/2 {
 		return fmt.Errorf("headphone: anti-noise cutoff %g outside (0, %g)", c.AntiNoiseCutoffHz, c.SampleRate/2)
 	}
@@ -76,11 +76,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ANC is the conventional active canceller.
+// ANC is the conventional active canceller: a zero-lookahead LANC behind
+// the band-limiting anti-noise filter.
 type ANC struct {
 	cfg   Config
-	fx    *anc.FxLMS
-	delay *dsp.DelayLine
+	lanc  *core.LANC
 	bandl *dsp.Biquad
 }
 
@@ -94,44 +94,33 @@ func NewANC(cfg Config) (*ANC, error) {
 		return nil, err
 	}
 	// The filtered-x path must model everything between the filter output
-	// and the error microphone — including the headphone's own known
-	// pipeline delay and band-limiting — or the LMS update develops a
-	// phase error and diverges. The manufacturer knows its hardware, so
-	// the baseline gets the same courtesy: ĥ_eff = δ_D ∗ h_LP ∗ ĥ_se.
+	// and the error microphone — including the headphone's own
+	// band-limiting — or the LMS update develops a phase error and
+	// diverges. The manufacturer knows its hardware, so the baseline gets
+	// the same courtesy: ĥ_eff = h_LP ∗ ĥ_se.
 	lpIR := make([]float64, 32)
 	probe := lp.ProcessBlock(append([]float64{1}, make([]float64, 31)...))
 	copy(lpIR, probe)
 	lp.Reset()
-	effSec := dsp.Convolve(lpIR, cfg.SecondaryPath)
-	if cfg.PipelineDelaySamples > 0 {
-		delta := make([]float64, cfg.PipelineDelaySamples+1)
-		delta[cfg.PipelineDelaySamples] = 1
-		effSec = dsp.Convolve(delta, effSec)
-	}
-	fx, err := anc.NewFxLMS(anc.LMSConfig{
-		Taps:       cfg.Taps,
-		Mu:         cfg.Mu,
-		Normalized: true,
-		Leak:       0.001,
-	}, effSec)
+	lanc, err := core.New(core.Config{
+		CausalTaps:    cfg.Taps - 1,
+		Mu:            cfg.Mu,
+		Normalized:    true,
+		Leak:          Leak,
+		SecondaryPath: dsp.Convolve(lpIR, cfg.SecondaryPath),
+	})
 	if err != nil {
 		return nil, err
 	}
-	delay, err := dsp.NewDelayLine(cfg.PipelineDelaySamples)
-	if err != nil {
-		return nil, err
-	}
-	return &ANC{cfg: cfg, fx: fx, delay: delay, bandl: lp}, nil
+	return &ANC{cfg: cfg, lanc: lanc, bandl: lp}, nil
 }
 
 // Step advances one sample period: the reference microphone hears x(t),
-// the filter computes anti-noise which emerges from the speaker
-// PipelineDelaySamples late and band-limited, and the previous residual
-// error drives adaptation. It returns the anti-noise sample leaving the
-// speaker now.
+// the previous residual error drives adaptation, and the filter computes
+// anti-noise which leaves the speaker band-limited. It returns the
+// anti-noise sample leaving the speaker now.
 func (h *ANC) Step(x, ePrev float64) float64 {
-	h.fx.Adapt(ePrev)
-	return h.Emit(x)
+	return h.bandl.Process(h.lanc.Step(x, ePrev))
 }
 
 // Emit advances the reference history and output chain and returns the
@@ -139,16 +128,13 @@ func (h *ANC) Step(x, ePrev float64) float64 {
 // supervisor uses it to keep a fading-out fallback leg audible during a
 // crossfade when the residual no longer reflects this filter's output.
 func (h *ANC) Emit(x float64) float64 {
-	h.fx.Push(x)
-	a := h.fx.AntiNoise()
-	a = h.bandl.Process(a)
-	return h.delay.Process(a)
+	h.lanc.Push(x)
+	return h.bandl.Process(h.lanc.AntiNoise())
 }
 
 // Reset clears all state.
 func (h *ANC) Reset() {
-	h.fx.Reset()
-	h.delay.Reset()
+	h.lanc.Reset()
 	h.bandl.Reset()
 }
 
@@ -164,7 +150,7 @@ func (h *ANC) WarmStart(w []float64) {
 	seed := make([]float64, h.cfg.Taps)
 	copy(seed, w)
 	// SetWeights only rejects a length mismatch, which the copy precludes.
-	_ = h.fx.SetWeights(seed)
+	_ = h.lanc.SetWeights(seed)
 }
 
 // PassiveIsolation models the headphone's sound-absorbing ear cup as a

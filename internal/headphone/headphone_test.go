@@ -26,7 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		mut(func(c *Config) { c.SampleRate = 0 }),
 		mut(func(c *Config) { c.Taps = 0 }),
 		mut(func(c *Config) { c.Mu = 0 }),
-		mut(func(c *Config) { c.PipelineDelaySamples = -1 }),
 		mut(func(c *Config) { c.AntiNoiseCutoffHz = 0 }),
 		mut(func(c *Config) { c.AntiNoiseCutoffHz = 5000 }),
 		mut(func(c *Config) { c.SecondaryPath = nil }),
@@ -37,6 +36,19 @@ func TestConfigValidate(t *testing.T) {
 		}
 		if _, err := NewANC(c); err == nil {
 			t.Errorf("constructor should reject case %d", i)
+		}
+	}
+}
+
+// TestHeadphoneConstructorErrors checks NewANC refuses an invalid filter
+// config and an empty secondary path.
+func TestHeadphoneConstructorErrors(t *testing.T) {
+	if _, err := NewANC(Config{SampleRate: fs, Taps: 0, Mu: 1, AntiNoiseCutoffHz: 1000, SecondaryPath: []float64{1}}); err == nil {
+		t.Error("invalid config should error")
+	}
+	for _, sec := range [][]float64{nil, {}} {
+		if _, err := NewANC(Config{SampleRate: fs, Taps: 4, Mu: 0.1, AntiNoiseCutoffHz: 1000, SecondaryPath: sec}); err == nil {
+			t.Errorf("empty secondary path %v should error", sec)
 		}
 	}
 }
@@ -149,5 +161,118 @@ func TestPassiveIsolationErrors(t *testing.T) {
 	}
 	if _, err := PassiveIsolation(fs, 4); err == nil {
 		t.Error("too few taps should error")
+	}
+}
+
+// TestHeadphoneCancelsToneThroughSecondaryPath is single-frequency
+// feedforward ANC with an identified secondary path: the residual at the
+// error mic should drop well below the uncanceled level.
+func TestHeadphoneCancelsToneThroughSecondaryPath(t *testing.T) {
+	primary := []float64{0, 0, 0.9, 0.3, -0.1} // noise → error mic
+	secondary := []float64{0.7, 0.25, 0.1}     // speaker → error mic
+	cfg := DefaultConfig(fs, secondary)
+	cfg.Taps = 16
+	h, err := NewANC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priCh := dsp.NewStreamConvolver(primary)
+	secCh := dsp.NewStreamConvolver(secondary)
+	tone := audio.NewTone(400, fs, 0.5, 0)
+	var uncanceled, residual, e float64
+	const n = 24000
+	for i := 0; i < n; i++ {
+		x := tone.Next()
+		a := h.Step(x, e)
+		d := priCh.Process(x)
+		e = d + secCh.Process(a)
+		if i >= n-4000 {
+			uncanceled += d * d
+			residual += e * e
+		}
+	}
+	if gain := dsp.DB(residual / uncanceled); gain > -20 {
+		t.Errorf("tone cancellation = %.1f dB, want < -20 dB", gain)
+	}
+}
+
+// TestHeadphoneLeakStable drives the canceller with an error uncorrelated
+// with its reference: the leak must keep the weights bounded.
+func TestHeadphoneLeakStable(t *testing.T) {
+	h, err := NewANC(Config{SampleRate: fs, Taps: 8, Mu: 0.05, AntiNoiseCutoffHz: 1000, SecondaryPath: []float64{0.8, 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := audio.NewRNG(5)
+	for i := 0; i < 20000; i++ {
+		h.Step(rng.Uniform(), rng.Uniform())
+	}
+	for _, w := range h.lanc.Weights() {
+		if math.IsNaN(w) || math.Abs(w) > 100 {
+			t.Fatalf("leaky headphone weight diverged: %g", w)
+		}
+	}
+}
+
+// TestHeadphoneWarmStartRoundTrip checks WarmStart loads the weights it is
+// handed — zero-padded when short, truncated when long — and Reset clears
+// them.
+func TestHeadphoneWarmStartRoundTrip(t *testing.T) {
+	cfg := DefaultConfig(fs, secPath)
+	cfg.Taps = 4
+	h, err := NewANC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ in, want []float64 }{
+		{[]float64{0.1, 0.2, 0.3, 0.4}, []float64{0.1, 0.2, 0.3, 0.4}},
+		{[]float64{0.5, 0.6}, []float64{0.5, 0.6, 0, 0}},
+		{[]float64{1, 2, 3, 4, 5, 6}, []float64{1, 2, 3, 4}},
+	} {
+		h.WarmStart(tc.in)
+		got := h.lanc.Weights()
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Fatalf("WarmStart(%v) loaded %v, want %v", tc.in, got, tc.want)
+			}
+		}
+	}
+	h.Reset()
+	for _, w := range h.lanc.Weights() {
+		if w != 0 {
+			t.Fatal("reset should zero weights")
+		}
+	}
+}
+
+// TestHeadphoneStepAllocatesNothing pins the conventional-ANC per-sample
+// loop (the Bose baselines' and the FALLBACK rung's inner loop): Step and
+// Emit must not allocate in steady state.
+func TestHeadphoneStepAllocatesNothing(t *testing.T) {
+	h, err := NewANC(DefaultConfig(fs, []float64{0.85, 0.22, 0.06}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, e := 0, 0.0
+	if n := testing.AllocsPerRun(200, func() {
+		x := float64(i%17)*0.05 - 0.4
+		e = 0.01 * (x - h.Step(x, e))
+		h.Emit(x)
+		i++
+	}); n != 0 {
+		t.Errorf("headphone step allocated %.1f times per run", n)
+	}
+}
+
+func BenchmarkHeadphoneStep(b *testing.B) {
+	h, err := NewANC(DefaultConfig(fs, []float64{0.7, 0.2, 0.1}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	e := 0.0
+	for i := 0; i < b.N; i++ {
+		a := h.Step(0.5, e)
+		e = 0.1 - a*0.01
 	}
 }

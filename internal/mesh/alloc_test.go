@@ -84,10 +84,79 @@ func TestMeshSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// realTimeBudgetUnits is TestMeshRealTimeBudget's bound: one second of
+// 200-relay audio may take at most this many times the reference
+// kernel's time for the same span. Measured on a 2-vCPU host, the mesh
+// took 1.6–2.3 kernels without the race detector (kernel 25–31 ms, so
+// the effective budget is 300–380 ms, under the 500 ms wall-clock budget
+// this replaces) and 2.3–3.4 kernels under -race, which slows the mesh
+// about 10× and the kernel about 7×.
+const realTimeBudgetUnits = 12
+
+// refMember is the reference kernel's stand-in for a mesh member: a
+// doubled ring and the link-health counters.
+type refMember struct {
+	ring             []float64
+	concealed, clean int
+	ewma             float64
+}
+
+// observe is a member's per-sample update — ring write, run counters,
+// EWMA — kept out of line like the mesh's own, so the race detector's
+// per-call and per-access costs land on the kernel as they land on Push.
+//
+//go:noinline
+func (m *refMember) observe(cursor, window int, x float64) {
+	m.ring[cursor] = x
+	m.ring[cursor+window] = x
+	m.concealed = 0
+	m.clean++
+	m.ewma -= m.ewma / 64
+}
+
+// referenceKernel times a fixed workload with a mesh Push's memory-access
+// shape and none of its logic: per sample, every relay's forwarded value
+// goes through its member's observe, and every 128 samples eight windows
+// are summed. The best of three runs is returned.
+func referenceKernel(relays, span, window int, clean []float64, leads []int) time.Duration {
+	ms := make([]refMember, relays)
+	for i := range ms {
+		ms[i].ring = make([]float64, 2*window)
+	}
+	best := time.Duration(1<<63 - 1)
+	var acc float64
+	for rep := 0; rep < 3; rep++ {
+		start := time.Now()
+		cursor := 0
+		for i := 0; i < span; i++ {
+			for s := range ms {
+				ms[s].observe(cursor, window, clean[i+leads[s]])
+			}
+			if cursor++; cursor == window {
+				cursor = 0
+			}
+			if i%128 == 0 {
+				for s := 0; s < 8; s++ {
+					for _, v := range ms[s].ring[cursor : cursor+window] {
+						acc += v * v
+					}
+				}
+			}
+		}
+		best = min(best, time.Since(start))
+	}
+	if acc < 0 {
+		panic("negative energy")
+	}
+	return best
+}
+
 // TestMeshRealTimeBudget pins that a 200-relay mesh keeps up with the
 // sample clock by a wide margin: pushing one second of audio (8000
-// samples at 8 kHz), selection rounds included, must take well under one
-// second of wall clock even on a loaded CI machine.
+// samples at 8 kHz), selection rounds included, must take at most
+// realTimeBudgetUnits reference kernels. Timing against a kernel run in
+// the same binary keeps the bound about the mesh, not about the host's
+// load or the race detector's instrumentation.
 func TestMeshRealTimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock budget test")
@@ -95,6 +164,7 @@ func TestMeshRealTimeBudget(t *testing.T) {
 	const relays = 200
 	sup, clean, fwd, real, leads, now := bigMesh(t, relays)
 	const span = 8000
+	kernel := referenceKernel(relays, span, sup.cfg.WindowSamples, clean, leads)
 	start := time.Now()
 	for i := 0; i < span; i++ {
 		for s := 0; s < relays; s++ {
@@ -107,8 +177,11 @@ func TestMeshRealTimeBudget(t *testing.T) {
 		now++
 	}
 	elapsed := time.Since(start)
-	if budget := time.Second / 2; elapsed > budget {
-		t.Fatalf("200-relay mesh took %v for 1 s of audio, over the %v budget (not real-time capable)", elapsed, budget)
+	units := float64(elapsed) / float64(kernel)
+	t.Logf("200-relay mesh: %v for 1 s of audio = %.2f reference kernels (%v each)", elapsed, units, kernel)
+	if units > realTimeBudgetUnits {
+		t.Fatalf("200-relay mesh took %v for 1 s of audio, %.1f reference kernels of %v, over the %d-kernel budget (not real-time capable)",
+			elapsed, units, kernel, realTimeBudgetUnits)
 	}
 }
 

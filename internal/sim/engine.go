@@ -102,10 +102,10 @@ type Params struct {
 	LossTransport *LossTransport
 	// Supervise runs the LANC schemes under the degradation-ladder
 	// supervisor (internal/supervisor): a link-health estimator demotes
-	// the canceller through DEGRADED → FALLBACK (a local causal FxLMS
-	// warm-started from LANC's causal taps) → PASSTHROUGH as the
-	// forwarded reference degrades, and promotes it back with dwell,
-	// hysteresis, and backoff probes. On a clean link the supervised run
+	// the canceller through DEGRADED → FALLBACK (the local causal
+	// headphone canceller, warm-started from LANC's causal taps) →
+	// PASSTHROUGH as the forwarded reference degrades, and promotes it
+	// back with dwell, hysteresis, and backoff probes. On a clean link the supervised run
 	// is bit-identical to the unsupervised one.
 	Supervise bool
 	// SupervisorConfig overrides the supervisor tuning when Supervise is
@@ -410,11 +410,47 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	earNoise := audio.NewRNG(p.Seed + 23)
 	on := make([]float64, n)
 	residual := make([]float64, n)
+	gcfg := graph.Config{
+		SampleRate:          fs,
+		Lookahead:           res.LookaheadSamples,
+		ExtraReferenceDelay: p.ExtraReferenceDelay,
+		Pipeline:            p.Pipeline,
+		MaxNonCausalTaps:    p.MaxNonCausalTaps,
+		Canceller: graph.CancellerParams{
+			CausalTaps:       p.CausalTaps,
+			Mu:               p.Mu,
+			PlainLMS:         p.PlainLMS,
+			SecondaryPath:    secEst,
+			Profiling:        p.Profiling,
+			ProfileWindow:    p.ProfileWindow,
+			ProfileHop:       p.ProfileHop,
+			ProfileThreshold: p.ProfileThreshold,
+			MaxProfiles:      p.MaxProfiles,
+		},
+		Reference:   &graph.SliceSource{Samples: forwarded},
+		Ambient:     &graph.SliceAmbient{Local: open, Cup: underCup},
+		SecondaryIR: secIR,
+		NoiseRMS:    p.EarMicNoiseRMS,
+		Noise:       earNoise,
+		On:          on,
+		Residual:    residual,
+		Trace:       p.Trace,
+		TraceBlock:  traceBlock,
+		Telemetry:   p.Telemetry,
+	}
 	switch {
 	case scheme == PassiveOnly:
 		copy(on, underCup)
 		copy(residual, underCup)
-	case scheme.usesLANC() && p.BlockFDAF:
+	case !scheme.usesLANC():
+		// The Bose schemes: the headphone's reference mic sits on the cup
+		// exterior and hears the open-ear field, and the secondary chain
+		// carries its physical latency. The headphone keeps its own
+		// tuning; only the secondary-path estimate is shared.
+		gcfg.Headphone = true
+		gcfg.Canceller = graph.CancellerParams{SecondaryPath: secEst}
+		gcfg.Reference = &graph.SliceSource{Samples: open}
+	case p.BlockFDAF:
 		// Partitioned frequency-domain path: anti-noise is produced one
 		// block at a time, adapting on the previous block's error. The
 		// forwarded stream leads the wavefront by the scene lookahead, out
@@ -428,38 +464,8 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		if blockMu == 0 {
 			blockMu = 0.4
 		}
-		pl, err := graph.Build(graph.Config{
-			SampleRate:          fs,
-			Lookahead:           res.LookaheadSamples,
-			ExtraReferenceDelay: p.ExtraReferenceDelay,
-			Pipeline:            p.Pipeline,
-			MaxNonCausalTaps:    p.MaxNonCausalTaps,
-			Canceller: graph.CancellerParams{
-				CausalTaps:    p.CausalTaps,
-				SecondaryPath: secEst,
-			},
-			FDAF:        &graph.FDAFParams{BlockSize: bsize, Mu: blockMu},
-			Reference:   &graph.SliceSource{Samples: forwarded},
-			Ambient:     &graph.SliceAmbient{Local: open, Cup: underCup},
-			SecondaryIR: secIR,
-			NoiseRMS:    p.EarMicNoiseRMS,
-			Noise:       earNoise,
-			On:          on,
-			Residual:    residual,
-			Trace:       p.Trace,
-			TraceBlock:  traceBlock,
-			Telemetry:   p.Telemetry,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Budget = pl.Budget
-		res.UsedNonCausalTaps = pl.NonCausalTaps
-		res.BudgetSpend = pl.Spend
-		if err := pl.Run(n, bsize); err != nil {
-			return nil, err
-		}
-	case scheme.usesLANC():
+		gcfg.FDAF = &graph.FDAFParams{BlockSize: bsize, Mu: blockMu}
+	default:
 		// The packetized transport replaces the ideal reference wire with
 		// framed, lossy delivery plus a concealment mask. Its playout
 		// buffering delays the reference by PrimeSamples, which comes
@@ -525,12 +531,13 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 				// free.
 				driftGuard = 2
 			}
+			gcfg.Canceller.LossAware = lt.LossAware
+			gcfg.Canceller.RecoveryRamp = lt.RecoveryRamp
 		}
 		// Drift-stage hooks replayed onto the loop clock: adaptation holds
 		// at suspected oscillator steps (the alignment is about to slew),
 		// and per-window estimator state feeding the supervisor's health
 		// view. Both land at window time plus the playout shift.
-		var driftCtl graph.DriftControl
 		if drift != nil && (len(drift.RateJumps) > 0 || p.Supervise) {
 			replay := &graph.DriftReplay{HoldSamples: 2 * frameN}
 			if len(drift.RateJumps) > 0 {
@@ -549,46 +556,15 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 					}
 				}
 			}
-			driftCtl = replay
+			gcfg.Drift = replay
 		}
-		gcfg := graph.Config{
-			SampleRate:          fs,
-			Lookahead:           res.LookaheadSamples,
-			PrimeSamples:        prime,
-			ExtraReferenceDelay: p.ExtraReferenceDelay,
-			DriftGuard:          driftGuard,
-			Pipeline:            p.Pipeline,
-			MaxNonCausalTaps:    p.MaxNonCausalTaps,
-			Canceller: graph.CancellerParams{
-				CausalTaps:       p.CausalTaps,
-				Mu:               p.Mu,
-				PlainLMS:         p.PlainLMS,
-				SecondaryPath:    secEst,
-				Profiling:        p.Profiling,
-				ProfileWindow:    p.ProfileWindow,
-				ProfileHop:       p.ProfileHop,
-				ProfileThreshold: p.ProfileThreshold,
-				MaxProfiles:      p.MaxProfiles,
-			},
-			Supervise:         p.Supervise,
-			SupervisorConfig:  p.SupervisorConfig,
-			FallbackSecondary: secEst,
-			Reference:         &graph.SliceSource{Samples: forwarded, Mask: mask},
-			Ambient:           &graph.SliceAmbient{Local: open, Cup: underCup},
-			Drift:             driftCtl,
-			SecondaryIR:       secIR,
-			NoiseRMS:          p.EarMicNoiseRMS,
-			Noise:             earNoise,
-			On:                on,
-			Residual:          residual,
-			Trace:             p.Trace,
-			TraceBlock:        traceBlock,
-			Telemetry:         p.Telemetry,
-		}
-		if lt != nil {
-			gcfg.Canceller.LossAware = lt.LossAware
-			gcfg.Canceller.RecoveryRamp = lt.RecoveryRamp
-		}
+		gcfg.PrimeSamples = prime
+		gcfg.DriftGuard = driftGuard
+		gcfg.Supervise = p.Supervise
+		gcfg.SupervisorConfig = p.SupervisorConfig
+		gcfg.Reference = &graph.SliceSource{Samples: forwarded, Mask: mask}
+	}
+	if scheme != PassiveOnly {
 		pl, err := graph.Build(gcfg)
 		if err != nil {
 			return nil, err
@@ -599,36 +575,12 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		if err := pl.Run(n, traceBlock); err != nil {
 			return nil, err
 		}
-		res.Switches = pl.LANC.Switches()
+		if pl.LANC != nil {
+			res.Switches = pl.LANC.Switches()
+		}
 		if pl.Sup != nil {
 			rep := pl.Sup.Report()
 			res.Supervision = &rep
-		}
-	default: // Bose schemes
-		// The headphone's reference mic sits on the cup exterior and
-		// hears the open-ear field; its own pipeline delay is inside
-		// headphone.ANC, and the secondary chain here carries the
-		// remaining physical path.
-		hcfg := headphone.DefaultConfig(fs, secEst)
-		hcfg.PipelineDelaySamples = 0 // physical chain already delays via secIR
-		hp, err := headphone.NewANC(hcfg)
-		if err != nil {
-			return nil, err
-		}
-		secCh := dsp.NewStreamConvolver(secIR)
-		e := 0.0
-		for t := 0; t < n; t++ {
-			a := hp.Step(open[t], e)
-			meas := underCup[t] + secCh.Process(a)
-			on[t] = meas
-			e = meas
-			if p.EarMicNoiseRMS != 0 {
-				// Skipping the draw at zero RMS leaves every sample's bits
-				// unchanged (0·Norm() only ever adds a signed zero) and
-				// spares a Box-Muller transform per sample.
-				e += p.EarMicNoiseRMS * earNoise.Norm()
-			}
-			residual[t] = e
 		}
 	}
 	res.On = on

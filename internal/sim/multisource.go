@@ -7,6 +7,7 @@ import (
 	"mute/internal/audio"
 	"mute/internal/core"
 	"mute/internal/dsp"
+	"mute/internal/graph"
 	"mute/internal/rf"
 )
 
@@ -116,7 +117,7 @@ func RunMultiRelay(mp MultiRelayParams) (*Result, error) {
 			CausalTaps:    p.CausalTaps,
 			Mu:            p.Mu / float64(len(mp.RelayPositions)), // shared error: split the step
 			Normalized:    !p.PlainLMS,
-			Leak:          0.0005,
+			Leak:          graph.Leak,
 			SecondaryPath: secEst,
 		}
 	}

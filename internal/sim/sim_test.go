@@ -6,6 +6,7 @@ import (
 
 	"mute/internal/acoustics"
 	"mute/internal/audio"
+	"mute/internal/core"
 )
 
 const fs = 8000.0
@@ -358,5 +359,43 @@ func BenchmarkSimMUTEHollowSecond(b *testing.B) {
 	if last != nil {
 		b.ReportMetric(float64(len(last.On))/last.Elapsed.Seconds(), "samples/s")
 		b.ReportMetric(last.RealtimeFactor(), "xrealtime")
+	}
+}
+
+// TestBoseOverallBitsPinned holds a Bose_Overall run's residual to the
+// exact bits it had when the Bose branch of Run stepped headphone.ANC by
+// hand, with and without error-microphone self-noise.
+func TestBoseOverallBitsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		rms           float64
+		pow, last, on uint64
+	}{
+		{0, 0x403b1adfc76d75fe, 0xbf9bfb2bb5f68a3c, 0xbf9bfb2bb5f68a3c},
+		{1e-3, 0x403b1fb20e63e646, 0xbf9d64766b012e02, 0xbf9c201edb4dbe54},
+	} {
+		p := DefaultParams(whiteScene(3))
+		p.Duration = 2
+		p.EarMicNoiseRMS = tc.rms
+		r, err := Run(p, BoseOverall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pow float64
+		for _, v := range r.Residual {
+			pow += v * v
+		}
+		n := len(r.Residual)
+		if got := math.Float64bits(pow); got != tc.pow {
+			t.Errorf("rms %g: residual power bits %#x, want %#x", tc.rms, got, tc.pow)
+		}
+		if got := math.Float64bits(r.Residual[n-1]); got != tc.last {
+			t.Errorf("rms %g: last residual bits %#x, want %#x", tc.rms, got, tc.last)
+		}
+		if got := math.Float64bits(r.On[n-1]); got != tc.on {
+			t.Errorf("rms %g: last measured bits %#x, want %#x", tc.rms, got, tc.on)
+		}
+		if r.BudgetSpend != nil || r.Budget != (core.Budget{}) || r.UsedNonCausalTaps != 0 {
+			t.Errorf("rms %g: the Bose run reports a lookahead budget: %+v, %d taps", tc.rms, r.Budget, r.UsedNonCausalTaps)
+		}
 	}
 }

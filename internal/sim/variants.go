@@ -7,6 +7,7 @@ import (
 	"mute/internal/audio"
 	"mute/internal/core"
 	"mute/internal/dsp"
+	"mute/internal/graph"
 )
 
 // Variant selects one of the paper's architectural variants (Section 4.3),
@@ -126,47 +127,40 @@ func runTabletop(vp VariantParams) (*Result, error) {
 		return nil, err
 	}
 
+	// The downlink half of the loop is charged to the ear device's
+	// speaker latency; the uplink half delays the fed-back error.
 	la := p.Scene.LookaheadSamples()
-	budget, err := core.NewBudget(la, core.PipelineDelays{
-		ADC: p.Pipeline.ADC, DSP: p.Pipeline.DSP,
-		DAC: p.Pipeline.DAC, Speaker: p.Pipeline.Speaker + loop/2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	nTaps := budget.UsableTaps
-	if p.MaxNonCausalTaps > 0 && nTaps > p.MaxNonCausalTaps {
-		nTaps = p.MaxNonCausalTaps
-	}
-	lanc, err := core.New(core.Config{
-		NonCausalTaps: nTaps,
-		CausalTaps:    p.CausalTaps,
-		Mu:            p.Mu,
-		Normalized:    !p.PlainLMS,
-		Leak:          0.0005,
-		SecondaryPath: secEst,
-		ErrorDelay:    loop - loop/2,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Error feedback is stale by the uplink leg.
-	errDelay, err := dsp.NewDelayLine(loop - loop/2)
-	if err != nil {
-		return nil, err
-	}
-	secCh := dsp.NewStreamConvolver(secIR)
 	earNoise := audio.NewRNG(p.Seed + 23)
 	on := make([]float64, n)
 	residual := make([]float64, n)
-	e := 0.0
-	for t := 0; t < n; t++ {
-		a := lanc.Step(ref[t], errDelay.Process(e))
-		meas := open[t] + secCh.Process(a)
-		on[t] = meas
-		e = meas + p.EarMicNoiseRMS*earNoise.Norm()
-		residual[t] = e
+	pl, err := graph.Build(graph.Config{
+		SampleRate: fs,
+		Lookahead:  la,
+		Pipeline: core.PipelineDelays{
+			ADC: p.Pipeline.ADC, DSP: p.Pipeline.DSP,
+			DAC: p.Pipeline.DAC, Speaker: p.Pipeline.Speaker + loop/2,
+		},
+		MaxNonCausalTaps: p.MaxNonCausalTaps,
+		ErrorDelay:       loop - loop/2,
+		Canceller: graph.CancellerParams{
+			CausalTaps:    p.CausalTaps,
+			Mu:            p.Mu,
+			PlainLMS:      p.PlainLMS,
+			SecondaryPath: secEst,
+		},
+		Reference:   &graph.SliceSource{Samples: ref},
+		Ambient:     &graph.SliceAmbient{Local: open, Cup: open},
+		SecondaryIR: secIR,
+		NoiseRMS:    p.EarMicNoiseRMS,
+		Noise:       earNoise,
+		On:          on,
+		Residual:    residual,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.Run(n, 0); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Scheme:            MUTEHollow,
@@ -175,8 +169,8 @@ func runTabletop(vp VariantParams) (*Result, error) {
 		On:                on,
 		Residual:          residual,
 		LookaheadSamples:  la,
-		Budget:            budget,
-		UsedNonCausalTaps: nTaps,
+		Budget:            pl.Budget,
+		UsedNonCausalTaps: pl.NonCausalTaps,
 		SampleRate:        fs,
 	}, nil
 }

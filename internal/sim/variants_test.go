@@ -6,6 +6,7 @@ import (
 
 	"mute/internal/acoustics"
 	"mute/internal/audio"
+	"mute/internal/core"
 )
 
 func TestVariantString(t *testing.T) {
@@ -190,6 +191,49 @@ func TestRunMobileBitsPinned(t *testing.T) {
 		if r.LookaheadSamples != 70 || r.UsedNonCausalTaps != 32 || r.Budget.UsableTaps != 66 || !r.Budget.DeadlineMet {
 			t.Errorf("rms %g: lookahead %d, taps %d, budget %+v; want 70, 32, 66 usable",
 				tc.rms, r.LookaheadSamples, r.UsedNonCausalTaps, r.Budget)
+		}
+	}
+}
+
+// TestTabletopBitsPinned holds a Tabletop run's residual to the exact bits
+// it had when runTabletop stepped its own LANC loop behind a hand-built
+// error delay line, with and without error-microphone self-noise. The
+// odd control loop splits unevenly (4 samples down, 5 up), so the
+// downlink's secondary-path delay and the uplink's error delay are
+// distinguishable.
+func TestTabletopBitsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		rms           float64
+		pow, last, on uint64
+	}{
+		{0, 0x404ff25e3855159a, 0xbf9e5656055528aa, 0xbf9e5656055528aa},
+		{1e-3, 0x404ff7037246c88b, 0xbf9fcc484abbb800, 0xbf9e87f0bb084852},
+	} {
+		base := DefaultParams(whiteScene(2))
+		base.Duration = 2
+		base.EarMicNoiseRMS = tc.rms
+		r, err := RunVariant(VariantParams{Base: base, Variant: Tabletop, ControlLoopDelaySamples: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pow float64
+		for _, v := range r.Residual {
+			pow += v * v
+		}
+		n := len(r.Residual)
+		if got := math.Float64bits(pow); got != tc.pow {
+			t.Errorf("rms %g: residual power bits %#x, want %#x", tc.rms, got, tc.pow)
+		}
+		if got := math.Float64bits(r.Residual[n-1]); got != tc.last {
+			t.Errorf("rms %g: last residual bits %#x, want %#x", tc.rms, got, tc.last)
+		}
+		if got := math.Float64bits(r.On[n-1]); got != tc.on {
+			t.Errorf("rms %g: last measured bits %#x, want %#x", tc.rms, got, tc.on)
+		}
+		want := core.PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 5}
+		if r.LookaheadSamples != 70 || r.UsedNonCausalTaps != 32 || r.Budget.UsableTaps != 62 || r.Budget.Pipeline != want {
+			t.Errorf("rms %g: lookahead %d, taps %d, budget %+v; want 70, 32, 62 usable over %+v",
+				tc.rms, r.LookaheadSamples, r.UsedNonCausalTaps, r.Budget, want)
 		}
 	}
 }

@@ -12,9 +12,10 @@
 //
 //	LANC        full non-causal window, the paper's algorithm
 //	DEGRADED    shrunken non-causal window (core.LANC.LimitNonCausal)
-//	FALLBACK    local causal FxLMS (internal/headphone), warm-started
-//	            from LANC's causal taps — the Bose-class canceller the
-//	            paper compares against, which needs no wireless leg
+//	FALLBACK    local headphone canceller (internal/headphone, a
+//	            zero-lookahead LANC), warm-started from LANC's causal
+//	            taps — the Bose-class canceller the paper compares
+//	            against, which needs no wireless leg
 //	PASSTHROUGH anti-noise muted; passive isolation only
 //
 // Every demotion and promotion is dwell-gated, hysteretic, and crossfaded,

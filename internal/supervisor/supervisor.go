@@ -16,7 +16,8 @@ const (
 	StateLANC State = iota
 	// StateDegraded is LANC with a shrunken non-causal tap window.
 	StateDegraded
-	// StateFallback is the local causal FxLMS canceller.
+	// StateFallback is the local causal headphone canceller (a
+	// zero-lookahead LANC).
 	StateFallback
 	// StatePassthrough mutes the anti-noise entirely.
 	StatePassthrough

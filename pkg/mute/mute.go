@@ -424,8 +424,11 @@ type Fade = rf.Fade
 type FMChannel = rf.ChannelParams
 
 // LocalCanceller is the conventional causal feedforward canceller
-// (internal/headphone): the Bose-class device the paper compares against,
-// and the degradation ladder's FALLBACK rung — it needs no wireless leg.
+// (internal/headphone): a LANC with zero non-causal taps and the
+// headphone's own tuning — the Bose-class device the paper compares
+// against, and the degradation ladder's FALLBACK rung. It needs no
+// wireless leg. Pipelines build it themselves (the Headphone kind and
+// the supervised FALLBACK); construct one here only to step it by hand.
 type LocalCanceller = headphone.ANC
 
 // LocalCancellerConfig parameterizes a LocalCanceller.
@@ -437,7 +440,7 @@ func DefaultLocalCancellerConfig(sampleRate float64, secondaryPath []float64) Lo
 	return headphone.DefaultConfig(sampleRate, secondaryPath)
 }
 
-// NewLocalCanceller builds a causal fallback canceller.
+// NewLocalCanceller builds a causal local canceller.
 func NewLocalCanceller(cfg LocalCancellerConfig) (*LocalCanceller, error) {
 	return headphone.NewANC(cfg)
 }
