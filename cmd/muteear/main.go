@@ -45,6 +45,7 @@ import (
 	"os"
 	"time"
 
+	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/pkg/mute"
 )
@@ -88,8 +89,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	earChannel := dsp.NewStreamConvolver([]float64{0.8, 0.25, 0.1, 0.05})
-	secPath := []float64{0.85, 0.22, 0.06}
+	earChannel := dsp.NewStreamConvolver(core.EarChannel())
+	secPath := core.EarSecondaryPath()
 
 	var tr *mute.Trace
 	if *traceOut != "" {
@@ -143,7 +144,7 @@ func main() {
 		SampleRate: fs,
 		Lookahead:  lookahead,
 		DriftGuard: driftGuard,
-		Pipeline:   mute.PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1},
+		Pipeline:   core.DefaultPipeline(),
 		Canceller: mute.PipelineCancellerParams{
 			CausalTaps:    64,
 			Mu:            0.1,

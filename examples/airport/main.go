@@ -32,12 +32,6 @@ func main() {
 		p.Duration = 20
 		p.Mu = 0.05
 		p.Profiling = profiling
-		if profiling {
-			p.ProfileWindow = 1024
-			p.ProfileHop = 256
-			p.ProfileThreshold = 0.45
-			p.MaxProfiles = 4
-		}
 		r, err := mute.Run(p, mute.MUTEHollow)
 		if err != nil {
 			log.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mute/internal/audio"
+	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/pkg/mute"
 )
@@ -36,8 +37,8 @@ func newUser(name string, lookahead int) (*user, error) {
 	if err != nil {
 		return nil, err
 	}
-	secPath := []float64{0.85, 0.22, 0.06}
-	budget, err := mute.PlanBudget(lookahead, mute.PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1})
+	secPath := core.EarSecondaryPath()
+	budget, err := mute.PlanBudget(lookahead, core.DefaultPipeline())
 	if err != nil {
 		return nil, err
 	}

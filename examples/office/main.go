@@ -37,10 +37,6 @@ func main() {
 		p.Mu = 0.02
 		if scheme == mute.MUTEHollow || scheme == mute.MUTEPassive {
 			p.Profiling = true
-			p.ProfileWindow = 1024
-			p.ProfileHop = 256
-			p.ProfileThreshold = 0.45
-			p.MaxProfiles = 4
 		}
 		r, err := mute.Run(p, scheme)
 		if err != nil {

@@ -217,10 +217,6 @@ func noise(seed uint64, n int) []float64 {
 	return out
 }
 
-// secPathTaps mirrors the scene's ear secondary path scale: a short decaying
-// FIR, enough to exercise the filtered-x machinery.
-var secPathTaps = []float64{0.85, 0.22, 0.06}
-
 // calibrateEntry measures the fixed scalar dot product both suites carry as
 // their hardware-speed yardstick.
 func calibrateEntry() Entry {
@@ -282,7 +278,7 @@ func runCore() ([]Entry, error) {
 	// Time-domain LANC per-sample step at the simulator's default shape.
 	lanc, err := core.New(core.Config{
 		NonCausalTaps: 32, CausalTaps: 160, Mu: 0.05, Normalized: true,
-		SecondaryPath: secPathTaps,
+		SecondaryPath: core.EarSecondaryPath(),
 	})
 	if err != nil {
 		return nil, err
@@ -298,8 +294,8 @@ func runCore() ([]Entry, error) {
 
 	// Partitioned frequency-domain LANC, one 32-sample block.
 	bl, err := core.NewBlock(core.BlockConfig{
-		FilterTaps: 192, BlockSize: 32, Mu: 0.4,
-		SecondaryPath: secPathTaps, NonCausalTaps: 32,
+		FilterTaps: 192, BlockSize: 32, Mu: core.DefaultBlockMu,
+		SecondaryPath: core.EarSecondaryPath(), NonCausalTaps: 32,
 	})
 	if err != nil {
 		return nil, err
@@ -340,8 +336,8 @@ func runCore() ([]Entry, error) {
 		rp32.Forward(rout32, rin32)
 	})
 	bl16, err := core.NewBlock(core.BlockConfig{
-		FilterTaps: 64, BlockSize: 16, Mu: 0.4,
-		SecondaryPath: secPathTaps, NonCausalTaps: 16,
+		FilterTaps: 64, BlockSize: 16, Mu: core.DefaultBlockMu,
+		SecondaryPath: core.EarSecondaryPath(), NonCausalTaps: 16,
 	})
 	if err != nil {
 		return nil, err

@@ -62,6 +62,11 @@ type BlockLANC struct {
 	fxNew []float64    // current block's filtered-x samples
 }
 
+// DefaultBlockMu is the block canceller's normalized step unless a
+// caller sets one. It is scaled per frequency bin, so its useful range
+// differs from the sample-domain LANC step.
+const DefaultBlockMu = 0.4
+
 // BlockConfig configures a BlockLANC.
 type BlockConfig struct {
 	// FilterTaps is the total filter length M (the sample-domain
@@ -70,10 +75,10 @@ type BlockConfig struct {
 	// BlockSize is B, the samples produced per call. Latency grows with
 	// B; keep it at or below the deployment's non-causal budget.
 	BlockSize int
-	// Mu is the normalized step (0.1–1 typical). The effective per-bin,
-	// per-partition step is Mu/P, so stability does not depend on how
-	// finely the filter is partitioned and one value works across block
-	// sizes.
+	// Mu is the normalized step (0.1–1 typical; 0 = DefaultBlockMu). The
+	// effective per-bin, per-partition step is Mu/P, so stability does not
+	// depend on how finely the filter is partitioned and one value works
+	// across block sizes.
 	Mu float64
 	// SecondaryPath is the ĥ_se estimate.
 	SecondaryPath []float64
@@ -92,7 +97,10 @@ func NewBlock(cfg BlockConfig) (*BlockLANC, error) {
 	if cfg.BlockSize <= 0 {
 		return nil, fmt.Errorf("core: block size %d must be positive", cfg.BlockSize)
 	}
-	if cfg.Mu <= 0 {
+	if cfg.Mu == 0 {
+		cfg.Mu = DefaultBlockMu
+	}
+	if cfg.Mu < 0 {
 		return nil, fmt.Errorf("core: block mu %g must be positive", cfg.Mu)
 	}
 	if len(cfg.SecondaryPath) == 0 {

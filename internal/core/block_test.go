@@ -12,7 +12,7 @@ func TestNewBlockValidation(t *testing.T) {
 	bad := []BlockConfig{
 		{FilterTaps: 0, BlockSize: 16, Mu: 0.5, SecondaryPath: []float64{1}},
 		{FilterTaps: 64, BlockSize: 0, Mu: 0.5, SecondaryPath: []float64{1}},
-		{FilterTaps: 64, BlockSize: 16, Mu: 0, SecondaryPath: []float64{1}},
+		{FilterTaps: 64, BlockSize: 16, Mu: -0.1, SecondaryPath: []float64{1}},
 		{FilterTaps: 64, BlockSize: 16, Mu: 0.5, SecondaryPath: nil},
 		{FilterTaps: 64, BlockSize: 16, Mu: 0.5, SecondaryPath: []float64{1}, Lambda: 1.5},
 	}
@@ -27,6 +27,12 @@ func TestNewBlockValidation(t *testing.T) {
 	}
 	if bl.BlockSize() != 16 {
 		t.Error("block size accessor mismatch")
+	}
+	if bl, err = NewBlock(BlockConfig{FilterTaps: 64, BlockSize: 16, SecondaryPath: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if bl.mu != DefaultBlockMu {
+		t.Errorf("zero Mu ran with %g, want DefaultBlockMu", bl.mu)
 	}
 }
 

@@ -65,21 +65,22 @@ type Config struct {
 	// Profiling enables predictive filter switching.
 	Profiling bool
 	// ProfileWindow is the signature window length in samples (default
-	// 256). The window ends at the most-future sample available, so
+	// 1024). The window ends at the most-future sample available, so
 	// transitions are seen NonCausalTaps samples before they arrive.
 	ProfileWindow int
 	// ProfileHop is how often (samples) the profiler re-classifies
-	// (default 64).
+	// (default 256).
 	ProfileHop int
-	// ProfileBands is the signature resolution (default 8).
-	ProfileBands int
-	// ProfileThreshold is the signature matching distance (default 0.25).
+	// ProfileThreshold is the signature matching distance (default 0.45).
 	ProfileThreshold float64
-	// MaxProfiles caps tracked profiles (default 8).
+	// MaxProfiles caps tracked profiles (default 4).
 	MaxProfiles int
 	// SampleRate is required when Profiling is on.
 	SampleRate float64
 }
+
+// profileBands is the profiler's signature resolution in bands.
+const profileBands = 8
 
 // Validate checks the configuration and applies profiling defaults.
 func (c *Config) Validate() error {
@@ -117,20 +118,19 @@ func (c *Config) Validate() error {
 		if c.SampleRate <= 0 {
 			return fmt.Errorf("core: profiling requires a sample rate")
 		}
+		// The defaults are the tuning the paper's timelines use
+		// (§3.2(2)): a 128 ms signature re-classified every 32 ms at 8 kHz.
 		if c.ProfileWindow <= 0 {
-			c.ProfileWindow = 256
+			c.ProfileWindow = 1024
 		}
 		if c.ProfileHop <= 0 {
-			c.ProfileHop = 64
-		}
-		if c.ProfileBands <= 0 {
-			c.ProfileBands = 8
+			c.ProfileHop = 256
 		}
 		if c.ProfileThreshold <= 0 {
-			c.ProfileThreshold = 0.25
+			c.ProfileThreshold = 0.45
 		}
 		if c.MaxProfiles <= 0 {
-			c.MaxProfiles = 8
+			c.MaxProfiles = 4
 		}
 	}
 	return nil
@@ -698,7 +698,7 @@ func (l *LANC) profileStep(xNew float64) bool {
 	if l.profileGuard > 0 {
 		return false
 	}
-	sig, err := profile.Compute(l.window, l.cfg.SampleRate, l.cfg.ProfileBands)
+	sig, err := profile.Compute(l.window, l.cfg.SampleRate, profileBands)
 	if err != nil {
 		return false
 	}

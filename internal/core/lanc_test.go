@@ -136,6 +136,11 @@ func TestLANCProfilingDefaults(t *testing.T) {
 	if l.CurrentProfile() != 0 {
 		t.Error("initial profile should be silence (0)")
 	}
+	c := l.cfg
+	if c.ProfileWindow != 1024 || c.ProfileHop != 256 || c.ProfileThreshold != 0.45 || c.MaxProfiles != 4 {
+		t.Errorf("profiler defaults = %d/%d/%g/%d, want 1024/256/0.45/4",
+			c.ProfileWindow, c.ProfileHop, c.ProfileThreshold, c.MaxProfiles)
+	}
 }
 
 func TestLANCProfileSwitchDetected(t *testing.T) {
@@ -143,7 +148,7 @@ func TestLANCProfileSwitchDetected(t *testing.T) {
 		NonCausalTaps: 8, CausalTaps: 16, Mu: 0.4, Normalized: true,
 		SecondaryPath: testHse,
 		Profiling:     true, SampleRate: 8000,
-		ProfileWindow: 256, ProfileHop: 64,
+		ProfileWindow: 256, ProfileHop: 64, ProfileThreshold: 0.25, MaxProfiles: 8,
 	}
 	l, err := New(cfg)
 	if err != nil {

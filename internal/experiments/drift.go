@@ -210,22 +210,9 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 	}
 	// Drift-stage decisions replayed on the cell's loop clock: the
 	// reference is read shift samples ahead, so window w of the received
-	// stream is consumed at t = w − shift.
-	replay := &graph.DriftReplay{HoldSamples: 2 * frameN}
-	if drift != nil && dc.policy == driftCorrected {
-		replay.Holds = make(map[int64]bool, len(drift.RateJumps))
-		for _, j := range drift.RateJumps {
-			replay.Holds[j-int64(shift)] = true
-		}
-	}
-	if drift != nil && sd.sup != nil {
-		for _, w := range drift.Windows {
-			replay.Windows = append(replay.Windows, graph.DriftObservation{
-				At: w.AtSample - int64(shift), PPM: w.PPM, Locked: w.Locked,
-			})
-		}
-	}
-	sd.drift = replay
+	// stream is consumed at t = w − shift. The skewed transport always
+	// reports its drift stage.
+	sd.drift = drift.Replay(-int64(shift), 2*frameN, dc.policy == driftCorrected, sd.sup != nil)
 	pl, d, res, err := sd.run(c, clean, &graph.SliceSource{Samples: recv[shift:], Mask: mask[shift:]})
 	if err != nil {
 		return 0, nil, nil, err

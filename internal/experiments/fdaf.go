@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"mute/internal/audio"
 	"mute/internal/sim"
 )
@@ -15,11 +13,10 @@ var fdafBlockSizes = []int{8, 16, 32, 64}
 
 // FdafSweep compares the default time-domain LANC against the partitioned
 // frequency-domain canceller (Params.BlockFDAF) across block sizes, on the
-// MUTE_Hollow scheme under wide-band white noise. Two series come back:
-// cancellation in dB (deterministic, like every other figure) and the
-// realtime factor — simulated seconds per wall-clock second, single run,
-// which necessarily varies with the host and with Workers (concurrent runs
-// share cores). Notes carry the time-domain baseline for both quantities.
+// MUTE_Hollow scheme under wide-band white noise. The one series is
+// cancellation in dB, deterministic like every other figure; the notes
+// carry the time-domain baseline. Throughput is the figs bench suite's
+// job (mute_hollow.td and mute_hollow.fdaf32), not the figure's.
 func FdafSweep(c Config) (*Figure, error) {
 	c = c.Defaults()
 	gen := func() audio.Generator { return audio.NewWhiteNoise(c.Seed, c.SampleRate, c.NoiseAmp) }
@@ -27,33 +24,26 @@ func FdafSweep(c Config) (*Figure, error) {
 		ID:     "fdaf",
 		Title:  "Partitioned frequency-domain LANC vs block size",
 		XLabel: "Block size (samples)",
-		YLabel: "Cancellation (dB) / realtime factor (x)",
+		YLabel: "Cancellation (dB)",
 	}
 
-	run := func(mutate func(*sim.Params)) (db, rtf float64, err error) {
-		start := time.Now()
+	run := func(mutate func(*sim.Params)) (float64, error) {
 		r, err := runScheme(c, sim.MUTEHollow, gen, mutate)
-		wall := time.Since(start)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		db, err = r.CancellationDB(50, 4000)
-		if err != nil {
-			return 0, 0, err
-		}
-		return db, c.Duration / wall.Seconds(), nil
+		return r.CancellationDB(50, 4000)
 	}
 
-	tdDB, tdRTF, err := run(nil)
+	tdDB, err := run(nil)
 	if err != nil {
 		return nil, err
 	}
 
 	dbs := make([]float64, len(fdafBlockSizes))
-	rtfs := make([]float64, len(fdafBlockSizes))
 	err = parallelFor(c.Workers, len(fdafBlockSizes), func(i int) error {
 		b := fdafBlockSizes[i]
-		db, rtf, err := run(func(p *sim.Params) {
+		db, err := run(func(p *sim.Params) {
 			p.BlockFDAF = true
 			p.BlockSize = b
 		})
@@ -61,7 +51,6 @@ func FdafSweep(c Config) (*Figure, error) {
 			return err
 		}
 		dbs[i] = db
-		rtfs[i] = rtf
 		return nil
 	})
 	if err != nil {
@@ -72,12 +61,9 @@ func FdafSweep(c Config) (*Figure, error) {
 	for i, b := range fdafBlockSizes {
 		xs[i] = float64(b)
 	}
-	fig.Series = []Series{
-		{Name: "FDAF_dB", X: xs, Y: dbs},
-		{Name: "FDAF_realtime_x", X: xs, Y: rtfs},
-	}
+	fig.Series = []Series{{Name: "FDAF_dB", X: xs, Y: dbs}}
 	fig.Notes = append(fig.Notes,
-		note("time-domain baseline: %.1f dB at %.1fx realtime", tdDB, tdRTF),
+		note("time-domain baseline: %.1f dB", tdDB),
 		note("each block of B samples spends B-1 samples of lookahead on block latency (budget entry fdaf.block_latency)"),
 	)
 	return fig, nil

@@ -37,10 +37,6 @@ func Fig17(c Config) (*Figure, error) {
 		p.UseFMLink = c.UseFMLink
 		p.Mu = 0.02
 		p.Profiling = profiling
-		p.ProfileWindow = 1024
-		p.ProfileHop = 256
-		p.ProfileThreshold = 0.45
-		p.MaxProfiles = 4
 		return sim.Run(p, sim.MUTEHollow)
 	}
 	// The profiling-on and profiling-off arms are independent; run both at

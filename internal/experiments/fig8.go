@@ -51,10 +51,6 @@ func Fig8(c Config) (*Figure, error) {
 		p.Duration = c.Duration
 		p.Mu = 0.02
 		p.Profiling = prof
-		p.ProfileWindow = 1024
-		p.ProfileHop = 256
-		p.ProfileThreshold = 0.45
-		p.MaxProfiles = 4
 		return sim.Run(p, sim.MUTEHollow)
 	}
 	// The three timelines are independent runs; fan them out.

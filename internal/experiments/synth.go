@@ -1,22 +1,19 @@
 package experiments
 
 import (
+	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/internal/graph"
 	"mute/internal/supervisor"
 )
 
-// The synthetic deployment the loss, outage and drift cells share — the
-// same acoustic leg as cmd/muteear's self-test: the ear hears the source
-// through a short room tail, the anti-noise reaches the error microphone
-// through synthSecondary (used as its own estimate ĥ_se), and the
+// The synthetic deployment the loss, outage and drift cells share is the
+// demo ear of cmd/muteear's self-test: the ear hears the source through
+// core.EarChannel, the anti-noise reaches the error microphone through
+// core.EarSecondaryPath (used as its own estimate ĥ_se), and the
 // forwarded reference runs N + synthSlack samples ahead of the wavefront —
 // what remains of a large geometric lookahead after the playout buffer
 // consumed its share.
-var (
-	synthEar       = []float64{0.8, 0.25, 0.1, 0.05}
-	synthSecondary = []float64{0.85, 0.22, 0.06}
-)
 
 // synthSlack is the lookahead margin beyond the non-causal taps.
 const synthSlack = 4
@@ -45,8 +42,9 @@ func (sd synthDeployment) shift() int { return sd.nonCausal + synthSlack }
 // d and the error-microphone residual, both len(clean) − shift long.
 func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource) (pl *graph.Pipeline, d, residual []float64, err error) {
 	steps := len(clean) - sd.shift()
-	d = dsp.NewStreamConvolver(synthEar).ProcessBlock(clean[:steps])
+	d = dsp.NewStreamConvolver(core.EarChannel()).ProcessBlock(clean[:steps])
 	residual = make([]float64, steps)
+	sec := core.EarSecondaryPath()
 	cfg := graph.Config{
 		SampleRate:       c.SampleRate,
 		Lookahead:        sd.shift(),
@@ -54,13 +52,13 @@ func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource)
 		Canceller: graph.CancellerParams{
 			CausalTaps:    sd.causal,
 			Mu:            0.1,
-			SecondaryPath: synthSecondary,
+			SecondaryPath: sec,
 			LossAware:     sd.lossAware,
 		},
 		Reference:   ref,
 		Ambient:     &graph.SliceAmbient{Local: d, Cup: d},
 		Drift:       sd.drift,
-		SecondaryIR: synthSecondary,
+		SecondaryIR: sec,
 		Residual:    residual,
 	}
 	if sd.sup != nil {

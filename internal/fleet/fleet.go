@@ -63,11 +63,11 @@ type Profile struct {
 	MaxNonCausalTaps int
 	// Mu is the adaptation step (default 0.1).
 	Mu float64
-	// SecondaryIR is the true speaker→error-mic chain (default the live
-	// demo's {0.85, 0.22, 0.06}).
+	// SecondaryIR is the true speaker→error-mic chain (default
+	// core.EarSecondaryPath, the live demo's).
 	SecondaryIR []float64
-	// ChannelIR shapes the derived acoustic leg (default the live demo's
-	// multipath {0.8, 0.25, 0.1, 0.05}).
+	// ChannelIR shapes the derived acoustic leg (default core.EarChannel,
+	// the live demo's multipath).
 	ChannelIR []float64
 	// RoomIR, when set, is convolved with ChannelIR (memoized across
 	// sessions) to form the effective acoustic channel.
@@ -90,7 +90,7 @@ type Profile struct {
 	// per-sample MACs collapse into batched FFT work, the fleet's
 	// high-density mode. Must divide FrameSamples.
 	FDAFBlock int
-	// FDAFMu is the per-bin normalized step (default 0.4).
+	// FDAFMu is the per-bin normalized step (default core.DefaultBlockMu).
 	FDAFMu float64
 }
 
@@ -104,10 +104,10 @@ func DefaultProfile() Profile {
 		CausalTaps:       48,
 		MaxNonCausalTaps: 16,
 		Mu:               0.1,
-		SecondaryIR:      []float64{0.85, 0.22, 0.06},
-		ChannelIR:        []float64{0.8, 0.25, 0.1, 0.05},
+		SecondaryIR:      core.EarSecondaryPath(),
+		ChannelIR:        core.EarChannel(),
 		EstimateSeed:     1,
-		FDAFMu:           0.4,
+		FDAFMu:           core.DefaultBlockMu,
 	}
 }
 
@@ -434,7 +434,7 @@ func (s *Server) Open(id uint32, profile Profile, opts ...SessionOption) (*Sessi
 	gcfg := graph.Config{
 		SampleRate: p.SampleRate,
 		Lookahead:  p.Lookahead,
-		Pipeline:   core.PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1},
+		Pipeline:   core.DefaultPipeline(),
 		Canceller: graph.CancellerParams{
 			CausalTaps:    p.CausalTaps,
 			Mu:            p.Mu,

@@ -71,6 +71,18 @@ func (p PressureState) String() string {
 	}
 }
 
+// The ladder's lateness thresholds, in nanoseconds of smoothed tick
+// lateness.
+const (
+	// degradeLatenessNS demotes NORMAL → DEGRADED when the lateness EWMA
+	// sits at or above it for DownDwellTicks: 2 ms, 20% of the default
+	// 10 ms frame period.
+	degradeLatenessNS = 2e6
+	// shedLatenessNS demotes DEGRADED → SHEDDING: 8 ms, nearly a whole
+	// frame late — every session is missing.
+	shedLatenessNS = 4 * degradeLatenessNS
+)
+
 // LifecycleConfig tunes the watchdog and ladder. The zero value takes
 // every default below; Disarm turns the watchdog off entirely (ObserveTick
 // then only feeds the lateness histogram, as before the lifecycle layer).
@@ -78,13 +90,6 @@ type LifecycleConfig struct {
 	// EWMAAlpha smooths the per-tick lateness into the pressure signal
 	// (default 1/16: ~16 ticks ≈ 160 ms of history at the default frame).
 	EWMAAlpha float64
-	// DegradeLatenessNS demotes NORMAL → DEGRADED when the lateness EWMA
-	// sits at or above it for DownDwellTicks (default 2e6 = 2 ms, 20% of
-	// the default 10 ms frame period).
-	DegradeLatenessNS float64
-	// ShedLatenessNS demotes DEGRADED → SHEDDING (default 8e6 = 8 ms:
-	// nearly a whole frame late — every session is missing).
-	ShedLatenessNS float64
 	// DownDwellTicks is how many consecutive breaching ticks a demotion
 	// needs (default 8).
 	DownDwellTicks int
@@ -109,12 +114,6 @@ type LifecycleConfig struct {
 func (c LifecycleConfig) withDefaults() LifecycleConfig {
 	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
 		c.EWMAAlpha = 1.0 / 16
-	}
-	if c.DegradeLatenessNS <= 0 {
-		c.DegradeLatenessNS = 2e6
-	}
-	if c.ShedLatenessNS <= c.DegradeLatenessNS {
-		c.ShedLatenessNS = 4 * c.DegradeLatenessNS
 	}
 	if c.DownDwellTicks <= 0 {
 		c.DownDwellTicks = 8
@@ -163,9 +162,9 @@ func (lc *lifecycle) observe(latenessNS int64) (PressureState, bool, float64) {
 	prev := lc.state
 	switch lc.state {
 	case PressureNormal, PressureDegraded:
-		down := lc.cfg.DegradeLatenessNS
+		down := float64(degradeLatenessNS)
 		if lc.state == PressureDegraded {
-			down = lc.cfg.ShedLatenessNS
+			down = shedLatenessNS
 		}
 		if lc.ewma >= down {
 			lc.healthyRun = 0
@@ -177,7 +176,7 @@ func (lc *lifecycle) observe(latenessNS int64) (PressureState, bool, float64) {
 			break
 		}
 		lc.breachRun = 0
-		if lc.state == PressureDegraded && lc.ewma < lc.cfg.DegradeLatenessNS/2 {
+		if lc.state == PressureDegraded && lc.ewma < degradeLatenessNS/2 {
 			lc.healthyRun++
 			if lc.healthyRun >= lc.cfg.UpDwellTicks {
 				lc.state = PressureNormal
@@ -188,7 +187,7 @@ func (lc *lifecycle) observe(latenessNS int64) (PressureState, bool, float64) {
 		}
 	case PressureShedding:
 		lc.breachRun = 0
-		if lc.ewma < lc.cfg.ShedLatenessNS/2 {
+		if lc.ewma < shedLatenessNS/2 {
 			lc.healthyRun++
 			if lc.healthyRun >= lc.cfg.UpDwellTicks {
 				lc.state = PressureDegraded

@@ -12,6 +12,27 @@ import (
 	"mute/internal/telemetry"
 )
 
+const (
+	// loadLead is how many blocks ahead of the playout clock users
+	// transmit — the priming that keeps jitter buffers nonempty.
+	loadLead = 2
+	// drainGrace is the paced loop's late-drain grace window. The pacing
+	// contract: each block's socket drain normally runs until the next
+	// block deadline — the pacing sleep and the ingest work are the same
+	// wait — but when the loop is already past the deadline the drain
+	// still gets at least drainGrace of wall time, so backlogged datagrams
+	// keep flowing to the jitter buffers instead of piling up in the
+	// socket while the loop catches up. Tightening it makes an overloaded
+	// run shed ingest work sooner (more concealment, faster ticks);
+	// loosening it favors frame delivery over catching up.
+	drainGrace = 500 * time.Microsecond
+	// warmupDrain is the per-block socket-drain window for the two warmup
+	// blocks before the paced clock starts: long enough for the warmup
+	// datagrams to cross the loopback socket, short enough not to delay
+	// the measured window.
+	warmupDrain = 2 * time.Millisecond
+)
+
 // LoadConfig configures a load-generation run: N simulated users, each a
 // seeded relay with its own impairments, driving one session server.
 type LoadConfig struct {
@@ -37,25 +58,6 @@ type LoadConfig struct {
 	SkewPPM float64
 	// Shards is the server's ProcessTick fan-out (default 1).
 	Shards int
-	// Lead is how many blocks ahead of the playout clock users transmit
-	// (default 2) — the priming that keeps jitter buffers nonempty.
-	Lead int
-	// DrainGrace is the paced loop's late-drain grace window (default
-	// 500µs). The pacing contract: each block's socket drain normally runs
-	// until the next block deadline — the pacing sleep and the ingest work
-	// are the same wait — but when the loop is already past the deadline
-	// the drain still gets at least DrainGrace of wall time, so backlogged
-	// datagrams keep flowing to the jitter buffers instead of piling up in
-	// the socket while the loop catches up. Tightening it makes an
-	// overloaded run shed ingest work sooner (more concealment, faster
-	// ticks); loosening it favors frame delivery over catching up. Chaos
-	// runs tune it to push the fleet into the overload ladder on purpose.
-	DrainGrace time.Duration
-	// WarmupDrain is the per-block socket-drain window for the two warmup
-	// blocks before the paced clock starts (default 2ms): long enough for
-	// the warmup datagrams to cross the loopback socket, short enough not
-	// to delay the measured window.
-	WarmupDrain time.Duration
 	// Lifecycle tunes the server's overload watchdog for the run; the zero
 	// value arms it with defaults (see LifecycleConfig).
 	Lifecycle LifecycleConfig
@@ -214,18 +216,9 @@ func RunLoadInto(cfg LoadConfig, merged *telemetry.Registry) (*LoadResult, error
 	if cfg.Sessions <= 0 {
 		return nil, fmt.Errorf("fleet: load run needs Sessions > 0")
 	}
-	if cfg.Lead <= 0 {
-		cfg.Lead = 2
-	}
 	p, err := cfg.Profile.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = 500 * time.Microsecond
-	}
-	if cfg.WarmupDrain <= 0 {
-		cfg.WarmupDrain = 2 * time.Millisecond
 	}
 	srv := NewServer(Config{Shards: cfg.Shards, Lifecycle: cfg.Lifecycle})
 	defer srv.Close()
@@ -258,7 +251,7 @@ func runThroughput(srv *Server, users []*loadUser, cfg LoadConfig, p Profile, me
 	}
 	ingest := func(d []byte) error { return srv.Ingest(d) }
 	// Prime the jitter buffers so the first tick pops real audio.
-	for l := 0; l < cfg.Lead; l++ {
+	for l := 0; l < loadLead; l++ {
 		for _, u := range users {
 			if err := u.tick(ingest); err != nil {
 				return nil, err
@@ -320,13 +313,13 @@ func runPaced(srv *Server, users []*loadUser, cfg LoadConfig, p Profile, merged 
 
 	// drainUntil ingests arriving datagrams until due: the pacing sleep
 	// and the ingest work are the same wait. When the loop is running
-	// late the configured grace window (LoadConfig.DrainGrace) still
-	// drains the backlog, so frames keep flowing to the jitter buffers
-	// instead of piling up in the socket — an expired read deadline would
-	// otherwise refuse even buffered data.
+	// late the grace window (drainGrace) still drains the backlog, so
+	// frames keep flowing to the jitter buffers instead of piling up in
+	// the socket — an expired read deadline would otherwise refuse even
+	// buffered data.
 	buf := make([]byte, MaxDatagram)
 	drainUntil := func(due time.Time) {
-		if grace := time.Now().Add(cfg.DrainGrace); due.Before(grace) {
+		if grace := time.Now().Add(drainGrace); due.Before(grace) {
 			due = grace
 		}
 		rx.SetReadDeadline(due)
@@ -349,7 +342,7 @@ func runPaced(srv *Server, users []*loadUser, cfg LoadConfig, p Profile, merged 
 		return err
 	})
 	// Prime: users run Lead slots ahead of the playout clock throughout.
-	for l := 0; l < cfg.Lead; l++ {
+	for l := 0; l < loadLead; l++ {
 		for _, u := range users {
 			if err := u.tick(batch.add); err != nil {
 				return nil, err
@@ -374,7 +367,7 @@ func runPaced(srv *Server, users []*loadUser, cfg LoadConfig, p Profile, merged 
 		if err := batch.flush(); err != nil {
 			return nil, err
 		}
-		drainUntil(time.Now().Add(cfg.WarmupDrain))
+		drainUntil(time.Now().Add(warmupDrain))
 		if err := srv.ProcessTick(); err != nil {
 			return nil, err
 		}

@@ -19,11 +19,16 @@ import (
 // deployments.
 const Leak = 0.0005
 
+// DefaultTraceBlock is the trace cadence, and Run's block, in samples
+// unless Config.TraceBlock sets another (64 ms at 8 kHz).
+const DefaultTraceBlock = 512
+
 // CancellerParams is the canceller-policy slice of the pipeline
 // configuration: the tuning a caller legitimately varies. Everything
 // else about the canceller — leakage, the non-causal tap count (planned
-// from the lookahead budget), the sample rate — is fixed by Build, so a
-// policy constant cannot fork between deployments.
+// from the lookahead budget), the sample rate, the profiler and loss-ramp
+// tuning — is fixed by Build or core, so a policy constant cannot fork
+// between deployments.
 type CancellerParams struct {
 	// CausalTaps is LANC's causal filter length L.
 	CausalTaps int
@@ -33,18 +38,12 @@ type CancellerParams struct {
 	PlainLMS bool
 	// SecondaryPath is the estimated speaker→error-mic chain ĥ_se.
 	SecondaryPath []float64
-	// LossAware gates adaptation on the concealment mask.
+	// LossAware gates adaptation on the concealment mask; the post-gap
+	// re-ramp length is core's default.
 	LossAware bool
-	// RecoveryRamp is the post-gap re-ramp length in samples (0 = core
-	// default).
-	RecoveryRamp int
-	// Profiling enables predictive filter switching; the remaining fields
-	// tune it (0 = core defaults).
-	Profiling        bool
-	ProfileWindow    int
-	ProfileHop       int
-	ProfileThreshold float64
-	MaxProfiles      int
+	// Profiling enables predictive filter switching with core's profiler
+	// tuning.
+	Profiling bool
 }
 
 // FDAFParams selects the partitioned frequency-domain canceller instead
@@ -54,7 +53,7 @@ type CancellerParams struct {
 type FDAFParams struct {
 	// BlockSize is the FDAF block size B in samples (power of two).
 	BlockSize int
-	// Mu is the per-bin normalized step.
+	// Mu is the per-bin normalized step (0 = core.DefaultBlockMu).
 	Mu float64
 }
 
@@ -139,7 +138,7 @@ type Config struct {
 	// Trace, when non-nil, receives budget entries at Build and
 	// canceller/supervisor state on the TraceBlock cadence.
 	Trace *telemetry.Trace
-	// TraceBlock is the trace cadence in samples (0 = 512).
+	// TraceBlock is the trace cadence in samples (0 = DefaultTraceBlock).
 	TraceBlock int
 	// LiveHooks additionally emits per-block stream/drift/residual trace
 	// events and registry gauges after every processed block — the live
@@ -255,7 +254,7 @@ func Build(cfg Config) (*Pipeline, error) {
 	}
 	traceEvery := int64(cfg.TraceBlock)
 	if traceEvery <= 0 {
-		traceEvery = 512
+		traceEvery = DefaultTraceBlock
 	}
 	pl := &Pipeline{
 		ref:        cfg.Reference,
@@ -407,21 +406,16 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 	}
 	c := cfg.Canceller
 	lanc, err := core.New(core.Config{
-		NonCausalTaps:    nTaps,
-		CausalTaps:       c.CausalTaps,
-		Mu:               c.Mu,
-		Normalized:       !c.PlainLMS,
-		Leak:             Leak,
-		SecondaryPath:    c.SecondaryPath,
-		ErrorDelay:       cfg.ErrorDelay,
-		Profiling:        c.Profiling,
-		ProfileWindow:    c.ProfileWindow,
-		ProfileHop:       c.ProfileHop,
-		ProfileThreshold: c.ProfileThreshold,
-		MaxProfiles:      c.MaxProfiles,
-		SampleRate:       cfg.SampleRate,
-		LossAware:        c.LossAware,
-		RecoveryRamp:     c.RecoveryRamp,
+		NonCausalTaps: nTaps,
+		CausalTaps:    c.CausalTaps,
+		Mu:            c.Mu,
+		Normalized:    !c.PlainLMS,
+		Leak:          Leak,
+		SecondaryPath: c.SecondaryPath,
+		ErrorDelay:    cfg.ErrorDelay,
+		Profiling:     c.Profiling,
+		SampleRate:    cfg.SampleRate,
+		LossAware:     c.LossAware,
 	})
 	if err != nil {
 		return err

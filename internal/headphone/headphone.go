@@ -30,6 +30,13 @@ import (
 // −20.6 dB).
 const Leak = 0.001
 
+// LatencySamples is the headphone's end-to-end processing latency in
+// (fractional) samples at 8 kHz. Commercial ANC hardware is heavily
+// optimized (~60 µs ≈ 0.5 samples) yet still misses the ~30 µs deadline
+// of Figure 5(a); this is the phase error that caps its high-frequency
+// cancellation.
+const LatencySamples = 0.5
+
 // Config parameterizes the conventional headphone baseline.
 type Config struct {
 	// SampleRate of the processing pipeline in Hz.

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"mute/internal/audio"
 	"mute/internal/dsp"
+	"mute/internal/graph"
 	"mute/internal/telemetry"
 )
 
@@ -76,7 +78,8 @@ func TestBlockFDAFPathCancels(t *testing.T) {
 }
 
 // TestBlockFDAFRejectsUnsupportedCombos pins the compatibility contract:
-// the block path has no sample-clocked transport/supervisor machinery.
+// the block path has no sample-clocked transport/supervisor machinery,
+// and Run refuses each combination with graph.ErrUnsupported.
 func TestBlockFDAFRejectsUnsupportedCombos(t *testing.T) {
 	gen := func() audio.Generator { return audio.NewWhiteNoise(1, 8000, 0.3) }
 	mods := map[string]func(*Params){
@@ -91,8 +94,8 @@ func TestBlockFDAFRejectsUnsupportedCombos(t *testing.T) {
 		p.Duration = 0.1
 		p.BlockFDAF = true
 		mod(&p)
-		if _, err := Run(p, MUTEHollow); err == nil {
-			t.Errorf("BlockFDAF + %s should be rejected", name)
+		if _, err := Run(p, MUTEHollow); !errors.Is(err, graph.ErrUnsupported) {
+			t.Errorf("BlockFDAF + %s: err = %v, want graph.ErrUnsupported", name, err)
 		}
 	}
 	// Non-power-of-two block sizes are rejected by the core filter.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"mute/internal/dsp"
+	"mute/internal/graph"
 	"mute/internal/stream"
 	"mute/internal/telemetry"
 )
@@ -46,6 +47,28 @@ type DriftReport struct {
 	FinalOccErr float64
 }
 
+// Replay maps the report onto a cancellation loop's clock, on which the
+// received stream's sample s is consumed at t = s + offset. With holds,
+// adaptation holds for hold samples at every suspected oscillator step
+// (the alignment is about to slew); with windows, every estimator window
+// is replayed for the supervisor's health view.
+func (r *DriftReport) Replay(offset int64, hold int, holds, windows bool) *graph.DriftReplay {
+	replay := &graph.DriftReplay{HoldSamples: hold}
+	if holds {
+		replay.Holds = make(map[int64]bool, len(r.RateJumps))
+		for _, j := range r.RateJumps {
+			replay.Holds[j+offset] = true
+		}
+	}
+	if windows {
+		replay.Windows = make([]graph.DriftObservation, len(r.Windows))
+		for i, w := range r.Windows {
+			replay.Windows[i] = graph.DriftObservation{At: w.AtSample + offset, PPM: w.PPM, Locked: w.Locked}
+		}
+	}
+	return replay
+}
+
 // packetizeSkewed is PacketizeReference's generalization to a relay on a
 // skewed oscillator: relay samples are captured at ear-clock positions
 // dictated by stream.ClockSkew (the reference warped onto the relay's
@@ -83,17 +106,13 @@ func packetizeSkewed(ref []float64, lt LossTransport) ([]float64, []bool, LossTr
 			return nil, nil, stats, err
 		}
 	}
-	jb, err := stream.NewJitterBuffer(lt.Depth)
+	jb, err := stream.NewJitterBuffer(jitterDepth)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	jb.Anchor(0)
-	dec := stream.NewFECDecoder(4 * lt.Depth)
-	var dcfg stream.DriftConfig
-	if lt.Drift != nil {
-		dcfg = *lt.Drift
-	}
-	est, err := stream.NewDriftEstimator(dcfg)
+	dec := stream.NewFECDecoder(4 * jitterDepth)
+	est, err := stream.NewDriftEstimator(stream.DriftConfig{})
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -135,10 +154,6 @@ func packetizeSkewed(ref []float64, lt LossTransport) ([]float64, []bool, LossTr
 		}
 	}
 
-	traceEvery := lt.TraceEveryFrames
-	if traceEvery <= 0 {
-		traceEvery = 16
-	}
 	popped := 0
 	pop := func(deliverDue func(t float64, windowStart bool)) {
 		j := popped
@@ -213,7 +228,7 @@ func packetizeSkewed(ref []float64, lt LossTransport) ([]float64, []bool, LossTr
 			OccErr:   lastOcc,
 			Locked:   fresh,
 		})
-		if lt.Trace != nil && j%traceEvery == 0 {
+		if lt.Trace != nil && j%traceEveryFrames == 0 {
 			tracePlayout(lt.Trace, int64(start), jb, &stats, frameN)
 			traceDrift(lt.Trace, int64(start), estPPM, rate, lastOcc, fresh)
 		}

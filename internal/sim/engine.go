@@ -82,13 +82,6 @@ type Params struct {
 	// Pipeline is the MUTE ear-device processing latency (Equation 3) —
 	// the TI DSP board's ADC/DSP/DAC/speaker chain.
 	Pipeline core.PipelineDelays
-	// BoseLatencySamples is the conventional headphone's end-to-end
-	// processing latency in (fractional) samples. Commercial ANC
-	// hardware is heavily optimized (~60 µs ≈ 0.5 samples at 8 kHz) yet
-	// still misses the ~30 µs deadline of Figure 5(a); this is the phase
-	// error that caps its high-frequency cancellation. 0 selects the
-	// default of 0.5.
-	BoseLatencySamples float64
 	// ExtraReferenceDelay injects additional delay (samples) into the
 	// forwarded reference — the paper's delayed-line trick for shrinking
 	// lookahead without moving hardware (Figure 16).
@@ -117,16 +110,10 @@ type Params struct {
 	// relay fast). Any skew fault presupposes the packetized transport; a
 	// default LossTransport is synthesized when none is configured.
 	ClockSkewPPM float64
-	// ClockSkewWanderPPM adds a slow random walk (per-interval standard
-	// deviation, ppm) to the relay clock, seeded from Seed.
-	ClockSkewWanderPPM float64
 	// DriftCorrect inserts the drift estimator + adaptive resampler into
 	// the receive path (see LossTransport.DriftCorrect). On a clean clock
 	// the corrected run is bit-identical to the uncorrected one.
 	DriftCorrect bool
-	// DriftConfig overrides the drift estimator/loop tuning (nil =
-	// defaults).
-	DriftConfig *stream.DriftConfig
 
 	// BlockFDAF replaces the sample-by-sample LANC with the partitioned
 	// frequency-domain canceller (core.BlockLANC): anti-noise is produced
@@ -139,10 +126,6 @@ type Params struct {
 	// 0 = 32). The block path spends B−1 samples of the lookahead budget
 	// on block latency, so keep B comfortably under the scene's lookahead.
 	BlockSize int
-	// BlockMu is the FDAF per-bin normalized step (0 = 0.4). It is scaled
-	// per frequency bin, so its useful range (0.1–1) differs from the
-	// sample-domain Mu.
-	BlockMu float64
 
 	// CausalTaps is LANC's causal filter length L.
 	CausalTaps int
@@ -155,14 +138,9 @@ type Params struct {
 	// the paper's prototype, whose slower re-convergence is what makes
 	// predictive profile switching valuable (Figure 8).
 	PlainLMS bool
-	// Profiling enables LANC's predictive filter switching.
+	// Profiling enables LANC's predictive filter switching, with core's
+	// profiler tuning.
 	Profiling bool
-	// ProfileWindow, ProfileHop, ProfileThreshold and MaxProfiles tune
-	// the profiler when Profiling is on (0 = core defaults).
-	ProfileWindow    int
-	ProfileHop       int
-	ProfileThreshold float64
-	MaxProfiles      int
 
 	// EarMicNoiseRMS is the ear-device error-microphone self-noise.
 	EarMicNoiseRMS float64
@@ -179,8 +157,6 @@ type Params struct {
 	// and the lookahead budget entries — for JSONL export and the
 	// golden-trace regression suite.
 	Trace *telemetry.Trace
-	// TraceBlock is the trace cadence in samples (0 = 512).
-	TraceBlock int
 }
 
 // DefaultParams returns the standard evaluation configuration for a scene.
@@ -237,24 +213,10 @@ type Result struct {
 	BudgetSpend *telemetry.BudgetReport
 	// SampleRate echoes the scene rate.
 	SampleRate float64
-	// Elapsed is the wall-clock time the run took, for throughput metrics.
-	Elapsed time.Duration
-}
-
-// RealtimeFactor reports how many times faster than real time the run
-// executed (simulated seconds per wall-clock second). Zero if timing is
-// unavailable.
-func (r *Result) RealtimeFactor() float64 {
-	if r.Elapsed <= 0 || r.SampleRate <= 0 {
-		return 0
-	}
-	simSeconds := float64(len(r.On)) / r.SampleRate
-	return simSeconds / r.Elapsed.Seconds()
 }
 
 // Run simulates the scheme and returns the recordings.
 func Run(p Params, scheme Scheme) (*Result, error) {
-	start := time.Now()
 	if err := p.Scene.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,18 +234,14 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	}
 	if p.BlockFDAF {
 		if p.Supervise || p.Profiling || p.LossTransport != nil ||
-			p.ClockSkewPPM != 0 || p.ClockSkewWanderPPM != 0 || p.DriftCorrect {
-			return nil, fmt.Errorf("sim: BlockFDAF is incompatible with the transport/supervisor/profiling/clock-fault options")
+			p.ClockSkewPPM != 0 || p.DriftCorrect {
+			return nil, fmt.Errorf("sim: %w: BlockFDAF with the transport/supervisor/profiling/clock-fault options", graph.ErrUnsupported)
 		}
 	}
 	fs := p.Scene.SampleRate
 	n := int(p.Duration * fs)
 	if n < 1 {
 		return nil, fmt.Errorf("sim: duration too short")
-	}
-	traceBlock := p.TraceBlock
-	if traceBlock <= 0 {
-		traceBlock = 512
 	}
 
 	// --- Acoustic channels -------------------------------------------------
@@ -379,11 +337,7 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	delay := sampleDelay(p.Pipeline.Total()) // MUTE's TI-board pipeline
 	if !scheme.usesLANC() {
 		// The commercial headphone's optimized (sub-sample) latency.
-		late := p.BoseLatencySamples
-		if late == 0 {
-			late = 0.5
-		}
-		if delay, err = dsp.FractionalDelayFIR(late); err != nil {
+		if delay, err = dsp.FractionalDelayFIR(headphone.LatencySamples); err != nil {
 			return nil, err
 		}
 	}
@@ -417,15 +371,11 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		Pipeline:            p.Pipeline,
 		MaxNonCausalTaps:    p.MaxNonCausalTaps,
 		Canceller: graph.CancellerParams{
-			CausalTaps:       p.CausalTaps,
-			Mu:               p.Mu,
-			PlainLMS:         p.PlainLMS,
-			SecondaryPath:    secEst,
-			Profiling:        p.Profiling,
-			ProfileWindow:    p.ProfileWindow,
-			ProfileHop:       p.ProfileHop,
-			ProfileThreshold: p.ProfileThreshold,
-			MaxProfiles:      p.MaxProfiles,
+			CausalTaps:    p.CausalTaps,
+			Mu:            p.Mu,
+			PlainLMS:      p.PlainLMS,
+			SecondaryPath: secEst,
+			Profiling:     p.Profiling,
 		},
 		Reference:   &graph.SliceSource{Samples: forwarded},
 		Ambient:     &graph.SliceAmbient{Local: open, Cup: underCup},
@@ -435,7 +385,6 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		On:          on,
 		Residual:    residual,
 		Trace:       p.Trace,
-		TraceBlock:  traceBlock,
 		Telemetry:   p.Telemetry,
 	}
 	switch {
@@ -460,11 +409,7 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		if bsize == 0 {
 			bsize = 32
 		}
-		blockMu := p.BlockMu
-		if blockMu == 0 {
-			blockMu = 0.4
-		}
-		gcfg.FDAF = &graph.FDAFParams{BlockSize: bsize, Mu: blockMu}
+		gcfg.FDAF = &graph.FDAFParams{BlockSize: bsize}
 	default:
 		// The packetized transport replaces the ideal reference wire with
 		// framed, lossy delivery plus a concealment mask. Its playout
@@ -472,7 +417,7 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		// straight out of the lookahead budget below.
 		var mask []bool
 		prime := 0
-		skewed := p.ClockSkewPPM != 0 || p.ClockSkewWanderPPM != 0
+		skewed := p.ClockSkewPPM != 0
 		var lt *LossTransport
 		if p.LossTransport != nil {
 			c := *p.LossTransport
@@ -492,27 +437,17 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 				lt.Trace = p.Trace
 			}
 			if skewed && lt.Skew == nil {
-				lt.Skew = &stream.SkewParams{
-					Seed:      p.Seed + 41,
-					PPM:       p.ClockSkewPPM,
-					WanderPPM: p.ClockSkewWanderPPM,
-				}
+				lt.Skew = &stream.SkewParams{Seed: p.Seed + 41, PPM: p.ClockSkewPPM}
 			}
 			if p.DriftCorrect {
 				lt.DriftCorrect = true
-			}
-			if lt.Drift == nil {
-				lt.Drift = p.DriftConfig
 			}
 			recv, m, tstats, err := PacketizeReference(forwarded, *lt)
 			if err != nil {
 				return nil, err
 			}
 			prime = lt.PrimeSamples()
-			frameN = lt.FrameSamples
-			if frameN == 0 {
-				frameN = 80
-			}
+			frameN = lt.frameSamples()
 			shifted := make([]float64, n)
 			mask = make([]bool, n)
 			for t := prime; t < n; t++ {
@@ -532,31 +467,12 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 				driftGuard = 2
 			}
 			gcfg.Canceller.LossAware = lt.LossAware
-			gcfg.Canceller.RecoveryRamp = lt.RecoveryRamp
 		}
-		// Drift-stage hooks replayed onto the loop clock: adaptation holds
-		// at suspected oscillator steps (the alignment is about to slew),
-		// and per-window estimator state feeding the supervisor's health
-		// view. Both land at window time plus the playout shift.
+		// Drift-stage hooks replayed onto the loop clock, at window time
+		// plus the playout shift: adaptation holds at suspected
+		// oscillator steps, and estimator windows for the supervisor.
 		if drift != nil && (len(drift.RateJumps) > 0 || p.Supervise) {
-			replay := &graph.DriftReplay{HoldSamples: 2 * frameN}
-			if len(drift.RateJumps) > 0 {
-				replay.Holds = make(map[int64]bool, len(drift.RateJumps))
-				for _, j := range drift.RateJumps {
-					replay.Holds[j+int64(prime)] = true
-				}
-			}
-			if p.Supervise {
-				replay.Windows = make([]graph.DriftObservation, len(drift.Windows))
-				for i, w := range drift.Windows {
-					replay.Windows[i] = graph.DriftObservation{
-						At:     w.AtSample + int64(prime),
-						PPM:    w.PPM,
-						Locked: w.Locked,
-					}
-				}
-			}
-			gcfg.Drift = replay
+			gcfg.Drift = drift.Replay(int64(prime), 2*frameN, true, p.Supervise)
 		}
 		gcfg.PrimeSamples = prime
 		gcfg.DriftGuard = driftGuard
@@ -572,7 +488,7 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		res.Budget = pl.Budget
 		res.UsedNonCausalTaps = pl.NonCausalTaps
 		res.BudgetSpend = pl.Spend
-		if err := pl.Run(n, traceBlock); err != nil {
+		if err := pl.Run(n, 0); err != nil {
 			return nil, err
 		}
 		if pl.LANC != nil {
@@ -592,17 +508,18 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	if p.Trace != nil {
 		// Post-loop block levels: reading the pre-rendered streams after
 		// the fact keeps the cancellation loop itself untouched.
-		traceBlockLevels(p.Trace, telemetry.StageCapture, "relay_mic", ref, traceBlock)
-		traceBlockLevels(p.Trace, telemetry.StageLink, "forwarded", forwarded, traceBlock)
-		traceBlockLevels(p.Trace, telemetry.StageResidual, "ear", residual, traceBlock)
+		traceBlockLevels(p.Trace, telemetry.StageCapture, "relay_mic", ref)
+		traceBlockLevels(p.Trace, telemetry.StageLink, "forwarded", forwarded)
+		traceBlockLevels(p.Trace, telemetry.StageResidual, "ear", residual)
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
 // traceBlockLevels records one stage's per-block signal level (dB relative
-// to full scale) from a pre-rendered sample stream.
-func traceBlockLevels(tr *telemetry.Trace, stage, name string, x []float64, block int) {
+// to full scale) from a pre-rendered sample stream, on the pipeline's
+// trace cadence.
+func traceBlockLevels(tr *telemetry.Trace, stage, name string, x []float64) {
+	const block = graph.DefaultTraceBlock
 	for start := 0; start < len(x); start += block {
 		end := min(start+block, len(x))
 		p := dsp.Power(x[start:end])

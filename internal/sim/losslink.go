@@ -26,8 +26,6 @@ type LossTransport struct {
 	// FECGroup enables one parity frame per group of K data frames
 	// (0 = off; otherwise 2..stream limits).
 	FECGroup int
-	// Depth is the jitter-buffer depth in frames (default 32).
-	Depth int
 	// PrimeFrames is the playout buffer depth in frames: frame k is played
 	// only after frame k+PrimeFrames was offered to the link. Must cover
 	// the FEC group and jitter spread for recovery to land in time.
@@ -46,32 +44,34 @@ type LossTransport struct {
 	// actual skew the correction path is bit-identical to the plain
 	// transport (pinned by TestDriftCorrectCleanClockIdentity).
 	DriftCorrect bool
-	// Drift overrides the estimator/loop tuning (nil = defaults).
-	Drift *stream.DriftConfig
-	// RecoveryRamp overrides the canceller's post-loss ramp (0 = default).
-	RecoveryRamp int
 	// Trace, when non-nil, receives per-playout-window stream events
 	// (cumulative jitter/link counters) and lookahead-buffer occupancy on
-	// the sample clock. sim.Run propagates its own trace here when the
-	// caller left it nil.
+	// the sample clock, every traceEveryFrames windows. sim.Run propagates
+	// its own trace here when the caller left it nil.
 	Trace *telemetry.Trace
-	// TraceEveryFrames is the trace cadence in playout windows (0 = 16).
-	TraceEveryFrames int
+}
+
+const (
+	// jitterDepth is the receiver's jitter-buffer depth in frames.
+	jitterDepth = 32
+	// traceEveryFrames is the transport's trace cadence in playout
+	// windows.
+	traceEveryFrames = 16
+)
+
+// frameSamples is FrameSamples with its default applied.
+func (lt LossTransport) frameSamples() int {
+	if lt.FrameSamples == 0 {
+		return 80
+	}
+	return lt.FrameSamples
 }
 
 // withDefaults fills zero fields and validates.
 func (lt LossTransport) withDefaults() (LossTransport, error) {
-	if lt.FrameSamples == 0 {
-		lt.FrameSamples = 80
-	}
+	lt.FrameSamples = lt.frameSamples()
 	if lt.FrameSamples < 0 || lt.FrameSamples > stream.MaxFrameSamples {
 		return lt, fmt.Errorf("sim: frame size %d outside (0, %d]", lt.FrameSamples, stream.MaxFrameSamples)
-	}
-	if lt.Depth == 0 {
-		lt.Depth = 32
-	}
-	if lt.Depth < 0 {
-		return lt, fmt.Errorf("sim: negative jitter depth %d", lt.Depth)
 	}
 	if lt.PrimeFrames < 0 {
 		return lt, fmt.Errorf("sim: negative prime depth %d", lt.PrimeFrames)
@@ -87,10 +87,7 @@ func (lt LossTransport) withDefaults() (LossTransport, error) {
 // PrimeSamples is the playout-buffer latency in samples — the lookahead
 // the transport consumes.
 func (lt LossTransport) PrimeSamples() int {
-	if lt.FrameSamples == 0 {
-		lt.FrameSamples = 80
-	}
-	return lt.PrimeFrames * lt.FrameSamples
+	return lt.PrimeFrames * lt.frameSamples()
 }
 
 // LossTransportStats aggregates the transport-side counters of one run.
@@ -135,12 +132,12 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 			return nil, nil, stats, err
 		}
 	}
-	jb, err := stream.NewJitterBuffer(lt.Depth)
+	jb, err := stream.NewJitterBuffer(jitterDepth)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	jb.Anchor(0) // the capture epoch is known out of band
-	dec := stream.NewFECDecoder(4 * lt.Depth)
+	dec := stream.NewFECDecoder(4 * jitterDepth)
 
 	deliver := func(frames []*stream.Frame) {
 		for _, f := range frames {
@@ -163,14 +160,10 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 	}
 	recv := make([]float64, padded)
 	mask := make([]bool, padded)
-	traceEvery := lt.TraceEveryFrames
-	if traceEvery <= 0 {
-		traceEvery = 16
-	}
 	pop := func(k int) {
 		start := k * frameN
 		jb.PopMask(recv[start:start+frameN], mask[start:start+frameN])
-		if lt.Trace != nil && k%traceEvery == 0 {
+		if lt.Trace != nil && k%traceEveryFrames == 0 {
 			tracePlayout(lt.Trace, int64(start), jb, &stats, frameN)
 		}
 	}

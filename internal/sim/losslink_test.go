@@ -96,7 +96,6 @@ func TestPacketizeReferenceValidation(t *testing.T) {
 	ref := make([]float64, 100)
 	bad := []LossTransport{
 		{FrameSamples: -1},
-		{Depth: -1},
 		{PrimeFrames: -1},
 		{FECGroup: 1},
 		{Link: stream.LossParams{Loss: 2}},

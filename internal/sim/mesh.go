@@ -7,6 +7,7 @@ import (
 
 	"mute/internal/acoustics"
 	"mute/internal/audio"
+	"mute/internal/core"
 	"mute/internal/graph"
 	"mute/internal/mesh"
 	"mute/internal/telemetry"
@@ -296,7 +297,7 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 	}
 
 	residual := make([]float64, n)
-	secPath := []float64{0.85, 0.22, 0.06}
+	secPath := core.EarSecondaryPath()
 	pl, err := graph.Build(graph.Config{
 		SampleRate: fs,
 		Lookahead:  maxLead,

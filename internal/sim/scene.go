@@ -12,6 +12,7 @@ import (
 	"mute/internal/acoustics"
 	"mute/internal/anc"
 	"mute/internal/audio"
+	"mute/internal/core"
 	"mute/internal/dsp"
 )
 
@@ -137,11 +138,6 @@ func (t *Transducer) ImpulseResponse(n int) []float64 {
 	return out
 }
 
-// EarSecondaryPath returns the short acoustic path from the anti-noise
-// speaker to the error microphone a couple of centimeters away: a strong
-// direct tap with slight near-field spill.
-func EarSecondaryPath() []float64 { return []float64{0.85, 0.22, 0.06} }
-
 // secondaryChain returns the true speaker→error-mic impulse response of
 // an ear device — its processing-latency kernel delay convolved with the
 // shared acoustic part (transducer response and the centimeter air gap) —
@@ -152,7 +148,7 @@ func secondaryChain(p Params, delay []float64) (secIR, secEst []float64, err err
 	if err != nil {
 		return nil, nil, err
 	}
-	secIR = dsp.Convolve(delay, dsp.Convolve(trans.ImpulseResponse(48), EarSecondaryPath()))
+	secIR = dsp.Convolve(delay, dsp.Convolve(trans.ImpulseResponse(48), core.EarSecondaryPath()))
 	secEst, err = anc.EstimateSecondaryPath(secIR, len(secIR)+8, 0, p.EarMicNoiseRMS, p.Seed+11)
 	return secIR, secEst, err
 }

@@ -40,6 +40,11 @@ func (s State) String() string {
 	}
 }
 
+// passthroughFactor demotes FALLBACK to PASSTHROUGH when the fallback's
+// residual power EWMA exceeds this multiple of the open-ear power EWMA:
+// the fallback is then actively hurting.
+const passthroughFactor = 4
+
 // Config parameterizes the supervisor. DefaultConfig fills every field the
 // caller leaves zero.
 type Config struct {
@@ -57,10 +62,6 @@ type Config struct {
 	// should not wait out a ratio filter (default: the wrapped filter's
 	// window length N+L+1).
 	StarvationRun int
-	// PassthroughFactor demotes FALLBACK to PASSTHROUGH when the
-	// fallback's residual power EWMA exceeds this multiple of the
-	// open-ear power EWMA — the fallback is actively hurting (default 4).
-	PassthroughFactor float64
 	// DownDwell is how many consecutive samples a threshold breach must
 	// persist before a demotion fires (default 64).
 	DownDwell int
@@ -116,9 +117,6 @@ func (c *Config) fill(window int) {
 	}
 	if c.StarvationRun <= 0 {
 		c.StarvationRun = window + 1
-	}
-	if c.PassthroughFactor <= 0 {
-		c.PassthroughFactor = 4
 	}
 	if c.DownDwell <= 0 {
 		c.DownDwell = 64
@@ -442,7 +440,7 @@ func (s *Supervisor) maybeTransition() {
 			s.moveTo(StateLANC)
 		}
 	case StateFallback:
-		if s.openPow > 0 && s.ePow > s.cfg.PassthroughFactor*s.openPow {
+		if s.openPow > 0 && s.ePow > passthroughFactor*s.openPow {
 			s.breachRun++
 			if s.breachRun >= s.cfg.DownDwell {
 				s.moveTo(StatePassthrough)

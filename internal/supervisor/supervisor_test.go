@@ -283,7 +283,7 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 		t.Fatalf("setup failed: state %v, want FALLBACK", s.State())
 	}
 	// Feed a residual far louder than the open field: ePow EWMA blows past
-	// PassthroughFactor × openPow within the dwell.
+	// passthroughFactor × openPow within the dwell.
 	for i := 0; i < 200 && s.State() == StateFallback; i++ {
 		step(false, 5.0)
 	}
