@@ -64,7 +64,7 @@ func main() {
 	}
 
 	if *list {
-		fmt.Println("fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 lookahead ablation-taps ablation-fmsnr ablation-nlms variants mobility contention tracker multisource loss outage drift fdaf mesh all")
+		fmt.Println(strings.Join(append(experiments.IDs(), "all"), " "))
 		return
 	}
 	if *cpuProfile != "" {

@@ -144,20 +144,56 @@ func AblationNormalization(c Config) (*Figure, error) {
 	return fig, nil
 }
 
+// registry is every experiment in paper order, keyed by figure id. All,
+// ByID and cmd/mutebench -list read it.
+var registry = []struct {
+	id  string
+	run func(Config) (*Figure, error)
+}{
+	{"fig8", Fig8},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14", Fig14},
+	{"fig15", Fig15},
+	{"fig16", Fig16},
+	{"fig17", Fig17},
+	{"fig18", Fig18},
+	{"fig19", Fig19},
+	{"lookahead", LookaheadTable},
+	{"ablation-taps", AblationTaps},
+	{"ablation-fmsnr", AblationFMSNR},
+	{"ablation-nlms", AblationNormalization},
+	{"variants", Variants},
+	{"mobility", Mobility},
+	{"contention", Contention},
+	{"tracker", TrackerExperiment},
+	{"multisource", MultiSource},
+	{"ablation-rls", AblationRLS},
+	{"loss", LossSweep},
+	{"outage", OutageSweep},
+	{"drift", DriftSweep},
+	{"fdaf", FdafSweep},
+	{"mesh", MeshSweep},
+}
+
+// IDs lists every experiment id in paper order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}
+
 // All runs every experiment in paper order; used by cmd/mutebench -fig all.
 // Whole figures fan out across the worker pool on top of the intra-figure
 // parallelism, so small figures fill the cores the big ones leave idle; the
 // returned slice is always in paper order.
 func All(c Config) ([]*Figure, error) {
 	c = c.Defaults()
-	type fn func(Config) (*Figure, error)
-	fns := []fn{Fig8, Fig12, Fig13, Fig14, Fig15, Fig16, Fig17, Fig18, Fig19, LookaheadTable,
-		AblationTaps, AblationFMSNR, AblationNormalization,
-		Variants, Mobility, Contention, TrackerExperiment, MultiSource, AblationRLS,
-		LossSweep, OutageSweep, DriftSweep, FdafSweep, MeshSweep}
-	out := make([]*Figure, len(fns))
-	err := parallelFor(c.Workers, len(fns), func(i int) error {
-		fig, err := fns[i](c)
+	out := make([]*Figure, len(registry))
+	err := parallelFor(c.Workers, len(registry), func(i int) error {
+		fig, err := registry[i].run(c)
 		if err != nil {
 			return err
 		}
@@ -172,32 +208,10 @@ func All(c Config) ([]*Figure, error) {
 
 // ByID resolves an experiment by its figure id.
 func ByID(id string) (func(Config) (*Figure, error), bool) {
-	m := map[string]func(Config) (*Figure, error){
-		"fig8":           Fig8,
-		"fig12":          Fig12,
-		"fig13":          Fig13,
-		"fig14":          Fig14,
-		"fig15":          Fig15,
-		"fig16":          Fig16,
-		"fig17":          Fig17,
-		"fig18":          Fig18,
-		"fig19":          Fig19,
-		"lookahead":      LookaheadTable,
-		"ablation-taps":  AblationTaps,
-		"ablation-fmsnr": AblationFMSNR,
-		"ablation-nlms":  AblationNormalization,
-		"variants":       Variants,
-		"mobility":       Mobility,
-		"contention":     Contention,
-		"tracker":        TrackerExperiment,
-		"multisource":    MultiSource,
-		"ablation-rls":   AblationRLS,
-		"loss":           LossSweep,
-		"outage":         OutageSweep,
-		"drift":          DriftSweep,
-		"fdaf":           FdafSweep,
-		"mesh":           MeshSweep,
+	for _, e := range registry {
+		if e.id == id {
+			return e.run, true
+		}
 	}
-	f, ok := m[id]
-	return f, ok
+	return nil, false
 }

@@ -210,8 +210,8 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 	}
 	// Drift-stage decisions replayed on the cell's loop clock: the
 	// reference is read shift samples ahead, so window w of the received
-	// stream is consumed at t = w − shift. The skewed transport always
-	// reports its drift stage.
+	// stream is consumed at t = w − shift. A transport with Skew set
+	// always reports its drift stage.
 	sd.drift = drift.Replay(-int64(shift), 2*frameN, dc.policy == driftCorrected, sd.sup != nil)
 	pl, d, res, err := sd.run(c, clean, &graph.SliceSource{Samples: recv[shift:], Mask: mask[shift:]})
 	if err != nil {

@@ -282,10 +282,19 @@ func TestAblationNormalization(t *testing.T) {
 	}
 }
 
+// TestByIDCoversAll checks the registry: 24 unique ids, each resolving
+// through ByID, and nothing else resolving.
 func TestByIDCoversAll(t *testing.T) {
-	ids := []string{"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-		"lookahead", "ablation-taps", "ablation-fmsnr", "ablation-nlms"}
+	ids := IDs()
+	if len(ids) != 24 {
+		t.Errorf("%d registered experiments, want 24: %v", len(ids), ids)
+	}
+	seen := map[string]bool{}
 	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("id %q registered twice", id)
+		}
+		seen[id] = true
 		if _, ok := ByID(id); !ok {
 			t.Errorf("ByID(%q) missing", id)
 		}

@@ -42,12 +42,12 @@ func sameBools(a, b []bool) bool {
 	return true
 }
 
-// TestDriftCorrectCleanClockIdentity is the PR's bit-identity pin: with no
-// actual clock skew, routing the reference through the skewed-clock
-// transport — estimator, resampler and all — produces byte-for-byte the
-// same samples, concealment mask, and link/jitter counters as the plain
-// transport, even under burst loss and FEC recovery. Drift correction left
-// enabled on a healthy clock costs nothing.
+// TestDriftCorrectCleanClockIdentity pins the transport's zero-skew
+// identities: a zero Skew and DriftCorrect at zero skew — estimator,
+// resampler and all — change no sample, no mask bit and no link/jitter
+// counter of a loss-only run, even under burst loss and FEC recovery,
+// and the estimator reads exactly zero. Drift correction left enabled on
+// a healthy clock costs nothing.
 func TestDriftCorrectCleanClockIdentity(t *testing.T) {
 	ref := driftRef(8000, 200)
 	base := *burstTransport()
@@ -71,10 +71,10 @@ func TestDriftCorrectCleanClockIdentity(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !sameFloats(recv, wantRecv) {
-			t.Errorf("%s: received samples diverge from the plain transport", name)
+			t.Errorf("%s: received samples diverge from the loss-only run", name)
 		}
 		if !sameBools(mask, wantMask) {
-			t.Errorf("%s: concealment mask diverges from the plain transport", name)
+			t.Errorf("%s: concealment mask diverges from the loss-only run", name)
 		}
 		if stats.Jitter != wantStats.Jitter || stats.Link != wantStats.Link ||
 			stats.FECRecovered != wantStats.FECRecovered {

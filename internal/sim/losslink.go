@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
+	"mute/internal/dsp"
 	"mute/internal/stream"
 	"mute/internal/telemetry"
 )
@@ -35,14 +37,13 @@ type LossTransport struct {
 	LossAware bool
 	// Skew, when non-nil, runs the relay on a skewed oscillator: frames
 	// carry relay-clock timestamps while delivery and playout ride the
-	// ear clock (see stream.ClockSkew). Composes with Link faults. A
-	// zero-skew configuration is bit-identical to leaving Skew nil.
+	// ear clock (see stream.ClockSkew). Composes with Link faults. A nil
+	// Skew is zero skew; setting it also adds the drift stage's report.
 	Skew *stream.SkewParams
 	// DriftCorrect inserts the drift estimator + adaptive fractional
 	// resampler between the jitter buffer and the playout stream, keeping
-	// the reference sample-aligned to the ear clock under Skew. With no
-	// actual skew the correction path is bit-identical to the plain
-	// transport (pinned by TestDriftCorrectCleanClockIdentity).
+	// the reference sample-aligned to the ear clock under Skew. At zero
+	// skew it changes no sample (TestDriftCorrectCleanClockIdentity).
 	DriftCorrect bool
 	// Trace, when non-nil, receives per-playout-window stream events
 	// (cumulative jitter/link counters) and lookahead-buffer occupancy on
@@ -73,8 +74,10 @@ func (lt LossTransport) withDefaults() (LossTransport, error) {
 	if lt.FrameSamples < 0 || lt.FrameSamples > stream.MaxFrameSamples {
 		return lt, fmt.Errorf("sim: frame size %d outside (0, %d]", lt.FrameSamples, stream.MaxFrameSamples)
 	}
-	if lt.PrimeFrames < 0 {
-		return lt, fmt.Errorf("sim: negative prime depth %d", lt.PrimeFrames)
+	if lt.PrimeFrames < 0 || lt.PrimeFrames >= jitterDepth {
+		// At jitterDepth frames of prime the buffer overflows before the
+		// first pop and evicts most of the stream.
+		return lt, fmt.Errorf("sim: prime depth %d outside [0, %d)", lt.PrimeFrames, jitterDepth)
 	}
 	if lt.Skew != nil {
 		if err := lt.Skew.Validate(); err != nil {
@@ -110,17 +113,35 @@ type LossTransportStats struct {
 // real received sample (false = zero-filled concealment). The caller
 // applies the PrimeSamples playout shift. The run is fully deterministic
 // for a fixed lt.Link.Seed.
+//
+// The relay captures its samples at the ear-clock positions
+// stream.ClockSkew dictates (a nil Skew is zero skew), frames carry
+// relay-sample timestamps, and every transport event — send, delivery,
+// playout — is interleaved on the ear clock. At zero skew every capture
+// position is an exact integer, so frames carry ref's samples unchanged
+// and every delivery lands on a window start.
+//
+// A drift stage exists only when Skew or DriftCorrect is set: a
+// DriftEstimator then watches delivered data frames, stats.Drift reports
+// it window by window, and the trace gains drift-stage events. With
+// DriftCorrect a VariRateResampler between the jitter buffer and the
+// playout stream consumes input at the estimated relay rate, holding the
+// reference sample-aligned to the ear. At zero skew the estimator reads
+// exactly slope 1, the rate stays exactly 1 and the resampler is an exact
+// passthrough, so the drift stage changes no sample.
 func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, LossTransportStats, error) {
 	var stats LossTransportStats
 	lt, err := lt.withDefaults()
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	if lt.Skew != nil || lt.DriftCorrect {
-		// The skewed-clock transport generalizes this one; at zero skew
-		// its event interleaving and playout reduce to the loop below
-		// bit for bit.
-		return packetizeSkewed(ref, lt)
+	var sp stream.SkewParams
+	if lt.Skew != nil {
+		sp = *lt.Skew
+	}
+	cs, err := stream.NewClockSkew(sp)
+	if err != nil {
+		return nil, nil, stats, err
 	}
 	link, err := stream.NewLossyLink(lt.Link)
 	if err != nil {
@@ -138,69 +159,198 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 	}
 	jb.Anchor(0) // the capture epoch is known out of band
 	dec := stream.NewFECDecoder(4 * jitterDepth)
-
-	deliver := func(frames []*stream.Frame) {
-		for _, f := range frames {
-			out := dec.Add(f)
-			if out == nil {
-				continue
-			}
-			if out != f {
-				stats.FECRecovered++
-			}
-			jb.Push(out)
+	var est *stream.DriftEstimator
+	var rs *dsp.VariRateResampler
+	if lt.Skew != nil || lt.DriftCorrect {
+		if est, err = stream.NewDriftEstimator(stream.DriftConfig{}); err != nil {
+			return nil, nil, stats, err
+		}
+		stats.Drift = &DriftReport{Corrected: lt.DriftCorrect}
+		if lt.DriftCorrect {
+			rs = dsp.NewVariRateResampler()
 		}
 	}
+	rep := stats.Drift
 
 	frameN := lt.FrameSamples
-	nFrames := (len(ref) + frameN - 1) / frameN
-	padded := len(ref)
-	if nFrames*frameN != padded {
-		padded = nFrames * frameN
-	}
-	recv := make([]float64, padded)
-	mask := make([]bool, padded)
-	pop := func(k int) {
-		start := k * frameN
-		jb.PopMask(recv[start:start+frameN], mask[start:start+frameN])
-		if lt.Trace != nil && k%traceEveryFrames == 0 {
-			tracePlayout(lt.Trace, int64(start), jb, &stats, frameN)
-		}
-	}
+	prime := lt.PrimeFrames
+	n := len(ref)
+	nPops := (n + frameN - 1) / frameN
+	recv := make([]float64, nPops*frameN)
+	mask := make([]bool, nPops*frameN)
 
-	seq := uint32(0)
-	popped := 0
-	for k := 0; k < nFrames; k++ {
-		samples := ref[k*frameN : min((k+1)*frameN, len(ref))]
-		if len(samples) < frameN {
-			full := make([]float64, frameN)
-			copy(full, samples)
-			samples = full
+	// Phase 1 — capture and send. The relay's side of the run is
+	// independent of playout, so every link event is computed up front and
+	// recorded, frame by frame, with its ear-clock delivery time; playout
+	// then consumes the schedule. A window pops at tPop but its i-th sample
+	// renders at ear time tPop+i, so a frame landing mid-window is in time
+	// for the samples after its arrival — without this, the sub-frame
+	// phase between the arrival lattice (period F/(1+skew)) and the pop
+	// lattice (period F) slips through a whole frame every F/|skew·1e-6|
+	// samples and the buffer margin sawtooths through zero, concealing a
+	// burst of samples once per cycle. Per-sample delivery keeps the
+	// margin at about prime·F at every phase.
+	type delivery struct {
+		at float64
+		f  *stream.Frame
+		// drain marks the end-of-stream remnant: windows due by then play
+		// out first, so it is held until the next window start after at.
+		drain bool
+	}
+	var sched []delivery
+	schedule := func(at float64, frames []*stream.Frame, drain bool) {
+		for _, f := range frames {
+			sched = append(sched, delivery{at: at, f: f, drain: drain})
 		}
-		f := &stream.Frame{Seq: seq, Timestamp: uint64(k * frameN), Samples: samples}
+	}
+	seq := uint32(0)
+	rIdx := uint64(0) // relay sample counter — the timestamp clock
+	for cs.Pos() < float64(n) {
+		f := &stream.Frame{Seq: seq, Timestamp: rIdx, Samples: cs.Capture(ref, frameN)}
+		rIdx += uint64(frameN)
+		avail := cs.Pos()
 		seq++
-		deliver(link.Transfer(f))
+		schedule(avail, link.Transfer(f), false)
 		if enc != nil {
 			if parity := enc.Add(f); parity != nil {
 				parity.Seq = seq
 				seq++
-				deliver(link.Transfer(parity))
+				schedule(avail, link.Transfer(parity), false)
 			}
 		}
-		if k >= lt.PrimeFrames {
-			pop(popped)
-			popped++
+	}
+	schedule(cs.Pos(), link.Drain(), true)
+
+	// Phase 2 — playout. Deliveries due at or before an event time land
+	// first (a send tying a window start precedes the pop); the drain
+	// remnant waits for a strictly later window start.
+	now := 0.0 // ear-clock time of the delivery being made
+	si := 0
+	deliverDue := func(t float64, windowStart bool) {
+		for ; si < len(sched); si++ {
+			d := sched[si]
+			if d.at > t || (d.drain && !(windowStart && d.at < t)) {
+				return
+			}
+			now = d.at
+			out := dec.Add(d.f)
+			if out == nil {
+				continue
+			}
+			if out != d.f {
+				stats.FECRecovered++
+			}
+			jb.Push(out)
+			// Only directly delivered data frames feed the slope fit: FEC
+			// reconstructions land a group late, so their delivery time
+			// says nothing about the relay clock.
+			if est != nil && out == d.f && !d.f.Parity {
+				est.Observe(d.f.Timestamp, now)
+			}
 		}
 	}
-	// End of stream: everything still in flight lands, then the remaining
-	// playout windows drain.
-	deliver(link.Drain())
-	for ; popped < nFrames; popped++ {
-		pop(popped)
+	occSm := 0.0
+	lastOcc := 0.0
+	for j := 0; j < nPops; j++ {
+		start := j * frameN
+		tPop := float64((j + prime + 1) * frameN)
+		deliverDue(tPop, true)
+		estPPM, fresh := 0.0, false
+		if est != nil {
+			estPPM, fresh = est.PPM(), est.Estimable(tPop)
+		}
+		rate := 1.0
+		if rs != nil {
+			occ := 0.0
+			if est.Observations() > 0 {
+				// Occupancy error against the estimator's fitted timestamp
+				// line, extrapolated from the newest observation to this
+				// pop: the target keeps the read position the playout
+				// prime plus one in-flight frame behind the relay's clock.
+				// Extrapolating (rather than reading the newest delivered
+				// timestamp) makes the measure loss-robust — a dropped
+				// frame never perturbs the line — and exactly 0 at zero
+				// skew, where the line's slope is exactly 1.
+				horizon := float64(est.LastTimestamp()) + float64(frameN) +
+					(tPop-est.LastArrival())*(1+est.PPM()*1e-6)
+				occ = horizon - rs.Position() - float64((prime+1)*frameN)
+			}
+			occSm += 0.125 * (occ - occSm)
+			lastOcc = occ
+			corr := estPPM
+			if fresh {
+				ph := occSm
+				if ph > 40 {
+					ph = 40
+				} else if ph < -40 {
+					ph = -40
+				}
+				corr += ph * est.Config().PhaseGainPPM
+			}
+			rs.SetRate(1 + corr*1e-6)
+			rate = rs.Rate()
+			for i := 0; i < frameN; i++ {
+				if i > 0 {
+					deliverDue(tPop+float64(i), false)
+				}
+				for !rs.Ready() {
+					var v [1]float64
+					var m [1]bool
+					jb.PopMask(v[:], m[:])
+					rs.Push(v[0], m[0])
+				}
+				recv[start+i], mask[start+i], _ = rs.Pop()
+			}
+		} else {
+			// Pop the window in runs that end where the next delivery is
+			// due, so sample i still sees every frame landed by tPop+i.
+			// At zero skew no delivery falls inside a window, which then
+			// pops whole.
+			for i := 0; i < frameN; {
+				next := math.Inf(1)
+				if si < len(sched) && !sched[si].drain {
+					next = sched[si].at
+				}
+				k := i + 1
+				for k < frameN && tPop+float64(k) < next {
+					k++
+				}
+				jb.PopMask(recv[start+i:start+k], mask[start+i:start+k])
+				if k < frameN {
+					deliverDue(tPop+float64(k), false)
+				}
+				i = k
+			}
+		}
+		if rep != nil {
+			rep.observe(DriftWindow{
+				AtSample: int64(start),
+				PPM:      estPPM,
+				RatePPM:  (rate - 1) * 1e6,
+				OccErr:   lastOcc,
+				Locked:   fresh,
+			}, est.StepSuspected())
+		}
+		if lt.Trace != nil && j%traceEveryFrames == 0 {
+			tracePlayout(lt.Trace, int64(start), jb, &stats, frameN)
+			if rep != nil {
+				traceDrift(lt.Trace, int64(start), estPPM, rate, lastOcc, fresh)
+			}
+		}
+	}
+	// Anything still scheduled (a remnant landing after the last window)
+	// lands too, so the counters and the drift report cover the full
+	// stream.
+	deliverDue(math.Inf(1), true)
+
+	if rep != nil {
+		rep.FinalPPM = est.PPM()
+		rep.Locked = est.Locked()
+		rep.FinalOccErr = lastOcc
 	}
 	stats.Jitter = jb.Stats()
 	stats.Link = link.Stats()
-	return recv[:len(ref)], mask[:len(ref)], stats, nil
+	return recv[:n], mask[:n], stats, nil
 }
 
 // tracePlayout records the transport's view at one playout window: the

@@ -97,6 +97,10 @@ func TestPacketizeReferenceValidation(t *testing.T) {
 	bad := []LossTransport{
 		{FrameSamples: -1},
 		{PrimeFrames: -1},
+		// A prime of the jitter depth overflows the buffer before the
+		// first pop and evicts most of the stream.
+		{PrimeFrames: jitterDepth},
+		{PrimeFrames: 40},
 		{FECGroup: 1},
 		{Link: stream.LossParams{Loss: 2}},
 	}
@@ -104,6 +108,18 @@ func TestPacketizeReferenceValidation(t *testing.T) {
 		if _, _, _, err := PacketizeReference(ref, lt); err == nil {
 			t.Errorf("case %d: %+v should be rejected", i, lt)
 		}
+	}
+	// The deepest accepted prime still delivers every sample of a perfect
+	// link.
+	ref = audio.Render(audio.NewWhiteNoise(4, fs, 0.5), 8000)
+	recv, _, st, err := PacketizeReference(ref, LossTransport{
+		Link: stream.LossParams{Seed: 1}, FrameSamples: 40, PrimeFrames: jitterDepth - 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Jitter.SamplesConcealed != 0 || st.Jitter.FramesDropped != 0 || !sameFloats(recv, ref) {
+		t.Errorf("prime %d lost samples on a perfect link: %+v", jitterDepth-1, st.Jitter)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mute/internal/audio"
+	"mute/internal/dsp"
 )
 
 // SkewStep schedules an instantaneous oscillator frequency change —
@@ -72,8 +73,8 @@ func (p SkewParams) Validate() error {
 // the ear's.
 //
 // At zero configured skew the increment is exactly 1.0, so positions are
-// exact integers and anything built on ClockSkew degenerates to the
-// unskewed pipeline bit for bit. The wander walk draws from a seeded RNG
+// exact integers and a Capture is a plain copy of the ear-clock signal.
+// The wander walk draws from a seeded RNG
 // only when WanderPPM is non-zero, composing with LossyLink without
 // disturbing its draw order.
 type ClockSkew struct {
@@ -139,4 +140,25 @@ func (c *ClockSkew) Advance() float64 {
 	c.pos += 1 / (1 + c.PPM()*1e-6)
 	c.r++
 	return p
+}
+
+// Capture returns the relay's next n samples of x, each read at its
+// ear-clock position (cubic interpolation between ear samples; silence
+// once the relay has run past the end of x), and advances the clock past
+// them. On a disabled injector every position is an exact integer, so a
+// capture that lies inside x is x's own subslice, shared rather than
+// copied; the caller must not write to it.
+func (c *ClockSkew) Capture(x []float64, n int) []float64 {
+	if r := int(c.pos); !c.p.Enabled() && r+n <= len(x) {
+		c.pos += float64(n)
+		c.r += uint64(n)
+		return x[r : r+n : r+n]
+	}
+	out := make([]float64, n)
+	for i := range out {
+		if p := c.Advance(); p < float64(len(x)) {
+			out[i] = dsp.CubicInterpAt(x, p)
+		}
+	}
+	return out
 }

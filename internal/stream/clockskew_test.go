@@ -3,6 +3,8 @@ package stream
 import (
 	"math"
 	"testing"
+
+	"mute/internal/dsp"
 )
 
 // TestClockSkewDisabledIsExactIdentity pins the property every 0 ppm
@@ -156,6 +158,42 @@ func TestSkewParamsEnabled(t *testing.T) {
 	for _, c := range cases {
 		if got := c.p.Enabled(); got != c.want {
 			t.Errorf("Enabled(%+v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
+// TestClockSkewCaptureMatchesAdvance pins Capture to its per-sample
+// definition — each relay sample read at its Advance position, silence
+// past the end of the signal — on a disabled injector (the shared-slice
+// path) and on a skewed one, across a frame that runs off the end.
+func TestClockSkewCaptureMatchesAdvance(t *testing.T) {
+	x := make([]float64, 1000)
+	for i := range x {
+		x[i] = math.Sin(0.05 * float64(i))
+	}
+	for _, p := range []SkewParams{{}, {PPM: 300, Steps: []SkewStep{{AtSample: 500, DeltaPPM: -900}}}} {
+		cs, err := NewClockSkew(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv, _ := NewClockSkew(p)
+		for frame := 0; frame < 26; frame++ {
+			got := cs.Capture(x, 40)
+			if len(got) != 40 || cap(got) != 40 {
+				t.Fatalf("%+v: frame %d len %d cap %d, want 40", p, frame, len(got), cap(got))
+			}
+			for i, v := range got {
+				want := 0.0
+				if pos := adv.Advance(); pos < float64(len(x)) {
+					want = dsp.CubicInterpAt(x, pos)
+				}
+				if v != want {
+					t.Fatalf("%+v: frame %d sample %d = %v, want %v", p, frame, i, v, want)
+				}
+			}
+			if cs.Pos() != adv.Pos() {
+				t.Fatalf("%+v: frame %d Pos %v, want %v", p, frame, cs.Pos(), adv.Pos())
+			}
 		}
 	}
 }

@@ -359,8 +359,8 @@ type SkewStep = stream.SkewStep
 // SkewParams configures the skewed-oscillator fault injector: a constant
 // relay-vs-ear frequency offset in ppm, an optional seeded random-walk
 // wander, and scheduled frequency steps. The zero value is disabled — an
-// exact identity, so pipelines built on it degenerate to the unskewed
-// path bit for bit.
+// exact identity: positions stay integral and a run on it matches a
+// zero-skew run bit for bit.
 type SkewParams = stream.SkewParams
 
 // ClockSkew maps relay-clock sample indices to ear-clock positions under
