@@ -21,3 +21,28 @@ func TestLANCStepAllocatesNothing(t *testing.T) {
 		t.Errorf("LANC.StepMasked allocated %.1f times per run", n)
 	}
 }
+
+// TestLANCPrefilterAllocatesNothing pins the block-announced path: once
+// the announce buffer has grown to the block size, Prefilter and the
+// StepMasked calls consuming it must not allocate.
+func TestLANCPrefilterAllocatesNothing(t *testing.T) {
+	l, err := New(Config{
+		NonCausalTaps: 32, CausalTaps: 160, Mu: 0.05, Normalized: true,
+		SecondaryPath: []float64{0.85, 0.22, 0.06},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]float64, 80)
+	for i := range xs {
+		xs[i] = float64(i%17)*0.05 - 0.4
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		l.Prefilter(xs)
+		for _, x := range xs {
+			l.StepMasked(x, 0.01*x, true)
+		}
+	}); n != 0 {
+		t.Errorf("LANC.Prefilter + StepMasked allocated %.1f times per run", n)
+	}
+}

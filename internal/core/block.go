@@ -206,9 +206,7 @@ func (bl *BlockLANC) ProcessBlockInto(out, xNew, ePrev []float64) error {
 
 	// 2. Push the new block: filter x through ĥ_se, transform both
 	//    [previous block, new block] windows, advance the ring.
-	for i, x := range xNew {
-		bl.fxNew[i] = bl.fxConv.Process(x)
-	}
+	bl.fxConv.FilterInto(bl.fxNew, xNew)
 	bl.head = (bl.head + 1) % bl.np
 	copy(bl.win[:bl.b], bl.prevX)
 	copy(bl.win[bl.b:], xNew)

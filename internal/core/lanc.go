@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mute/internal/dsp"
 	"mute/internal/profile"
@@ -154,6 +155,11 @@ type LANC struct {
 	xBuf  *dsp.LookaheadBuffer
 	fxBuf *dsp.LookaheadBuffer
 	sec   *dsp.StreamConvolver
+	// pre[preNext:] are the filtered-x samples of reference samples
+	// announced by Prefilter but not yet pushed; sec has already
+	// advanced past them.
+	pre     []float64
+	preNext int
 	// NLMS window powers over offsets [-L, +N], maintained incrementally:
 	// each Push adds the entering sample and subtracts the leaving one
 	// (O(1)), with an exact rescan every window length to cancel
@@ -325,11 +331,32 @@ func (l *LANC) HoldAdaptation(hold, ramp int) {
 	l.rampLen = ramp
 }
 
+// Prefilter announces the next len(xs) reference samples before they are
+// pushed. Their filtered-x samples are computed in one block pass
+// (dsp.StreamConvolver.FilterInto, bit-identical to the per-sample
+// filter), and the next len(xs) pushes — through Push, PushMasked, Step
+// or StepMasked — consume them in order instead of filtering one sample
+// at a time. Those pushes must carry exactly the announced samples.
+// Announced samples not yet pushed stay ahead of a new announcement, and
+// Reset drops them.
+func (l *LANC) Prefilter(xs []float64) {
+	left := copy(l.pre, l.pre[l.preNext:])
+	l.pre = slices.Grow(l.pre[:left], len(xs))[:left+len(xs)]
+	l.preNext = 0
+	l.sec.FilterInto(l.pre[left:], xs)
+}
+
 // pushSignal advances the reference and filtered-x buffers and maintains
 // the NLMS window powers with an O(1) sliding update: the pushed sample
 // enters the [-L, +N] window at +N while the sample at -L slides out.
 func (l *LANC) pushSignal(x float64) {
-	fx := l.sec.Process(x)
+	var fx float64
+	if l.preNext < len(l.pre) {
+		fx = l.pre[l.preNext]
+		l.preNext++
+	} else {
+		fx = l.sec.Process(x)
+	}
 	if l.cfg.Normalized {
 		outX := l.xBuf.At(-l.cfg.CausalTaps)
 		outFx := l.fxBuf.At(-l.cfg.CausalTaps)
@@ -646,6 +673,8 @@ func (l *LANC) Reset() {
 	l.xBuf.Reset()
 	l.fxBuf.Reset()
 	l.sec.Reset()
+	l.pre = l.pre[:0]
+	l.preNext = 0
 	l.fxPow = 0
 	l.xPow = 0
 	l.powAge = 0

@@ -89,11 +89,17 @@ func CrossCorrelate(a, b []float64) []float64 {
 //
 // History is kept as a double-write ring (2*len(h) storage, each sample
 // written to two slots len(h) apart) so the per-sample tap loop walks one
-// contiguous slice with no wrap branch. For long impulse responses,
-// ProcessBlock switches to partitioned overlap-save convolution through the
-// cached FFT plan, which is how the simulator pre-renders room channels.
-// All overlap-save scratch is owned by the struct, so the steady-state block
-// path performs no allocation when driven through ProcessBlockInto.
+// contiguous slice with no wrap branch.
+//
+// Process and FilterInto are exact: FilterInto over a block is len(x)
+// Process calls bit for bit, only faster, because several outputs share
+// each pass over the taps. ProcessBlock is not exact for long impulse
+// responses on long blocks: it switches to partitioned overlap-save
+// convolution through the cached FFT plan (matching the per-sample loop to
+// floating-point accuracy), which is how the simulator pre-renders room
+// channels. All overlap-save scratch is owned by the struct, so the
+// steady-state block path performs no allocation when driven through
+// ProcessBlockInto.
 type StreamConvolver struct {
 	h    []float64
 	hist []float64 // double-write ring, len == 2*len(h)
@@ -177,9 +183,83 @@ func (s *StreamConvolver) ProcessBlockInto(out, x []float64) {
 		s.processOverlapSave(out, x)
 		return
 	}
-	for i, v := range x {
-		out[i] = s.Process(v)
+	s.FilterInto(out, x)
+}
+
+// FilterInto is exactly len(x) Process calls: out[i] = Process(x[i]) bit
+// for bit, and the streaming history ends as Process would leave it, so
+// the two interleave freely. It never takes the overlap-save path. Each
+// output keeps its own accumulator and sums its taps in Process's order,
+// but four outputs share each pass over the taps, so four independent add
+// chains run side by side instead of one dependent chain per sample. It
+// reads the history ring and x in place and allocates nothing. len(out)
+// must equal len(x), and out must overlap neither x nor the convolver's
+// internals.
+func (s *StreamConvolver) FilterInto(out, x []float64) {
+	if len(out) != len(x) {
+		panic("dsp: StreamConvolver.FilterInto length mismatch")
 	}
+	m := len(s.h)
+	if m == 0 {
+		clear(out)
+		return
+	}
+	h := s.h
+	// The input n samples into the block is x[n] for n >= 0 and, for
+	// -m <= n < 0, the history sample old[m+n]: the double-write mirror
+	// keeps the last m inputs contiguous and chronological from pos.
+	old := s.hist[s.pos : s.pos+m : s.pos+m]
+	i := 0
+	for ; i+3 < len(x); i += 4 {
+		// Output i+k reads input i+k-j at tap j, so each tap slides the
+		// four outputs' window one input back: it loads one new sample
+		// (from x while i-j >= 0, then from the history) and carries the
+		// other three in registers.
+		var a0, a1, a2, a3 float64
+		c1, c2, c3 := x[i+1], x[i+2], x[i+3]
+		jb := min(i+1, m)
+		for j := 0; j < jb; j++ {
+			hj, v := h[j], x[i-j]
+			a0 += hj * v
+			a1 += hj * c1
+			a2 += hj * c2
+			a3 += hj * c3
+			c1, c2, c3 = v, c1, c2
+		}
+		for j := jb; j < m; j++ {
+			hj, v := h[j], old[m+i-j]
+			a0 += hj * v
+			a1 += hj * c1
+			a2 += hj * c2
+			a3 += hj * c3
+			c1, c2, c3 = v, c1, c2
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = a0, a1, a2, a3
+	}
+	for ; i < len(x); i++ {
+		var acc float64
+		jb := min(i+1, m)
+		for j := 0; j < jb; j++ {
+			acc += h[j] * x[i-j]
+		}
+		for j := jb; j < m; j++ {
+			acc += h[j] * old[m+i-j]
+		}
+		out[i] = acc
+	}
+
+	// Leave the ring as Process would: the last min(len(x), m) inputs in
+	// the slots their pushes would have written, and the cursor advanced.
+	first := max(len(x)-m, 0)
+	slot := (s.pos + first) % m
+	for _, v := range x[first:] {
+		s.hist[slot] = v
+		s.hist[slot+m] = v
+		if slot++; slot == m {
+			slot = 0
+		}
+	}
+	s.pos = (s.pos + len(x)) % m
 }
 
 // ensurePlan builds (once) the FFT plan and scratch for the overlap-save path.

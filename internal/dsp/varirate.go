@@ -125,11 +125,12 @@ func (r *VariRateResampler) Push(x float64, real bool) {
 	r.head++
 }
 
-// need returns the absolute index of the last input sample the next output
-// reads: floor(pos) at integer positions, floor(pos)+2 otherwise.
-func (r *VariRateResampler) need() uint64 {
-	i := uint64(r.pos) // pos >= 0: truncation is floor
-	if r.pos == float64(i) {
+// needAt returns the absolute index of the last input sample an output at
+// input position pos reads: floor(pos) at integer positions, floor(pos)+2
+// otherwise.
+func needAt(pos float64) uint64 {
+	i := uint64(pos) // pos >= 0: truncation is floor
+	if pos == float64(i) {
 		return i
 	}
 	return i + 2
@@ -137,7 +138,25 @@ func (r *VariRateResampler) need() uint64 {
 
 // Ready reports whether enough input has been pushed to produce the next
 // output sample.
-func (r *VariRateResampler) Ready() bool { return r.head > r.need() }
+func (r *VariRateResampler) Ready() bool { return r.head > needAt(r.pos) }
+
+// Need returns how many more input samples must be pushed before the next
+// n outputs can be popped at the current rate — exactly what a loop that
+// pushes one sample whenever Ready is false pushes over those n Pops, so a
+// caller can fetch the input in one run.
+func (r *VariRateResampler) Need(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	pos := r.pos
+	for k := 1; k < n; k++ {
+		pos += r.rate // the same additions Pop makes
+	}
+	if last := needAt(pos); r.head <= last {
+		return int(last + 1 - r.head)
+	}
+	return 0
+}
 
 // Pop produces the next output sample. ok is false when Ready() is false
 // (nothing is consumed then). real is the AND of the concealment flags of

@@ -213,3 +213,43 @@ func TestVariRateClampResetAndNotReady(t *testing.T) {
 		t.Errorf("after Reset: %v, want unity rate at position 0", r)
 	}
 }
+
+// TestVariRateNeedMatchesReadyLoop checks that Need(n) is exactly how many
+// samples a push-while-not-Ready loop pushes over the next n Pops, and that
+// pushing them up front leaves every output bit-identical.
+func TestVariRateNeedMatchesReadyLoop(t *testing.T) {
+	rnd := lcg(31)
+	for _, ppm := range []float64{0, 100, -100, 1999, -2000, 37.5} {
+		loop := NewVariRateResampler()
+		batch := NewVariRateResampler()
+		loop.SetRate(1 + ppm*1e-6)
+		batch.SetRate(1 + ppm*1e-6)
+		for run := 0; run < 300; run++ {
+			n := 1 + run%41
+			in := make([]float64, 0, n+4)
+			var want []float64
+			var wantReal []bool
+			for k := 0; k < n; k++ {
+				for !loop.Ready() {
+					v := rnd()
+					in = append(in, v)
+					loop.Push(v, v > -0.45)
+				}
+				v, real, _ := loop.Pop()
+				want = append(want, v)
+				wantReal = append(wantReal, real)
+			}
+			if need := batch.Need(n); need != len(in) {
+				t.Fatalf("ppm=%g run %d: Need(%d) = %d, the Ready loop pushed %d", ppm, run, n, need, len(in))
+			}
+			for _, v := range in {
+				batch.Push(v, v > -0.45)
+			}
+			for k := 0; k < n; k++ {
+				if v, real, _ := batch.Pop(); math.Float64bits(v) != math.Float64bits(want[k]) || real != wantReal[k] {
+					t.Fatalf("ppm=%g run %d output %d: %v/%v, want %v/%v", ppm, run, k, v, real, want[k], wantReal[k])
+				}
+			}
+		}
+	}
+}

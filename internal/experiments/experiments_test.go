@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
+
+	"mute/internal/telemetry"
 )
 
 // quickCfg keeps experiment tests fast while preserving the shapes the
@@ -56,6 +59,28 @@ func TestFig12Shapes(t *testing.T) {
 	}
 	if len(fig.Notes) != 4 {
 		t.Error("fig12 should carry 4 headline notes")
+	}
+}
+
+// TestFig12RunsBoseOnce checks that Fig12 draws both Bose curves from one
+// headphone simulation: its merged telemetry counts three sim.Runs for
+// the four curves, which keep their order.
+func TestFig12RunsBoseOnce(t *testing.T) {
+	cfg := Config{Duration: 1.5, Bands: 8, Telemetry: telemetry.NewRegistry()}
+	fig, err := Fig12(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := cfg.Telemetry.Snapshot().Counters["sim.runs"]; runs != 3 {
+		t.Errorf("fig12 ran %d simulations, want 3", runs)
+	}
+	var names []string
+	for _, s := range fig.Series {
+		names = append(names, s.Name)
+	}
+	want := []string{"Bose_Active", "Bose_Overall", "MUTE_Hollow", "MUTE+Passive"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("series %v, want %v", names, want)
 	}
 }
 

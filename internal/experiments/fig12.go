@@ -19,22 +19,24 @@ func Fig12(c Config) (*Figure, error) {
 		XLabel: "Frequency (Hz)",
 		YLabel: "Cancellation (dB)",
 	}
-	type schemeSpec struct {
+	// Bose_Active (ANC on vs off, both under the cup) and Bose_Overall (on
+	// vs the open ear) are two views of one headphone run, so three
+	// simulations give the four curves.
+	type runSpec struct {
 		scheme sim.Scheme
-		name   string
-		active bool // report active-only gain (Bose_Active)
+		active string // name of the On-vs-Off curve, "" for none
+		name   string // name of the On-vs-Open curve
 	}
-	specs := []schemeSpec{
-		{sim.BoseActive, "Bose_Active", true},
-		{sim.BoseOverall, "Bose_Overall", false},
-		{sim.MUTEHollow, "MUTE_Hollow", false},
-		{sim.MUTEPassive, "MUTE+Passive", false},
+	specs := []runSpec{
+		{sim.BoseOverall, "Bose_Active", "Bose_Overall"},
+		{sim.MUTEHollow, "", "MUTE_Hollow"},
+		{sim.MUTEPassive, "", "MUTE+Passive"},
 	}
-	// The four schemes are independent simulations of the same scene; fan
-	// them out and assemble in spec order so output is identical to the
+	// The runs are independent simulations of the same scene; fan them
+	// out and assemble in spec order so output is identical to the
 	// sequential path. Telemetry follows the same discipline: one child
-	// registry per scheme, merged in spec order afterwards.
-	outs := make([]Series, len(specs))
+	// registry per run, merged in spec order afterwards.
+	outs := make([][]Series, len(specs))
 	kids := telemetryChildren(c.Telemetry, len(specs))
 	err := parallelFor(c.Workers, len(specs), func(i int) error {
 		spec := specs[i]
@@ -44,16 +46,18 @@ func Fig12(c Config) (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		var s Series
-		if spec.active {
-			s, err = activeSeries(spec.name, r, c.Bands)
-		} else {
-			s, err = spectrumSeries(spec.name, r, c.Bands)
+		if spec.active != "" {
+			s, err := activeSeries(spec.active, r, c.Bands)
+			if err != nil {
+				return err
+			}
+			outs[i] = append(outs[i], s)
 		}
+		s, err := spectrumSeries(spec.name, r, c.Bands)
 		if err != nil {
 			return err
 		}
-		outs[i] = s
+		outs[i] = append(outs[i], s)
 		return nil
 	})
 	if err != nil {
@@ -61,9 +65,11 @@ func Fig12(c Config) (*Figure, error) {
 	}
 	mergeTelemetry(c.Telemetry, kids)
 	results := map[string]Series{}
-	for i, spec := range specs {
-		fig.Series = append(fig.Series, outs[i])
-		results[spec.name] = outs[i]
+	for _, ss := range outs {
+		for _, s := range ss {
+			fig.Series = append(fig.Series, s)
+			results[s.Name] = s
+		}
 	}
 	muteLow := bandAvg(results["MUTE_Hollow"], 0, 1000)
 	boseActiveLow := bandAvg(results["Bose_Active"], 0, 1000)

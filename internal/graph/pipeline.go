@@ -460,6 +460,14 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 	if got <= 0 {
 		return 0, nil
 	}
+	// Every pulled sample reaches the canceller in order — the supervisor
+	// pushes it to the LANC on every rung — so its filtered-x leg runs a
+	// block at a time.
+	if pl.LANC != nil {
+		pl.LANC.Prefilter(x[:got])
+	} else {
+		pl.Headphone.Prefilter(x[:got])
+	}
 	ctl := Controls{pl}
 	var blockRes float64
 	for i := 0; i < got; i++ {
@@ -527,10 +535,13 @@ func (pl *Pipeline) processFDAFBlock() (int, error) {
 	if pl.blockNS != nil {
 		pl.blockNS.Observe(float64(time.Since(blockStart).Nanoseconds()))
 	}
+	// The whole anti-noise block is known, so the acoustic leg filters it
+	// in one pass into eb, which the loop overwrites with the errors.
+	pl.sec.FilterInto(pl.eb[:got], pl.a[:got])
 	var blockRes float64
 	for i := 0; i < got; i++ {
 		_, cup := pl.amb.Next(pl.x[i])
-		meas := cup + pl.sec.Process(pl.a[i])
+		meas := cup + pl.eb[i]
 		if pl.on != nil {
 			pl.on[pl.t] = meas
 		}

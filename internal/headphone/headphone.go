@@ -130,6 +130,11 @@ func (h *ANC) Step(x, ePrev float64) float64 {
 	return h.bandl.Process(h.lanc.Step(x, ePrev))
 }
 
+// Prefilter announces the next reference samples the following Step or
+// Emit calls will carry, so the canceller filters them in one block pass
+// (see core.LANC.Prefilter); the outputs are unchanged.
+func (h *ANC) Prefilter(xs []float64) { h.lanc.Prefilter(xs) }
+
 // Emit advances the reference history and output chain and returns the
 // anti-noise sample without adapting — Step minus the LMS update. The
 // supervisor uses it to keep a fading-out fallback leg audible during a

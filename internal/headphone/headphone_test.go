@@ -276,3 +276,45 @@ func BenchmarkHeadphoneStep(b *testing.B) {
 		e = 0.1 - a*0.01
 	}
 }
+
+// TestPrefilterMatchesPerSample checks that announcing blocks through
+// Prefilter leaves the headphone canceller's Step and Emit outputs bit for
+// bit unchanged, across a Reset in the middle of an announced block.
+func TestPrefilterMatchesPerSample(t *testing.T) {
+	sec := []float64{0.7, 0.2, -0.1, 0.05}
+	pre, err := NewANC(DefaultConfig(8000, sec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewANC(DefaultConfig(8000, sec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := audio.NewRNG(4)
+	xs := make([]float64, 3000)
+	for i := range xs {
+		xs[i] = 0.3 * rng.Norm()
+	}
+	const block = 80
+	eP, eR := 0.0, 0.0
+	for i, x := range xs {
+		if i%block == 0 {
+			pre.Prefilter(xs[i:min(i+block, len(xs))])
+		}
+		if i == 1234 {
+			pre.Reset()
+			ref.Reset()
+		}
+		var aP, aR float64
+		if i%500 < 50 {
+			aP, aR = pre.Emit(x), ref.Emit(x)
+		} else {
+			aP, aR = pre.Step(x, eP), ref.Step(x, eR)
+		}
+		if math.Float64bits(aP) != math.Float64bits(aR) {
+			t.Fatalf("sample %d: prefiltered %v != per-sample %v", i, aP, aR)
+		}
+		eP = 0.8*x + aP
+		eR = 0.8*x + aR
+	}
+}

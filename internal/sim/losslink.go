@@ -251,6 +251,9 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 	}
 	occSm := 0.0
 	lastOcc := 0.0
+	// The resampler's input for one run of a window.
+	var pulled []float64
+	var pulledMask []bool
 	for j := 0; j < nPops; j++ {
 		start := j * frameN
 		tPop := float64((j + prime + 1) * frameN)
@@ -289,38 +292,44 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 			}
 			rs.SetRate(1 + corr*1e-6)
 			rate = rs.Rate()
-			for i := 0; i < frameN; i++ {
-				if i > 0 {
-					deliverDue(tPop+float64(i), false)
-				}
-				for !rs.Ready() {
-					var v [1]float64
-					var m [1]bool
-					jb.PopMask(v[:], m[:])
-					rs.Push(v[0], m[0])
-				}
-				recv[start+i], mask[start+i], _ = rs.Pop()
+		}
+		// Play the window in runs that end where the next delivery is due,
+		// so sample i still sees every frame landed by tPop+i. At zero skew
+		// no delivery falls inside a window, which then plays whole. With
+		// the resampler, a run pulls the input its outputs consume in one
+		// pop: no delivery lands between those samples, so it is the input
+		// a pop per Ready miss would see.
+		for i := 0; i < frameN; {
+			next := math.Inf(1)
+			if si < len(sched) && !sched[si].drain {
+				next = sched[si].at
 			}
-		} else {
-			// Pop the window in runs that end where the next delivery is
-			// due, so sample i still sees every frame landed by tPop+i.
-			// At zero skew no delivery falls inside a window, which then
-			// pops whole.
-			for i := 0; i < frameN; {
-				next := math.Inf(1)
-				if si < len(sched) && !sched[si].drain {
-					next = sched[si].at
-				}
-				k := i + 1
-				for k < frameN && tPop+float64(k) < next {
-					k++
-				}
+			k := i + 1
+			for k < frameN && tPop+float64(k) < next {
+				k++
+			}
+			if rs == nil {
 				jb.PopMask(recv[start+i:start+k], mask[start+i:start+k])
-				if k < frameN {
-					deliverDue(tPop+float64(k), false)
+			} else {
+				need := rs.Need(k - i)
+				if need > len(pulled) {
+					pulled = make([]float64, need)
+					pulledMask = make([]bool, need)
 				}
-				i = k
+				if need > 0 {
+					jb.PopMask(pulled[:need], pulledMask[:need])
+					for q := 0; q < need; q++ {
+						rs.Push(pulled[q], pulledMask[q])
+					}
+				}
+				for q := i; q < k; q++ {
+					recv[start+q], mask[start+q], _ = rs.Pop()
+				}
 			}
+			if k < frameN {
+				deliverDue(tPop+float64(k), false)
+			}
+			i = k
 		}
 		if rep != nil {
 			rep.observe(DriftWindow{

@@ -409,3 +409,61 @@ func TestFailoverSwitchesAndReturns(t *testing.T) {
 		t.Fatalf("switches = %d, want 2", f.Switches())
 	}
 }
+
+// TestPrefilteredLANCBitIdenticalOnEveryRung drives two supervisors
+// through the outage walk (LANC → DEGRADED → FALLBACK → LANC), one whose
+// LANC has every block announced through Prefilter, and requires
+// bit-identical output: the supervisor pushes each forwarded sample on
+// every rung, the push-only FALLBACK rung included, so the announced
+// filtered-x samples stay aligned.
+func TestPrefilteredLANCBitIdenticalOnEveryRung(t *testing.T) {
+	build := func() (*Supervisor, *core.LANC) {
+		lanc, err := core.New(core.Config{
+			NonCausalTaps: 4,
+			CausalTaps:    8,
+			Mu:            0.1,
+			Normalized:    true,
+			SecondaryPath: []float64{0.9, -0.3, 0.2, 0.05, -0.01},
+			LossAware:     true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fb := testPair(t)
+		s, err := New(fastConfig(), lanc, fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, lanc
+	}
+	pre, preLANC := build()
+	ref, _ := build()
+	mask := pattern(100, 60, 600)
+	gen := audio.NewWhiteNoise(2, 8000, 0.3)
+	xs := make([]float64, len(mask))
+	fwd := make([]float64, len(mask))
+	for i, real := range mask {
+		xs[i] = gen.Next()
+		if real {
+			fwd[i] = xs[i] // concealment zero-fills
+		}
+	}
+	const block = 23
+	eP, eR := 0.0, 0.0
+	for i := range mask {
+		if i%block == 0 {
+			preLANC.Prefilter(fwd[i:min(i+block, len(fwd))])
+		}
+		aP := pre.Step(fwd[i], xs[i], eP, mask[i])
+		aR := ref.Step(fwd[i], xs[i], eR, mask[i])
+		if math.Float64bits(aP) != math.Float64bits(aR) {
+			t.Fatalf("sample %d (%v): prefiltered %v != per-sample %v", i, pre.State(), aP, aR)
+		}
+		eP = 0.6*xs[i] + aP
+		eR = 0.6*xs[i] + aR
+	}
+	want := [][2]State{{StateLANC, StateDegraded}, {StateDegraded, StateFallback}, {StateFallback, StateLANC}}
+	if got := moves(ref.Report()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("transitions = %v, want %v: the walk no longer covers every rung", got, want)
+	}
+}

@@ -107,17 +107,28 @@ type Report struct {
 	NonCausalTaps int
 }
 
-// Summarize derives a Report from a Result.
+// gainDB is a run's reported cancellation over [loHz, hiHz]: the ANC's
+// own gain (On vs Off, both under the cup) for BoseActive, and the gain
+// against the open ear for every other scheme.
+func gainDB(r *Result, loHz, hiHz float64) (float64, error) {
+	if r.Scheme == BoseActive {
+		return r.ActiveGainDB(loHz, hiHz)
+	}
+	return r.CancellationDB(loHz, hiHz)
+}
+
+// Summarize derives a Report from a Result. BoseActive reports the ANC's
+// own gain (On vs Off); every other scheme reports On vs the open ear.
 func Summarize(r *Result) (Report, error) {
-	full, err := r.CancellationDB(50, 4000)
+	full, err := gainDB(r, 50, 4000)
 	if err != nil {
 		return Report{}, err
 	}
-	low, err := r.CancellationDB(50, 1000)
+	low, err := gainDB(r, 50, 1000)
 	if err != nil {
 		return Report{}, err
 	}
-	high, err := r.CancellationDB(1000, 4000)
+	high, err := gainDB(r, 1000, 4000)
 	if err != nil {
 		return Report{}, err
 	}
@@ -138,10 +149,15 @@ func (rep Report) String() string {
 }
 
 // Spectrum computes the cancellation-vs-frequency curve of a run (the
-// paper's Figure 12/14 y-axis) from the steady-state recordings.
+// paper's Figure 12/14 y-axis) from the steady-state recordings, against
+// the same baseline as Summarize.
 func Spectrum(r *Result) (freqs, dB []float64, err error) {
+	base := r.Open
+	if r.Scheme == BoseActive {
+		base = r.Off
+	}
 	cs, err := metrics.NewCancellationSpectrum(
-		sim.SteadyState(r.Open), sim.SteadyState(r.On), r.SampleRate, 1024)
+		sim.SteadyState(base), sim.SteadyState(r.On), r.SampleRate, 1024)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -40,6 +40,60 @@ func TestFacadeSimulationFlow(t *testing.T) {
 	}
 }
 
+// TestFacadeBoseActiveIsOnVsOff checks that the facade reports
+// BoseActive as the ANC's own gain (On vs Off under the cup): above 1 kHz,
+// where the headphone's anti-noise is band-limited away, it reads about
+// 0 dB, unlike Bose_Overall's passive-cup gain from the same recording.
+func TestFacadeBoseActiveIsOnVsOff(t *testing.T) {
+	p := DefaultParams(DefaultScene(WhiteNoise(1, 8000, 0.5)))
+	p.Duration = 3
+	active, err := Run(p, BoseActive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overall, err := Run(p, BoseOverall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := Summarize(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := Summarize(overall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(ra.HighBandDB) > 3 {
+		t.Errorf("bose-active above 1 kHz = %.1f dB, want within 3 dB of 0", ra.HighBandDB)
+	}
+	if ra.HighBandDB-ro.HighBandDB < 6 {
+		t.Errorf("bose-active above 1 kHz (%.1f dB) should differ from bose-overall (%.1f dB)",
+			ra.HighBandDB, ro.HighBandDB)
+	}
+	want, err := active.ActiveGainDB(50, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.FullBandDB != want {
+		t.Errorf("bose-active full band = %v, want ActiveGainDB %v", ra.FullBandDB, want)
+	}
+	freqs, dB, err := Spectrum(active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var high float64
+	var n int
+	for i, f := range freqs {
+		if f > 1500 && f < 3500 {
+			high += dB[i]
+			n++
+		}
+	}
+	if high /= float64(n); math.Abs(high) > 3 {
+		t.Errorf("bose-active spectrum 1.5–3.5 kHz = %.1f dB, want within 3 dB of 0", high)
+	}
+}
+
 func TestFacadeLookahead(t *testing.T) {
 	// 1 m difference ≈ 2.94 ms (the paper's ≈3 ms example).
 	la := Lookahead(Point{X: 0, Y: 0, Z: 0}, Point{X: 1, Y: 0, Z: 0}, Point{X: 2, Y: 0, Z: 0})
