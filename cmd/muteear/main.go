@@ -214,8 +214,7 @@ func main() {
 		fmt.Printf("muteear: drift estimate %+.1f ppm from %d frames (locked=%v, resampler rate %.6f)\n",
 			est.PPM(), est.Observations(), est.Locked(), rs.Rate())
 	}
-	if pl.Sup != nil {
-		rep := pl.Sup.Report()
+	if rep := pl.Supervision(); rep != nil {
 		fmt.Printf("muteear: supervisor ended in %s after %d transitions (%d probes, %d warm starts)\n",
 			rep.FinalState, len(rep.Transitions), rep.Probes, rep.WarmStarts)
 		for rung := mute.StateLANC; rung <= mute.StatePassthrough; rung++ {

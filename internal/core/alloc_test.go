@@ -46,3 +46,36 @@ func TestLANCPrefilterAllocatesNothing(t *testing.T) {
 		t.Errorf("LANC.Prefilter + StepMasked allocated %.1f times per run", n)
 	}
 }
+
+// TestBlockLANCLimitNonCausalAllocatesNothing pins the block canceller's
+// tap-window and warm-start controls, which the fleet's pressure ladder
+// and session handoff call between ticks: the weight transforms run in
+// the block's own scratch, so neither call allocates.
+func TestBlockLANCLimitNonCausalAllocatesNothing(t *testing.T) {
+	bl, err := NewBlock(BlockConfig{
+		FilterTaps: 64, BlockSize: 16, SecondaryPath: []float64{0.85, 0.22, 0.06},
+		NonCausalTaps: 24,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, 64)
+	for i := range w {
+		w[i] = float64(i%7)*0.01 - 0.03
+	}
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		bl.LimitNonCausal(4 + i%2*20) // shrink across a partition, then restore
+		i++
+	}); n != 0 {
+		t.Errorf("BlockLANC.LimitNonCausal allocated %.1f times per call", n)
+	}
+	bl.LimitNonCausal(8)
+	if n := testing.AllocsPerRun(50, func() {
+		if err := bl.SetWeights(w); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("BlockLANC.SetWeights allocated %.1f times per call", n)
+	}
+}

@@ -36,7 +36,6 @@ import (
 type BlockLANC struct {
 	m, b     int // filter taps, block size (the FFT size is 2B)
 	np       int // partitions
-	bins     int // B + 1 half-spectrum bins of the 2B-point FFT
 	nonCausN int // declared non-causal taps (for LimitNonCausal)
 	skip     int // leading (most-future) taps forced to zero
 
@@ -53,7 +52,9 @@ type BlockLANC struct {
 	lambda float64
 	primed bool
 
-	// Scratch (struct-owned so steady state is allocation-free).
+	// Scratch (struct-owned so steady state is allocation-free). The
+	// weight transforms of Weights, SetWeights and LimitNonCausal also run
+	// in grad and gTime, between blocks.
 	win   []float64    // 2B [previous, new] input window
 	spec  []complex128 // error spectrum
 	acc   []complex128 // output spectrum accumulator
@@ -126,7 +127,6 @@ func NewBlock(cfg BlockConfig) (*BlockLANC, error) {
 		m:        cfg.FilterTaps,
 		b:        b,
 		np:       np,
-		bins:     plan.Bins(),
 		nonCausN: cfg.NonCausalTaps,
 		plan:     plan,
 		prevX:    make([]float64, b),
@@ -156,9 +156,6 @@ func NewBlock(cfg BlockConfig) (*BlockLANC, error) {
 // BlockSize returns B.
 func (bl *BlockLANC) BlockSize() int { return bl.b }
 
-// Partitions returns P, the number of frequency-domain partitions.
-func (bl *BlockLANC) Partitions() int { return bl.np }
-
 // ring returns the spectrum ring slot for the block pushed `ago` blocks
 // before the newest one.
 func (bl *BlockLANC) ring(ago int) int {
@@ -175,19 +172,10 @@ func (bl *BlockLANC) partTaps(p int) int {
 	return n
 }
 
-// ProcessBlock consumes the B newest forwarded samples and the B residual
-// errors measured for the previous output block, and returns the next B
-// anti-noise samples. Pass zeros for ePrev on the first call.
-func (bl *BlockLANC) ProcessBlock(xNew, ePrev []float64) ([]float64, error) {
-	out := make([]float64, bl.b)
-	if err := bl.ProcessBlockInto(out, xNew, ePrev); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ProcessBlockInto is ProcessBlock writing into caller-owned storage
-// (len(out) == BlockSize()). Steady-state calls allocate nothing.
+// ProcessBlockInto consumes the B newest forwarded samples and the B
+// residual errors measured for the previous output block, and writes the
+// next B anti-noise samples into out (len(out) == BlockSize()). Pass
+// zeros for ePrev on the first call. Steady-state calls allocate nothing.
 func (bl *BlockLANC) ProcessBlockInto(out, xNew, ePrev []float64) error {
 	if len(xNew) != bl.b || len(ePrev) != bl.b {
 		return fmt.Errorf("core: block size mismatch (got %d/%d, want %d)", len(xNew), len(ePrev), bl.b)
@@ -299,12 +287,10 @@ func (bl *BlockLANC) adapt(ePrev []float64) {
 // reconstruction is exact.
 func (bl *BlockLANC) Weights() []float64 {
 	out := make([]float64, bl.m)
-	spec := make([]complex128, bl.bins)
-	g := make([]float64, bl.b)
 	for p := 0; p < bl.np; p++ {
-		copy(spec, bl.w[p])
-		bl.plan.InverseHead(g, spec)
-		copy(out[p*bl.b:], g[:bl.partTaps(p)])
+		copy(bl.grad, bl.w[p])
+		bl.plan.InverseHead(bl.gTime, bl.grad)
+		copy(out[p*bl.b:], bl.gTime[:bl.partTaps(p)])
 	}
 	return out
 }
@@ -313,12 +299,12 @@ func (bl *BlockLANC) Weights() []float64 {
 // each B-tap partition into its frequency-domain representation — the
 // inverse of Weights, used to warm-start a freshly built filter from a
 // snapshot (fleet session handoff) or a cached profile. Taps disabled by
-// LimitNonCausal are forced back to zero.
+// LimitNonCausal are forced back to zero. It allocates nothing.
 func (bl *BlockLANC) SetWeights(w []float64) error {
 	if len(w) != bl.m {
 		return fmt.Errorf("core: weight length %d != %d", len(w), bl.m)
 	}
-	g := make([]float64, bl.b)
+	g := bl.gTime
 	for p := 0; p < bl.np; p++ {
 		n := bl.partTaps(p)
 		copy(g[:n], w[p*bl.b:p*bl.b+n])
@@ -333,15 +319,13 @@ func (bl *BlockLANC) SetWeights(w []float64) error {
 	return nil
 }
 
-// NonCausalTaps returns the declared non-causal tap count N.
-func (bl *BlockLANC) NonCausalTaps() int { return bl.nonCausN }
-
 // ActiveNonCausal returns how many non-causal taps are currently live.
 func (bl *BlockLANC) ActiveNonCausal() int { return bl.nonCausN - bl.skip }
 
 // LimitNonCausal shrinks the live non-causal tap window to at most n future
 // taps, zeroing the most-future taps beyond it, mirroring LANC's degraded
 // rung; n ≥ N restores the full window. Zeroed taps also stop adapting.
+// It allocates nothing: the transforms run in the gradient scratch.
 func (bl *BlockLANC) LimitNonCausal(n int) {
 	if n < 0 {
 		n = 0
@@ -351,8 +335,7 @@ func (bl *BlockLANC) LimitNonCausal(n int) {
 	}
 	bl.skip = bl.nonCausN - n
 	// Re-establish w[:skip] == 0 across the affected partitions.
-	spec := make([]complex128, bl.bins)
-	g := make([]float64, bl.b)
+	spec, g := bl.grad, bl.gTime
 	for p := 0; p*bl.b < bl.skip && p < bl.np; p++ {
 		copy(spec, bl.w[p])
 		bl.plan.InverseHead(g, spec)

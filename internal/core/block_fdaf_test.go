@@ -62,8 +62,8 @@ func TestBlockFDAFPartitionEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bl.Partitions() != tc.partitions {
-				t.Fatalf("partitions = %d, want %d", bl.Partitions(), tc.partitions)
+			if bl.np != tc.partitions {
+				t.Fatalf("partitions = %d, want %d", bl.np, tc.partitions)
 			}
 			db := runBlockANC(t, bl, audio.NewWhiteNoise(1, 8000, 0.5), 24, testHnr, testHne, testHse, 64000)
 			if db > -10 {
@@ -87,8 +87,8 @@ func TestBlockFDAFLimitNonCausal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bl.NonCausalTaps() != 16 || bl.ActiveNonCausal() != 16 {
-		t.Fatalf("non-causal accessors: N=%d active=%d", bl.NonCausalTaps(), bl.ActiveNonCausal())
+	if bl.nonCausN != 16 || bl.ActiveNonCausal() != 16 {
+		t.Fatalf("non-causal taps: N=%d active=%d", bl.nonCausN, bl.ActiveNonCausal())
 	}
 	runBlockANC(t, bl, audio.NewWhiteNoise(1, 8000, 0.5), 24, testHnr, testHne, testHse, 16000)
 

@@ -128,7 +128,7 @@ func (r *fullWindowBlock) limitNonCausal(n int) {
 		n = bl.nonCausN
 	}
 	bl.skip = bl.nonCausN - n
-	spec := make([]complex128, bl.bins)
+	spec := make([]complex128, bl.plan.Bins())
 	g := make([]float64, f)
 	for p := 0; p*bl.b < bl.skip && p < bl.np; p++ {
 		copy(spec, bl.w[p])
@@ -151,7 +151,7 @@ func (r *fullWindowBlock) limitNonCausal(n int) {
 func (r *fullWindowBlock) weights() []float64 {
 	bl := r.bl
 	out := make([]float64, bl.m)
-	spec := make([]complex128, bl.bins)
+	spec := make([]complex128, bl.plan.Bins())
 	g := make([]float64, 2*bl.b)
 	for p := 0; p < bl.np; p++ {
 		copy(spec, bl.w[p])

@@ -41,11 +41,15 @@ func TestBlockProcessArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bl.ProcessBlock(make([]float64, 4), make([]float64, 8)); err == nil {
+	out := make([]float64, 8)
+	if err := bl.ProcessBlockInto(out, make([]float64, 4), make([]float64, 8)); err == nil {
 		t.Error("short input block should error")
 	}
-	if _, err := bl.ProcessBlock(make([]float64, 8), make([]float64, 4)); err == nil {
+	if err := bl.ProcessBlockInto(out, make([]float64, 8), make([]float64, 4)); err == nil {
 		t.Error("short error block should error")
+	}
+	if err := bl.ProcessBlockInto(out[:4], make([]float64, 8), make([]float64, 8)); err == nil {
+		t.Error("short output block should error")
 	}
 }
 
@@ -62,12 +66,12 @@ func runBlockANC(t *testing.T, bl *BlockLANC, gen audio.Generator, lookahead int
 	ref := refCh.ProcessBlock(noise)
 	var resPow, priPow float64
 	ePrev := make([]float64, B)
+	out := make([]float64, B)
 	for t0 := 0; t0+B <= n; t0 += B {
 		// Forwarded samples available at block start: capture indices up
 		// to t0-1+lookahead... take the B newest: [t0+lookahead-B, t0+lookahead).
 		xNew := ref[t0+lookahead-B : t0+lookahead]
-		out, err := bl.ProcessBlock(xNew, ePrev)
-		if err != nil {
+		if err := bl.ProcessBlockInto(out, xNew, ePrev); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < B; i++ {
@@ -142,8 +146,8 @@ func TestBlockLANCWeightsAndReset(t *testing.T) {
 			t.Fatal("reset should zero weights")
 		}
 	}
-	out, err := bl.ProcessBlock(make([]float64, 8), make([]float64, 8))
-	if err != nil {
+	out := make([]float64, 8)
+	if err := bl.ProcessBlockInto(out, make([]float64, 8), make([]float64, 8)); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range out {
@@ -164,12 +168,13 @@ func BenchmarkBlockLANCPerSample(b *testing.B) {
 	}
 	x := make([]float64, 64)
 	e := make([]float64, 64)
+	out := make([]float64, 64)
 	for i := range x {
 		x[i] = 0.3
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i += 64 {
-		if _, err := bl.ProcessBlock(x, e); err != nil {
+		if err := bl.ProcessBlockInto(out, x, e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -656,15 +656,6 @@ func (l *LANC) CausalTaps() int { return l.cfg.CausalTaps }
 // performed.
 func (l *LANC) Switches() int { return l.switches }
 
-// CurrentProfile returns the active profile slot (0 = silence) or -1 when
-// profiling is disabled.
-func (l *LANC) CurrentProfile() int {
-	if !l.cfg.Profiling {
-		return -1
-	}
-	return l.currentID
-}
-
 // Reset clears all adaptation and profiling state.
 func (l *LANC) Reset() {
 	for i := range l.w {

@@ -219,11 +219,7 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 	}
 	db := secondHalfDB(d, res, nil)
 
-	var supRep *supervisor.Report
-	if pl.Sup != nil {
-		r := pl.Sup.Report()
-		supRep = &r
-	}
+	supRep := pl.Supervision()
 	if reg != nil {
 		// Observation only: the run above never branches on reg, so the
 		// returned dB is byte-identical with telemetry on or off.

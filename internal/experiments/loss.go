@@ -168,8 +168,9 @@ func lossRun(c Config, link stream.LossParams, fec, freeze bool, noiseSeed uint6
 		stats.Jitter.Publish(reg, "stream.")
 		stats.Link.Publish(reg, "link.")
 		reg.Counter("stream.fec_recovered").Add(int64(stats.FECRecovered))
-		reg.Gauge("lanc.tap_energy").Set(pl.LANC.TapEnergy())
-		reg.Gauge("lanc.mu_eff").Set(pl.LANC.EffectiveStep())
+		_, tapEnergy, muEff := pl.AdaptState()
+		reg.Gauge("lanc.tap_energy").Set(tapEnergy)
+		reg.Gauge("lanc.mu_eff").Set(muEff)
 		reg.Histogram("loss.cell_residual_db", telemetry.HistogramOpts{Lo: 1e-2, Ratio: 2, Buckets: 16}).Observe(-db)
 	}
 	return db, nil

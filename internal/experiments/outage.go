@@ -234,11 +234,7 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		moves = fo.fo.Switches()
 	}
 	db := secondHalfDB(d, res, nil)
-	var rep *supervisor.Report
-	if pl.Sup != nil {
-		r := pl.Sup.Report()
-		rep = &r
-	}
+	rep := pl.Supervision()
 	if reg != nil {
 		// Observation only: the run above never branches on reg, so the
 		// returned dB is byte-identical with telemetry on or off.

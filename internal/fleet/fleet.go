@@ -472,15 +472,7 @@ func (s *Server) Open(id uint32, profile Profile, opts ...SessionOption) (*Sessi
 	// DEGRADED starts with the shrunken window); later rung changes are
 	// picked up by applyPressure on the session's own ticks.
 	sess.pressureSeen = s.pressureEpoch.Load()
-	if PressureState(s.pressure.Load()) >= PressureDegraded {
-		n := int(s.lc.cfg.DegradedFraction * float64(pl.NonCausalTaps))
-		switch {
-		case pl.LANC != nil:
-			pl.LANC.LimitNonCausal(n)
-		case pl.FDAF != nil:
-			pl.FDAF.LimitNonCausal(n)
-		}
-	}
+	sess.limitTaps(s)
 	sess.lastFrame.Store(s.ticks.Load())
 	s.sessions[id] = sess
 	i := sort.Search(len(s.order), func(k int) bool { return s.order[k] > id })
@@ -711,16 +703,7 @@ func (s *Server) tickSession(sess *Session) (err error) {
 	if sess.tickProbe != nil {
 		sess.tickProbe(sess.ctrBlocks.Value())
 	}
-	n := sess.profile.FrameSamples
-	if sess.pl.FDAF != nil {
-		// The FDAF path processes fixed-size sub-blocks; FDAFBlock divides
-		// FrameSamples by construction.
-		for done := 0; done < n; done += sess.profile.FDAFBlock {
-			if _, err := sess.pl.ProcessBlock(0); err != nil {
-				return err
-			}
-		}
-	} else if _, err := sess.pl.ProcessBlock(n); err != nil {
+	if _, err := sess.pl.ProcessBlock(sess.profile.FrameSamples); err != nil {
 		return err
 	}
 	sess.ctrBlocks.Inc()

@@ -225,16 +225,16 @@ func (sess *Session) applyPressure(s *Server) {
 		return
 	}
 	sess.pressureSeen = epoch
+	sess.limitTaps(s)
+}
+
+// limitTaps sizes the session's non-causal window for the current rung.
+func (sess *Session) limitTaps(s *Server) {
 	n := sess.pl.NonCausalTaps
 	if PressureState(s.pressure.Load()) >= PressureDegraded {
 		n = int(s.lc.cfg.DegradedFraction * float64(n))
 	}
-	switch {
-	case sess.pl.LANC != nil:
-		sess.pl.LANC.LimitNonCausal(n)
-	case sess.pl.FDAF != nil:
-		sess.pl.FDAF.LimitNonCausal(n)
-	}
+	sess.pl.LimitNonCausal(n)
 }
 
 // quarantine marks the session poisoned after a recovered panic: it stops

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -120,52 +121,60 @@ func TestSheddingRefusesOpens(t *testing.T) {
 	}
 }
 
-// TestPressureAppliesTapLimit pins the lazy posture propagation: a rung
-// change reconfigures each session's non-causal window on that session's
-// next tick (never from the watchdog's goroutine), sessions opened under
-// DEGRADED are born with the shrunken window, and promotion back to
-// NORMAL restores the full window.
+// TestPressureAppliesTapLimit pins the lazy posture propagation on both
+// canceller kinds: a rung change reconfigures each session's non-causal
+// window on that session's next tick (never from the watchdog's
+// goroutine), sessions opened under DEGRADED are born with the shrunken
+// window, and promotion back to NORMAL restores the full window.
 func TestPressureAppliesTapLimit(t *testing.T) {
-	srv := NewServer(Config{Lifecycle: fastLadder()})
-	defer srv.Close()
-	p := lightProfile()
-	sess, err := srv.Open(targetID, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := sess.pl.NonCausalTaps
-	if got := sess.pl.LANC.ActiveNonCausal(); got != full {
-		t.Fatalf("fresh session runs %d non-causal taps, want %d", got, full)
-	}
+	for _, fdafBlock := range []int{0, 16} {
+		t.Run(fmt.Sprintf("fdaf%d", fdafBlock), func(t *testing.T) {
+			srv := NewServer(Config{Lifecycle: fastLadder()})
+			defer srv.Close()
+			p := lightProfile()
+			p.FDAFBlock = fdafBlock
+			sess, err := srv.Open(targetID, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := sess.pl.NonCausalTaps
+			if full == 0 {
+				t.Fatal("the profile plans no non-causal taps — test is vacuous")
+			}
+			if got := sess.pl.ActiveNonCausal(); got != full {
+				t.Fatalf("fresh session runs %d non-causal taps, want %d", got, full)
+			}
 
-	srv.ObserveTick(3e6) // → DEGRADED
-	// The posture lands on the session's own next tick, not immediately.
-	if got := sess.pl.LANC.ActiveNonCausal(); got != full {
-		t.Fatalf("posture applied outside the session's tick: %d taps", got)
-	}
-	if err := srv.ProcessTick(); err != nil {
-		t.Fatal(err)
-	}
-	want := int(0.5 * float64(full))
-	if got := sess.pl.LANC.ActiveNonCausal(); got != want {
-		t.Fatalf("DEGRADED session runs %d non-causal taps, want %d", got, want)
-	}
+			srv.ObserveTick(3e6) // → DEGRADED
+			// The posture lands on the session's own next tick, not immediately.
+			if got := sess.pl.ActiveNonCausal(); got != full {
+				t.Fatalf("posture applied outside the session's tick: %d taps", got)
+			}
+			if err := srv.ProcessTick(); err != nil {
+				t.Fatal(err)
+			}
+			want := int(0.5 * float64(full))
+			if got := sess.pl.ActiveNonCausal(); got != want {
+				t.Fatalf("DEGRADED session runs %d non-causal taps, want %d", got, want)
+			}
 
-	// A session opened while DEGRADED adopts the posture at birth.
-	born, err := srv.Open(100, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := born.pl.LANC.ActiveNonCausal(); got != want {
-		t.Fatalf("session born under DEGRADED runs %d taps, want %d", got, want)
-	}
+			// A session opened while DEGRADED adopts the posture at birth.
+			born, err := srv.Open(100, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := born.pl.ActiveNonCausal(); got != want {
+				t.Fatalf("session born under DEGRADED runs %d taps, want %d", got, want)
+			}
 
-	srv.ObserveTick(0) // → NORMAL
-	if err := srv.ProcessTick(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.pl.LANC.ActiveNonCausal(); got != full {
-		t.Fatalf("promoted session runs %d taps, want full window %d", got, full)
+			srv.ObserveTick(0) // → NORMAL
+			if err := srv.ProcessTick(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sess.pl.ActiveNonCausal(); got != full {
+				t.Fatalf("promoted session runs %d taps, want full window %d", got, full)
+			}
+		})
 	}
 }
 

@@ -289,18 +289,12 @@ func ParseSnapshot(data []byte) (*FleetSnapshot, error) {
 // the write lock first), and must call it before Close — Close rewinds
 // the playout clock.
 func (sess *Session) snapshot() SessionSnapshot {
-	ss := SessionSnapshot{
+	return SessionSnapshot{
 		ID:           sess.ID,
 		Profile:      sess.profile,
 		PlayoutClock: sess.buf.jb.PlayoutClock(),
+		Weights:      sess.pl.Weights(),
 	}
-	switch {
-	case sess.pl.LANC != nil:
-		ss.Weights = sess.pl.LANC.Weights()
-	case sess.pl.FDAF != nil:
-		ss.Weights = sess.pl.FDAF.Weights()
-	}
-	return ss
 }
 
 // Drain stops admissions and hands back every healthy session's
@@ -386,14 +380,7 @@ func (s *Server) Adopt(snap *FleetSnapshot, perSession func(id uint32) []Session
 // opened session.
 func (sess *Session) warmStart(ss SessionSnapshot) error {
 	if len(ss.Weights) > 0 {
-		var err error
-		switch {
-		case sess.pl.LANC != nil:
-			err = sess.pl.LANC.SetWeights(ss.Weights)
-		case sess.pl.FDAF != nil:
-			err = sess.pl.FDAF.SetWeights(ss.Weights)
-		}
-		if err != nil {
+		if err := sess.pl.SetWeights(ss.Weights); err != nil {
 			return err
 		}
 	}

@@ -1,0 +1,139 @@
+package graph
+
+import (
+	"errors"
+	"time"
+
+	"mute/internal/core"
+	"mute/internal/headphone"
+	"mute/internal/supervisor"
+	"mute/internal/telemetry"
+)
+
+// canceller is the one face every canceller kind presents to the sample
+// loop (LANC, §4 and Eq. 3). Prefilter announces a pulled block before
+// its samples are stepped; Step returns the anti-noise for the forwarded
+// reference x, the open-ear sample local, the previous residual ePrev and
+// the concealment flag real. The fleet's pressure ladder and session
+// handoff reach the taps.
+type canceller interface {
+	Prefilter(xs []float64)
+	Step(x, local, ePrev float64, real bool) float64
+	LimitNonCausal(n int)
+	ActiveNonCausal() int
+	Weights() []float64
+	SetWeights(w []float64) error
+}
+
+// lancKind steps the sample-domain LANC.
+type lancKind struct{ *core.LANC }
+
+func (k lancKind) Step(x, _, ePrev float64, real bool) float64 { return k.StepMasked(x, ePrev, real) }
+
+// supervisedKind steps the degradation ladder; the supervisor pushes every
+// forwarded sample to its LANC on every rung, so the rest goes there.
+type supervisedKind struct {
+	*supervisor.Supervisor
+	*core.LANC
+}
+
+func (k supervisedKind) Step(x, local, ePrev float64, real bool) float64 {
+	return k.Supervisor.Step(x, local, ePrev, real)
+}
+
+// headphoneKind steps the headphone canceller on the cup microphone,
+// which has no lossy link to mask, and exposes no taps.
+type headphoneKind struct {
+	*headphone.ANC
+	noTaps
+}
+
+func (k headphoneKind) Step(x, _, ePrev float64, _ bool) float64 { return k.ANC.Step(x, ePrev) }
+
+type noTaps struct{}
+
+func (noTaps) LimitNonCausal(int)         {}
+func (noTaps) ActiveNonCausal() int       { return 0 }
+func (noTaps) Weights() []float64         { return nil }
+func (noTaps) SetWeights([]float64) error { return errors.New("graph: the Headphone kind has no taps") }
+
+// fdafKind runs the block canceller behind the per-sample step. At a
+// block's first sample the step has just been handed the previous
+// block's last error, so that block's errors are complete: it adapts on
+// them, produces the whole block's anti-noise from the announced
+// reference, and returns it one sample at a time.
+type fdafKind struct {
+	*core.BlockLANC
+	xs      []float64 // announced reference not yet consumed: a view of the pull scratch
+	x, a, e []float64 // the current block's reference, anti-noise and errors
+	i       int       // samples of the current block already stepped
+	blockNS *telemetry.Histogram
+}
+
+func (k *fdafKind) Prefilter(xs []float64) { k.xs = xs }
+
+func (k *fdafKind) Step(_, _, ePrev float64, _ bool) float64 {
+	k.e[k.i-1] = ePrev
+	if k.i == len(k.a) {
+		// Take the next announced block, zero-padding a short final one.
+		n := copy(k.x, k.xs)
+		clear(k.x[n:])
+		k.xs = k.xs[n:]
+		var start time.Time
+		if k.blockNS != nil {
+			start = time.Now()
+		}
+		_ = k.ProcessBlockInto(k.a, k.x, k.e) // lengths fixed at Build: cannot fail
+		if k.blockNS != nil {
+			k.blockNS.Observe(float64(time.Since(start).Nanoseconds()))
+		}
+		k.i = 0
+	}
+	k.i++
+	return k.a[k.i-1]
+}
+
+// lanc returns the sample-domain LANC, supervised or not (nil for the
+// Headphone and FDAF kinds): drift holds and the LANC reads reach it.
+func (pl *Pipeline) lanc() *core.LANC {
+	switch k := pl.canc.(type) {
+	case lancKind:
+		return k.LANC
+	case supervisedKind:
+		return k.LANC
+	}
+	return nil
+}
+
+// LimitNonCausal shrinks the live non-causal window to at most n taps; n
+// ≥ NonCausalTaps restores it.
+func (pl *Pipeline) LimitNonCausal(n int) { pl.canc.LimitNonCausal(n) }
+
+// ActiveNonCausal returns how many non-causal taps are live.
+func (pl *Pipeline) ActiveNonCausal() int { return pl.canc.ActiveNonCausal() }
+
+// Weights returns a copy of the canceller's sample-domain taps.
+func (pl *Pipeline) Weights() []float64 { return pl.canc.Weights() }
+
+// SetWeights warm-starts the canceller from taps Weights returned on a
+// pipeline built from the same Config.
+func (pl *Pipeline) SetWeights(w []float64) error { return pl.canc.SetWeights(w) }
+
+// AdaptState reads the sample-domain LANC's profile switches, tap energy
+// and effective step (all zero for the Headphone and FDAF kinds).
+func (pl *Pipeline) AdaptState() (switches int, tapEnergy, muEff float64) {
+	if l := pl.lanc(); l != nil {
+		return l.Switches(), l.TapEnergy(), l.EffectiveStep()
+	}
+	return 0, 0, 0
+}
+
+// Supervision returns the degradation ladder's report (nil unless
+// supervised).
+func (pl *Pipeline) Supervision() *supervisor.Report {
+	if k, ok := pl.canc.(supervisedKind); ok {
+		r := k.Report()
+		return &r
+	}
+	return nil
+}

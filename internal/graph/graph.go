@@ -70,15 +70,15 @@ type Controls struct {
 // Hold freezes the canceller's adaptation for hold samples, then ramps
 // back over ramp samples (see core.LANC.HoldAdaptation).
 func (c Controls) Hold(hold, ramp int) {
-	if c.pl.LANC != nil {
-		c.pl.LANC.HoldAdaptation(hold, ramp)
+	if l := c.pl.lanc(); l != nil {
+		l.HoldAdaptation(hold, ramp)
 	}
 }
 
 // ObserveDrift feeds a skew estimate to the supervisor's health view.
 func (c Controls) ObserveDrift(ppm float64, estimable bool) {
-	if c.pl.Sup != nil {
-		c.pl.Sup.ObserveDrift(ppm, estimable)
+	if k, ok := c.pl.canc.(supervisedKind); ok {
+		k.ObserveDrift(ppm, estimable)
 	}
 }
 

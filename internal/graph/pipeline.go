@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mute/internal/audio"
 	"mute/internal/core"
@@ -164,19 +163,10 @@ type DriftStats interface {
 	DriftState() (estPPM, rawPPM, ratePPM float64, locked bool)
 }
 
-// Pipeline is a built cancellation graph. Exported fields are the wired
-// stages, fixed at Build; drive the graph with ProcessBlock or Run.
+// Pipeline is a built cancellation graph. Exported fields are the planned
+// lookahead, fixed at Build; drive the graph with ProcessBlock or Run, and
+// reach the canceller, whichever kind it is, through its methods.
 type Pipeline struct {
-	// LANC is the sample-domain canceller (nil on the FDAF and Headphone
-	// paths).
-	LANC *core.LANC
-	// Headphone is the conventional canceller of the Headphone kind (nil
-	// otherwise).
-	Headphone *headphone.ANC
-	// Sup is the degradation-ladder supervisor (nil unless Supervise).
-	Sup *supervisor.Supervisor
-	// FDAF is the block canceller (nil on the sample path).
-	FDAF *core.BlockLANC
 	// Budget is the lookahead budget the canceller was planned with
 	// (zero for the Headphone kind).
 	Budget core.Budget
@@ -185,6 +175,11 @@ type Pipeline struct {
 	Spend *telemetry.BudgetReport
 	// NonCausalTaps is the N the canceller actually runs with.
 	NonCausalTaps int
+
+	// canc is the canceller the sample loop steps; quantum is its pull
+	// granularity (the FDAF block size, else 1).
+	canc    canceller
+	quantum int
 
 	ref   SampleSource
 	amb   Ambient
@@ -210,14 +205,12 @@ type Pipeline struct {
 	gBuffered *telemetry.Gauge
 	gEstPPM   *telemetry.Gauge
 	gRatePPM  *telemetry.Gauge
-	blockNS   *telemetry.Histogram
 
 	streamStats StreamStats
 	driftStats  DriftStats
 
-	fdafSize int
-	x, a, eb []float64
-	m        []bool
+	x []float64
+	m []bool
 
 	t        int64
 	e        float64
@@ -269,13 +262,14 @@ func Build(cfg Config) (*Pipeline, error) {
 		traceEvery: traceEvery,
 		liveHooks:  cfg.LiveHooks,
 		reg:        cfg.Telemetry,
+		quantum:    1,
 	}
 	if cfg.Headphone {
 		hp, err := newHeadphone(cfg)
 		if err != nil {
 			return nil, err
 		}
-		pl.Headphone = hp
+		pl.canc = headphoneKind{ANC: hp}
 	} else if err := pl.planCanceller(cfg); err != nil {
 		return nil, err
 	}
@@ -392,16 +386,13 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		pl.FDAF = bl
-		pl.fdafSize = cfg.FDAF.BlockSize
-		pl.x = make([]float64, pl.fdafSize)
-		pl.a = make([]float64, pl.fdafSize)
-		pl.eb = make([]float64, pl.fdafSize)
-		pl.m = make([]bool, pl.fdafSize)
+		b := cfg.FDAF.BlockSize
+		k := &fdafKind{BlockLANC: bl, x: make([]float64, b), a: make([]float64, b), e: make([]float64, b), i: b}
 		if cfg.Telemetry != nil {
-			pl.blockNS = cfg.Telemetry.Histogram("lanc.block_ns",
+			k.blockNS = cfg.Telemetry.Histogram("lanc.block_ns",
 				telemetry.HistogramOpts{Lo: 1e3, Ratio: 2, Buckets: 20})
 		}
+		pl.canc, pl.quantum = k, b
 		return nil
 	}
 	c := cfg.Canceller
@@ -420,8 +411,8 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	pl.LANC = lanc
 	if !cfg.Supervise {
+		pl.canc = lancKind{lanc}
 		return nil
 	}
 	fb, err := newHeadphone(cfg)
@@ -437,20 +428,18 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	pl.Sup = sup
+	pl.canc = supervisedKind{sup, lanc}
 	return nil
 }
 
 // ProcessBlock pulls and cancels up to n reference samples, returning how
-// many the source produced (0 at end of stream). On the FDAF path the
-// block size is fixed at Build and n is ignored.
+// many the source produced (0 at end of stream). On the FDAF kind n is
+// rounded up to whole blocks, and a short final block is zero-padded.
 func (pl *Pipeline) ProcessBlock(n int) (int, error) {
-	if pl.FDAF != nil {
-		return pl.processFDAFBlock()
-	}
 	if n <= 0 {
 		return 0, fmt.Errorf("graph: block size %d must be positive", n)
 	}
+	n = (n + pl.quantum - 1) / pl.quantum * pl.quantum
 	if len(pl.x) < n {
 		pl.x = make([]float64, n)
 		pl.m = make([]bool, n)
@@ -460,14 +449,9 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 	if got <= 0 {
 		return 0, nil
 	}
-	// Every pulled sample reaches the canceller in order — the supervisor
-	// pushes it to the LANC on every rung — so its filtered-x leg runs a
-	// block at a time.
-	if pl.LANC != nil {
-		pl.LANC.Prefilter(x[:got])
-	} else {
-		pl.Headphone.Prefilter(x[:got])
-	}
+	// The block is known before it is stepped: the filtered-x legs run a
+	// block at a time, and the FDAF kind takes its blocks from here.
+	pl.canc.Prefilter(x[:got])
 	ctl := Controls{pl}
 	var blockRes float64
 	for i := 0; i < got; i++ {
@@ -478,15 +462,7 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 			pl.traceCancelState()
 		}
 		local, cup := pl.amb.Next(x[i])
-		var a float64
-		switch {
-		case pl.Sup != nil:
-			a = pl.Sup.Step(x[i], local, pl.e, m[i])
-		case pl.Headphone != nil:
-			a = pl.Headphone.Step(x[i], pl.e)
-		default:
-			a = pl.LANC.StepMasked(x[i], pl.e, m[i])
-		}
+		a := pl.canc.Step(x[i], local, pl.e, m[i])
 		meas := cup + pl.sec.Process(a)
 		if pl.on != nil {
 			pl.on[pl.t] = meas
@@ -511,80 +487,16 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 	return got, nil
 }
 
-// processFDAFBlock runs one fixed-size block through the frequency-domain
-// canceller: anti-noise for the whole block first, then the acoustic mix
-// sample by sample, with the measured errors feeding the next block's
-// adaptation. A short source block is zero-padded exactly as the
-// canceller expects.
-func (pl *Pipeline) processFDAFBlock() (int, error) {
-	b := pl.fdafSize
-	got := pl.ref.Pull(pl.x, pl.m, pl.t)
-	if got <= 0 {
-		return 0, nil
-	}
-	for i := got; i < b; i++ {
-		pl.x[i] = 0
-	}
-	var blockStart time.Time
-	if pl.blockNS != nil {
-		blockStart = time.Now()
-	}
-	if err := pl.FDAF.ProcessBlockInto(pl.a, pl.x, pl.eb); err != nil {
-		return 0, err
-	}
-	if pl.blockNS != nil {
-		pl.blockNS.Observe(float64(time.Since(blockStart).Nanoseconds()))
-	}
-	// The whole anti-noise block is known, so the acoustic leg filters it
-	// in one pass into eb, which the loop overwrites with the errors.
-	pl.sec.FilterInto(pl.eb[:got], pl.a[:got])
-	var blockRes float64
-	for i := 0; i < got; i++ {
-		_, cup := pl.amb.Next(pl.x[i])
-		meas := cup + pl.eb[i]
-		if pl.on != nil {
-			pl.on[pl.t] = meas
-		}
-		e := meas
-		if pl.noiseRMS != 0 {
-			e += pl.noiseRMS * pl.noise.Norm()
-		}
-		if pl.residual != nil {
-			pl.residual[pl.t] = e
-		}
-		pl.eb[i] = e
-		pl.noisePow += cup * cup
-		pl.resPow += e * e
-		blockRes += e * e
-		pl.t++
-	}
-	for i := got; i < b; i++ {
-		pl.eb[i] = 0
-	}
-	pl.afterBlock(got, blockRes)
-	return got, nil
-}
-
 // Run drives the pipeline for total samples in blocks of block samples
-// (0 = the trace cadence, or the FDAF block size). It stops early if the
-// source dries up.
+// (0 = the trace cadence). It stops early if the source dries up.
 func (pl *Pipeline) Run(total, block int) error {
-	if pl.FDAF != nil {
-		block = pl.fdafSize
-	} else if block <= 0 {
+	if block <= 0 {
 		block = int(pl.traceEvery)
 	}
 	for done := 0; done < total; {
-		n := block
-		if total-done < n {
-			n = total - done
-		}
-		got, err := pl.ProcessBlock(n)
-		if err != nil {
+		got, err := pl.ProcessBlock(min(block, total-done))
+		if err != nil || got == 0 {
 			return err
-		}
-		if got == 0 {
-			return nil
 		}
 		done += got
 	}
@@ -594,7 +506,8 @@ func (pl *Pipeline) Run(total, block int) error {
 // Samples returns how many samples the pipeline has processed.
 func (pl *Pipeline) Samples() int64 { return pl.t }
 
-// Close tears the pipeline down: block scratch buffers are released, and
+// Close tears the pipeline down: the block scratch is released (an empty
+// announcement drops the canceller's view of it), and
 // any bound stage that owns an external resource — a source draining a
 // network receiver, an ambient leg holding pooled state — is closed via
 // its io.Closer face. A session server opening and closing thousands of
@@ -603,7 +516,8 @@ func (pl *Pipeline) Samples() int64 { return pl.t }
 // pipeline must not be driven afterwards. The first stage close error
 // wins, but every stage is still closed.
 func (pl *Pipeline) Close() error {
-	pl.x, pl.a, pl.eb, pl.m = nil, nil, nil, nil
+	pl.x, pl.m = nil, nil
+	pl.canc.Prefilter(nil)
 	var first error
 	for _, stage := range []any{pl.ref, pl.amb, pl.drift} {
 		if c, ok := stage.(interface{ Close() error }); ok {
@@ -627,23 +541,24 @@ func (pl *Pipeline) Meters() (noisePow, resPow float64) {
 // posture, and (when supervised) the ladder state. All reads — the run's
 // samples are unchanged.
 func (pl *Pipeline) traceCancelState() {
-	if pl.LANC == nil {
-		return // the headphone canceller exposes no LANC state
+	l := pl.lanc()
+	if l == nil {
+		return // the headphone and block cancellers expose no LANC state
 	}
-	gain, frozen, rampLeft := pl.LANC.LossState()
+	gain, frozen, rampLeft := l.LossState()
 	fz := 0.0
 	if frozen {
 		fz = 1
 	}
 	pl.trace.Record(pl.t, telemetry.StageLANC, "step", map[string]float64{
-		"mu_eff":     pl.LANC.EffectiveStep(),
-		"tap_energy": pl.LANC.TapEnergy(),
+		"mu_eff":     l.EffectiveStep(),
+		"tap_energy": l.TapEnergy(),
 		"gain":       gain,
 		"frozen":     fz,
 		"ramp_left":  float64(rampLeft),
 	})
-	if pl.Sup != nil {
-		pl.Sup.TraceState(pl.trace, pl.t)
+	if k, ok := pl.canc.(supervisedKind); ok {
+		k.TraceState(pl.trace, pl.t)
 	}
 }
 
@@ -691,8 +606,8 @@ func (pl *Pipeline) afterBlock(got int, blockRes float64) {
 	if pl.ctrSample != nil {
 		pl.ctrSample.Add(int64(got))
 	}
-	if pl.gTapE != nil && pl.LANC != nil {
-		pl.gTapE.Set(pl.LANC.TapEnergy())
+	if l := pl.lanc(); pl.gTapE != nil && l != nil {
+		pl.gTapE.Set(l.TapEnergy())
 	}
 	if pl.gBuffered != nil {
 		pl.gBuffered.Set(float64(pl.streamStats.Buffered()))

@@ -276,8 +276,8 @@ func TestHeadphoneKindMatchesHandLoop(t *testing.T) {
 	tr := telemetry.NewTrace()
 	cfg.Trace = tr
 	pl, got := runKind(t, cfg, x, cup)
-	if pl.Headphone == nil || pl.LANC != nil || pl.Spend != nil || pl.Budget != (core.Budget{}) || pl.NonCausalTaps != 0 {
-		t.Fatalf("headphone pipeline wired LANC %v, spend %v, budget %+v, N %d", pl.LANC, pl.Spend, pl.Budget, pl.NonCausalTaps)
+	if _, ok := pl.canc.(headphoneKind); !ok || pl.Spend != nil || pl.Budget != (core.Budget{}) || pl.NonCausalTaps != 0 {
+		t.Fatalf("headphone pipeline wired canceller %T, spend %v, budget %+v, N %d", pl.canc, pl.Spend, pl.Budget, pl.NonCausalTaps)
 	}
 	if ev := tr.Events(); len(ev) != 0 {
 		t.Errorf("headphone pipeline traced %d events, want none", len(ev))
@@ -297,6 +297,76 @@ func TestHeadphoneKindMatchesHandLoop(t *testing.T) {
 		want[i] = e
 	}
 	sameBits(t, got, want)
+}
+
+// TestFDAFKindMatchesHandLoop shows the FDAF kind, stepped sample by
+// sample through the one pipeline loop, is exactly the block loop: each
+// block's anti-noise comes from ProcessBlockInto on the zero-padded
+// reference block and the previous block's noisy errors. It holds for
+// pulls that are not whole blocks (rounded up), pulls of many blocks, and
+// a short final block, and every block is timed into lanc.block_ns.
+func TestFDAFKindMatchesHandLoop(t *testing.T) {
+	const n, b = 6007, 16
+	x, cup := kindSignals(n)
+	cfg := validConfig(n)
+	cfg.FDAF = &FDAFParams{BlockSize: b}
+
+	var nTaps int
+	for _, pull := range []int{0, 7, 64, 100} {
+		residual := make([]float64, n)
+		c := cfg
+		c.Reference = &SliceSource{Samples: x}
+		c.Ambient = &SliceAmbient{Local: x, Cup: cup}
+		c.NoiseRMS = 1e-3
+		c.Noise = audio.NewRNG(3)
+		c.Residual = residual
+		reg := telemetry.NewRegistry()
+		c.Telemetry = reg
+		pl, err := Build(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.Run(n, pull); err != nil {
+			t.Fatal(err)
+		}
+		if pl.Samples() != n {
+			t.Fatalf("pull %d: processed %d samples, want %d", pull, pl.Samples(), n)
+		}
+		if h := reg.Snapshot().Histograms["lanc.block_ns"]; h.Count != (n+b-1)/b {
+			t.Errorf("pull %d: lanc.block_ns observed %d blocks, want %d", pull, h.Count, (n+b-1)/b)
+		}
+		nTaps = pl.NonCausalTaps
+
+		bl, err := core.NewBlock(core.BlockConfig{
+			FilterTaps:    cfg.Canceller.CausalTaps + nTaps,
+			BlockSize:     b,
+			SecondaryPath: cfg.Canceller.SecondaryPath,
+			NonCausalTaps: nTaps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := dsp.NewStreamConvolver(cfg.SecondaryIR)
+		noise := audio.NewRNG(3)
+		want := make([]float64, n)
+		xb, a, eb := make([]float64, b), make([]float64, b), make([]float64, b)
+		for t0 := 0; t0 < n; t0 += b {
+			got := copy(xb, x[t0:])
+			clear(xb[got:])
+			if err := bl.ProcessBlockInto(a, xb, eb); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < got; i++ {
+				eb[i] = cup[t0+i] + sec.Process(a[i]) + 1e-3*noise.Norm()
+				want[t0+i] = eb[i]
+			}
+			clear(eb[got:])
+		}
+		sameBits(t, residual, want)
+	}
+	if nTaps == 0 {
+		t.Fatal("the FDAF pipeline planned no non-causal taps — test is vacuous")
+	}
 }
 
 // TestErrorDelayMatchesHandLoop shows an ErrorDelay pipeline is exactly a

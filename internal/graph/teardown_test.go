@@ -33,41 +33,49 @@ func (c *closerAmbient) Close() error {
 
 // TestPipelineCloseReleasesStages pins the teardown contract: Close
 // reaches every bound stage that implements io.Closer, releases the block
-// scratch, is idempotent, and reports the first stage error while still
-// closing the rest.
+// scratch (and the FDAF kind's view of it), is idempotent, and reports the
+// first stage error while still closing the rest.
 func TestPipelineCloseReleasesStages(t *testing.T) {
-	cfg := validConfig(512)
-	src := &closerSource{SliceSource: SliceSource{Samples: make([]float64, 512)}}
-	amb := &closerAmbient{SliceAmbient: SliceAmbient{
-		Local: make([]float64, 512), Cup: make([]float64, 512),
-	}}
-	cfg.Reference = src
-	cfg.Ambient = amb
-	pl, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.ProcessBlock(128); err != nil {
-		t.Fatal(err)
-	}
-	if pl.x == nil {
-		t.Fatal("scratch not grown before Close — test is vacuous")
-	}
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if src.closed != 1 || amb.closed != 1 {
-		t.Fatalf("closed source %d times, ambient %d times; want 1 and 1", src.closed, amb.closed)
-	}
-	if pl.x != nil || pl.m != nil {
-		t.Fatal("block scratch survived Close")
-	}
-	// Idempotent: stages are not closed twice.
-	if err := pl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if src.closed != 1 {
-		t.Fatalf("second Close re-closed the source (%d)", src.closed)
+	for _, fdaf := range []*FDAFParams{nil, {BlockSize: 16}} {
+		cfg := validConfig(512)
+		cfg.FDAF = fdaf
+		src := &closerSource{SliceSource: SliceSource{Samples: make([]float64, 512)}}
+		amb := &closerAmbient{SliceAmbient: SliceAmbient{
+			Local: make([]float64, 512), Cup: make([]float64, 512),
+		}}
+		cfg.Reference = src
+		cfg.Ambient = amb
+		pl, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 120
+		if fdaf != nil {
+			want = 128 // rounded up to whole blocks
+		}
+		if got, err := pl.ProcessBlock(120); err != nil || got != want {
+			t.Fatalf("ProcessBlock(120) = %d, %v; want %d", got, err, want)
+		}
+		k, isFDAF := pl.canc.(*fdafKind)
+		if pl.x == nil || isFDAF && k.xs == nil {
+			t.Fatal("scratch not grown before Close — test is vacuous")
+		}
+		if err := pl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if src.closed != 1 || amb.closed != 1 {
+			t.Fatalf("closed source %d times, ambient %d times; want 1 and 1", src.closed, amb.closed)
+		}
+		if pl.x != nil || pl.m != nil || isFDAF && k.xs != nil {
+			t.Fatal("block scratch, or the FDAF kind's view of it, survived Close")
+		}
+		// Idempotent: stages are not closed twice.
+		if err := pl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if src.closed != 1 {
+			t.Fatalf("second Close re-closed the source (%d)", src.closed)
+		}
 	}
 }
 

@@ -150,9 +150,6 @@ func (h *ANC) Reset() {
 	h.bandl.Reset()
 }
 
-// Taps returns the causal adaptive-filter length.
-func (h *ANC) Taps() int { return h.cfg.Taps }
-
 // WarmStart seeds the adaptive filter with externally converged causal
 // weights — the supervisor hands over LANC's causal taps when the relay
 // link dies, so the local fallback starts from a plausible room model

@@ -491,13 +491,8 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		if err := pl.Run(n, 0); err != nil {
 			return nil, err
 		}
-		if pl.LANC != nil {
-			res.Switches = pl.LANC.Switches()
-		}
-		if pl.Sup != nil {
-			rep := pl.Sup.Report()
-			res.Supervision = &rep
-		}
+		res.Switches, _, _ = pl.AdaptState()
+		res.Supervision = pl.Supervision()
 	}
 	res.On = on
 	res.Residual = residual

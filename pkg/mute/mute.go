@@ -521,6 +521,8 @@ func NewFailover(cfg FailoverConfig) (*Failover, error) {
 type (
 	// Pipeline is a built cancellation graph: drive it with ProcessBlock
 	// or Run, read Meters/Samples and the planned Budget/Spend back.
+	// ProcessBlock(n) pulls n samples; on the FDAF kind n is rounded up to
+	// whole blocks.
 	Pipeline = graph.Pipeline
 	// PipelineConfig wires one pipeline; Reference, Ambient, SecondaryIR
 	// and the lookahead geometry are the required bindings.
