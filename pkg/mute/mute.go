@@ -534,7 +534,7 @@ type (
 	PipelineFDAFParams = graph.FDAFParams
 	// SampleSource is a pull-scheduled reference input (samples + mask).
 	SampleSource = graph.SampleSource
-	// AmbientLeg yields the coincident ambient sound per reference sample.
+	// AmbientLeg yields the coincident ambient sound per reference block.
 	AmbientLeg = graph.Ambient
 	// DriftControl steers adaptation holds and supervisor drift reports.
 	DriftControl = graph.DriftControl
