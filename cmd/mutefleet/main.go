@@ -50,8 +50,8 @@ func main() {
 		blocks     = flag.Int("blocks", 200, "ticks to run in throughput mode")
 		frame      = flag.Int("frame", 80, "samples per frame / processing block")
 		rate       = flag.Float64("rate", 8000, "sample rate in Hz")
-		causal     = flag.Int("causal-taps", 48, "LANC causal taps per session")
-		noncausal  = flag.Int("max-noncausal", 16, "cap on planned non-causal taps")
+		causal     = flag.Int("causal-taps", fleet.DefaultProfile().CausalTaps, "LANC causal taps per session")
+		noncausal  = flag.Int("max-noncausal", fleet.DefaultProfile().MaxNonCausalTaps, "cap on planned non-causal taps")
 		fdafBlock  = flag.Int("fdaf-block", 0, "run sessions on the FDAF path with this block size (0 = time domain)")
 		shards     = flag.Int("shards", 1, "ProcessTick goroutine fan-out")
 		loss       = flag.Float64("loss", 0.02, "per-user frame loss probability")

@@ -10,18 +10,17 @@ import (
 // LANC for long filters: the M-tap filter is split into P = ⌈M/B⌉
 // partitions of B taps, each applied by overlap-save through a 2B-point
 // real FFT, with per-bin normalized constrained updates. Long filters get
-// FFT economics while block latency stays one block (B−1 samples) — the
-// structure production ANC firmware uses once filters grow past a few
-// hundred taps, without the single-big-FFT variant's latency of the whole
-// filter length.
+// FFT economics while adaptation lags by one block — the structure
+// production ANC firmware uses once filters grow past a few hundred taps,
+// without the single-big-FFT variant's latency of the whole filter length.
 //
 // The lookahead view: relative to the *forwarded* stream, LANC's
 // non-causal taps are ordinary causal taps (the stream runs N samples
 // ahead of the acoustic wavefront), so the block filter is a standard
-// causal adaptive filter over the forwarded stream. Block processing
-// spends part of the lookahead budget on latency: the last sample of each
-// block is computed B−1 samples before its error is observable, so choose
-// BlockSize ≤ the non-causal budget.
+// causal adaptive filter over the forwarded stream. Output sample j of a
+// block depends only on forwarded samples up to j, so the block adds no
+// signal delay; what it costs is adaptation lag — the last sample of each
+// block is computed B−1 samples before its error is observable.
 //
 // Every window but the input pair is half zero or half discarded, and the
 // transforms say so instead of padding: the error window [0…0, e] goes
@@ -73,8 +72,8 @@ type BlockConfig struct {
 	// FilterTaps is the total filter length M (the sample-domain
 	// N + L + 1).
 	FilterTaps int
-	// BlockSize is B, the samples produced per call. Latency grows with
-	// B; keep it at or below the deployment's non-causal budget.
+	// BlockSize is B, the samples produced per call. Adaptation lag grows
+	// with B.
 	BlockSize int
 	// Mu is the normalized step (0.1–1 typical; 0 = DefaultBlockMu). The
 	// effective per-bin, per-partition step is Mu/P, so stability does not

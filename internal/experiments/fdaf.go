@@ -5,10 +5,10 @@ import (
 	"mute/internal/sim"
 )
 
-// fdafBlockSizes are the partition sizes the sweep covers. Each block of B
-// samples spends B−1 samples of lookahead on block latency, so the sweep is
-// the block-size-vs-lookahead tradeoff made measurable: larger blocks buy
-// throughput (fewer, bigger FFTs) at the cost of non-causal taps.
+// fdafBlockSizes are the partition sizes the sweep covers. Every block
+// size plans the same budget (the block costs no lookahead), so the sweep
+// isolates the adaptation tradeoff: larger blocks buy throughput (fewer,
+// bigger FFTs) and adapt once per block.
 var fdafBlockSizes = []int{8, 16, 32, 64}
 
 // FdafSweep compares the default time-domain LANC against the partitioned
@@ -64,7 +64,7 @@ func FdafSweep(c Config) (*Figure, error) {
 	fig.Series = []Series{{Name: "FDAF_dB", X: xs, Y: dbs}}
 	fig.Notes = append(fig.Notes,
 		note("time-domain baseline: %.1f dB", tdDB),
-		note("each block of B samples spends B-1 samples of lookahead on block latency (budget entry fdaf.block_latency)"),
+		note("every block size plans the time-domain budget: anti-noise sample t depends only on reference samples up to t"),
 	)
 	return fig, nil
 }

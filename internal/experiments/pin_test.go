@@ -35,8 +35,8 @@ func TestLossCellBitsPinned(t *testing.T) {
 		fec, freeze bool
 		want        uint64
 	}{
-		{"naive_burst", false, false, 0xc01601e33087a146},
-		{"freeze+fec_burst", true, true, 0xc033bc5d09423940},
+		{"naive_burst", false, false, 0xc029e68562ffdedf},
+		{"freeze+fec_burst", true, true, 0xc033ba844809f951},
 	} {
 		db, err := lossRun(c, link, tc.fec, tc.freeze, c.Seed+3*23, nil)
 		if err != nil {
@@ -55,14 +55,14 @@ func TestOutageCellBitsPinned(t *testing.T) {
 		moves  int
 		trans  int // supervisor transitions (-1 = unsupervised)
 	}{
-		{"naive", outageNaive, 0xc01078d8a4dca5da, 0, -1},
-		{"freeze", outageFreeze, 0xc011a585d95430fa, 0, -1},
+		{"naive", outageNaive, 0xc010fc533733c356, 0, -1},
+		{"freeze", outageFreeze, 0xc011a57e9f7a915a, 0, -1},
 		// The FALLBACK rung's headphone canceller moved the last bits
 		// (was 0xc012f719fe3fbb0e) when it became a zero-lookahead LANC,
 		// whose NLMS window powers are rescanned exactly every 64 samples
 		// where the old FxLMS slid them forever (EXPERIMENTS.md).
-		{"supervised", outageSupervised, 0xc012f719fe3fbb07, 0, 3},
-		{"failover_2relay", outageFailover, 0xc03329770b6331b5, 2, -1},
+		{"supervised", outageSupervised, 0xc016e22379a5de28, 0, 3},
+		{"failover_2relay", outageFailover, 0xc03327b765973cf1, 2, -1},
 	} {
 		cell := outageCell{
 			cfg: c, policy: tc.policy, frac: 1.0 / 6, bgLoss: 0.02,
@@ -94,9 +94,9 @@ func TestDriftCellBitsPinned(t *testing.T) {
 		want   uint64
 		trans  int
 	}{
-		{"naive", driftNaive, 0xc03f8f4d6718ea53, -1},
-		{"corrected", driftCorrected, 0xc03f87def5aca174, -1},
-		{"supervised", driftSupervised, 0xc03ea4baa65d14fa, 1},
+		{"naive", driftNaive, 0xc03f2eab8326e0c6, -1},
+		{"corrected", driftCorrected, 0xc0406cfdd0cae848, -1},
+		{"supervised", driftSupervised, 0xc03cf00580c963ad, 1},
 	} {
 		cell := driftCell{
 			cfg: c, policy: tc.policy, ppm: 100,

@@ -31,12 +31,10 @@ func pregenerate(t *testing.T, srv *Server, p Profile, sessions, blocks int) [][
 }
 
 // TestServeSteadyStateAllocFree pins the serving path at zero
-// steady-state allocations on both canceller kinds: envelope parse →
-// pooled frame decode → jitter buffer → pipeline block, across a
-// 16-session fleet, allocates nothing once warm. Measured with Shards=1 —
-// the sequential schedule is the zero-allocation mode; the shard fan-out
-// itself costs a few goroutine allocations per tick and is measured
-// separately below.
+// steady-state allocations on both canceller kinds, with the sequential
+// schedule and with the shard fan-out: envelope parse → pooled frame
+// decode → jitter buffer → pipeline block, across a 16-session fleet,
+// allocates nothing once warm.
 func TestServeSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime's sync.Pool drops puts at random; pool-backed zero-alloc is unmeasurable under -race")
@@ -47,17 +45,19 @@ func TestServeSteadyStateAllocFree(t *testing.T) {
 	// across warm-up and measurement alike.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, fdafBlock := range []int{0, 16} {
-		p := lightProfile()
-		p.FDAFBlock = fdafBlock
-		serveAllocFree(t, p)
+		for _, shards := range []int{1, 2} {
+			p := lightProfile()
+			p.FDAFBlock = fdafBlock
+			serveAllocFree(t, p, shards)
+		}
 	}
 }
 
 // serveAllocFree measures one profile's steady-state serving allocations.
-func serveAllocFree(t *testing.T, p Profile) {
+func serveAllocFree(t *testing.T, p Profile, shards int) {
 	t.Helper()
 	const sessions, runs, warmup = 16, 100, 8
-	srv := NewServer(Config{Shards: 1})
+	srv := NewServer(Config{Shards: shards})
 	defer srv.Close()
 	pregen := pregenerate(t, srv, p, sessions, warmup+1+runs)
 	cursor := 0
@@ -78,12 +78,12 @@ func serveAllocFree(t *testing.T, p Profile) {
 	newsBefore, _, _ := srv.PoolStats()
 	// AllocsPerRun calls cycle once to warm up, then `runs` measured times.
 	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
-		t.Fatalf("FDAFBlock=%d: steady-state serving allocates %.2f times per tick, want 0", p.FDAFBlock, avg)
+		t.Fatalf("FDAFBlock=%d Shards=%d: steady-state serving allocates %.2f times per tick, want 0", p.FDAFBlock, shards, avg)
 	}
 	newsAfter, gets, puts := srv.PoolStats()
 	if newsAfter != newsBefore {
-		t.Fatalf("FDAFBlock=%d: frame pool grew %d → %d fresh frames after warmup — unbounded pool growth",
-			p.FDAFBlock, newsBefore, newsAfter)
+		t.Fatalf("FDAFBlock=%d Shards=%d: frame pool grew %d → %d fresh frames after warmup — unbounded pool growth",
+			p.FDAFBlock, shards, newsBefore, newsAfter)
 	}
 	if gets == 0 || puts == 0 {
 		t.Fatal("pool saw no traffic — the measured loop bypassed frame recycling")

@@ -18,7 +18,7 @@ func TestPlanBalanced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewBudget(%d): %v", lookahead, err)
 		}
-		rep := Plan(8000, lookahead, 0, 0, 0, 0, pd, budget.UsableTaps)
+		rep, _ := Plan(8000, lookahead, 0, 0, 0, pd, budget.UsableTaps)
 		if !rep.Balanced() {
 			t.Errorf("lookahead %d: budget unbalanced: spent %d", lookahead, rep.SpentSamples())
 		}
@@ -45,9 +45,12 @@ func TestPlanBalanced(t *testing.T) {
 // silently mis-summed: the overdrawn entry keeps the identity intact.
 func TestPlanOverdrawn(t *testing.T) {
 	pd := core.PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1}
-	rep := Plan(8000, 10, 0, 0, 0, 0, pd, 32) // 4 + 32 > 10
+	rep, align := Plan(8000, 10, 0, 0, 0, pd, 32) // 4 + 32 > 10
 	if got := rep.SpentSamples(); got != 10 {
 		t.Fatalf("overdrawn budget sums to %d, want 10", got)
+	}
+	if align != 0 {
+		t.Errorf("overdrawn budget aligns the reference by %d samples, want 0", align)
 	}
 	found := false
 	for _, e := range rep.Entries {
@@ -70,7 +73,7 @@ func TestPlanDriftGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Plan(8000, lookahead, 0, 0, guard, 0, pd, budget.UsableTaps)
+	rep, _ := Plan(8000, lookahead, 0, 0, guard, pd, budget.UsableTaps)
 	if got := rep.SpentSamples(); got != lookahead {
 		t.Errorf("drift-guarded budget sums to %d, want %d", got, lookahead)
 	}
@@ -85,26 +88,33 @@ func TestPlanDriftGuard(t *testing.T) {
 	}
 }
 
-// TestPlanBlockLatency checks the FDAF debit: block latency appears as
-// its own entry with the identity intact.
+// TestPlanBlockLatency pins the FDAF kind's budget: the block costs the
+// taps no delay (its anti-noise sample t depends only on reference
+// samples up to t), so no fdaf.block_latency entry is debited, the
+// non-causal grant matches the sample-domain kind's, and the alignment
+// spends the rest.
 func TestPlanBlockLatency(t *testing.T) {
-	pd := core.PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1}
-	const lookahead, blockLat = 128, 63
-	budget, err := core.NewBudget(lookahead-blockLat, pd)
+	cfg := validConfig(256)
+	cfg.MaxNonCausalTaps = 16
+	td, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Plan(8000, lookahead, 0, 0, 0, blockLat, pd, budget.UsableTaps)
-	if got := rep.SpentSamples(); got != lookahead {
-		t.Errorf("block-latency budget sums to %d, want %d", got, lookahead)
+	cfg.FDAF = &FDAFParams{BlockSize: 16}
+	fd, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, e := range rep.Entries {
-		if e.Stage == "fdaf.block_latency" && e.Samples == blockLat {
-			found = true
+	for _, e := range fd.Spend.Entries {
+		if e.Stage == "fdaf.block_latency" {
+			t.Errorf("FDAF budget debits %d samples of block latency", e.Samples)
 		}
 	}
-	if !found {
-		t.Error("no fdaf.block_latency entry in an FDAF budget")
+	if fd.NonCausalTaps != td.NonCausalTaps || fd.align != td.align {
+		t.Errorf("FDAF plans N=%d, align %d; the sample-domain kind N=%d, align %d",
+			fd.NonCausalTaps, fd.align, td.NonCausalTaps, td.align)
+	}
+	if fd.align != 64-4-16 || fd.Spend.SpentSamples() != cfg.Lookahead {
+		t.Errorf("FDAF align = %d, spend %d; want 44 of %d", fd.align, fd.Spend.SpentSamples(), cfg.Lookahead)
 	}
 }

@@ -301,17 +301,19 @@ func TestHeadphoneKindMatchesHandLoop(t *testing.T) {
 
 // TestFDAFKindMatchesHandLoop shows the FDAF kind, stepped sample by
 // sample through the one pipeline loop, is exactly the block loop: each
-// block's anti-noise comes from ProcessBlockInto on the zero-padded
-// reference block and the previous block's noisy errors. It holds for
-// pulls that are not whole blocks (rounded up), pulls of many blocks, and
-// a short final block, and every block is timed into lanc.block_ns.
+// block's anti-noise comes from ProcessBlockInto on the zero-padded block
+// of the aligned reference (delayed by the budget's align entry) and the
+// previous block's noisy errors. It holds for pulls that are not whole
+// blocks (rounded up), pulls of many blocks, and a short final block, and
+// every block is timed into lanc.block_ns.
 func TestFDAFKindMatchesHandLoop(t *testing.T) {
 	const n, b = 6007, 16
 	x, cup := kindSignals(n)
 	cfg := validConfig(n)
 	cfg.FDAF = &FDAFParams{BlockSize: b}
+	cfg.MaxNonCausalTaps = 16 // leaves 44 samples for the alignment
 
-	var nTaps int
+	var nTaps, align int
 	for _, pull := range []int{0, 7, 64, 100} {
 		residual := make([]float64, n)
 		c := cfg
@@ -335,7 +337,9 @@ func TestFDAFKindMatchesHandLoop(t *testing.T) {
 		if h := reg.Snapshot().Histograms["lanc.block_ns"]; h.Count != (n+b-1)/b {
 			t.Errorf("pull %d: lanc.block_ns observed %d blocks, want %d", pull, h.Count, (n+b-1)/b)
 		}
-		nTaps = pl.NonCausalTaps
+		nTaps, align = pl.NonCausalTaps, pl.align
+		xa := make([]float64, n)
+		copy(xa[align:], x)
 
 		bl, err := core.NewBlock(core.BlockConfig{
 			FilterTaps:    cfg.Canceller.CausalTaps + nTaps,
@@ -351,7 +355,7 @@ func TestFDAFKindMatchesHandLoop(t *testing.T) {
 		want := make([]float64, n)
 		xb, a, eb := make([]float64, b), make([]float64, b), make([]float64, b)
 		for t0 := 0; t0 < n; t0 += b {
-			got := copy(xb, x[t0:])
+			got := copy(xb, xa[t0:])
 			clear(xb[got:])
 			if err := bl.ProcessBlockInto(a, xb, eb); err != nil {
 				t.Fatal(err)
@@ -364,8 +368,8 @@ func TestFDAFKindMatchesHandLoop(t *testing.T) {
 		}
 		sameBits(t, residual, want)
 	}
-	if nTaps == 0 {
-		t.Fatal("the FDAF pipeline planned no non-causal taps — test is vacuous")
+	if nTaps == 0 || align == 0 {
+		t.Fatalf("the FDAF pipeline planned %d non-causal taps and align %d — test is vacuous", nTaps, align)
 	}
 }
 

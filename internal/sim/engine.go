@@ -117,14 +117,14 @@ type Params struct {
 
 	// BlockFDAF replaces the sample-by-sample LANC with the partitioned
 	// frequency-domain canceller (core.BlockLANC): anti-noise is produced
-	// in blocks of BlockSize samples, trading B−1 samples of lookahead for
-	// FFT-economics filtering. It applies to the LANC schemes only and is
+	// in blocks of BlockSize samples with FFT-economics filtering, adapting
+	// once per block. It applies to the LANC schemes only and is
 	// incompatible with the packetized transport, supervisor, profiling,
 	// and clock-fault machinery (all sample-clocked).
 	BlockFDAF bool
 	// BlockSize is the FDAF block size B in samples (power of two,
-	// 0 = 32). The block path spends B−1 samples of the lookahead budget
-	// on block latency, so keep B comfortably under the scene's lookahead.
+	// 0 = 32). The block costs no lookahead; larger blocks adapt less
+	// often.
 	BlockSize int
 
 	// CausalTaps is LANC's causal filter length L.
@@ -401,10 +401,9 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		gcfg.Reference = &graph.SliceSource{Samples: open}
 	case p.BlockFDAF:
 		// Partitioned frequency-domain path: anti-noise is produced one
-		// block at a time, adapting on the previous block's error. The
-		// forwarded stream leads the wavefront by the scene lookahead, out
-		// of which B−1 samples fund the block latency (the last sample of a
-		// block is committed B−1 samples before its error is observable).
+		// block at a time, adapting on the previous block's error. It plans
+		// the same budget as the time-domain path: anti-noise sample t
+		// depends only on reference samples up to t.
 		bsize := p.BlockSize
 		if bsize == 0 {
 			bsize = 32

@@ -164,8 +164,8 @@ func TestRunMobileBitsPinned(t *testing.T) {
 		rms           float64
 		pow, last, on uint64
 	}{
-		{0, 0x40600df57510e4d1, 0xbfaf4a1fa520015a, 0xbfaf4a1fa520015a},
-		{1e-3, 0x40600ed45392ca69, 0xbfaffa66da633885, 0xbfaf583b128980ae},
+		{0, 0x406000a8f4409596, 0xbfa9d090717682c4, 0xbfa9d090717682c4},
+		{1e-3, 0x406001b27e78e296, 0xbfaa895c3dfeb0f9, 0xbfa9e7307624f922},
 	} {
 		base := DefaultParams(whiteScene(4))
 		base.Duration = 2
@@ -206,8 +206,8 @@ func TestTabletopBitsPinned(t *testing.T) {
 		rms           float64
 		pow, last, on uint64
 	}{
-		{0, 0x404ff25e3855159a, 0xbf9e5656055528aa, 0xbf9e5656055528aa},
-		{1e-3, 0x404ff7037246c88b, 0xbf9fcc484abbb800, 0xbf9e87f0bb084852},
+		{0, 0x404f32109e0f3538, 0xbf9b806917e2ec3a, 0xbf9b806917e2ec3a},
+		{1e-3, 0x404f36d4b554d411, 0xbf9d0ee2efc71d48, 0xbf9bca8b6013ad9a},
 	} {
 		base := DefaultParams(whiteScene(2))
 		base.Duration = 2
