@@ -8,7 +8,7 @@ import (
 // BudgetEntry is one stage's share of the lookahead budget.
 type BudgetEntry struct {
 	// Stage names the consumer (e.g. "transport.prime", "pipeline.adc",
-	// "lanc.noncausal_taps", "unused").
+	// "lanc.noncausal_taps", "align").
 	Stage string `json:"stage"`
 	// Samples is the lookahead the stage consumes, in samples.
 	Samples int `json:"samples"`
@@ -17,9 +17,10 @@ type BudgetEntry struct {
 // BudgetReport itemizes where a deployment's lookahead goes: the playout
 // buffering of the packetized transport, any deliberate reference delay,
 // the ADC/DSP/DAC/speaker pipeline of Equation 3, the non-causal taps that
-// do the actual cancelling, and whatever is left unused. The entries sum
-// to the geometric lookahead exactly — the invariant the muteear trace
-// test enforces — so a reader can see stage by stage why N is what it is.
+// do the actual cancelling, and the reference alignment that spends the
+// rest. The entries sum to the geometric lookahead exactly — the
+// invariant the muteear trace test enforces — so a reader can see stage
+// by stage why N is what it is.
 type BudgetReport struct {
 	// SampleRate converts samples to milliseconds.
 	SampleRate float64 `json:"sample_rate"`
