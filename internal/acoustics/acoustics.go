@@ -58,12 +58,6 @@ func Lookahead(source, relay, ear Point) float64 {
 	return AcousticDelay(de) - AcousticDelay(dr) - RFDelay(rf)
 }
 
-// LookaheadSamples converts a lookahead time to whole samples at the given
-// rate, truncating toward zero.
-func LookaheadSamples(source, relay, ear Point, sampleRate float64) int {
-	return int(Lookahead(source, relay, ear) * sampleRate)
-}
-
 // Attenuation returns the spherical-spreading pressure attenuation for a
 // point source at distance d meters, normalized so that distance refDist
 // has gain 1. Distances below 10 cm are clamped to avoid the singularity.

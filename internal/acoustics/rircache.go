@@ -29,11 +29,9 @@ const rirCacheCap = 256
 // four times. Guarded by a plain mutex: the hit path is a map lookup plus a
 // copy, and the expensive compute runs outside the lock.
 var rirCache struct {
-	mu     sync.Mutex
-	m      map[rirKey]*rirEntry
-	tick   uint64
-	hits   uint64
-	misses uint64
+	mu   sync.Mutex
+	m    map[rirKey]*rirEntry
+	tick uint64
 }
 
 func cachedImpulseResponse(r Room, src, dst Point, sampleRate float64) ([]float64, error) {
@@ -46,13 +44,11 @@ func cachedImpulseResponse(r Room, src, dst Point, sampleRate float64) ([]float6
 	rirCache.tick++
 	if e, ok := rirCache.m[key]; ok {
 		e.lastUse = rirCache.tick
-		rirCache.hits++
 		out := make([]float64, len(e.h))
 		copy(out, e.h)
 		rirCache.mu.Unlock()
 		return out, nil
 	}
-	rirCache.misses++
 	rirCache.mu.Unlock()
 
 	// Compute outside the lock; concurrent misses on the same key simply
@@ -89,23 +85,4 @@ func evictOldestRIRLocked() {
 	if !first {
 		delete(rirCache.m, oldestKey)
 	}
-}
-
-// ClearRIRCache empties the impulse-response cache and resets its
-// statistics. Mainly for tests and memory-sensitive callers.
-func ClearRIRCache() {
-	rirCache.mu.Lock()
-	rirCache.m = nil
-	rirCache.tick = 0
-	rirCache.hits = 0
-	rirCache.misses = 0
-	rirCache.mu.Unlock()
-}
-
-// RIRCacheStats reports cumulative cache hits and misses since the last
-// ClearRIRCache.
-func RIRCacheStats() (hits, misses uint64) {
-	rirCache.mu.Lock()
-	defer rirCache.mu.Unlock()
-	return rirCache.hits, rirCache.misses
 }

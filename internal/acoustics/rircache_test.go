@@ -5,9 +5,24 @@ import (
 	"testing"
 )
 
+// clearRIRCache empties the process-wide impulse-response cache.
+func clearRIRCache() {
+	rirCache.mu.Lock()
+	rirCache.m = nil
+	rirCache.tick = 0
+	rirCache.mu.Unlock()
+}
+
+// rirCacheLen reports how many impulse responses the cache holds.
+func rirCacheLen() int {
+	rirCache.mu.Lock()
+	defer rirCache.mu.Unlock()
+	return len(rirCache.m)
+}
+
 func TestRIRCacheHitReturnsIdenticalResponse(t *testing.T) {
-	ClearRIRCache()
-	defer ClearRIRCache()
+	clearRIRCache()
+	defer clearRIRCache()
 
 	room := DefaultRoom()
 	src := Point{1, 1, 1.5}
@@ -29,15 +44,28 @@ func TestRIRCacheHitReturnsIdenticalResponse(t *testing.T) {
 			t.Fatalf("tap %d differs: %g vs %g", i, h1[i], h2[i])
 		}
 	}
-	hits, misses := RIRCacheStats()
-	if misses != 1 || hits != 1 {
-		t.Fatalf("want 1 hit / 1 miss, got %d / %d", hits, misses)
+	if n := rirCacheLen(); n != 1 {
+		t.Fatalf("want 1 cached response, got %d", n)
+	}
+	// A hit copies the stored taps: mark them and the next call must
+	// return the mark rather than recompute.
+	rirCache.mu.Lock()
+	for _, e := range rirCache.m {
+		e.h[0] = 12345
+	}
+	rirCache.mu.Unlock()
+	h3, err := room.ImpulseResponse(src, dst, 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h3[0] != 12345 {
+		t.Fatalf("third call recomputed instead of hitting the cache: tap 0 = %g", h3[0])
 	}
 }
 
 func TestRIRCacheReturnsDefensiveCopy(t *testing.T) {
-	ClearRIRCache()
-	defer ClearRIRCache()
+	clearRIRCache()
+	defer clearRIRCache()
 
 	room := DefaultRoom()
 	src := Point{1, 1, 1.5}
@@ -60,8 +88,8 @@ func TestRIRCacheReturnsDefensiveCopy(t *testing.T) {
 }
 
 func TestRIRCacheDistinguishesGeometry(t *testing.T) {
-	ClearRIRCache()
-	defer ClearRIRCache()
+	clearRIRCache()
+	defer clearRIRCache()
 
 	room := DefaultRoom()
 	if _, err := room.ImpulseResponse(Point{1, 1, 1.5}, Point{3, 2, 1.2}, 8000); err != nil {
@@ -79,15 +107,14 @@ func TestRIRCacheDistinguishesGeometry(t *testing.T) {
 	if _, err := other.ImpulseResponse(Point{1, 1, 1.5}, Point{3, 2, 1.2}, 8000); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := RIRCacheStats()
-	if hits != 0 || misses != 4 {
-		t.Fatalf("want 0 hits / 4 misses, got %d / %d", hits, misses)
+	if n := rirCacheLen(); n != 4 {
+		t.Fatalf("want 4 cached responses, got %d", n)
 	}
 }
 
 func TestRIRCacheConcurrentAccess(t *testing.T) {
-	ClearRIRCache()
-	defer ClearRIRCache()
+	clearRIRCache()
+	defer clearRIRCache()
 
 	room := DefaultRoom()
 	points := []Point{

@@ -31,12 +31,6 @@ func DefaultRoom() Room {
 	return Room{Size: Point{5, 4, 3}, Absorption: 0.8, MaxOrder: 6}
 }
 
-// AnechoicRoom returns a room with fully absorptive walls: only the direct
-// path survives. Useful as a control condition in tests.
-func AnechoicRoom() Room {
-	return Room{Size: Point{5, 4, 3}, Absorption: 1, MaxOrder: 0}
-}
-
 // Validate checks geometric and physical sanity.
 func (r Room) Validate() error {
 	if r.Size.X <= 0 || r.Size.Y <= 0 || r.Size.Z <= 0 {

@@ -156,27 +156,6 @@ func (f *AdaptiveFilter) Weights() []float64 {
 	return out
 }
 
-// SetWeights overwrites the filter weights (used when loading a cached
-// profile filter). The length must match the configured tap count.
-func (f *AdaptiveFilter) SetWeights(w []float64) error {
-	if len(w) != len(f.w) {
-		return fmt.Errorf("anc: weight length %d != taps %d", len(w), len(f.w))
-	}
-	copy(f.w, w)
-	return nil
-}
-
-// Reset zeroes weights and history.
-func (f *AdaptiveFilter) Reset() {
-	for i := range f.w {
-		f.w[i] = 0
-	}
-	for i := range f.x {
-		f.x[i] = 0
-	}
-	f.pow = 0
-}
-
 // Misalignment returns the normalized weight error ||w - h||² / ||h||²
 // against a reference impulse response h (zero-padded or truncated to the
 // filter length). It is the standard convergence metric for adaptive

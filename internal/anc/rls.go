@@ -157,13 +157,6 @@ func (r *RLS) Step(x, d float64) (y, e float64) {
 	return y, e
 }
 
-// Weights returns a copy of the weights.
-func (r *RLS) Weights() []float64 {
-	out := make([]float64, len(r.w))
-	copy(out, r.w)
-	return out
-}
-
 // Misalignment returns ||w − h||²/||h||² against a reference response.
 func (r *RLS) Misalignment(h []float64) float64 {
 	var num, den float64
@@ -180,16 +173,4 @@ func (r *RLS) Misalignment(h []float64) float64 {
 		return math.Inf(1)
 	}
 	return num / den
-}
-
-// Reset zeroes the filter and re-initializes the correlation matrix.
-func (r *RLS) Reset() {
-	for i := range r.w {
-		r.w[i] = 0
-		r.x[i] = 0
-		for j := range r.p[i] {
-			r.p[i][j] = 0
-		}
-		r.p[i][i] = 1 / r.cfg.Delta
-	}
 }

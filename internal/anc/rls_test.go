@@ -116,27 +116,6 @@ func TestRLSTracksChangingChannel(t *testing.T) {
 	}
 }
 
-func TestRLSReset(t *testing.T) {
-	r, err := NewRLS(RLSConfig{Taps: 4, Lambda: 0.999, Delta: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := audio.NewRNG(4)
-	for i := 0; i < 100; i++ {
-		r.Step(rng.Uniform(), rng.Uniform())
-	}
-	r.Reset()
-	for _, w := range r.Weights() {
-		if w != 0 {
-			t.Fatal("reset should zero weights")
-		}
-	}
-	r.Push(1)
-	if r.Output() != 0 {
-		t.Error("reset RLS should output 0")
-	}
-}
-
 func BenchmarkRLSStep64(b *testing.B) {
 	r, err := NewRLS(RLSConfig{Taps: 64, Lambda: 0.999, Delta: 0.01})
 	if err != nil {

@@ -25,11 +25,6 @@ func Render(g Generator, n int) []float64 {
 	return out
 }
 
-// RenderSeconds pulls dur seconds of audio from g.
-func RenderSeconds(g Generator, dur float64) []float64 {
-	return Render(g, int(dur*g.SampleRate()))
-}
-
 // WhiteNoise is the paper's "most unpredictable" wide-band test signal
 // (Figure 12): independent uniform samples, optionally band-limited.
 type WhiteNoise struct {
@@ -132,41 +127,6 @@ func (t *Tone) Next() float64 {
 // SampleRate implements Generator.
 func (t *Tone) SampleRate() float64 { return t.rate }
 
-// Chirp sweeps linearly from f0 to f1 over dur seconds, then repeats.
-// Useful for measuring frequency responses (Figure 13).
-type Chirp struct {
-	rate   float64
-	amp    float64
-	f0, f1 float64
-	dur    float64
-	t      float64
-	phase  float64
-}
-
-// NewChirp creates a repeating linear sweep.
-func NewChirp(f0, f1, durSec, sampleRate, amp float64) *Chirp {
-	return &Chirp{rate: sampleRate, amp: amp, f0: f0, f1: f1, dur: durSec}
-}
-
-// Next returns the next chirp sample.
-func (c *Chirp) Next() float64 {
-	frac := c.t / c.dur
-	f := c.f0 + (c.f1-c.f0)*frac
-	s := c.amp * math.Sin(c.phase)
-	c.phase += 2 * math.Pi * f / c.rate
-	if c.phase > 2*math.Pi {
-		c.phase -= 2 * math.Pi
-	}
-	c.t += 1 / c.rate
-	if c.t >= c.dur {
-		c.t = 0
-	}
-	return s
-}
-
-// SampleRate implements Generator.
-func (c *Chirp) SampleRate() float64 { return c.rate }
-
 // MachineHum models the periodic machine noise that conventional ANC
 // headphones excel at: a low fundamental with decaying harmonics plus a
 // small broadband floor.
@@ -240,51 +200,6 @@ func (c *ConstructionNoise) Next() float64 {
 
 // SampleRate implements Generator.
 func (c *ConstructionNoise) SampleRate() float64 { return c.rate }
-
-// Mix sums several generators sample by sample. All inputs must share a
-// sample rate.
-type Mix struct {
-	gens []Generator
-	rate float64
-}
-
-// NewMix combines generators; it returns an error if rates disagree.
-func NewMix(gens ...Generator) (*Mix, error) {
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("audio: mix needs at least one generator")
-	}
-	rate := gens[0].SampleRate()
-	for _, g := range gens[1:] {
-		if g.SampleRate() != rate {
-			return nil, fmt.Errorf("audio: mix rate mismatch: %g vs %g", g.SampleRate(), rate)
-		}
-	}
-	return &Mix{gens: gens, rate: rate}, nil
-}
-
-// Next returns the sum of all component samples.
-func (m *Mix) Next() float64 {
-	var s float64
-	for _, g := range m.gens {
-		s += g.Next()
-	}
-	return s
-}
-
-// SampleRate implements Generator.
-func (m *Mix) SampleRate() float64 { return m.rate }
-
-// Silence emits zeros, for padding and control experiments.
-type Silence struct{ rate float64 }
-
-// NewSilence creates a silent generator.
-func NewSilence(sampleRate float64) *Silence { return &Silence{rate: sampleRate} }
-
-// Next returns 0.
-func (s *Silence) Next() float64 { return 0 }
-
-// SampleRate implements Generator.
-func (s *Silence) SampleRate() float64 { return s.rate }
 
 // SliceSource replays a fixed sample buffer (looping), letting recorded or
 // pre-rendered material drive the simulator.

@@ -193,16 +193,6 @@ func (s *Speech) Next() float64 {
 // SampleRate implements Generator.
 func (s *Speech) SampleRate() float64 { return s.rate }
 
-// Active reports whether the talker is currently producing sound (not in a
-// pause segment or inter-sentence gap). Profiling experiments use it as
-// ground truth.
-func (s *Speech) Active() bool {
-	if s.sentenceMode && s.gapRemain > 0 {
-		return false
-	}
-	return s.mode != 0
-}
-
 // Music synthesizes a deterministic melodic/harmonic stream: a note
 // sequence drawn from a pentatonic scale, each note carrying several
 // harmonics with an exponential decay envelope, over a soft broadband bed.

@@ -33,11 +33,7 @@ func NewMulti(cfgs []Config) (*MultiLANC, error) {
 	return m, nil
 }
 
-// References returns the number of reference streams.
-func (m *MultiLANC) References() int { return len(m.banks) }
-
-// Push feeds the newest sample from every reference stream; len(xs) must
-// equal References().
+// Push feeds the newest sample from every reference stream, one per bank.
 func (m *MultiLANC) Push(xs []float64) error {
 	if len(xs) != len(m.banks) {
 		return fmt.Errorf("core: got %d reference samples, want %d", len(xs), len(m.banks))
@@ -61,16 +57,5 @@ func (m *MultiLANC) AntiNoise() float64 {
 func (m *MultiLANC) Adapt(e float64) {
 	for _, b := range m.banks {
 		b.Adapt(e)
-	}
-}
-
-// Bank returns the i-th underlying LANC for inspection (weights, profile
-// state). It panics on out-of-range i, matching slice semantics.
-func (m *MultiLANC) Bank(i int) *LANC { return m.banks[i] }
-
-// Reset clears every bank.
-func (m *MultiLANC) Reset() {
-	for _, b := range m.banks {
-		b.Reset()
 	}
 }

@@ -93,27 +93,6 @@ func NewHighShelfBiquad(fcHz, sampleRate, q, gainDB float64) (*Biquad, error) {
 	}, nil
 }
 
-// NewLowShelfBiquad designs an RBJ low-shelf biquad that applies gainDB
-// below fcHz (negative gain attenuates).
-func NewLowShelfBiquad(fcHz, sampleRate, q, gainDB float64) (*Biquad, error) {
-	if err := checkBiquad(fcHz, sampleRate, q); err != nil {
-		return nil, err
-	}
-	a := math.Pow(10, gainDB/40)
-	w0 := 2 * math.Pi * fcHz / sampleRate
-	alpha := math.Sin(w0) / (2 * q)
-	cw := math.Cos(w0)
-	sq := 2 * math.Sqrt(a) * alpha
-	a0 := (a + 1) + (a-1)*cw + sq
-	return &Biquad{
-		b0: a * ((a + 1) - (a-1)*cw + sq) / a0,
-		b1: 2 * a * ((a - 1) - (a+1)*cw) / a0,
-		b2: a * ((a + 1) - (a-1)*cw - sq) / a0,
-		a1: -2 * ((a - 1) + (a+1)*cw) / a0,
-		a2: ((a + 1) + (a-1)*cw - sq) / a0,
-	}, nil
-}
-
 func checkBiquad(fcHz, sampleRate, q float64) error {
 	if sampleRate <= 0 {
 		return fmt.Errorf("dsp: sample rate must be positive, got %g", sampleRate)

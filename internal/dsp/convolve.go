@@ -68,21 +68,6 @@ func convolveFFT(x, h []float64) []float64 {
 	return out
 }
 
-// CrossCorrelate returns the cross-correlation r[lag] = sum_t a[t]*b[t+lag]
-// for lag in [-(len(b)-1), len(a)-1], as a slice indexed by
-// lag + len(b) - 1. The zero-lag index is therefore len(b)-1.
-func CrossCorrelate(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	// r = conv(a, reverse(b)) gives exactly the lag layout documented above.
-	rb := make([]float64, len(b))
-	for i, v := range b {
-		rb[len(b)-1-i] = v
-	}
-	return Convolve(a, rb)
-}
-
 // StreamConvolver applies a fixed FIR impulse response to an unbounded
 // sample stream one sample at a time, maintaining internal history.
 // It models an acoustic or electrical channel in the sample-clock simulator.
@@ -336,11 +321,4 @@ func (s *StreamConvolver) Reset() {
 		s.hist[i] = 0
 	}
 	s.pos = 0
-}
-
-// Taps returns a copy of the impulse response.
-func (s *StreamConvolver) Taps() []float64 {
-	out := make([]float64, len(s.h))
-	copy(out, s.h)
-	return out
 }

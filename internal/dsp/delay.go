@@ -19,15 +19,6 @@ func NewDelayLine(n int) (*DelayLine, error) {
 	return &DelayLine{buf: make([]float64, n)}, nil
 }
 
-// MustDelayLine is NewDelayLine for compile-time-constant lengths.
-func MustDelayLine(n int) *DelayLine {
-	d, err := NewDelayLine(n)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Process pushes x and returns the sample delayed by the line length.
 func (d *DelayLine) Process(x float64) float64 {
 	if len(d.buf) == 0 {
@@ -116,7 +107,6 @@ type LookaheadBuffer struct {
 	pos       int       // ring write cursor in [0, win)
 	lookahead int       // samples of future available
 	history   int       // samples of past retained
-	pushes    int       // total samples pushed, saturating at lookahead+1
 }
 
 // NewLookaheadBuffer creates a buffer retaining history past samples and
@@ -144,14 +134,7 @@ func (l *LookaheadBuffer) Push(x float64) {
 	if l.pos == l.win {
 		l.pos = 0
 	}
-	if l.pushes <= l.lookahead {
-		l.pushes++
-	}
 }
-
-// Primed reports whether enough samples have been pushed that the current
-// position corresponds to real (non-zero-fill) data.
-func (l *LookaheadBuffer) Primed() bool { return l.pushes > l.lookahead }
 
 // At returns the sample at signed offset k from the current position:
 // k=0 is current, k>0 future (k <= Lookahead), k<0 past (−k <= History).
@@ -178,23 +161,10 @@ func (l *LookaheadBuffer) View(lo, hi int) []float64 {
 	return l.buf[start : start+hi-lo+1]
 }
 
-// Lookahead returns the number of future samples available.
-func (l *LookaheadBuffer) Lookahead() int { return l.lookahead }
-
-// History returns the number of past samples retained.
-func (l *LookaheadBuffer) History() int { return l.history }
-
-// Window copies the samples for offsets [-history, +lookahead] into dst
-// (which must have length history+lookahead+1), ordered oldest first.
-func (l *LookaheadBuffer) Window(dst []float64) {
-	copy(dst, l.buf[l.pos:l.pos+l.win])
-}
-
 // Reset clears the buffer contents and priming state.
 func (l *LookaheadBuffer) Reset() {
 	for i := range l.buf {
 		l.buf[i] = 0
 	}
 	l.pos = 0
-	l.pushes = 0
 }

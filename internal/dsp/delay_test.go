@@ -40,22 +40,16 @@ func TestDelayLineNegativeErrors(t *testing.T) {
 }
 
 func TestDelayLineReset(t *testing.T) {
-	d := MustDelayLine(2)
+	d, err := NewDelayLine(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Process(5)
 	d.Process(6)
 	d.Reset()
 	if got := d.Process(0); got != 0 {
 		t.Errorf("after Reset got %g, want 0", got)
 	}
-}
-
-func TestMustDelayLinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustDelayLine(-1) should panic")
-		}
-	}()
-	MustDelayLine(-1)
 }
 
 func TestFractionalDelayInteger(t *testing.T) {
@@ -148,25 +142,20 @@ func TestLookaheadBufferSemantics(t *testing.T) {
 	if lb.At(4) != 0 || lb.At(-3) != 0 {
 		t.Error("out-of-window offsets should be 0")
 	}
-	if !lb.Primed() {
-		t.Error("buffer should be primed after 6 pushes with lookahead 3")
-	}
 }
 
 func TestLookaheadBufferPriming(t *testing.T) {
+	// The current sample stays the zero fill until lookahead+1 pushes.
 	lb, _ := NewLookaheadBuffer(0, 5)
-	if lb.Primed() {
-		t.Error("fresh buffer should not be primed")
-	}
 	for i := 0; i < 5; i++ {
 		lb.Push(1)
-	}
-	if lb.Primed() {
-		t.Error("buffer should not be primed until lookahead+1 pushes")
+		if lb.At(0) != 0 {
+			t.Fatalf("current sample after %d pushes = %g, want the zero fill", i+1, lb.At(0))
+		}
 	}
 	lb.Push(1)
-	if !lb.Primed() {
-		t.Error("buffer should be primed after lookahead+1 pushes")
+	if lb.At(0) != 1 {
+		t.Error("current sample should be real after lookahead+1 pushes")
 	}
 }
 
@@ -175,10 +164,7 @@ func TestLookaheadBufferReset(t *testing.T) {
 	lb.Push(9)
 	lb.Push(9)
 	lb.Reset()
-	if lb.Primed() {
-		t.Error("Reset should clear priming")
-	}
-	if lb.At(0) != 0 {
+	if lb.At(0) != 0 || lb.At(-1) != 0 || lb.At(1) != 0 {
 		t.Error("Reset should clear contents")
 	}
 }
@@ -188,11 +174,10 @@ func TestLookaheadBufferWindow(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		lb.Push(float64(i))
 	}
-	dst := make([]float64, 5)
-	lb.Window(dst)
+	got := lb.View(-2, 2)
 	want := []float64{1, 2, 3, 4, 5}
-	if !floatsClose(dst, want, 0) {
-		t.Errorf("Window = %v, want %v", dst, want)
+	if !floatsClose(got, want, 0) {
+		t.Errorf("View(-2, 2) = %v, want %v", got, want)
 	}
 }
 

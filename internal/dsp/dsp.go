@@ -28,17 +28,6 @@ func DB(powerRatio float64) float64 {
 	return 10 * math.Log10(powerRatio)
 }
 
-// AmpDB converts a linear amplitude ratio to decibels.
-func AmpDB(ampRatio float64) float64 {
-	if ampRatio < 0 {
-		ampRatio = -ampRatio
-	}
-	if ampRatio < 1e-10 {
-		ampRatio = 1e-10
-	}
-	return 20 * math.Log10(ampRatio)
-}
-
 // FromDB converts decibels to a linear power ratio.
 func FromDB(db float64) float64 { return math.Pow(10, db/10) }
 
@@ -59,69 +48,10 @@ func Power(x []float64) float64 {
 	return Energy(x) / float64(len(x))
 }
 
-// RMS returns the root-mean-square level of x.
-func RMS(x []float64) float64 { return math.Sqrt(Power(x)) }
-
 // Scale multiplies every sample by g in place and returns x.
 func Scale(x []float64, g float64) []float64 {
 	for i := range x {
 		x[i] *= g
-	}
-	return x
-}
-
-// Add returns a new slice holding a+b element-wise; the result has the
-// length of the shorter operand.
-func Add(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a new slice holding a-b element-wise; the result has the
-// length of the shorter operand.
-func Sub(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Normalize scales x in place so its peak absolute value is peak.
-// Silent input is returned unchanged.
-func Normalize(x []float64, peak float64) []float64 {
-	var maxAbs float64
-	for _, v := range x {
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return x
-	}
-	return Scale(x, peak/maxAbs)
-}
-
-// Clamp limits every sample of x to [-limit, limit] in place, modelling
-// hard clipping in an amplifier or codec, and returns x.
-func Clamp(x []float64, limit float64) []float64 {
-	for i, v := range x {
-		if v > limit {
-			x[i] = limit
-		} else if v < -limit {
-			x[i] = -limit
-		}
 	}
 	return x
 }

@@ -6,47 +6,6 @@ import (
 	"sync"
 )
 
-// FFT computes the discrete Fourier transform of x. Power-of-two lengths
-// use the cached radix-2 plan; all other lengths fall back to a cached
-// Bluestein chirp-z plan, so any N >= 1 is supported. The input slice is
-// not modified. The per-size plans (twiddles, bit-reversal, chirp tables)
-// are computed once per process, so repeated calls no longer rebuild
-// trigonometric state — only the output slice is allocated.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if IsPow2(n) {
-		PlanFFT(n).Forward(out)
-		return out
-	}
-	planBluestein(n).transform(out, false)
-	return out
-}
-
-// IFFT computes the inverse DFT of x with 1/N normalization.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	if IsPow2(n) {
-		PlanFFT(n).Inverse(out)
-		return out
-	}
-	planBluestein(n).transform(out, true)
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
 // FFTReal computes the DFT of a real signal, returning the full complex
 // spectrum of length len(x) (zero-padded to n if n > len(x)).
 func FFTReal(x []float64, n int) []complex128 {
@@ -63,17 +22,6 @@ func FFTReal(x []float64, n int) []complex128 {
 	}
 	planBluestein(n).transform(cx, false)
 	return cx
-}
-
-// IFFTReal computes the inverse DFT of spectrum X and returns the real part.
-// It is intended for spectra of real signals (conjugate-symmetric).
-func IFFTReal(X []complex128) []float64 {
-	t := IFFT(X)
-	out := make([]float64, len(t))
-	for i, v := range t {
-		out[i] = real(v)
-	}
-	return out
 }
 
 // bluesteinPlan evaluates an arbitrary-length DFT as a convolution through
@@ -148,32 +96,4 @@ func (p *bluesteinPlan) transform(x []complex128, inverse bool) {
 	for k := 0; k < p.n; k++ {
 		x[k] = a[k] * invM * w[k]
 	}
-}
-
-// Spectrum returns the one-sided magnitude spectrum of x (length n/2+1 for
-// an n-point transform) along with the frequency of each bin for the given
-// sample rate.
-func Spectrum(x []float64, sampleRate float64) (mags, freqs []float64) {
-	n := NextPow2(len(x))
-	if n < 2 {
-		n = 2
-	}
-	plan := PlanRFFT(n)
-	seg := getFloat(n)
-	defer putFloat(seg)
-	copy(seg, x)
-	for i := len(x); i < n; i++ {
-		seg[i] = 0
-	}
-	X := getComplex(plan.Bins())
-	defer putComplex(X)
-	plan.Forward(X, seg)
-	half := n/2 + 1
-	mags = make([]float64, half)
-	freqs = make([]float64, half)
-	for k := 0; k < half; k++ {
-		mags[k] = cmplx.Abs(X[k]) / float64(n)
-		freqs[k] = float64(k) * sampleRate / float64(n)
-	}
-	return mags, freqs
 }

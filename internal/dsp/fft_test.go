@@ -8,6 +8,45 @@ import (
 	"testing/quick"
 )
 
+// FFT computes the discrete Fourier transform of x into a new slice: the
+// cached radix-2 plan for power-of-two lengths, the Bluestein chirp-z plan
+// otherwise. It is the complex reference the real and pruned transforms
+// are checked against.
+func FFT(x []complex128) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	out := make([]complex128, n)
+	copy(out, x)
+	if IsPow2(n) {
+		PlanFFT(n).Forward(out)
+		return out
+	}
+	planBluestein(n).transform(out, false)
+	return out
+}
+
+// IFFT computes the inverse DFT of x with 1/N normalization.
+func IFFT(x []complex128) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	out := make([]complex128, n)
+	copy(out, x)
+	if IsPow2(n) {
+		PlanFFT(n).Inverse(out)
+		return out
+	}
+	planBluestein(n).transform(out, true)
+	inv := complex(1/float64(n), 0)
+	for i := range out {
+		out[i] *= inv
+	}
+	return out
+}
+
 // dftNaive is the O(n^2) reference DFT used to validate the fast paths.
 func dftNaive(x []complex128) []complex128 {
 	n := len(x)
@@ -150,15 +189,17 @@ func TestSpectrumTone(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 1000 * float64(i) / fs)
 	}
-	mags, freqs := Spectrum(x, fs)
+	plan := PlanRFFT(n)
+	X := make([]complex128, plan.Bins())
+	plan.Forward(X, x)
 	best := 0
-	for k := range mags {
-		if mags[k] > mags[best] {
+	for k := range X {
+		if cmplx.Abs(X[k]) > cmplx.Abs(X[best]) {
 			best = k
 		}
 	}
-	if math.Abs(freqs[best]-1000) > fs/float64(n) {
-		t.Errorf("spectrum peak at %g Hz, want ~1000 Hz", freqs[best])
+	if f := float64(best) * fs / float64(n); math.Abs(f-1000) > fs/float64(n) {
+		t.Errorf("spectrum peak at %g Hz, want ~1000 Hz", f)
 	}
 }
 

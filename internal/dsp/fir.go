@@ -56,30 +56,6 @@ func HighPassFIR(cutoffHz, sampleRate float64, taps int, w Window) ([]float64, e
 	return lp, nil
 }
 
-// BandPassFIR designs a windowed-sinc band-pass FIR filter passing
-// [lowHz, highHz]. taps must be odd.
-func BandPassFIR(lowHz, highHz, sampleRate float64, taps int, w Window) ([]float64, error) {
-	if lowHz >= highHz {
-		return nil, fmt.Errorf("dsp: band-pass requires low < high, got [%g, %g]", lowHz, highHz)
-	}
-	if taps%2 == 0 {
-		return nil, fmt.Errorf("dsp: band-pass FIR requires odd taps, got %d", taps)
-	}
-	hp, err := LowPassFIR(highHz, sampleRate, taps, w)
-	if err != nil {
-		return nil, err
-	}
-	lp, err := LowPassFIR(lowHz, sampleRate, taps, w)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, taps)
-	for i := range out {
-		out[i] = hp[i] - lp[i]
-	}
-	return out, nil
-}
-
 func validateFIRArgs(cutoffHz, sampleRate float64, taps int) error {
 	if sampleRate <= 0 {
 		return fmt.Errorf("dsp: sample rate must be positive, got %g", sampleRate)
@@ -106,23 +82,5 @@ func NewFIRFilter(h []float64) *FIRFilter {
 // Process filters one sample.
 func (f *FIRFilter) Process(x float64) float64 { return f.conv.Process(x) }
 
-// ProcessBlock filters a block of samples.
-func (f *FIRFilter) ProcessBlock(x []float64) []float64 { return f.conv.ProcessBlock(x) }
-
 // Reset clears filter state.
 func (f *FIRFilter) Reset() { f.conv.Reset() }
-
-// Taps returns a copy of the filter taps.
-func (f *FIRFilter) Taps() []float64 { return f.conv.Taps() }
-
-// FrequencyResponse evaluates the magnitude response of FIR taps h at
-// frequency fHz for the given sample rate.
-func FrequencyResponse(h []float64, fHz, sampleRate float64) float64 {
-	omega := 2 * math.Pi * fHz / sampleRate
-	var re, im float64
-	for n, v := range h {
-		re += v * math.Cos(omega*float64(n))
-		im -= v * math.Sin(omega*float64(n))
-	}
-	return math.Hypot(re, im)
-}

@@ -98,12 +98,3 @@ func (m *Memo) Stats() (hits, misses uint64) {
 	defer m.mu.Unlock()
 	return m.hits, m.misses
 }
-
-// Reset empties the cache and zeroes its counters.
-func (m *Memo) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries = make(map[memoKey][]float64, m.cap)
-	m.order = nil
-	m.hits, m.misses = 0, 0
-}

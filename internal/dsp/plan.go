@@ -83,9 +83,6 @@ func twiddleTable(n int, sign float64) []complex128 {
 	return tw
 }
 
-// N returns the transform length.
-func (p *FFTPlan) N() int { return p.n }
-
 // Forward computes the in-place DFT of a. len(a) must equal N().
 func (p *FFTPlan) Forward(a []complex128) { p.transform(a, p.twF) }
 
@@ -250,9 +247,6 @@ func NewRFFTPlan(n int) (*RFFTPlan, error) {
 	}
 	return p, nil
 }
-
-// N returns the real transform length.
-func (p *RFFTPlan) N() int { return p.n }
 
 // Bins returns the half-spectrum length n/2 + 1.
 func (p *RFFTPlan) Bins() int { return p.n/2 + 1 }

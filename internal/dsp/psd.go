@@ -85,7 +85,7 @@ func WelchPSD(x []float64, sampleRate float64, segLen int) (*PSD, error) {
 		Freqs:    make([]float64, half),
 		BinWidth: sampleRate / float64(n),
 	}
-	// Normalize so that TotalPower approximates the mean squared signal
+	// Normalize so that the summed bins approximate the mean squared signal
 	// value: divide by segments (averaging), the window's energy, and N
 	// (DFT Parseval factor).
 	norm := 1 / (float64(segments) * winPower * float64(n))
@@ -108,15 +108,6 @@ func (p *PSD) BandPower(loHz, hiHz float64) float64 {
 		if f >= loHz && f < hiHz {
 			sum += p.Power[k]
 		}
-	}
-	return sum
-}
-
-// TotalPower integrates the whole one-sided PSD.
-func (p *PSD) TotalPower() float64 {
-	var sum float64
-	for _, v := range p.Power {
-		sum += v
 	}
 	return sum
 }

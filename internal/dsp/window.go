@@ -13,22 +13,6 @@ const (
 	Blackman
 )
 
-// String returns the conventional name of the window.
-func (w Window) String() string {
-	switch w {
-	case Rectangular:
-		return "rectangular"
-	case Hann:
-		return "hann"
-	case Hamming:
-		return "hamming"
-	case Blackman:
-		return "blackman"
-	default:
-		return "unknown"
-	}
-}
-
 // Coefficients returns the n window coefficients (symmetric form).
 func (w Window) Coefficients(n int) []float64 {
 	out := make([]float64, n)

@@ -131,7 +131,6 @@ func MeshSweep(c Config) (*Figure, error) {
 func addReport(dst *mesh.Report, r mesh.Report) {
 	dst.Joins += r.Joins
 	dst.Rejoins += r.Rejoins
-	dst.Leaves += r.Leaves
 	dst.Expirations += r.Expirations
 	dst.Live += r.Live
 	dst.Rounds += r.Rounds

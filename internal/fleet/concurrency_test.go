@@ -136,8 +136,8 @@ func TestChurnSoak10k(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv.Sessions() != 0 {
-		t.Fatalf("%d sessions open after soak", srv.Sessions())
+	if openSessions(srv) != 0 {
+		t.Fatalf("%d sessions open after soak", openSessions(srv))
 	}
 	_, gets, puts := srv.PoolStats()
 	if gets != puts {

@@ -47,15 +47,6 @@ func AppendEnvelope(dst []byte, id uint32, frame []byte) []byte {
 	return append(dst, frame...)
 }
 
-// MarshalEnvelope encodes frame f for session id into a fresh datagram.
-func MarshalEnvelope(id uint32, f *stream.Frame) ([]byte, error) {
-	wire, err := f.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	return AppendEnvelope(make([]byte, 0, EnvelopeOverhead+len(wire)), id, wire), nil
-}
-
 // ParseEnvelope splits a fleet datagram into its session id and the inner
 // frame bytes (a subslice of datagram — no copy, no allocation). The
 // inner frame is NOT validated here; the demux decodes it against the

@@ -14,7 +14,7 @@ func validDatagram(t testing.TB, id uint32, seq uint32, ts uint64, n int) []byte
 	for i := range samples {
 		samples[i] = float64(i%7) / 10
 	}
-	d, err := MarshalEnvelope(id, &stream.Frame{Seq: seq, Timestamp: ts, Samples: samples})
+	d, err := marshalEnvelope(id, &stream.Frame{Seq: seq, Timestamp: ts, Samples: samples})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func validDatagram(t testing.TB, id uint32, seq uint32, ts uint64, n int) []byte
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	want := &stream.Frame{Seq: 42, Timestamp: 4200, Samples: []float64{0.1, -0.5, 1}}
-	d, err := MarshalEnvelope(77, want)
+	d, err := marshalEnvelope(77, want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,16 +184,9 @@ type Session struct {
 	ingestProbe  func(payload []byte)
 }
 
-// Registry returns the session's private telemetry registry. The server
-// merges it into fan-in snapshots in ascending session-id order.
-func (s *Session) Registry() *telemetry.Registry { return s.reg }
-
 // Stats returns the session's transport counters (jitter buffer plus the
 // demux's per-session corrupt count).
 func (s *Session) Stats() stream.JitterStats { return s.buf.Stats() }
-
-// Samples returns how many samples the session has processed.
-func (s *Session) Samples() int64 { return s.pl.Samples() }
 
 // Meters returns the session's accumulated ambient and residual powers.
 func (s *Session) Meters() (noisePow, resPow float64) { return s.pl.Meters() }
@@ -529,13 +522,6 @@ func (s *Server) Close() error {
 		}
 	}
 	return first
-}
-
-// Sessions returns how many sessions are open.
-func (s *Server) Sessions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sessions)
 }
 
 // Lookup returns the open session with the given id, or nil.

@@ -58,7 +58,7 @@ func (u *simUser) tick() [][]byte {
 	u.clock += uint64(u.frame)
 	var out [][]byte
 	for _, g := range u.link.Transfer(f) {
-		d, err := MarshalEnvelope(u.id, g)
+		d, err := marshalEnvelope(u.id, g)
 		if err != nil {
 			u.t.Error(err)
 			return nil
@@ -161,4 +161,20 @@ func stableGoroutines(t *testing.T) int {
 		prev = cur
 	}
 	return prev
+}
+
+// marshalEnvelope encodes frame f for session id into a fresh datagram.
+func marshalEnvelope(id uint32, f *stream.Frame) ([]byte, error) {
+	wire, err := f.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	return AppendEnvelope(make([]byte, 0, EnvelopeOverhead+len(wire)), id, wire), nil
+}
+
+// openSessions returns how many sessions the server holds open.
+func openSessions(s *Server) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.sessions)
 }

@@ -158,10 +158,10 @@ func TestSessionAccounting(t *testing.T) {
 	if st.SamplesConcealed == 0 {
 		t.Fatal("a lossy link with an outage concealed nothing — faults not applied")
 	}
-	if got := sess.Samples(); got != 32*int64(p.FrameSamples) {
+	if got := sess.pl.Samples(); got != 32*int64(p.FrameSamples) {
 		t.Fatalf("session processed %d samples, want %d", got, 32*p.FrameSamples)
 	}
-	snap := sess.Registry().Snapshot()
+	snap := sess.reg.Snapshot()
 	if snap.Counters["fleet.session.blocks"] != 32 {
 		t.Fatalf("session block counter = %d, want 32", snap.Counters["fleet.session.blocks"])
 	}

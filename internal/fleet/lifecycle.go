@@ -205,14 +205,6 @@ func (s *Server) Pressure() PressureState {
 	return PressureState(s.pressure.Load())
 }
 
-// LatenessEWMA returns the watchdog's smoothed tick lateness in
-// nanoseconds.
-func (s *Server) LatenessEWMA() float64 {
-	s.lc.mu.Lock()
-	defer s.lc.mu.Unlock()
-	return s.lc.ewma
-}
-
 // applyPressure reconfigures the session for the fleet's current pressure
 // posture, if it changed since this session last ticked. It runs at the
 // start of tickSession — on the session's own tick goroutine, the only
@@ -266,11 +258,4 @@ func (sess *Session) LastPanic() string {
 // session's tick goroutine.
 func WithTickProbe(fn func(block int64)) SessionOption {
 	return func(s *Session) { s.tickProbe = fn }
-}
-
-// WithIngestProbe installs a hook called before each payload decoded into
-// the session's jitter buffer — the ingest-side fault-injection surface,
-// mirroring WithTickProbe.
-func WithIngestProbe(fn func(payload []byte)) SessionOption {
-	return func(s *Session) { s.ingestProbe = fn }
 }

@@ -102,7 +102,7 @@ func TestPoisonSessionContainment(t *testing.T) {
 		t.Fatalf("fleet.quarantined = %d, want 1", got)
 	}
 	// The session ticked blocks 0-4, panicked at 5, then stopped.
-	if got := sess.Registry().Snapshot().Counters["fleet.session.blocks"]; got != 5 {
+	if got := sess.reg.Snapshot().Counters["fleet.session.blocks"]; got != 5 {
 		t.Fatalf("poisoned session ticked %d blocks after quarantine, want 5", got)
 	}
 }
@@ -115,7 +115,7 @@ func TestIngestPanicQuarantine(t *testing.T) {
 	srv := NewServer(Config{})
 	defer srv.Close()
 	p := lightProfile()
-	sess, err := srv.Open(1, p, WithIngestProbe(func([]byte) { panic("poisoned decode") }))
+	sess, err := srv.Open(1, p, func(s *Session) { s.ingestProbe = func([]byte) { panic("poisoned decode") } })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestIngestPanicQuarantine(t *testing.T) {
 	if got := snap.Counters["fleet.quarantined_frames"]; got == 0 {
 		t.Fatal("datagrams for the quarantined session were not counted dropped")
 	}
-	if got := sess.Registry().Snapshot().Counters["fleet.session.blocks"]; got != 0 {
+	if got := sess.reg.Snapshot().Counters["fleet.session.blocks"]; got != 0 {
 		t.Fatalf("quarantined session ticked %d blocks", got)
 	}
-	if got := healthy.Registry().Snapshot().Counters["fleet.session.blocks"]; got != 4 {
+	if got := healthy.reg.Snapshot().Counters["fleet.session.blocks"]; got != 4 {
 		t.Fatalf("healthy neighbor ticked %d blocks, want 4", got)
 	}
 }

@@ -343,9 +343,6 @@ func (s *Server) Drain(ctx context.Context) (*FleetSnapshot, error) {
 	}
 }
 
-// Draining reports whether Drain has begun (admissions closed).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Adopt warm-starts every session in the snapshot on this server: each is
 // opened from its snapshotted profile, its canceller taps are restored,
 // and its jitter buffer is anchored at the snapshotted playout clock so

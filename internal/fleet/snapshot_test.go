@@ -159,14 +159,14 @@ func TestDrainStopsAdmissionsAndSkipsQuarantined(t *testing.T) {
 	if len(snap.Sessions) != 2 || snap.Sessions[0].ID != 1 || snap.Sessions[1].ID != 3 {
 		t.Fatalf("drained sessions %+v, want healthy ids 1 and 3", snap.Sessions)
 	}
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("server not marked draining")
 	}
 	if _, err := srv.Open(9, p); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Open on a draining server returned %v, want ErrDraining", err)
 	}
-	if srv.Sessions() != 0 {
-		t.Fatalf("%d sessions still open after drain", srv.Sessions())
+	if openSessions(srv) != 0 {
+		t.Fatalf("%d sessions still open after drain", openSessions(srv))
 	}
 	if got := srv.reg.Snapshot().Counters["fleet.drained"]; got != 2 {
 		t.Fatalf("fleet.drained = %d, want 2", got)
@@ -198,8 +198,8 @@ func TestDrainContextAbort(t *testing.T) {
 	if len(snap.Sessions) != 0 {
 		t.Fatalf("canceled-before-start drain captured %d sessions", len(snap.Sessions))
 	}
-	if srv.Sessions() != 4 {
-		t.Fatalf("canceled drain closed sessions: %d left, want 4", srv.Sessions())
+	if openSessions(srv) != 4 {
+		t.Fatalf("canceled drain closed sessions: %d left, want 4", openSessions(srv))
 	}
 }
 
@@ -333,8 +333,8 @@ func TestRollingRestartUDP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if restart && srv.Sessions() != sessions {
-			t.Fatalf("adopted server serves %d sessions, want %d", srv.Sessions(), sessions)
+		if restart && openSessions(srv) != sessions {
+			t.Fatalf("adopted server serves %d sessions, want %d", openSessions(srv), sessions)
 		}
 		return residual
 	}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mute/internal/dsp"
 	"mute/internal/stream"
 )
 
@@ -151,8 +152,8 @@ func TestFleetOpenCloseLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if srv.Sessions() != 0 {
-		t.Fatalf("%d sessions still open after churn", srv.Sessions())
+	if openSessions(srv) != 0 {
+		t.Fatalf("%d sessions still open after churn", openSessions(srv))
 	}
 	after := stableGoroutines(t)
 	if after > before {
@@ -166,7 +167,7 @@ func TestFleetOpenCloseLeaksNoGoroutines(t *testing.T) {
 // must also leave sessions bit-identical (covered transitively by the
 // isolation suite, which runs all sessions through the same cache).
 func TestSetupCacheShared(t *testing.T) {
-	sharedSetup.Reset()
+	sharedSetup = memo{dsp.NewMemo(64)}
 	srv := NewServer(Config{})
 	defer srv.Close()
 	p := lightProfile()

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -43,12 +42,6 @@ type InjectorConfig struct {
 	ZoneOutages     int
 	ZoneRadius      float64
 	ZoneDownSamples int
-
-	// WalkAways relays physically wander off at WalkSpeed m/s (default
-	// 1.2) in a random direction from a random start time, staying
-	// link-alive while their acoustic usefulness decays.
-	WalkAways int
-	WalkSpeed float64
 }
 
 func (c *InjectorConfig) fill() {
@@ -70,9 +63,6 @@ func (c *InjectorConfig) fill() {
 	if c.ZoneDownSamples <= 0 {
 		c.ZoneDownSamples = int(4 * c.SampleRate)
 	}
-	if c.WalkSpeed <= 0 {
-		c.WalkSpeed = 1.2
-	}
 }
 
 // faultEvent is one scheduled link transition: relay goes down (or a
@@ -92,28 +82,18 @@ type Injector struct {
 	idx    int
 	depth  []int // per-relay overlapping-fault count
 
-	base     []acoustics.Point
-	vel      []acoustics.Point // walk-away velocity, zero for stationary
-	walkFrom []int64           // walk start sample, -1 = never
-	rate     float64
+	base []acoustics.Point
 }
 
 // NewInjector builds the schedule for the given relay positions. The
-// positions slice is copied; walk-aways move the injector's copy only
-// (callers read back positions via Pos).
+// positions slice is copied.
 func NewInjector(cfg InjectorConfig, positions []acoustics.Point) *Injector {
 	cfg.fill()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := len(positions)
 	in := &Injector{
-		depth:    make([]int, n),
-		base:     append([]acoustics.Point(nil), positions...),
-		vel:      make([]acoustics.Point, n),
-		walkFrom: make([]int64, n),
-		rate:     cfg.SampleRate,
-	}
-	for i := range in.walkFrom {
-		in.walkFrom[i] = -1
+		depth: make([]int, n),
+		base:  append([]acoustics.Point(nil), positions...),
 	}
 	if n == 0 || cfg.Duration <= 0 {
 		return in
@@ -162,16 +142,6 @@ func NewInjector(cfg InjectorConfig, positions []acoustics.Point) *Injector {
 			}
 		}
 	}
-	// Walk-aways: random direction in the XY plane.
-	for i := 0; i < cfg.WalkAways && i < n; i++ {
-		relay := rng.Intn(n)
-		theta := rng.Float64() * 2 * math.Pi
-		in.vel[relay] = acoustics.Point{
-			X: cfg.WalkSpeed * math.Cos(theta),
-			Y: cfg.WalkSpeed * math.Sin(theta),
-		}
-		in.walkFrom[relay] = rng.Int63n(cfg.Duration/2 + 1)
-	}
 	sort.Slice(in.events, func(a, b int) bool { return in.events[a].at < in.events[b].at })
 	return in
 }
@@ -191,20 +161,6 @@ func (in *Injector) Advance(t int64) {
 
 // Down reports whether a relay's link is currently dark.
 func (in *Injector) Down(relay int) bool { return in.depth[relay] > 0 }
-
-// Pos returns a relay's position at sample t (walk-aways drift).
-func (in *Injector) Pos(relay int, t int64) acoustics.Point {
-	p := in.base[relay]
-	if from := in.walkFrom[relay]; from >= 0 && t > from {
-		dt := float64(t-from) / in.rate
-		p.X += in.vel[relay].X * dt
-		p.Y += in.vel[relay].Y * dt
-	}
-	return p
-}
-
-// Walking reports whether a relay has a walk-away fault.
-func (in *Injector) Walking(relay int) bool { return in.walkFrom[relay] >= 0 }
 
 // Events returns the number of scheduled link transitions.
 func (in *Injector) Events() int { return len(in.events) }

@@ -8,7 +8,7 @@ import (
 
 // FuzzMeshMembership drives the supervisor with an arbitrary stream of
 // membership operations and link faults decoded from the fuzz input:
-// joins, graceful leaves, link kills/revivals, relay moves, and stretches
+// joins, heartbeat expiries, link kills/revivals, relay moves, and stretches
 // of sample pushes. Whatever the sequence, the mesh must never panic,
 // never associate with a non-live slot, and keep its live-list/grid
 // bookkeeping consistent.
@@ -58,8 +58,11 @@ func FuzzMeshMembership(f *testing.F) {
 			case 0, 1: // join (possibly a rejoin or a refresh)
 				pos := acoustics.Point{X: float64(id) * 2, Y: float64(b&0x08) * 1.5}
 				_, _ = sup.Join(id, pos) // capacity refusal is fine; panic is not
-			case 2: // graceful leave
-				sup.Leave(id)
+			case 2: // heartbeat expiry
+				if slot := sup.mem.slotOf(id); slot >= 0 && sup.mem.members[slot].state == live {
+					sup.mem.expire(slot)
+					sup.dropped(slot)
+				}
 			case 4: // link kill
 				if slot := sup.mem.slotOf(id); slot >= 0 {
 					down[slot] = true
@@ -70,7 +73,9 @@ func FuzzMeshMembership(f *testing.F) {
 					_, _ = sup.Join(id, sup.mem.members[slot].pos)
 				}
 			case 6: // move
-				sup.Move(id, acoustics.Point{X: float64(b), Y: float64(b >> 2)})
+				if slot := sup.mem.slotOf(id); slot >= 0 {
+					sup.mem.move(slot, acoustics.Point{X: float64(b), Y: float64(b >> 2)})
+				}
 			default: // push a stretch of samples
 				n := 32 + int(b&0x3F)*8
 				for i := 0; i < n; i++ {

@@ -13,7 +13,6 @@ type memberState uint8
 const (
 	vacant memberState = iota
 	live
-	left // graceful departure
 	dead // heartbeat expiry (crash detected from the stream going dark)
 )
 
@@ -47,7 +46,7 @@ type membership struct {
 	liveIDs []int32 // live slots, join order with swap-delete
 	liveIdx []int32 // slot → index into liveIDs, -1 when not live
 
-	joins, leaves, expirations, rejoins int
+	joins, expirations, rejoins int
 }
 
 func newMembership(cfg Config) *membership {
@@ -135,16 +134,6 @@ func (m *membership) deactivate(slot int32) {
 	m.liveIdx[moved] = idx
 	m.liveIDs = m.liveIDs[:last]
 	m.liveIdx[slot] = -1
-}
-
-// leave is the graceful departure path.
-func (m *membership) leave(slot int32) {
-	if m.members[slot].state != live {
-		return
-	}
-	m.deactivate(slot)
-	m.members[slot].state = left
-	m.leaves++
 }
 
 // expire marks a member dead after its heartbeat aged out.

@@ -244,9 +244,9 @@ func TestMeshChurnRejoin(t *testing.T) {
 	h.assertSwitchesWarm(cfg.WarmupSamples)
 }
 
-// TestMeshGracefulLeaveOrphansWhenAlone: the only relay leaving orphans
-// the mesh; output is flagged concealed while orphaned.
-func TestMeshGracefulLeaveOrphansWhenAlone(t *testing.T) {
+// TestMeshExpiryOrphansWhenAlone: the only relay expiring orphans the
+// mesh; output is flagged concealed while orphaned.
+func TestMeshExpiryOrphansWhenAlone(t *testing.T) {
 	cfg := testConfig(4)
 	h := newMeshHarness(t, cfg, 4000)
 	h.join(0, 16, acoustics.Point{X: 8, Y: 8.5})
@@ -254,15 +254,15 @@ func TestMeshGracefulLeaveOrphansWhenAlone(t *testing.T) {
 	if h.sup.Current() != 0 {
 		t.Fatalf("associated with %d, want 0", h.sup.Current())
 	}
-	h.sup.Leave(100)
-	h.step(100)
+	h.down[0] = true
+	h.step(cfg.HeartbeatTimeoutSamples + 100)
 	if h.sup.Current() != -1 {
-		t.Fatalf("current = %d after the only relay left, want -1 (orphaned)", h.sup.Current())
+		t.Fatalf("current = %d after the only relay expired, want -1 (orphaned)", h.sup.Current())
 	}
 	rep := h.sup.Report()
-	if rep.Leaves != 1 || rep.OrphanedWindows != 1 || rep.OrphanedSamples < 100 {
-		t.Fatalf("leaves/orphanedWindows/orphanedSamples = %d/%d/%d, want 1/1/≥100",
-			rep.Leaves, rep.OrphanedWindows, rep.OrphanedSamples)
+	if rep.Expirations != 1 || rep.OrphanedWindows != 1 || rep.OrphanedSamples < 100 {
+		t.Fatalf("expirations/orphanedWindows/orphanedSamples = %d/%d/%d, want 1/1/≥100",
+			rep.Expirations, rep.OrphanedWindows, rep.OrphanedSamples)
 	}
 }
 
@@ -396,7 +396,7 @@ func TestMeshUnhealthyRelayIneligible(t *testing.T) {
 	h.assertSwitchesWarm(cfg.WarmupSamples)
 }
 
-// TestMeshRejoinKeepsHealth: a relay that leaves and rejoins keeps its
+// TestMeshRejoinKeepsHealth: a relay that expires and rejoins keeps its
 // concealment EWMA (its link history) but restarts cold — both runs reset,
 // so the warm-up gate holds until its stream has refilled.
 func TestMeshRejoinKeepsHealth(t *testing.T) {
@@ -414,7 +414,8 @@ func TestMeshRejoinKeepsHealth(t *testing.T) {
 	if ewma <= 0 || !h.sup.mem.warm(0) {
 		t.Fatalf("setup: ewma %v, warm %v", ewma, h.sup.mem.warm(0))
 	}
-	h.sup.Leave(100)
+	h.sup.mem.expire(0)
+	h.sup.dropped(0)
 	if _, err := h.sup.Join(100, acoustics.Point{X: 8, Y: 8.5}); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestMeshRejoinKeepsHealth(t *testing.T) {
 		t.Errorf("rejoined relay is not cold: clean %d, concealed %d, warm %v",
 			mb.health.CleanRun(), mb.health.ConcealedRun(), h.sup.mem.warm(0))
 	}
-	if rep := h.sup.Report(); rep.Rejoins != 1 || rep.Leaves != 1 {
+	if rep := h.sup.Report(); rep.Rejoins != 1 || rep.Expirations != 1 {
 		t.Errorf("membership accounting: %+v", rep)
 	}
 }

@@ -20,7 +20,7 @@ type rankedCandidate struct {
 // Report is the mesh supervisor's lifetime accounting.
 type Report struct {
 	// Membership churn.
-	Joins, Rejoins, Leaves, Expirations int
+	Joins, Rejoins, Expirations int
 	// Live is the live-member count at report time.
 	Live int
 
@@ -49,7 +49,7 @@ type Report struct {
 
 // MembershipChanges is the total membership churn the mesh absorbed.
 func (r Report) MembershipChanges() int {
-	return r.Joins + r.Rejoins + r.Leaves + r.Expirations
+	return r.Joins + r.Rejoins + r.Expirations
 }
 
 // Supervisor runs the churn-tolerant relay mesh: it tracks membership,
@@ -186,24 +186,6 @@ func (s *Supervisor) Join(id int64, pos acoustics.Point) (int, error) {
 	}
 	s.onMembership()
 	return int(slot), nil
-}
-
-// Leave gracefully removes a relay. Unknown or non-live ids are ignored.
-func (s *Supervisor) Leave(id int64) {
-	slot := s.mem.slotOf(id)
-	if slot < 0 || s.mem.members[slot].state != live {
-		return
-	}
-	s.mem.leave(slot)
-	s.onMembership()
-	s.dropped(slot)
-}
-
-// Move updates a live relay's position (walk-away faults, mobile relays).
-func (s *Supervisor) Move(id int64, pos acoustics.Point) {
-	if slot := s.mem.slotOf(id); slot >= 0 {
-		s.mem.move(slot, pos)
-	}
 }
 
 // onMembership refreshes churn counters after any membership change.
@@ -589,15 +571,11 @@ func (s *Supervisor) decide(best int32) {
 // Current returns the active slot, or -1 while orphaned.
 func (s *Supervisor) Current() int { return int(s.current) }
 
-// Live returns the live-member count.
-func (s *Supervisor) Live() int { return s.mem.countLive() }
-
 // Report returns the supervisor's accounting so far.
 func (s *Supervisor) Report() Report {
 	r := s.rep
 	r.Joins = s.mem.joins
 	r.Rejoins = s.mem.rejoins
-	r.Leaves = s.mem.leaves
 	r.Expirations = s.mem.expirations
 	r.Live = s.mem.countLive()
 	return r

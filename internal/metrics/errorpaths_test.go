@@ -60,53 +60,3 @@ func TestListenerRateFiniteUnaffected(t *testing.T) {
 		t.Errorf("ratings %v vs %v, want identical in [1,5]", a, b)
 	}
 }
-
-// TestConvergenceTimeNaN: a timeline whose windows go NaN must report -1
-// (never settled), not a NaN time and not a spurious early settle.
-func TestConvergenceTimeNaN(t *testing.T) {
-	allNaN := &ResidualTimeline{
-		Times:    []float64{0, 1, 2, 3},
-		PowersDB: []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()},
-	}
-	if ct := allNaN.ConvergenceTime(3); ct != -1 {
-		t.Errorf("all-NaN timeline converged at %v, want -1", ct)
-	}
-
-	// A NaN window after an otherwise settled stretch vetoes settling at or
-	// before it: the signal was not observably stable through the NaN.
-	tainted := &ResidualTimeline{
-		Times:    []float64{0, 1, 2, 3, 4, 5, 6, 7},
-		PowersDB: []float64{-10, -30, -30, -30, math.NaN(), -30, -30, -30},
-	}
-	ct := tainted.ConvergenceTime(3)
-	if math.IsNaN(ct) {
-		t.Fatal("ConvergenceTime returned NaN")
-	}
-	if ct != 5 {
-		t.Errorf("tainted timeline converged at %v, want 5 (first window after the NaN)", ct)
-	}
-}
-
-// TestConvergenceTimeEmpty: the documented empty-input sentinel.
-func TestConvergenceTimeEmpty(t *testing.T) {
-	rt := &ResidualTimeline{}
-	if ct := rt.ConvergenceTime(3); ct != -1 {
-		t.Errorf("empty timeline converged at %v, want -1", ct)
-	}
-}
-
-// TestConvergenceTimeInfOK: -Inf dB (digital silence before the epsilon
-// floor) is ordered and must not be confused with NaN.
-func TestConvergenceTimeInfOK(t *testing.T) {
-	rt := &ResidualTimeline{
-		Times:    []float64{0, 1, 2, 3},
-		PowersDB: []float64{-10, math.Inf(-1), math.Inf(-1), math.Inf(-1)},
-	}
-	ct := rt.ConvergenceTime(3)
-	if math.IsNaN(ct) {
-		t.Fatal("ConvergenceTime returned NaN for -Inf windows")
-	}
-	if ct != 1 {
-		t.Errorf("silent tail converged at %v, want 1", ct)
-	}
-}

@@ -112,70 +112,6 @@ func NewResidualTimeline(e []float64, sampleRate float64, winSamples int) (*Resi
 	return rt, nil
 }
 
-// ConvergenceTime returns the first time at which the residual reaches
-// within marginDB of its final (median-of-last-quarter) level and stays
-// there, or -1 if it never settles. NaN windows (e.g. from NaN residual
-// samples) can never satisfy the settle criterion: they are excluded from
-// the final-level median and veto any candidate window they follow, so a
-// timeline polluted with NaN reports -1 instead of a NaN-shaped answer.
-func (rt *ResidualTimeline) ConvergenceTime(marginDB float64) float64 {
-	n := len(rt.PowersDB)
-	if n == 0 {
-		return -1
-	}
-	// Final level: median of the last quarter, NaN windows excluded.
-	tail := finiteOnly(rt.PowersDB[3*n/4:])
-	if len(tail) == 0 {
-		tail = finiteOnly(rt.PowersDB)
-	}
-	if len(tail) == 0 {
-		return -1 // every window is non-finite
-	}
-	final := median(tail)
-	for i := 0; i < n; i++ {
-		if rt.PowersDB[i] <= final+marginDB { // false for NaN windows
-			ok := true
-			for j := i; j < n; j++ {
-				p := rt.PowersDB[j]
-				if math.IsNaN(p) || p > final+2*marginDB {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return rt.Times[i]
-			}
-		}
-	}
-	return -1
-}
-
-// finiteOnly copies x without its NaN entries (±Inf dB is kept: it is an
-// ordered value, unlike NaN, and a silent signal legitimately hits -Inf dB
-// before the epsilon floor).
-func finiteOnly(x []float64) []float64 {
-	out := make([]float64, 0, len(x))
-	for _, v := range x {
-		if !math.IsNaN(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func median(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	// Insertion sort: windows are short.
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
-	return x[len(x)/2]
-}
-
 // AWeight returns the A-weighting magnitude (linear) at frequency f Hz —
 // the standard model of human loudness sensitivity, used by the listener
 // rating model.

@@ -109,13 +109,6 @@ func TestResidualTimelineAndConvergence(t *testing.T) {
 	if len(rt.Times) != n/400 {
 		t.Fatalf("timeline windows = %d", len(rt.Times))
 	}
-	ct := rt.ConvergenceTime(3)
-	if ct < 0 {
-		t.Fatal("should converge")
-	}
-	if ct < 0.3 || ct > 1.8 {
-		t.Errorf("convergence time = %.2f s, want ≈ 1 s", ct)
-	}
 	if rt.PowersDB[0] <= rt.PowersDB[len(rt.PowersDB)-1] {
 		t.Error("residual should decay")
 	}
@@ -133,10 +126,10 @@ func TestResidualTimelineErrors(t *testing.T) {
 func TestAWeightShape(t *testing.T) {
 	// A-weighting: ~0 dB at 1 kHz, strongly negative at 50 Hz, mildly
 	// positive near 2-3 kHz.
-	if g := dsp.AmpDB(AWeight(1000)); math.Abs(g) > 0.5 {
+	if g := 20 * math.Log10(AWeight(1000)); math.Abs(g) > 0.5 {
 		t.Errorf("A-weight at 1 kHz = %.2f dB, want ≈ 0", g)
 	}
-	if g := dsp.AmpDB(AWeight(50)); g > -25 {
+	if g := 20 * math.Log10(AWeight(50)); g > -25 {
 		t.Errorf("A-weight at 50 Hz = %.2f dB, want < -25", g)
 	}
 	if AWeight(2500) < AWeight(1000) {
@@ -219,14 +212,5 @@ func TestListenerRateErrors(t *testing.T) {
 	}
 	if _, err := l.Rate([]float64{1}, nil, fs); err == nil {
 		t.Error("empty reference should error")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("median = %g, want 2", m)
-	}
-	if m := median(nil); m != 0 {
-		t.Errorf("median(nil) = %g", m)
 	}
 }

@@ -154,9 +154,6 @@ func (c *Classifier) Classify(sig Signature) (int, bool) {
 	return best, false
 }
 
-// Profiles returns the number of registered profile slots.
-func (c *Classifier) Profiles() int { return len(c.protos) }
-
 // Reset forgets every learned profile, keeping only the reserved silence
 // slot. It restores the classifier to its freshly constructed state without
 // re-validating the configuration, so callers can reset infallibly.
@@ -191,12 +188,6 @@ func (fc *FilterCache) Load(id int) []float64 {
 	cp := make([]float64, len(w))
 	copy(cp, w)
 	return cp
-}
-
-// Has reports whether a filter is cached for id.
-func (fc *FilterCache) Has(id int) bool {
-	_, ok := fc.weights[id]
-	return ok
 }
 
 // Len returns the number of cached filters.

@@ -120,8 +120,8 @@ func TestClassifierAssignsStableIDs(t *testing.T) {
 	if id, _ := c.Classify(Signature{Silent: true}); id != 0 {
 		t.Errorf("silence should map to slot 0, got %d", id)
 	}
-	if c.Profiles() != 3 {
-		t.Errorf("profiles = %d, want 3 (silence + 2)", c.Profiles())
+	if len(c.protos) != 3 {
+		t.Errorf("profiles = %d, want 3 (silence + 2)", len(c.protos))
 	}
 }
 
@@ -134,8 +134,8 @@ func TestClassifierCapacity(t *testing.T) {
 	for _, f := range freqs {
 		c.Classify(sigOf(t, audio.NewTone(f, fs, 0.5, 0), 512))
 	}
-	if c.Profiles() > 3 {
-		t.Errorf("profiles = %d, should be capped at 3", c.Profiles())
+	if len(c.protos) > 3 {
+		t.Errorf("profiles = %d, should be capped at 3", len(c.protos))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestClassifierErrors(t *testing.T) {
 
 func TestFilterCache(t *testing.T) {
 	fc := NewFilterCache()
-	if fc.Has(1) || fc.Len() != 0 {
+	if fc.Load(1) != nil || fc.Len() != 0 {
 		t.Error("fresh cache should be empty")
 	}
 	w := []float64{1, 2, 3}
@@ -167,7 +167,7 @@ func TestFilterCache(t *testing.T) {
 	if fc.Load(7) != nil {
 		t.Error("missing id should return nil")
 	}
-	if !fc.Has(1) || fc.Len() != 1 {
+	if fc.Load(1) == nil || fc.Len() != 1 {
 		t.Error("cache accounting wrong")
 	}
 }

@@ -159,12 +159,6 @@ func GCCPHAT(forwarded, local []float64, maxLag int) (*Correlation, error) {
 	return res, nil
 }
 
-// PositiveLookahead reports whether the correlation indicates the forwarded
-// signal usefully leads the local one by at least minLead samples.
-func (c *Correlation) PositiveLookahead(minLead int) bool {
-	return c.LagSamples >= minLead
-}
-
 // RelayReport describes one relay's measured lookahead.
 type RelayReport struct {
 	// Index identifies the relay in the order passed to SelectRelay.

@@ -68,20 +68,6 @@ func TestGCCPHATErrors(t *testing.T) {
 	}
 }
 
-func TestPositiveLookaheadPredicate(t *testing.T) {
-	c := &Correlation{LagSamples: 5}
-	if !c.PositiveLookahead(1) || !c.PositiveLookahead(5) {
-		t.Error("5-sample lead should be positive for minLead <= 5")
-	}
-	if c.PositiveLookahead(6) {
-		t.Error("5-sample lead should fail minLead 6")
-	}
-	neg := &Correlation{LagSamples: -3}
-	if neg.PositiveLookahead(1) {
-		t.Error("negative lag should not be positive lookahead")
-	}
-}
-
 func TestGCCPHATLagSignProperty(t *testing.T) {
 	// Property: for any white signal and |lag| < 40, GCC-PHAT recovers
 	// the sign of the injected delay.

@@ -52,7 +52,7 @@ func TestFadeDegradesAudioSNRInWindow(t *testing.T) {
 		DepthdB:     40,
 	}}
 
-	got, err := Link(p, faded, msg)
+	got, err := link(p, faded, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

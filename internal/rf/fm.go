@@ -274,42 +274,3 @@ func Apply(p FMParams, ch ChannelParams, x []complex128) ([]complex128, error) {
 	}
 	return out, nil
 }
-
-// Link runs message audio through the full modulate → channel → demodulate
-// chain and returns the recovered audio.
-func Link(p FMParams, ch ChannelParams, msg []float64) ([]float64, error) {
-	tx, err := Modulate(p, msg)
-	if err != nil {
-		return nil, err
-	}
-	rx, err := Apply(p, ch, tx)
-	if err != nil {
-		return nil, err
-	}
-	return Demodulate(p, rx)
-}
-
-// AudioSNR measures the recovered-audio SNR in dB given the reference
-// message, aligning only amplitudes (the FM chain is delay-free by
-// construction). Used by the link-quality ablation.
-func AudioSNR(ref, got []float64) float64 {
-	n := len(ref)
-	if len(got) < n {
-		n = len(got)
-	}
-	if n == 0 {
-		return 0
-	}
-	// Skip the DC-tracker warmup.
-	skip := n / 8
-	var sigPow, errPow float64
-	for i := skip; i < n; i++ {
-		sigPow += ref[i] * ref[i]
-		d := got[i] - ref[i]
-		errPow += d * d
-	}
-	if errPow == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(sigPow/errPow)
-}

@@ -58,8 +58,8 @@ func TestBlockFDAFPathCancels(t *testing.T) {
 	// The per-block timing histogram must have one observation per block.
 	h := reg.Histogram("lanc.block_ns", telemetry.HistogramOpts{Lo: 1e3, Ratio: 2, Buckets: 20})
 	wantBlocks := uint64((len(rFD.On) + 31) / 32)
-	if h.Count() != wantBlocks {
-		t.Errorf("lanc.block_ns observed %d blocks, want %d", h.Count(), wantBlocks)
+	if got := h.Snapshot().Count; got != wantBlocks {
+		t.Errorf("lanc.block_ns observed %d blocks, want %d", got, wantBlocks)
 	}
 
 	// The block costs the taps no delay: no block latency is debited, and

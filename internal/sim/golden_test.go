@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/json"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -101,11 +103,31 @@ func checkGolden(t *testing.T, name string, tr *telemetry.Trace) {
 		t.Logf("rewrote %s (%d events)", path, tr.Len())
 		return
 	}
-	want, err := telemetry.ReadFile(path)
+	want, err := readTrace(path)
 	if err != nil {
 		t.Fatalf("read golden (run with -update to regenerate): %v", err)
 	}
 	diffTraces(t, tr.Events(), want)
+}
+
+// readTrace parses a JSONL trace file written by Trace.WriteFile.
+func readTrace(path string) ([]telemetry.Event, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var out []telemetry.Event
+	dec := json.NewDecoder(f)
+	for {
+		var ev telemetry.Event
+		if err := dec.Decode(&ev); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, err
+		}
+		out = append(out, ev)
+	}
 }
 
 // checkBudgetInvariant enforces the accounting identity on the traced
@@ -128,8 +150,12 @@ func checkBudgetInvariant(t *testing.T, tr *telemetry.Trace, res *Result) {
 	if d := sum - float64(res.LookaheadSamples); d < -1 || d > 1 {
 		t.Errorf("budget entries sum to %g, lookahead is %d", sum, res.LookaheadSamples)
 	}
-	if res.BudgetSpend == nil || !res.BudgetSpend.Balanced() {
-		t.Error("Result.BudgetSpend missing or unbalanced")
+	if res.BudgetSpend == nil {
+		t.Fatal("Result.BudgetSpend missing")
+	}
+	if d := res.BudgetSpend.SpentSamples() - res.BudgetSpend.LookaheadSamples; d < -1 || d > 1 {
+		t.Errorf("Result.BudgetSpend unbalanced: spent %d of %d",
+			res.BudgetSpend.SpentSamples(), res.BudgetSpend.LookaheadSamples)
 	}
 }
 

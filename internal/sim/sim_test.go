@@ -24,7 +24,7 @@ func TestSceneValidate(t *testing.T) {
 		func(s *Scene) { s.Sources = nil },
 		func(s *Scene) { s.Sources[0].Pos = acoustics.Point{X: 99} },
 		func(s *Scene) { s.Sources[0].Gen = nil },
-		func(s *Scene) { s.Sources[0].Gen = audio.NewSilence(44100) },
+		func(s *Scene) { s.Sources[0].Gen = audio.NewWhiteNoise(1, 44100, 0.5) },
 		func(s *Scene) { s.RelayPos = acoustics.Point{X: -1} },
 		func(s *Scene) { s.EarPos = acoustics.Point{Y: 99} },
 		func(s *Scene) { s.Room.Absorption = 0 },

@@ -41,12 +41,12 @@ func TestDriftLadderDegradeAndFallback(t *testing.T) {
 	}
 	always := func(int) bool { return true }
 	driveWithDrift(t, s, 400, 8, func(int) float64 { return 150 }, always)
-	if s.State() != StateDegraded {
-		t.Fatalf("state %v after sustained 150 ppm (degrade at 100), want DEGRADED", s.State())
+	if s.state != StateDegraded {
+		t.Fatalf("state %v after sustained 150 ppm (degrade at 100), want DEGRADED", s.state)
 	}
 	driveWithDrift(t, s, 400, 8, func(int) float64 { return 400 }, always)
-	if s.State() != StateFallback {
-		t.Fatalf("state %v after sustained 400 ppm (fallback at 300), want FALLBACK", s.State())
+	if s.state != StateFallback {
+		t.Fatalf("state %v after sustained 400 ppm (fallback at 300), want FALLBACK", s.state)
 	}
 }
 
@@ -60,18 +60,18 @@ func TestDriftLadderBlocksPromotionUntilClear(t *testing.T) {
 	}
 	always := func(int) bool { return true }
 	driveWithDrift(t, s, 400, 8, func(int) float64 { return 150 }, always)
-	if s.State() != StateDegraded {
-		t.Fatalf("setup: state %v, want DEGRADED", s.State())
+	if s.state != StateDegraded {
+		t.Fatalf("setup: state %v, want DEGRADED", s.state)
 	}
 	// Skew persists: no promotion however long the link stays clean.
 	driveWithDrift(t, s, 2000, 8, func(int) float64 { return 150 }, always)
-	if s.State() != StateDegraded {
-		t.Fatalf("state %v while skew persists, want DEGRADED held", s.State())
+	if s.state != StateDegraded {
+		t.Fatalf("state %v while skew persists, want DEGRADED held", s.state)
 	}
 	// Skew clears (oscillator re-disciplined): the ladder recovers.
 	driveWithDrift(t, s, 4000, 8, func(int) float64 { return 5 }, always)
-	if s.State() != StateLANC {
-		t.Errorf("state %v after skew cleared, want LANC again", s.State())
+	if s.state != StateLANC {
+		t.Errorf("state %v after skew cleared, want LANC again", s.state)
 	}
 	want := [][2]State{{StateLANC, StateDegraded}, {StateDegraded, StateLANC}}
 	if got := moves(s.Report()); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
@@ -90,12 +90,12 @@ func TestDriftUnestimableCountsAsDegrade(t *testing.T) {
 	}
 	// Healthy, estimable start, then the estimator goes dark.
 	driveWithDrift(t, s, 200, 8, func(int) float64 { return 5 }, func(int) bool { return true })
-	if s.State() != StateLANC {
-		t.Fatalf("setup: state %v, want LANC", s.State())
+	if s.state != StateLANC {
+		t.Fatalf("setup: state %v, want LANC", s.state)
 	}
 	driveWithDrift(t, s, 2000, 8, func(int) float64 { return 0 }, func(int) bool { return false })
-	if s.State() != StateDegraded {
-		t.Errorf("state %v with an unestimable clock, want DEGRADED (and only DEGRADED)", s.State())
+	if s.state != StateDegraded {
+		t.Errorf("state %v with an unestimable clock, want DEGRADED (and only DEGRADED)", s.state)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestDriftNeverObservedIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := drive(t, s, pattern(4000))
-	if s.State() != StateLANC || len(rep.Transitions) != 0 {
+	if s.state != StateLANC || len(rep.Transitions) != 0 {
 		t.Errorf("clean run without ObserveDrift: state %v, %d transitions, want LANC and none",
-			s.State(), len(rep.Transitions))
+			s.state, len(rep.Transitions))
 	}
 }

@@ -141,17 +141,5 @@ func (f *Failover) switchTo(relay int) {
 	f.moves++
 }
 
-// Active returns the currently selected relay.
-func (f *Failover) Active() int { return f.active }
-
 // Switches returns how many relay moves the failover has made.
 func (f *Failover) Switches() int { return f.moves }
-
-// Health returns a copy of the per-relay smoothed concealment ratios.
-func (f *Failover) Health() []float64 {
-	out := make([]float64, len(f.health))
-	for i := range f.health {
-		out[i] = f.health[i].EWMA()
-	}
-	return out
-}

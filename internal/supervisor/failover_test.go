@@ -46,7 +46,7 @@ func (h *failoverHarness) feed(n int, real []bool) {
 			rl[r] = real[r]
 			h.history[r] = append(h.history[r], real[r])
 		}
-		prev := h.f.Active()
+		prev := h.f.active
 		idx, err := h.f.Step(fwd, rl)
 		if err != nil {
 			h.t.Fatal(err)
@@ -99,8 +99,8 @@ func TestFailoverSimultaneousOutageStaggeredRecovery(t *testing.T) {
 	})
 
 	h.feed(300, []bool{true, true, true}) // converge on relay 0
-	if h.f.Active() != 0 {
-		t.Fatalf("active = %d on healthy links, want 0", h.f.Active())
+	if h.f.active != 0 {
+		t.Fatalf("active = %d on healthy links, want 0", h.f.active)
 	}
 
 	// Simultaneous multi-relay outage: every stream concealed.
@@ -111,21 +111,21 @@ func TestFailoverSimultaneousOutageStaggeredRecovery(t *testing.T) {
 
 	// Staggered recovery: relay 2 first, then relay 1, then relay 0.
 	h.feed(40, []bool{false, false, true}) // relay 2 back but not yet warm
-	if h.f.Active() != 0 {
+	if h.f.active != 0 {
 		t.Fatalf("active = %d only %d samples into relay 2's recovery (warm-up %d), want 0",
-			h.f.Active(), 40, warmup)
+			h.f.active, 40, warmup)
 	}
 	h.feed(400, []bool{false, false, true})
-	if h.f.Active() != 2 {
-		t.Fatalf("active = %d after relay 2 recovered and warmed, want 2 (health %v)", h.f.Active(), h.f.Health())
+	if h.f.active != 2 {
+		t.Fatalf("active = %d after relay 2 recovered and warmed, want 2 (health %v)", h.f.active, h.f.health)
 	}
 	h.feed(400, []bool{false, true, true}) // relay 1 back; relay 2 already fine — no reason to move
-	if h.f.Active() != 2 {
-		t.Fatalf("active = %d after relay 1 recovered, want 2 still", h.f.Active())
+	if h.f.active != 2 {
+		t.Fatalf("active = %d after relay 1 recovered, want 2 still", h.f.active)
 	}
 	h.feed(800, []bool{true, true, true}) // relay 0 (standing preference) back
-	if h.f.Active() != 0 {
-		t.Fatalf("active = %d after full recovery, want the preferred relay 0 (health %v)", h.f.Active(), h.f.Health())
+	if h.f.active != 0 {
+		t.Fatalf("active = %d after full recovery, want the preferred relay 0 (health %v)", h.f.active, h.f.health)
 	}
 
 	h.assertSwitchesWarm(warmup)
@@ -146,8 +146,8 @@ func TestFailoverColdRelayNeverAdopted(t *testing.T) {
 		WarmupSamples:      warmup,
 	})
 	h.feed(200, []bool{true, true})
-	if h.f.Active() != 0 {
-		t.Fatalf("active = %d, want 0", h.f.Active())
+	if h.f.active != 0 {
+		t.Fatalf("active = %d, want 0", h.f.active)
 	}
 	// Relay 0 dies outright; relay 1 flaps with a 16-sample period — its
 	// EWMA health stays far better than the dead relay's, but it never
@@ -161,13 +161,13 @@ func TestFailoverColdRelayNeverAdopted(t *testing.T) {
 		}
 		h.feed(1, real)
 	}
-	if h.f.Active() != 0 {
-		t.Fatalf("failover adopted the flapping relay (active = %d); its stream never warmed", h.f.Active())
+	if h.f.active != 0 {
+		t.Fatalf("failover adopted the flapping relay (active = %d); its stream never warmed", h.f.active)
 	}
 	// The flapper steadies; now it warms and the failover moves.
 	h.feed(400, []bool{false, true})
-	if h.f.Active() != 1 {
-		t.Fatalf("active = %d after the flapper steadied, want 1", h.f.Active())
+	if h.f.active != 1 {
+		t.Fatalf("active = %d after the flapper steadied, want 1", h.f.active)
 	}
 	h.assertSwitchesWarm(warmup)
 }

@@ -319,9 +319,6 @@ func New(cfg Config, lanc *core.LANC, fallback *headphone.ANC) (*Supervisor, err
 	return s, nil
 }
 
-// State returns the current rung.
-func (s *Supervisor) State() State { return s.state }
-
 // Report returns the run summary so far.
 func (s *Supervisor) Report() Report {
 	r := s.rep

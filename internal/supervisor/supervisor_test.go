@@ -279,16 +279,16 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		step(false, 0.1)
 	}
-	if s.State() != StateFallback {
-		t.Fatalf("setup failed: state %v, want FALLBACK", s.State())
+	if s.state != StateFallback {
+		t.Fatalf("setup failed: state %v, want FALLBACK", s.state)
 	}
 	// Feed a residual far louder than the open field: ePow EWMA blows past
 	// passthroughFactor × openPow within the dwell.
-	for i := 0; i < 200 && s.State() == StateFallback; i++ {
+	for i := 0; i < 200 && s.state == StateFallback; i++ {
 		step(false, 5.0)
 	}
-	if s.State() != StatePassthrough {
-		t.Fatalf("state %v after runaway residual, want PASSTHROUGH", s.State())
+	if s.state != StatePassthrough {
+		t.Fatalf("state %v after runaway residual, want PASSTHROUGH", s.state)
 	}
 	// PASSTHROUGH emits silence.
 	if out := step(false, 5.0); out != 0 {
@@ -301,11 +301,11 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 		}
 	}
 	// Link recovers with a sane residual: a probe returns to FALLBACK.
-	for i := 0; i < 600 && s.State() == StatePassthrough; i++ {
+	for i := 0; i < 600 && s.state == StatePassthrough; i++ {
 		step(true, 0.05)
 	}
-	if s.State() != StateFallback {
-		t.Fatalf("state %v after recovery, want FALLBACK", s.State())
+	if s.state != StateFallback {
+		t.Fatalf("state %v after recovery, want FALLBACK", s.state)
 	}
 }
 
@@ -391,19 +391,19 @@ func TestFailoverSwitchesAndReturns(t *testing.T) {
 		}
 	}
 	feed(100, true)
-	if f.Active() != 0 {
-		t.Fatalf("active = %d on healthy links, want 0", f.Active())
+	if f.active != 0 {
+		t.Fatalf("active = %d on healthy links, want 0", f.active)
 	}
 	feed(200, false) // relay 0 outage
-	if f.Active() != 1 {
-		t.Fatalf("active = %d during relay-0 outage, want 1", f.Active())
+	if f.active != 1 {
+		t.Fatalf("active = %d during relay-0 outage, want 1", f.active)
 	}
 	if f.Switches() != 1 {
 		t.Fatalf("switches = %d, want 1", f.Switches())
 	}
 	feed(600, true) // relay 0 recovers and, as the standing preference, wins back
-	if f.Active() != 0 {
-		t.Fatalf("active = %d after relay-0 recovery, want 0 (health %v)", f.Active(), f.Health())
+	if f.active != 0 {
+		t.Fatalf("active = %d after relay-0 recovery, want 0 (health %v)", f.active, f.health)
 	}
 	if f.Switches() != 2 {
 		t.Fatalf("switches = %d, want 2", f.Switches())
@@ -457,7 +457,7 @@ func TestPrefilteredLANCBitIdenticalOnEveryRung(t *testing.T) {
 		aP := pre.Step(fwd[i], xs[i], eP, mask[i])
 		aR := ref.Step(fwd[i], xs[i], eR, mask[i])
 		if math.Float64bits(aP) != math.Float64bits(aR) {
-			t.Fatalf("sample %d (%v): prefiltered %v != per-sample %v", i, pre.State(), aP, aR)
+			t.Fatalf("sample %d (%v): prefiltered %v != per-sample %v", i, pre.state, aP, aR)
 		}
 		eP = 0.6*xs[i] + aP
 		eR = 0.6*xs[i] + aR

@@ -58,13 +58,6 @@ func (b *BudgetReport) Ms(samples int) float64 {
 	return float64(samples) / b.SampleRate * 1000
 }
 
-// Balanced reports whether the entries account for the lookahead to within
-// one sample period (rounding slack from integer sample conversion).
-func (b *BudgetReport) Balanced() bool {
-	d := b.SpentSamples() - b.LookaheadSamples
-	return d >= -1 && d <= 1
-}
-
 // Record emits the report into a trace as StageBudget events at t=0, one
 // per entry, each carrying the spend in samples and milliseconds.
 func (b *BudgetReport) Record(tr *Trace) {

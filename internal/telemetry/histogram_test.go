@@ -98,7 +98,7 @@ func TestHistogramSumSkipsNaN(t *testing.T) {
 	if got := h.Sum(); got != 3.0 {
 		t.Errorf("Sum = %g, want 3 (NaN excluded)", got)
 	}
-	if got := h.Count(); got != 3 {
+	if got := h.Snapshot().Count; got != 3 {
 		t.Errorf("Count = %d, want 3 (NaN still counted)", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestHistogramMergeLayoutMismatch(t *testing.T) {
 	b.Observe(2)
 	b.Observe(100)
 	a.merge(b)
-	if got := a.Count(); got != 2 {
+	if got := a.Snapshot().Count; got != 2 {
 		t.Errorf("mismatched merge lost observations: count %d, want 2", got)
 	}
 }

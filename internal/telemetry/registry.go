@@ -82,12 +82,6 @@ func (t *Timer) Since(start time.Time) time.Duration {
 	return d
 }
 
-// Count returns how many durations were observed.
-func (t *Timer) Count() uint64 { return t.h.Count() }
-
-// Sum returns the total observed seconds.
-func (t *Timer) Sum() float64 { return t.h.Sum() }
-
 // Registry holds named metrics. Lookups are get-or-create and safe for
 // concurrent use; the returned metric pointers are stable, so hot loops
 // resolve a name once and update through the pointer.
@@ -244,14 +238,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Timers[name] = t.h.Snapshot()
 	}
 	return s
-}
-
-// Deterministic returns a copy of the snapshot with the wall-clock timers
-// stripped — the part that must be identical across worker counts.
-func (s Snapshot) Deterministic() Snapshot {
-	out := s
-	out.Timers = nil
-	return out
 }
 
 // Text renders the snapshot as an aligned, name-sorted report.

@@ -128,37 +128,3 @@ func (tr *Trace) WriteFile(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadJSONL parses a JSONL trace (blank lines are skipped).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: read trace: %w", err)
-	}
-	return out, nil
-}
-
-// ReadFile parses the JSONL trace file at path.
-func ReadFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: open trace file: %w", err)
-	}
-	defer f.Close()
-	return ReadJSONL(f)
-}

@@ -29,17 +29,6 @@ func ExampleRun() {
 	// lookahead 8.8 ms, N=32 non-causal taps
 }
 
-// Lookahead computes Equation 4: a relay 1 m closer to the source than the
-// ear buys about 3 ms.
-func ExampleLookahead() {
-	source := mute.Point{X: 0, Y: 0, Z: 0}
-	relay := mute.Point{X: 1, Y: 0, Z: 0}
-	ear := mute.Point{X: 2, Y: 0, Z: 0}
-	fmt.Printf("%.2f ms\n", mute.Lookahead(source, relay, ear)*1000)
-	// Output:
-	// 2.94 ms
-}
-
 // PlanBudget splits the available lookahead between the converter pipeline
 // (Equation 3) and LANC's non-causal taps.
 func ExamplePlanBudget() {

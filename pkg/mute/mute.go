@@ -29,10 +29,8 @@ import (
 	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/internal/graph"
-	"mute/internal/headphone"
 	"mute/internal/metrics"
 	"mute/internal/relaysel"
-	"mute/internal/rf"
 	"mute/internal/sim"
 	"mute/internal/stream"
 	"mute/internal/supervisor"
@@ -41,8 +39,6 @@ import (
 
 // Geometry and scenario types.
 type (
-	// Point is a 3-D position in meters.
-	Point = acoustics.Point
 	// Room is a rectangular room with absorptive walls.
 	Room = acoustics.Room
 	// Scene is a physical experiment layout.
@@ -84,12 +80,6 @@ func DefaultParams(scene Scene) Params { return sim.DefaultParams(scene) }
 
 // Run simulates a scheme and returns its recordings.
 func Run(p Params, scheme Scheme) (*Result, error) { return sim.Run(p, scheme) }
-
-// Lookahead returns the lookahead time in seconds that a relay at relayPos
-// provides for a source heard at earPos (Equation 4 of the paper).
-func Lookahead(source, relayPos, earPos Point) float64 {
-	return acoustics.Lookahead(source, relayPos, earPos)
-}
 
 // Report summarizes a run for human consumption.
 type Report struct {
@@ -246,10 +236,7 @@ func FromSamples(data []float64, srcRate, dstRate float64, loop bool) (Generator
 	return audio.NewSliceSource(resampled, dstRate, loop), nil
 }
 
-// --- Architectural variants and mobility -------------------------------------
-
-// Variant selects one of the paper's Section 4.3 architectures.
-type Variant = sim.Variant
+// --- Architectural variants -------------------------------------------------
 
 // The architectural variants of Figure 10.
 const (
@@ -266,13 +253,6 @@ type VariantParams = sim.VariantParams
 
 // RunVariant simulates an architectural variant with the MUTE algorithm.
 func RunVariant(vp VariantParams) (*Result, error) { return sim.RunVariant(vp) }
-
-// MobilityParams configures a moving-ear run.
-type MobilityParams = sim.MobilityParams
-
-// RunMobile simulates MUTE with the ear device drifting along a segment,
-// exercising channel tracking (the head-mobility concern of Section 6).
-func RunMobile(mp MobilityParams) (*Result, error) { return sim.RunMobile(mp) }
 
 // --- Algorithm embedding ----------------------------------------------------
 
@@ -341,9 +321,6 @@ func NewReceiver(addr string, depth int) (*Receiver, error) {
 // latency jitter.
 type LossParams = stream.LossParams
 
-// LinkStats counts what a lossy link did to the offered frames.
-type LinkStats = stream.LinkStats
-
 // LossyLink is a seeded link impairment model. Install it on a Sender via
 // Impair for live fault injection, or drive it in-process with Transfer.
 type LossyLink = stream.LossyLink
@@ -351,26 +328,7 @@ type LossyLink = stream.LossyLink
 // NewLossyLink builds a fault injector from validated parameters.
 func NewLossyLink(p LossParams) (*LossyLink, error) { return stream.NewLossyLink(p) }
 
-// LossTransport routes a simulated run's forwarded reference through the
-// packetized stream layer (framing, lossy link, optional FEC, jitter
-// buffer); set Params.LossTransport to enable it.
-type LossTransport = sim.LossTransport
-
-// LossTransportStats aggregates the transport counters of such a run.
-type LossTransportStats = sim.LossTransportStats
-
-// PacketizeReference pushes a reference signal through the packetized
-// transport and returns the receiver's reconstruction plus its
-// concealment mask.
-func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, LossTransportStats, error) {
-	return sim.PacketizeReference(ref, lt)
-}
-
 // --- Clock-drift resilience -----------------------------------------------------
-
-// SkewStep schedules an instantaneous oscillator frequency change — a
-// temperature shock, a PLL re-lock — at a relay-clock sample index.
-type SkewStep = stream.SkewStep
 
 // SkewParams configures the skewed-oscillator fault injector: a constant
 // relay-vs-ear frequency offset in ppm, an optional seeded random-walk
@@ -380,9 +338,9 @@ type SkewStep = stream.SkewStep
 type SkewParams = stream.SkewParams
 
 // ClockSkew maps relay-clock sample indices to ear-clock positions under
-// the configured skew. Set LossTransport.Skew to inject drift into a
-// simulated run, or pace a live Sender by its Pos (see cmd/muterelay's
-// -skew-ppm flag).
+// the configured skew. Set Params.LossTransport's Skew to inject drift
+// into a simulated run, or pace a live Sender by its Pos (see
+// cmd/muterelay's -skew-ppm flag).
 type ClockSkew = stream.ClockSkew
 
 // NewClockSkew builds the skew injector from validated parameters.
@@ -413,15 +371,6 @@ type VariRateResampler = dsp.VariRateResampler
 // NewVariRateResampler creates a resampler at unity rate.
 func NewVariRateResampler() *VariRateResampler { return dsp.NewVariRateResampler() }
 
-// DriftWindow is the drift stage's per-playout-window telemetry in a
-// simulated run.
-type DriftWindow = sim.DriftWindow
-
-// DriftReport summarizes the clock-drift stage of a simulated transport
-// run (LossTransportStats.Drift): injected vs estimated skew, resampler
-// rate trajectory, and suspected oscillator steps.
-type DriftReport = sim.DriftReport
-
 // --- Relay-outage resilience --------------------------------------------------
 
 // Outage schedules a relay blackout on a LossyLink: every frame offered
@@ -430,85 +379,13 @@ type DriftReport = sim.DriftReport
 // reboots deterministically.
 type Outage = stream.Outage
 
-// Fade schedules a deep-fade SNR ramp in the FM channel: a trapezoid
-// attenuation (ramp in, hold, ramp out) in dB over baseband samples. Set
-// ChannelParams.Fades to script analog-link fades deterministically.
-type Fade = rf.Fade
-
-// FMChannel configures the analog FM forwarding channel (SNR, CFO,
-// multipath, scheduled fades).
-type FMChannel = rf.ChannelParams
-
-// LocalCanceller is the conventional causal feedforward canceller
-// (internal/headphone): a LANC with zero non-causal taps and the
-// headphone's own tuning — the Bose-class device the paper compares
-// against, and the degradation ladder's FALLBACK rung. It needs no
-// wireless leg. Pipelines build it themselves (the Headphone kind and
-// the supervised FALLBACK); construct one here only to step it by hand.
-type LocalCanceller = headphone.ANC
-
-// LocalCancellerConfig parameterizes a LocalCanceller.
-type LocalCancellerConfig = headphone.Config
-
-// DefaultLocalCancellerConfig returns the standard local-canceller tuning
-// for a sample rate and estimated secondary path.
-func DefaultLocalCancellerConfig(sampleRate float64, secondaryPath []float64) LocalCancellerConfig {
-	return headphone.DefaultConfig(sampleRate, secondaryPath)
-}
-
-// NewLocalCanceller builds a causal local canceller.
-func NewLocalCanceller(cfg LocalCancellerConfig) (*LocalCanceller, error) {
-	return headphone.NewANC(cfg)
-}
-
-// Supervisor drives a Canceller through the relay-outage degradation
-// ladder: LANC → DEGRADED (shrunken non-causal window) → FALLBACK (local
-// causal canceller, warm-started from LANC's causal taps) → PASSTHROUGH,
-// with dwell, hysteresis, crossfades, and exponential-backoff
-// reacquisition probes. In simulation, set Params.Supervise instead.
-type Supervisor = supervisor.Supervisor
-
-// SupervisorConfig tunes the ladder's thresholds, dwells, and crossfade.
-type SupervisorConfig = supervisor.Config
-
-// SupervisorState is a ladder rung.
-type SupervisorState = supervisor.State
-
-// The ladder rungs, healthiest first.
+// The degradation ladder's rungs, healthiest first.
 const (
 	StateLANC        = supervisor.StateLANC
 	StateDegraded    = supervisor.StateDegraded
 	StateFallback    = supervisor.StateFallback
 	StatePassthrough = supervisor.StatePassthrough
 )
-
-// SupervisorTransition is one recorded ladder move.
-type SupervisorTransition = supervisor.Transition
-
-// SupervisorReport summarizes a supervised run: transitions,
-// time-in-state, probe and warm-start counts.
-type SupervisorReport = supervisor.Report
-
-// DefaultSupervisorConfig returns the standard ladder tuning.
-func DefaultSupervisorConfig() SupervisorConfig { return supervisor.DefaultConfig() }
-
-// NewSupervisor wraps a canceller and its local fallback in the ladder.
-func NewSupervisor(cfg SupervisorConfig, lanc *Canceller, fallback *LocalCanceller) (*Supervisor, error) {
-	return supervisor.New(cfg, lanc, fallback)
-}
-
-// Failover picks a relay by per-relay link health: relay 0 feeds the
-// canceller while its link is healthy, a healthier alternative takes over
-// when it dies, and the association returns once relay 0 recovers.
-type Failover = supervisor.Failover
-
-// FailoverConfig tunes the failover's health thresholds and dwell.
-type FailoverConfig = supervisor.FailoverConfig
-
-// NewFailover builds a health-driven multi-relay failover.
-func NewFailover(cfg FailoverConfig) (*Failover, error) {
-	return supervisor.NewFailover(cfg)
-}
 
 // --- Unified pipeline graph -----------------------------------------------------
 
@@ -530,12 +407,8 @@ type (
 	// PipelineCancellerParams is the canceller-policy slice of the
 	// configuration.
 	PipelineCancellerParams = graph.CancellerParams
-	// PipelineFDAFParams selects the block frequency-domain canceller.
-	PipelineFDAFParams = graph.FDAFParams
 	// SampleSource is a pull-scheduled reference input (samples + mask).
 	SampleSource = graph.SampleSource
-	// AmbientLeg yields the coincident ambient sound per reference block.
-	AmbientLeg = graph.Ambient
 	// DriftControl steers adaptation holds and supervisor drift reports.
 	DriftControl = graph.DriftControl
 	// ReceiverSource adapts a jitter-buffered Receiver to a SampleSource.
@@ -548,10 +421,6 @@ type (
 	DerivedAmbient = graph.DerivedAmbient
 	// LiveDrift reports an online estimator to the supervisor per block.
 	LiveDrift = graph.LiveDrift
-	// SliceSource serves a pre-rendered reference stream from memory.
-	SliceSource = graph.SliceSource
-	// SliceAmbient serves pre-rendered acoustics from memory.
-	SliceAmbient = graph.SliceAmbient
 )
 
 // BuildPipeline plans the lookahead budget and assembles the unified
@@ -577,8 +446,8 @@ func ServeDebug(addr string) (string, error) { return telemetry.ServeDebug(addr)
 
 // Pipeline observability (see OBSERVABILITY.md): a Telemetry registry
 // aggregates counters/gauges/histograms across a run or sweep, a Trace
-// records per-stage events on the sample clock, and a BudgetReport breaks
-// the lookahead budget down stage by stage. Attaching either to a run is
+// records per-stage events on the sample clock, and Result.BudgetSpend
+// breaks the lookahead budget down stage by stage. Attaching either to a run is
 // result-neutral — the pipeline only reports state into them and never
 // branches on them.
 type (
@@ -586,31 +455,10 @@ type (
 	// Params.Telemetry (or experiments.Config.Telemetry) to aggregate a
 	// run's pipeline counters; read it back with Snapshot.
 	Telemetry = telemetry.Registry
-	// TelemetrySnapshot is a point-in-time copy of a registry's metrics.
-	TelemetrySnapshot = telemetry.Snapshot
 	// Trace is an in-memory per-stage event recorder. Set Params.Trace to
 	// capture capture/link/stream/lookahead/lanc/residual events keyed by
 	// sample time; serialize with its WriteFile/WriteJSONL methods.
 	Trace = telemetry.Trace
-	// TraceEvent is one recorded stage event.
-	TraceEvent = telemetry.Event
-	// BudgetReport itemizes lookahead spend (ms per stage); Result.BudgetSpend
-	// carries one for every traced simulation run.
-	BudgetReport = telemetry.BudgetReport
-	// HistogramOpts configures a registry histogram's log-spaced buckets.
-	HistogramOpts = telemetry.HistogramOpts
-)
-
-// Trace stage labels, in pipeline order.
-const (
-	StageCapture   = telemetry.StageCapture
-	StageLink      = telemetry.StageLink
-	StageStream    = telemetry.StageStream
-	StageLookahead = telemetry.StageLookahead
-	StageLANC      = telemetry.StageLANC
-	StageResidual  = telemetry.StageResidual
-	StageBudget    = telemetry.StageBudget
-	StageDrift     = telemetry.StageDrift
 )
 
 // NewTelemetry creates an empty metrics registry.
@@ -619,14 +467,6 @@ func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 // NewTrace creates an empty stage-event trace.
 func NewTrace() *Trace { return telemetry.NewTrace() }
 
-// NewBudgetReport starts a lookahead budget breakdown for a deployment.
-func NewBudgetReport(sampleRate float64, lookaheadSamples int) *BudgetReport {
-	return telemetry.NewBudgetReport(sampleRate, lookaheadSamples)
-}
-
 // PublishTelemetry exposes a registry as an expvar variable, so an HTTP
 // debug endpoint (/debug/vars) serves live snapshots.
 func PublishTelemetry(name string, r *Telemetry) { telemetry.PublishExpvar(name, r) }
-
-// ReadTrace loads a JSONL trace written by Trace.WriteFile.
-func ReadTrace(path string) ([]TraceEvent, error) { return telemetry.ReadFile(path) }
