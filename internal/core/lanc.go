@@ -52,16 +52,14 @@ type Config struct {
 	// while concealed (zero-filled) reference samples from a lossy link
 	// sit inside the gradient window — NLMS adapting against zeros
 	// corrupts the filter exactly when the link is worst — and the step
-	// size ramps back linearly over RecoveryRamp samples once real
-	// samples return. The profiler (when enabled) also holds its current
-	// filter instead of classifying a zero-filled window as silence.
+	// size ramps back linearly over the recovery ramp — the filter window
+	// N+L+1, but at least 256 samples — once real samples return. The
+	// profiler (when enabled) also holds its current filter instead of
+	// classifying a zero-filled window as silence.
 	// Concealment is reported per sample via PushMasked / StepMasked;
 	// degradation is bounded at the passive-isolation floor (weights
 	// hold, anti-noise from the surviving samples), never divergence.
 	LossAware bool
-	// RecoveryRamp is the post-loss ramp-back length in samples (default
-	// 256 or the filter window length, whichever is larger).
-	RecoveryRamp int
 
 	// Profiling enables predictive filter switching.
 	Profiling bool
@@ -78,6 +76,12 @@ type Config struct {
 	MaxProfiles int
 	// SampleRate is required when Profiling is on.
 	SampleRate float64
+}
+
+// recoveryRamp is the step-size ramp-back length in samples after a loss
+// freeze or an adaptation hold: the filter window N+L+1, but at least 256.
+func (c *Config) recoveryRamp() int {
+	return max(c.NonCausalTaps+c.CausalTaps+1, 256)
 }
 
 // profileBands is the profiler's signature resolution in bands.
@@ -105,15 +109,6 @@ func (c *Config) Validate() error {
 	}
 	if len(c.SecondaryPath) == 0 {
 		return fmt.Errorf("core: missing secondary path estimate")
-	}
-	if c.RecoveryRamp < 0 {
-		return fmt.Errorf("core: negative recovery ramp %d", c.RecoveryRamp)
-	}
-	if c.LossAware && c.RecoveryRamp == 0 {
-		c.RecoveryRamp = c.NonCausalTaps + c.CausalTaps + 1
-		if c.RecoveryRamp < 256 {
-			c.RecoveryRamp = 256
-		}
 	}
 	if c.Profiling {
 		if c.SampleRate <= 0 {
@@ -175,7 +170,7 @@ type LANC struct {
 	// gradient window; adaptation is frozen while it is non-zero.
 	// profileGuard does the same for the profiler's raw window, and
 	// rampLeft drives the linear step-size ramp after the guard expires
-	// over rampLen samples (Config.RecoveryRamp for loss freezes; an
+	// over rampLen samples (the recovery ramp for loss freezes; an
 	// explicit length for HoldAdaptation holds). The same guard also
 	// serves explicit HoldAdaptation freezes, which work without LossAware.
 	concealGuard int
@@ -280,14 +275,14 @@ func (l *LANC) noteMask(real bool) {
 		if l.cfg.Profiling {
 			l.profileGuard = len(l.window)
 		}
-		l.rampLeft = l.cfg.RecoveryRamp
-		l.rampLen = l.cfg.RecoveryRamp
+		l.rampLeft = l.cfg.recoveryRamp()
+		l.rampLen = l.rampLeft
 	}
 }
 
 // lossGain returns the adaptation gain for the current sample period: 0
 // while a concealed sample contaminates the gradient window, a linear ramp
-// from 0 to 1 over RecoveryRamp samples after the window clears, and 1 in
+// from 0 to 1 over the recovery ramp after the window clears, and 1 in
 // steady state. Calling it consumes one ramp step, so callers invoke it
 // exactly once per adapted sample.
 func (l *LANC) lossGain() float64 {
@@ -304,25 +299,19 @@ func (l *LANC) lossGain() float64 {
 
 // HoldAdaptation freezes adaptation for hold sample periods and ramps the
 // step size back linearly over ramp samples afterwards (ramp <= 0 selects
-// RecoveryRamp, or the loss-aware default when that is unset). The
-// drift-correction pipeline calls it when the reference resampler's rate
-// jumps — an oscillator step re-lock slews the alignment under the filter,
-// and adapting through the slew smears the taps the same way concealment
-// zeros would. Unlike the mask-driven freeze it works without
-// Config.LossAware; a LANC that is never held behaves bit-identically to
-// one without this method. An in-progress longer freeze is not shortened.
+// the recovery ramp). The drift-correction pipeline calls it when the
+// reference resampler's rate jumps — an oscillator step re-lock slews the
+// alignment under the filter, and adapting through the slew smears the
+// taps the same way concealment zeros would. Unlike the mask-driven
+// freeze it works without Config.LossAware; a LANC that is never held
+// behaves bit-identically to one without this method. An in-progress
+// longer freeze is not shortened.
 func (l *LANC) HoldAdaptation(hold, ramp int) {
 	if hold <= 0 {
 		return
 	}
 	if ramp <= 0 {
-		ramp = l.cfg.RecoveryRamp
-		if ramp <= 0 {
-			ramp = l.cfg.NonCausalTaps + l.cfg.CausalTaps + 1
-			if ramp < 256 {
-				ramp = 256
-			}
-		}
+		ramp = l.cfg.recoveryRamp()
 	}
 	if hold > l.concealGuard {
 		l.concealGuard = hold
@@ -614,6 +603,15 @@ func (l *LANC) SetWeights(w []float64) error {
 	l.zeroSkipped()
 	return nil
 }
+
+// degradedFraction is the share of the non-causal window kept live on a
+// DEGRADED rung: the supervisor's per-link ladder and the fleet's
+// pressure ladder both shrink to it.
+const degradedFraction = 0.5
+
+// DegradedTaps returns how many of n non-causal taps stay live on a
+// DEGRADED rung.
+func DegradedTaps(n int) int { return int(degradedFraction * float64(n)) }
 
 // LimitNonCausal shrinks the live non-causal tap window to at most n future
 // taps, zeroing the most-future taps beyond it; n ≥ N restores the full

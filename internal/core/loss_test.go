@@ -84,7 +84,6 @@ func TestLossAwareFreezeHoldsWeights(t *testing.T) {
 	l := newTestLANC(t, 16, func(c *Config) {
 		c.LossAware = true
 		c.Leak = 0.01
-		c.RecoveryRamp = 64
 	})
 	gen := audio.NewWhiteNoise(6, 8000, 0.5)
 	runANC(t, l, gen, testHnr, testHne, testHse, 20000)
@@ -178,12 +177,12 @@ func TestLossAwareConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.cfg.RecoveryRamp < 256 {
-		t.Errorf("RecoveryRamp default = %d, want ≥ 256", l.cfg.RecoveryRamp)
+	if got := l.cfg.recoveryRamp(); got != 256 {
+		t.Errorf("recovery ramp for a 16-tap window = %d, want the 256 floor", got)
 	}
-	bad := cfg
-	bad.RecoveryRamp = -1
-	if _, err := New(bad); err == nil {
-		t.Error("negative RecoveryRamp should be rejected")
+	wide := cfg
+	wide.NonCausalTaps, wide.CausalTaps = 100, 300
+	if got := wide.recoveryRamp(); got != 401 {
+		t.Errorf("recovery ramp for a 400-tap window = %d, want N+L+1 = 401", got)
 	}
 }

@@ -203,11 +203,10 @@ func TrackerExperiment(c Config) (*Figure, error) {
 	// relay re-selection design — with both relays joined for the whole
 	// run and every stream genuinely received.
 	sup, err := mesh.NewSupervisor(mesh.Config{
-		Capacity:        len(relayPos),
-		EarPos:          client,
-		WindowSamples:   2048,
-		IntervalSamples: 1024,
-		MaxLagSamples:   int(0.012 * fs),
+		Capacity:      len(relayPos),
+		EarPos:        client,
+		WindowSamples: 2048,
+		MaxLagSamples: int(0.012 * fs),
 	}, nil, nil)
 	if err != nil {
 		return nil, err

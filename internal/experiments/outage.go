@@ -211,7 +211,7 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		f, err := supervisor.NewFailover(supervisor.FailoverConfig{Relays: 2})
+		f, err := supervisor.NewFailover(2)
 		if err != nil {
 			return 0, nil, 0, err
 		}

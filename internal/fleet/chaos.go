@@ -50,7 +50,23 @@ const (
 // pin (also used by the fleet test harness).
 const targetID uint32 = 7
 
+// The chaos schedule's hazard cadence, in blocks.
+const (
+	// chaosChurnEvery opens a fresh churn session — and close-storms the
+	// previous one, then fires a datagram at the dead id — every this
+	// many blocks.
+	chaosChurnEvery = 8
+	// chaosFloodEvery injects a malformed-datagram flood every this many
+	// blocks.
+	chaosFloodEvery = 4
+)
+
 // ChaosConfig tunes a chaos run. The zero value takes every default.
+// The hazards land at fixed fractions of Blocks: the poisoned session's
+// probe panics at Blocks/4, a synthetic overload spike fed to ObserveTick
+// runs from Blocks/8 for 32 blocks — long enough to walk NORMAL →
+// DEGRADED → SHEDDING, with recovery headroom before the drain — and
+// server A drains into server B at 5*Blocks/8.
 type ChaosConfig struct {
 	// Peers is the number of long-lived background sessions (default 24).
 	Peers int
@@ -61,24 +77,6 @@ type ChaosConfig struct {
 	// Shards is each server's tick fan-out (default 4, so the shard
 	// goroutines run under -race).
 	Shards int
-	// ChurnEvery opens a fresh churn session — and close-storms the
-	// previous one, then fires a datagram at the dead id — every this many
-	// blocks (default 8).
-	ChurnEvery int
-	// FloodEvery injects a malformed-datagram flood every this many blocks
-	// (default 4).
-	FloodEvery int
-	// PoisonAtBlock is the tick at which the poisoned session's probe
-	// panics (default Blocks/4).
-	PoisonAtBlock int
-	// SpikeFrom/SpikeUntil bound the synthetic overload spike fed to
-	// ObserveTick (defaults Blocks/8 .. Blocks/8 + 32): long enough to
-	// walk NORMAL → DEGRADED → SHEDDING, with recovery headroom before the
-	// drain.
-	SpikeFrom, SpikeUntil int
-	// DrainAtBlock is the tick at which server A drains into server B
-	// (default 5*Blocks/8).
-	DrainAtBlock int
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -93,24 +91,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.ChurnEvery <= 0 {
-		c.ChurnEvery = 8
-	}
-	if c.FloodEvery <= 0 {
-		c.FloodEvery = 4
-	}
-	if c.PoisonAtBlock <= 0 {
-		c.PoisonAtBlock = c.Blocks / 4
-	}
-	if c.SpikeFrom <= 0 {
-		c.SpikeFrom = c.Blocks / 8
-	}
-	if c.SpikeUntil <= c.SpikeFrom {
-		c.SpikeUntil = c.SpikeFrom + 32
-	}
-	if c.DrainAtBlock <= 0 {
-		c.DrainAtBlock = 5 * c.Blocks / 8
 	}
 	return c
 }
@@ -153,11 +133,11 @@ func chaosFaults(id uint32, seed uint64) stream.LossParams {
 }
 
 // latenessSchedule is the synthetic overload signal: a flat 20 ms spike
-// inside [SpikeFrom, SpikeUntil), on-time everywhere else. Both the chaos
+// over the 32 blocks from Blocks/8, on-time everywhere else. Both the chaos
 // and quiet runs feed the same schedule, so the ladder walks the same
 // rungs at the same ticks in both.
 func latenessSchedule(cfg ChaosConfig, block int) int64 {
-	if block >= cfg.SpikeFrom && block < cfg.SpikeUntil {
+	if from := cfg.Blocks / 8; block >= from && block < from+32 {
 		return 20e6
 	}
 	return -1e6
@@ -208,7 +188,7 @@ func chaosRun(cfg ChaosConfig, quiet bool, res *ChaosResult) ([]float64, error) 
 		}
 		// The poisoned session panics from its own tick probe mid-run.
 		poisoned, err = srvA.Open(chaosPoisonID, p, WithTickProbe(func(block int64) {
-			if block == int64(cfg.PoisonAtBlock) {
+			if block == int64(cfg.Blocks/4) {
 				panic("chaos: poisoned session profile")
 			}
 		}))
@@ -238,17 +218,17 @@ func chaosRun(cfg ChaosConfig, quiet bool, res *ChaosResult) ([]float64, error) 
 				return nil, err
 			}
 		}
-		if !quiet && b%cfg.FloodEvery == 0 {
+		if !quiet && b%chaosFloodEvery == 0 {
 			floodMalformed(srv, uint32(chaosPeerBase+b%cfg.Peers))
 		}
-		if !quiet && b%cfg.ChurnEvery == 0 {
+		if !quiet && b%chaosChurnEvery == 0 {
 			var err error
 			churnUser, churnID, err = churnStorm(srv, p, frame, cfg.Seed, churnUser, churnID, res)
 			if err != nil {
 				return nil, err
 			}
 		}
-		if b == cfg.DrainAtBlock {
+		if b == 5*cfg.Blocks/8 {
 			snap, err := srv.Drain(context.Background())
 			if err != nil {
 				return nil, err

@@ -36,15 +36,9 @@ func fleetDigestRun(t *testing.T, p Profile, shards int) [2][]float64 {
 	for b := 0; b < blocks; b++ {
 		switch b {
 		case degradeAt:
-			srv.ObserveTick(3e6)
-			if srv.Pressure() != PressureDegraded {
-				t.Fatalf("pressure %v at tick %d, want DEGRADED", srv.Pressure(), b)
-			}
+			pressTo(t, srv, PressureDegraded)
 		case restoreAt:
-			srv.ObserveTick(0)
-			if srv.Pressure() != PressureNormal {
-				t.Fatalf("pressure %v at tick %d, want NORMAL", srv.Pressure(), b)
-			}
+			pressTo(t, srv, PressureNormal)
 		case drainAt:
 			snap, err := srv.Drain(context.Background())
 			if err != nil {

@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"sync"
+
+	"mute/internal/core"
 )
 
 // This file is the fleet lifecycle layer's overload-control half: a
@@ -23,7 +25,7 @@ import (
 //	            its starving tail instead of missing every deadline.
 //
 // Transitions carry dwell and hysteresis exactly like the supervisor's
-// ladder: a demotion needs DownDwellTicks consecutive breaching ticks, a
+// ladder: a demotion needs downDwellTicks consecutive breaching ticks, a
 // promotion needs UpDwellTicks consecutive ticks with the lateness EWMA
 // under half the demotion threshold, so the ladder never flaps on one
 // slow tick (a GC pause, a scheduler hiccup).
@@ -71,58 +73,41 @@ func (p PressureState) String() string {
 	}
 }
 
-// The ladder's lateness thresholds, in nanoseconds of smoothed tick
-// lateness.
+// The ladder's fixed tuning. Lateness thresholds are in nanoseconds of
+// smoothed tick lateness.
 const (
 	// degradeLatenessNS demotes NORMAL → DEGRADED when the lateness EWMA
-	// sits at or above it for DownDwellTicks: 2 ms, 20% of the default
+	// sits at or above it for downDwellTicks: 2 ms, 20% of the default
 	// 10 ms frame period.
 	degradeLatenessNS = 2e6
 	// shedLatenessNS demotes DEGRADED → SHEDDING: 8 ms, nearly a whole
 	// frame late — every session is missing.
 	shedLatenessNS = 4 * degradeLatenessNS
+	// latenessAlpha smooths the per-tick lateness into the pressure
+	// signal: ~16 ticks ≈ 160 ms of history at the default frame.
+	latenessAlpha = 1.0 / 16
+	// downDwellTicks is how many consecutive breaching ticks a demotion
+	// needs.
+	downDwellTicks = 8
 )
 
 // LifecycleConfig tunes the watchdog and ladder. The zero value takes
-// every default below; Disarm turns the watchdog off entirely (ObserveTick
-// then only feeds the lateness histogram, as before the lifecycle layer).
+// every default below.
 type LifecycleConfig struct {
-	// EWMAAlpha smooths the per-tick lateness into the pressure signal
-	// (default 1/16: ~16 ticks ≈ 160 ms of history at the default frame).
-	EWMAAlpha float64
-	// DownDwellTicks is how many consecutive breaching ticks a demotion
-	// needs (default 8).
-	DownDwellTicks int
 	// UpDwellTicks is how many consecutive ticks the EWMA must stay under
 	// half the demotion threshold before a promotion (default 64 — the
 	// asymmetry is deliberate: demote fast, promote cautiously).
 	UpDwellTicks int
-	// DegradedFraction is the fraction of each session's non-causal taps
-	// kept live under DEGRADED and SHEDDING (default 0.5, matching the
-	// supervisor's DEGRADED rung).
-	DegradedFraction float64
 	// IdleReapTicks is the starvation horizon under SHEDDING: a session
 	// whose last ingested frame is more than this many ticks old is
 	// closed and counted fleet.shed (default 512 ticks ≈ 5 s at the
 	// default frame; 0 keeps the default, negative disables reaping).
 	IdleReapTicks int
-	// Disarm disables the ladder: the fleet stays in PressureNormal no
-	// matter what ObserveTick reports.
-	Disarm bool
 }
 
 func (c LifecycleConfig) withDefaults() LifecycleConfig {
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 1.0 / 16
-	}
-	if c.DownDwellTicks <= 0 {
-		c.DownDwellTicks = 8
-	}
 	if c.UpDwellTicks <= 0 {
 		c.UpDwellTicks = 64
-	}
-	if c.DegradedFraction <= 0 || c.DegradedFraction >= 1 {
-		c.DegradedFraction = 0.5
 	}
 	if c.IdleReapTicks == 0 {
 		c.IdleReapTicks = 512
@@ -154,10 +139,7 @@ func (lc *lifecycle) observe(latenessNS int64) (PressureState, bool, float64) {
 	if late < 0 {
 		late = 0
 	}
-	lc.ewma += lc.cfg.EWMAAlpha * (late - lc.ewma)
-	if lc.cfg.Disarm {
-		return lc.state, false, lc.ewma
-	}
+	lc.ewma += latenessAlpha * (late - lc.ewma)
 
 	prev := lc.state
 	switch lc.state {
@@ -169,7 +151,7 @@ func (lc *lifecycle) observe(latenessNS int64) (PressureState, bool, float64) {
 		if lc.ewma >= down {
 			lc.healthyRun = 0
 			lc.breachRun++
-			if lc.breachRun >= lc.cfg.DownDwellTicks {
+			if lc.breachRun >= downDwellTicks {
 				lc.state++
 				lc.breachRun = 0
 			}
@@ -224,7 +206,7 @@ func (sess *Session) applyPressure(s *Server) {
 func (sess *Session) limitTaps(s *Server) {
 	n := sess.pl.NonCausalTaps
 	if PressureState(s.pressure.Load()) >= PressureDegraded {
-		n = int(s.lc.cfg.DegradedFraction * float64(n))
+		n = core.DegradedTaps(n)
 	}
 	sess.pl.LimitNonCausal(n)
 }

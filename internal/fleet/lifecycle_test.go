@@ -10,88 +10,93 @@ import (
 	"mute/internal/stream"
 )
 
-// fastLadder is a lifecycle tuning with no smoothing and single-tick
-// dwells, so ladder unit tests can step rungs deterministically with one
-// ObserveTick per transition.
+// fastLadder is a lifecycle tuning with single-tick promotion dwells.
 func fastLadder() LifecycleConfig {
-	return LifecycleConfig{EWMAAlpha: 1, DownDwellTicks: 1, UpDwellTicks: 1}
+	return LifecycleConfig{UpDwellTicks: 1}
+}
+
+// pressTo feeds srv's watchdog lateness until its ladder reaches want:
+// 3 ms a tick (between the two demotion thresholds) to reach DEGRADED
+// from NORMAL, 9 ms (past both) to reach SHEDDING, and on time to
+// promote. The ladder smooths and dwells, so a move takes tens of
+// observations; they all land between two ProcessTicks.
+func pressTo(t *testing.T, srv *Server, want PressureState) {
+	t.Helper()
+	for i := 0; srv.Pressure() != want; i++ {
+		if i == 1000 {
+			t.Fatalf("pressure %v after %d observations, want %v", srv.Pressure(), i, want)
+		}
+		var late int64
+		switch {
+		case want == PressureDegraded && srv.Pressure() < want:
+			late = 3e6
+		case want == PressureShedding:
+			late = 9e6
+		}
+		srv.ObserveTick(late)
+	}
 }
 
 // TestLadderDwellAndHysteresis pins the ladder's transition rules with
-// the default tuning: a demotion needs DownDwellTicks consecutive
-// breaching observations, a promotion needs UpDwellTicks consecutive
-// observations under half the demotion threshold, and a single spike or
-// dip never moves the rung.
+// the default tuning: a demotion needs downDwellTicks consecutive
+// observations with the lateness EWMA at or over the threshold, a
+// promotion needs UpDwellTicks consecutive observations under half of
+// it, and a breach shorter than the dwell never moves the rung.
 func TestLadderDwellAndHysteresis(t *testing.T) {
-	lc := &lifecycle{cfg: LifecycleConfig{EWMAAlpha: 1}.withDefaults()}
-	step := func(lateness int64) PressureState {
-		state, _, _ := lc.observe(lateness)
-		return state
-	}
-
-	// One breaching tick (or DownDwellTicks-1 of them) must not demote.
-	for i := 0; i < lc.cfg.DownDwellTicks-1; i++ {
-		if got := step(3e6); got != PressureNormal {
-			t.Fatalf("demoted after %d breaching ticks, want dwell of %d", i+1, lc.cfg.DownDwellTicks)
+	lc := &lifecycle{cfg: LifecycleConfig{}.withDefaults()}
+	// feed observes lateness until the EWMA reaches the far side of level
+	// (rising when lateness is above it), requiring the rung to stay at
+	// hold on every observation.
+	feed := func(lateness int64, level float64, hold PressureState) {
+		t.Helper()
+		rising := float64(lateness) > level
+		for n := 1; ; n++ {
+			state, _, ewma := lc.observe(lateness)
+			if state != hold {
+				t.Fatalf("rung %v with the EWMA at %g on its way to %g, want %v", state, ewma, level, hold)
+			}
+			if rising == (ewma >= level) {
+				return
+			}
+			if n == 1000 {
+				t.Fatalf("EWMA stuck at %g on its way to %g", ewma, level)
+			}
 		}
 	}
-	// A healthy tick resets the dwell counter.
-	if got := step(0); got != PressureNormal {
-		t.Fatalf("healthy tick moved the rung to %v", got)
+	// step observes lateness n times, requiring rung want after each.
+	step := func(lateness int64, n int, want PressureState) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got, _, ewma := lc.observe(lateness); got != want {
+				t.Fatalf("observation %d of %d at %d ns: rung %v (EWMA %g), want %v", i+1, n, lateness, got, ewma, want)
+			}
+		}
 	}
-	for i := 0; i < lc.cfg.DownDwellTicks-1; i++ {
-		step(3e6)
-	}
-	if got := step(3e6); got != PressureDegraded {
-		t.Fatalf("after full dwell of breaching ticks, rung = %v, want DEGRADED", got)
-	}
+
+	// The EWMA dipping back under the threshold resets the dwell, and a
+	// breach one observation short of the dwell must not demote.
+	feed(3e6, degradeLatenessNS, PressureNormal) // the first breaching observation
+	feed(0, degradeLatenessNS, PressureNormal)
+	feed(3e6, degradeLatenessNS, PressureNormal)
+	step(3e6, downDwellTicks-2, PressureNormal)
+	step(3e6, 1, PressureDegraded)
 
 	// DEGRADED → SHEDDING needs the higher threshold; lateness between the
 	// two thresholds neither demotes further nor promotes.
-	for i := 0; i < 3*lc.cfg.DownDwellTicks; i++ {
-		if got := step(3e6); got != PressureDegraded {
-			t.Fatalf("mid-band lateness moved the rung to %v", got)
-		}
-	}
-	for i := 0; i < lc.cfg.DownDwellTicks; i++ {
-		step(9e6)
-	}
-	if got, _, _ := lc.observe(0); got != PressureShedding {
-		t.Fatalf("sustained shed-level lateness left rung at %v, want SHEDDING", got)
-	}
+	step(3e6, 3*downDwellTicks, PressureDegraded)
+	feed(9e6, shedLatenessNS, PressureDegraded)
+	step(9e6, downDwellTicks-2, PressureDegraded)
+	step(9e6, 1, PressureShedding)
 
-	// Promotion: lateness must sit under half the demotion threshold for
-	// UpDwellTicks; half-threshold-grazing values never promote.
-	for i := 0; i < 2*lc.cfg.UpDwellTicks; i++ {
-		if got := step(5e6); got != PressureShedding {
-			t.Fatalf("lateness above hysteresis band promoted to %v", got)
-		}
-	}
-	for i := 0; i < lc.cfg.UpDwellTicks-1; i++ {
-		if got := step(0); got != PressureShedding {
-			t.Fatalf("promoted after %d healthy ticks, want dwell of %d", i+1, lc.cfg.UpDwellTicks)
-		}
-	}
-	if got := step(0); got != PressureDegraded {
-		t.Fatal("full healthy dwell did not promote SHEDDING → DEGRADED")
-	}
-	for i := 0; i < lc.cfg.UpDwellTicks; i++ {
-		step(0)
-	}
-	if got := step(0); got != PressureNormal {
-		t.Fatal("full healthy dwell did not promote DEGRADED → NORMAL")
-	}
-}
-
-// TestDisarmedLadderNeverMoves pins the Disarm escape hatch: no lateness,
-// however extreme, moves the rung.
-func TestDisarmedLadderNeverMoves(t *testing.T) {
-	lc := &lifecycle{cfg: LifecycleConfig{Disarm: true}.withDefaults()}
-	for i := 0; i < 100; i++ {
-		if state, changed, _ := lc.observe(1e9); state != PressureNormal || changed {
-			t.Fatal("disarmed ladder moved")
-		}
-	}
+	// Promotion: the EWMA must sit under half the demotion threshold for
+	// UpDwellTicks; lateness above the hysteresis band never promotes.
+	step(5e6, 2*lc.cfg.UpDwellTicks, PressureShedding)
+	feed(0, shedLatenessNS/2, PressureShedding)
+	step(0, lc.cfg.UpDwellTicks-2, PressureShedding)
+	step(0, 1, PressureDegraded)
+	feed(0, degradeLatenessNS/2, PressureDegraded)
+	step(0, lc.cfg.UpDwellTicks-2, PressureDegraded)
+	step(0, 1, PressureNormal)
 }
 
 // TestSheddingRefusesOpens drives the server ladder to SHEDDING through
@@ -101,18 +106,14 @@ func TestDisarmedLadderNeverMoves(t *testing.T) {
 func TestSheddingRefusesOpens(t *testing.T) {
 	srv := NewServer(Config{Lifecycle: fastLadder()})
 	defer srv.Close()
-	srv.ObserveTick(3e6) // NORMAL → DEGRADED
-	srv.ObserveTick(9e6) // DEGRADED → SHEDDING
-	if got := srv.Pressure(); got != PressureShedding {
-		t.Fatalf("pressure = %v, want SHEDDING", got)
-	}
+	pressTo(t, srv, PressureShedding)
 	if _, err := srv.Open(1, lightProfile()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("Open under SHEDDING returned %v, want ErrOverloaded", err)
 	}
 	if got := srv.reg.Snapshot().Counters["fleet.refused"]; got != 1 {
 		t.Fatalf("fleet.refused = %d, want 1", got)
 	}
-	srv.ObserveTick(0) // SHEDDING → DEGRADED
+	pressTo(t, srv, PressureDegraded)
 	if _, err := srv.Open(1, lightProfile()); err != nil {
 		t.Fatalf("Open under DEGRADED refused: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestPressureAppliesTapLimit(t *testing.T) {
 				t.Fatalf("fresh session runs %d non-causal taps, want %d", got, full)
 			}
 
-			srv.ObserveTick(3e6) // → DEGRADED
+			pressTo(t, srv, PressureDegraded)
 			// The posture lands on the session's own next tick, not immediately.
 			if got := sess.pl.ActiveNonCausal(); got != full {
 				t.Fatalf("posture applied outside the session's tick: %d taps", got)
@@ -153,7 +154,7 @@ func TestPressureAppliesTapLimit(t *testing.T) {
 			if err := srv.ProcessTick(); err != nil {
 				t.Fatal(err)
 			}
-			want := int(0.5 * float64(full))
+			want := full / 2
 			if got := sess.pl.ActiveNonCausal(); got != want {
 				t.Fatalf("DEGRADED session runs %d non-causal taps, want %d", got, want)
 			}
@@ -167,7 +168,7 @@ func TestPressureAppliesTapLimit(t *testing.T) {
 				t.Fatalf("session born under DEGRADED runs %d taps, want %d", got, want)
 			}
 
-			srv.ObserveTick(0) // → NORMAL
+			pressTo(t, srv, PressureNormal)
 			if err := srv.ProcessTick(); err != nil {
 				t.Fatal(err)
 			}
@@ -204,8 +205,7 @@ func TestIdleReapUnderShedding(t *testing.T) {
 			t.Fatal(err)
 		}
 		if b == 1 {
-			srv.ObserveTick(3e6)
-			srv.ObserveTick(9e6) // → SHEDDING from block 2 on
+			pressTo(t, srv, PressureShedding) // from block 2 on
 		}
 	}
 	if srv.Lookup(2) != nil {
@@ -224,8 +224,7 @@ func TestIdleReapUnderShedding(t *testing.T) {
 	if _, err := srv2.Open(9, p); err != nil {
 		t.Fatal(err)
 	}
-	srv2.ObserveTick(3e6)
-	srv2.ObserveTick(9e6)
+	pressTo(t, srv2, PressureShedding)
 	for b := 0; b < 12; b++ {
 		if err := srv2.ProcessTick(); err != nil {
 			t.Fatal(err)
@@ -237,13 +236,13 @@ func TestIdleReapUnderShedding(t *testing.T) {
 }
 
 // TestWatchdogArmedNormalBitIdentity pins the bench-gate premise: with
-// the watchdog armed and every tick on time, the fleet stays NORMAL and
-// every residual is bit-identical to a disarmed run — the watchdog's
-// steady-state presence is one atomic load per session tick, never a
-// behavioral change.
+// the watchdog fed and every tick on time, the fleet stays NORMAL and
+// every residual is bit-identical to a run whose watchdog is never fed —
+// the watchdog's steady-state presence is one atomic load per session
+// tick, never a behavioral change.
 func TestWatchdogArmedNormalBitIdentity(t *testing.T) {
-	run := func(disarm bool) []float64 {
-		srv := NewServer(Config{Lifecycle: LifecycleConfig{Disarm: disarm}})
+	run := func(observe bool) []float64 {
+		srv := NewServer(Config{})
 		defer srv.Close()
 		p := lightProfile()
 		const blocks = 16
@@ -274,14 +273,16 @@ func TestWatchdogArmedNormalBitIdentity(t *testing.T) {
 			if err := srv.ProcessTick(); err != nil {
 				t.Fatal(err)
 			}
-			srv.ObserveTick(-500_000) // on time, every tick
+			if observe {
+				srv.ObserveTick(-500_000) // on time, every tick
+			}
 		}
 		if got := srv.Pressure(); got != PressureNormal {
 			t.Fatalf("on-time fleet left NORMAL: %v", got)
 		}
 		return residual
 	}
-	if !reflect.DeepEqual(run(false), run(true)) {
+	if !reflect.DeepEqual(run(true), run(false)) {
 		t.Fatal("armed watchdog in NORMAL changed a session residual")
 	}
 }

@@ -430,7 +430,7 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	scfg := supervisor.DefaultConfig()
+	var scfg supervisor.Config
 	if cfg.SupervisorConfig != nil {
 		scfg = *cfg.SupervisorConfig
 	}

@@ -9,6 +9,7 @@ import (
 	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/internal/headphone"
+	"mute/internal/supervisor"
 	"mute/internal/telemetry"
 )
 
@@ -112,6 +113,44 @@ func TestBuildValidation(t *testing.T) {
 		if got := errors.Is(err, ErrUnsupported); got != tc.unsupported {
 			t.Errorf("%s: errors.Is(%v, ErrUnsupported) = %v, want %v", tc.name, err, got, tc.unsupported)
 		}
+	}
+}
+
+// TestSupervisedNilConfigStarvesAtWindow pins the ladder's default
+// starvation run on the nil-SupervisorConfig path: it is the wrapped
+// filter's N+L+1, so a small window demotes to FALLBACK on the concealed
+// sample that fills it, long before the ratio threshold's dwell could.
+func TestSupervisedNilConfigStarvesAtWindow(t *testing.T) {
+	const clean, n = 400, 1200
+	cfg := validConfig(n)
+	cfg.MaxNonCausalTaps = 8
+	cfg.Supervise = true
+	window := cfg.MaxNonCausalTaps + cfg.Canceller.CausalTaps
+	mask := make([]bool, n)
+	for i := range mask {
+		mask[i] = i < clean || i > clean+window
+	}
+	cfg.Reference = &SliceSource{Samples: cfg.Reference.(*SliceSource).Samples, Mask: mask}
+	pl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Run(n, 64); err != nil {
+		t.Fatal(err)
+	}
+	rep := pl.canc.(supervisedKind).Report()
+	var got []supervisor.Transition
+	for _, tr := range rep.Transitions {
+		if tr.To == supervisor.StateFallback {
+			got = append(got, tr)
+		}
+	}
+	// The canceller steps the reference align samples late, so the
+	// window+1-th concealed sample is its step align+clean+window.
+	want := int64(pl.align + clean + window)
+	if len(got) != 1 || got[0].From != supervisor.StateLANC || got[0].At != want {
+		t.Fatalf("FALLBACK moves %+v, want one from LANC at step %d after %d concealed samples (transitions %+v)",
+			got, want, window+1, rep.Transitions)
 	}
 }
 

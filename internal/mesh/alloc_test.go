@@ -17,7 +17,6 @@ func bigMesh(tb testing.TB, relays int) (*Supervisor, []float64, []float64, []bo
 		EarPos:        acoustics.Point{X: 8, Y: 8},
 		WindowSamples: 1024,
 		MaxLagSamples: 64,
-		CandidateK:    8,
 	}
 	sup, err := NewSupervisor(cfg, nil, nil)
 	if err != nil {
@@ -63,7 +62,7 @@ func bigMesh(tb testing.TB, relays int) (*Supervisor, []float64, []float64, []bo
 func TestMeshSteadyStateAllocFree(t *testing.T) {
 	const relays = 200
 	sup, clean, fwd, real, leads, now := bigMesh(t, relays)
-	span := 2 * sup.cfg.IntervalSamples // ≥ 2 selection rounds per run
+	span := sup.cfg.WindowSamples // ≥ 2 selection rounds per run
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < span; i++ {
 			for s := 0; s < relays; s++ {

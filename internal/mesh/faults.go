@@ -3,9 +3,11 @@ package mesh
 import (
 	"math/rand"
 	"sort"
-
-	"mute/internal/acoustics"
 )
+
+// flapPeriodSamples is a flapper's down and up phase length: 128 ms at
+// 8 kHz, shorter than the heartbeat timeout, so a flapper never expires.
+const flapPeriodSamples = 1024
 
 // InjectorConfig describes a deterministic mesh fault schedule. All fault
 // populations draw from one seeded stream, so a (seed, config) pair always
@@ -13,56 +15,22 @@ import (
 type InjectorConfig struct {
 	// Seed drives every random draw.
 	Seed int64
-	// Relays is the mesh size; Duration is the run length in samples at
-	// SampleRate.
-	Relays     int
+	// Duration is the run length in samples; SampleRate (default 8 kHz)
+	// converts the churn rate and the crash lengths to samples.
 	Duration   int64
 	SampleRate float64
 
 	// ChurnPerMin is the expected fraction of the mesh that crashes per
 	// minute (0.10 = 10%/min). Each crash keeps the relay dark for a
-	// uniform draw in [MinDownSamples, MaxDownSamples] (defaults 2 s and
-	// 10 s worth), then the relay recovers and rejoins.
-	ChurnPerMin    float64
-	MinDownSamples int
-	MaxDownSamples int
+	// uniform draw between 2 s and 10 s worth of samples, then the relay
+	// recovers and rejoins.
+	ChurnPerMin float64
 
-	// Flappers relays develop a flapping link: their stream alternates
-	// down/up with period FlapPeriodSamples (default 2048) for the whole
-	// run — the adversarial case for hysteresis. FlapperAt pins which
-	// relays flap (overriding the random draw) so experiments can place
-	// the flapper where it is acoustically tempting.
-	Flappers          int
-	FlapperAt         []int
-	FlapPeriodSamples int
-
-	// ZoneOutages correlated outages each pick a random live position and
-	// take down every relay within ZoneRadius (default 3 m) for
-	// ZoneDownSamples (default 4 s worth) — the "access point died" case.
-	ZoneOutages     int
-	ZoneRadius      float64
-	ZoneDownSamples int
-}
-
-func (c *InjectorConfig) fill() {
-	if c.SampleRate <= 0 {
-		c.SampleRate = 8000
-	}
-	if c.MinDownSamples <= 0 {
-		c.MinDownSamples = int(2 * c.SampleRate)
-	}
-	if c.MaxDownSamples <= c.MinDownSamples {
-		c.MaxDownSamples = int(10 * c.SampleRate)
-	}
-	if c.FlapPeriodSamples <= 0 {
-		c.FlapPeriodSamples = 2048
-	}
-	if c.ZoneRadius <= 0 {
-		c.ZoneRadius = 3
-	}
-	if c.ZoneDownSamples <= 0 {
-		c.ZoneDownSamples = int(4 * c.SampleRate)
-	}
+	// FlapperAt pins relays that develop a flapping link: from a random
+	// start their stream alternates 1024 samples down and 1024 up for the
+	// rest of the run — the adversarial case for hysteresis. Experiments
+	// place the flapper where it is acoustically tempting.
+	FlapperAt []int
 }
 
 // faultEvent is one scheduled link transition: relay goes down (or a
@@ -74,27 +42,23 @@ type faultEvent struct {
 }
 
 // Injector replays a precomputed fault schedule sample by sample. Link
-// states nest (a relay inside a zone outage that also crashes stays down
-// until both faults release), so per-relay state is a depth counter, not
-// a flag. Advance and Down are allocation-free.
+// states nest (a flapping relay that also crashes stays down until both
+// faults release), so per-relay state is a depth counter, not a flag.
+// Advance and Down are allocation-free.
 type Injector struct {
 	events []faultEvent
 	idx    int
 	depth  []int // per-relay overlapping-fault count
-
-	base []acoustics.Point
 }
 
-// NewInjector builds the schedule for the given relay positions. The
-// positions slice is copied.
-func NewInjector(cfg InjectorConfig, positions []acoustics.Point) *Injector {
-	cfg.fill()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := len(positions)
-	in := &Injector{
-		depth: make([]int, n),
-		base:  append([]acoustics.Point(nil), positions...),
+// NewInjector builds the schedule for a mesh of n relays.
+func NewInjector(cfg InjectorConfig, n int) *Injector {
+	if cfg.SampleRate <= 0 {
+		cfg.SampleRate = 8000
 	}
+	minDown, maxDown := int(2*cfg.SampleRate), int(10*cfg.SampleRate)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	in := &Injector{depth: make([]int, n)}
 	if n == 0 || cfg.Duration <= 0 {
 		return in
 	}
@@ -113,33 +77,17 @@ func NewInjector(cfg InjectorConfig, positions []acoustics.Point) *Injector {
 	for i := 0; i < crashes; i++ {
 		relay := rng.Intn(n)
 		at := rng.Int63n(cfg.Duration)
-		down := int64(cfg.MinDownSamples + rng.Intn(cfg.MaxDownSamples-cfg.MinDownSamples+1))
+		down := int64(minDown + rng.Intn(maxDown-minDown+1))
 		addDownUp(relay, at, down)
 	}
 	// Flappers: alternate down/up for the rest of the run.
-	flappers := cfg.FlapperAt
-	for i := 0; len(flappers) < cfg.Flappers && i < n; i++ {
-		flappers = append(flappers, rng.Intn(n))
-	}
-	for _, relay := range flappers {
+	for _, relay := range cfg.FlapperAt {
 		if relay < 0 || relay >= n {
 			continue
 		}
 		start := rng.Int63n(cfg.Duration/2 + 1)
-		p := int64(cfg.FlapPeriodSamples)
-		for at := start; at < cfg.Duration; at += 2 * p {
-			addDownUp(relay, at, p)
-		}
-	}
-	// Zone outages: everything within radius of a random relay's position
-	// goes down together.
-	for i := 0; i < cfg.ZoneOutages; i++ {
-		center := in.base[rng.Intn(n)]
-		at := rng.Int63n(cfg.Duration)
-		for r, p := range in.base {
-			if center.Dist(p) <= cfg.ZoneRadius {
-				addDownUp(r, at, int64(cfg.ZoneDownSamples))
-			}
+		for at := start; at < cfg.Duration; at += 2 * flapPeriodSamples {
+			addDownUp(relay, at, flapPeriodSamples)
 		}
 	}
 	sort.Slice(in.events, func(a, b int) bool { return in.events[a].at < in.events[b].at })

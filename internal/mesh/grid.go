@@ -12,7 +12,6 @@ import (
 // scratch).
 type grid struct {
 	cellSize     float64
-	minX, minY   float64
 	nx, ny       int
 	cells        [][]int32 // per-cell slot lists (swap-delete, cap retained)
 	maxCellRing  int       // max Chebyshev ring radius worth scanning
@@ -21,12 +20,10 @@ type grid struct {
 }
 
 func newGrid(cfg Config) *grid {
-	nx := int((cfg.MaxX-cfg.MinX)/cfg.CellSize) + 1
-	ny := int((cfg.MaxY-cfg.MinY)/cfg.CellSize) + 1
+	nx := int(cfg.MaxX/cfg.CellSize) + 1
+	ny := int(cfg.MaxY/cfg.CellSize) + 1
 	g := &grid{
 		cellSize: cfg.CellSize,
-		minX:     cfg.MinX,
-		minY:     cfg.MinY,
 		nx:       nx,
 		ny:       ny,
 		cells:    make([][]int32, nx*ny),
@@ -42,8 +39,8 @@ func newGrid(cfg Config) *grid {
 // positions to the edge cells (a relay that walked out of the mapped
 // area still lives somewhere).
 func (g *grid) cellOf(p acoustics.Point) int {
-	cx := int((p.X - g.minX) / g.cellSize)
-	cy := int((p.Y - g.minY) / g.cellSize)
+	cx := int(p.X / g.cellSize)
+	cy := int(p.Y / g.cellSize)
 	if cx < 0 {
 		cx = 0
 	}
@@ -87,8 +84,8 @@ func (g *grid) nearest(center acoustics.Point, k int, eligible func(slot int32) 
 	}
 	out := g.queryNearest[:0]
 	dts := g.queryDist[:0]
-	ccx := int((center.X - g.minX) / g.cellSize)
-	ccy := int((center.Y - g.minY) / g.cellSize)
+	ccx := int(center.X / g.cellSize)
+	ccy := int(center.Y / g.cellSize)
 	if ccx < 0 {
 		ccx = 0
 	}

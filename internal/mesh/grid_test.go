@@ -13,7 +13,7 @@ import (
 // points.
 func TestGridNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cfg := Config{Capacity: 64, CellSize: 1, MinX: 0, MinY: 0, MaxX: 16, MaxY: 16}
+	cfg := Config{Capacity: 64, CellSize: 1, MaxX: 16, MaxY: 16}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGridNearestMatchesBruteForce(t *testing.T) {
 
 // TestGridRemoveAndMove pins swap-delete bookkeeping through churn.
 func TestGridRemoveAndMove(t *testing.T) {
-	cfg := Config{Capacity: 8, CellSize: 1, MinX: 0, MinY: 0, MaxX: 8, MaxY: 8}
+	cfg := Config{Capacity: 8, CellSize: 1, MaxX: 8, MaxY: 8}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestGridRemoveAndMove(t *testing.T) {
 
 // TestGridNearestAllocFree pins that queries reuse scratch.
 func TestGridNearestAllocFree(t *testing.T) {
-	cfg := Config{Capacity: 64, CellSize: 1, MinX: 0, MinY: 0, MaxX: 16, MaxY: 16}
+	cfg := Config{Capacity: 64, CellSize: 1, MaxX: 16, MaxY: 16}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}

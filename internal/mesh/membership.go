@@ -170,7 +170,7 @@ func (m *membership) observe(slot int32, cursor int, x float64, real bool) (expi
 	mb.ring[cursor] = x
 	mb.ring[cursor+m.cfg.WindowSamples] = x
 	mb.health.Observe(real)
-	return mb.health.ConcealedRun() > m.cfg.HeartbeatTimeoutSamples
+	return mb.health.ConcealedRun() > heartbeatTimeoutSamples
 }
 
 // window returns a member's current correlation window (oldest→newest)
@@ -184,14 +184,14 @@ func (m *membership) window(slot int32, cursor int) []float64 {
 // concealed reference.
 func (m *membership) warm(slot int32) bool {
 	mb := &m.members[slot]
-	return mb.state == live && mb.health.CleanRun() >= m.cfg.WarmupSamples
+	return mb.state == live && mb.health.CleanRun() >= warmupSamples
 }
 
 // healthy reports whether a member is live with an acceptable smoothed
 // concealment ratio.
 func (m *membership) healthy(slot int32) bool {
 	mb := &m.members[slot]
-	return mb.state == live && mb.health.EWMA() < m.cfg.UnhealthyHealth
+	return mb.state == live && mb.health.EWMA() < supervisor.IneligibleRatio
 }
 
 // Live returns the number of live members.

@@ -1,11 +1,11 @@
 // Package mesh scales MUTE's relay selection (Section 4.2) from Figure
 // 19's handful of always-alive relays to a dense, churning mesh of
-// dozens to hundreds: relays join, leave, crash, flap, and walk away
-// mid-run while the sound source moves at walking speed, and the ear
-// device must stay associated with a relay that is simultaneously
-// acoustically useful (positive GCC-PHAT lookahead, Eq 4), link-healthy
-// (low concealment ratio, fresh heartbeats), and warm (its stream's
-// recent window holds no concealed samples).
+// dozens to hundreds: relays join, crash and flap mid-run while the
+// sound source moves at walking speed, and the ear device must stay
+// associated with a relay that is simultaneously acoustically useful
+// (positive GCC-PHAT lookahead, Eq 4), link-healthy (low concealment
+// ratio, fresh heartbeats), and warm (its stream's recent window holds no
+// concealed samples).
 //
 // The package is organized as four cooperating pieces:
 //
@@ -24,8 +24,8 @@
 //     emergency handoffs when the active relay dies between rounds, and
 //     the membership/handoff/flap/orphan report.
 //   - A seeded fault injector (faults.go) generates deterministic churn
-//     schedules — crashes with recovery, a flapping relay, correlated
-//     zone outages, walk-aways — for experiments and tests.
+//     schedules — crashes with recovery and flapping relays pinned where
+//     the experiment places them — for experiments and tests.
 //
 // Source (source.go) adapts a Supervisor to graph.SampleSource, so the
 // mesh drops into the standard cancellation pipeline exactly where a
@@ -38,9 +38,36 @@ import (
 	"fmt"
 
 	"mute/internal/acoustics"
+	"mute/internal/supervisor"
 )
 
-// Config parameterizes a mesh supervisor.
+// The handoff policy's fixed tuning, on the sample clock at 8 kHz.
+const (
+	// candidateK is the per-round correlation budget: only the K live
+	// relays nearest the current association (or the ear, when orphaned)
+	// are re-correlated.
+	candidateK = 8
+	// heartbeatTimeoutSamples is how long a member may go without a real
+	// sample before it is expired as dead (200 ms).
+	heartbeatTimeoutSamples = 1600
+	// emergencyRunSamples is the consecutive-concealed run on the active
+	// relay that triggers an immediate (between-rounds) emergency handoff
+	// to the best warm candidate from the last round.
+	emergencyRunSamples = 160
+	// dwellRounds is how many consecutive rounds a challenger must win by
+	// the switch margin before a handoff begins.
+	dwellRounds = 3
+	// warmupSamples is the make-before-break gate: an incoming relay must
+	// have delivered this many consecutive real samples before it may
+	// carry the reference, so a completed switch never plays concealed
+	// samples.
+	warmupSamples = 256
+	// crossfadeSamples is the handoff crossfade length.
+	crossfadeSamples = 128
+)
+
+// Config parameterizes a mesh supervisor. Selection rounds run every
+// WindowSamples/2 samples.
 type Config struct {
 	// Capacity is the maximum number of concurrent members (slots). The
 	// per-sample Push cost is O(live members); Capacity only sizes the
@@ -53,9 +80,6 @@ type Config struct {
 
 	// WindowSamples is the GCC-PHAT correlation window (default 1024).
 	WindowSamples int
-	// IntervalSamples is the cadence of selection rounds (default
-	// WindowSamples/2).
-	IntervalSamples int
 	// MaxLagSamples bounds the correlation search (default Window/8, must
 	// be < Window/2).
 	MaxLagSamples int
@@ -63,44 +87,20 @@ type Config struct {
 	MinLeadSamples int
 	// MinPeak is the minimum correlation peak (default 0.05).
 	MinPeak float64
-	// CandidateK is the per-round correlation budget: only the K live
-	// relays nearest the current association (or the ear, when orphaned)
-	// are re-correlated (default 8).
-	CandidateK int
 
 	// CellSize is the spatial-grid cell edge in meters (default 1).
 	CellSize float64
-	// MinX/MinY/MaxX/MaxY bound the grid (defaults 0..16 m). Positions
-	// outside are clamped to the edge cells.
-	MinX, MinY, MaxX, MaxY float64
+	// MaxX/MaxY bound the grid, which starts at the origin (defaults
+	// 16 m). Positions outside are clamped to the edge cells.
+	MaxX, MaxY float64
 
-	// HeartbeatTimeoutSamples is how long a member may go without a real
-	// sample before it is expired as dead (default 1600 — 200 ms at
-	// 8 kHz).
-	HeartbeatTimeoutSamples int
-	// EmergencyRunSamples is the consecutive-concealed run on the active
-	// relay that triggers an immediate (between-rounds) emergency handoff
-	// to the best warm candidate from the last round (default 160).
-	EmergencyRunSamples int
-	// HealthAlpha smooths the per-relay concealment EWMA (default 1/256).
+	// HealthAlpha smooths the per-relay concealment EWMA (default
+	// supervisor.HealthAlpha).
 	HealthAlpha float64
-	// UnhealthyHealth is the smoothed concealment ratio above which a
-	// relay is ineligible for selection (default 0.25).
-	UnhealthyHealth float64
 
-	// DwellRounds is how many consecutive rounds a challenger must win by
-	// the switch margin before a handoff begins (default 3).
-	DwellRounds int
 	// SwitchMarginSamples is how much more lookahead a challenger must
 	// offer than the current association (default 4).
 	SwitchMarginSamples int
-	// WarmupSamples is the make-before-break gate: an incoming relay must
-	// have delivered this many consecutive real samples before it may
-	// carry the reference, so a completed switch never plays concealed
-	// samples (default 256).
-	WarmupSamples int
-	// CrossfadeSamples is the handoff crossfade length (default 128).
-	CrossfadeSamples int
 
 	// Naive disables every robustness mechanism — health fusion, dwell,
 	// warm-up, crossfade — and re-selects the instantaneous GCC-PHAT
@@ -117,9 +117,6 @@ func (c *Config) fill() error {
 	if c.WindowSamples <= 0 {
 		c.WindowSamples = 1024
 	}
-	if c.IntervalSamples <= 0 {
-		c.IntervalSamples = c.WindowSamples / 2
-	}
 	if c.MaxLagSamples <= 0 {
 		c.MaxLagSamples = c.WindowSamples / 8
 	}
@@ -132,41 +129,20 @@ func (c *Config) fill() error {
 	if c.MinPeak <= 0 {
 		c.MinPeak = 0.05
 	}
-	if c.CandidateK <= 0 {
-		c.CandidateK = 8
-	}
 	if c.CellSize <= 0 {
 		c.CellSize = 1
 	}
-	if c.MaxX <= c.MinX {
-		c.MinX, c.MaxX = 0, 16
+	if c.MaxX <= 0 {
+		c.MaxX = 16
 	}
-	if c.MaxY <= c.MinY {
-		c.MinY, c.MaxY = 0, 16
-	}
-	if c.HeartbeatTimeoutSamples <= 0 {
-		c.HeartbeatTimeoutSamples = 1600
-	}
-	if c.EmergencyRunSamples <= 0 {
-		c.EmergencyRunSamples = 160
+	if c.MaxY <= 0 {
+		c.MaxY = 16
 	}
 	if c.HealthAlpha <= 0 {
-		c.HealthAlpha = 1.0 / 256
-	}
-	if c.UnhealthyHealth <= 0 {
-		c.UnhealthyHealth = 0.25
-	}
-	if c.DwellRounds <= 0 {
-		c.DwellRounds = 3
+		c.HealthAlpha = supervisor.HealthAlpha
 	}
 	if c.SwitchMarginSamples <= 0 {
 		c.SwitchMarginSamples = 4
-	}
-	if c.WarmupSamples <= 0 {
-		c.WarmupSamples = 256
-	}
-	if c.CrossfadeSamples <= 0 {
-		c.CrossfadeSamples = 128
 	}
 	return nil
 }

@@ -8,29 +8,20 @@ import (
 	"mute/internal/supervisor"
 )
 
-// testConfig is a small, fast mesh config shared by the tests.
+// testConfig is a small, fast mesh config shared by the tests: a
+// 256-sample window, so a selection round every 128 samples.
 func testConfig(capacity int) Config {
 	return Config{
-		Capacity:                capacity,
-		EarPos:                  acoustics.Point{X: 8, Y: 8},
-		WindowSamples:           256,
-		IntervalSamples:         128,
-		MaxLagSamples:           32,
-		MinPeak:                 0.05,
-		CandidateK:              4,
-		CellSize:                1,
-		MinX:                    0,
-		MinY:                    0,
-		MaxX:                    16,
-		MaxY:                    16,
-		HeartbeatTimeoutSamples: 400,
-		EmergencyRunSamples:     100,
-		HealthAlpha:             1.0 / 64,
-		UnhealthyHealth:         0.25,
-		DwellRounds:             2,
-		SwitchMarginSamples:     8,
-		WarmupSamples:           64,
-		CrossfadeSamples:        16,
+		Capacity:            capacity,
+		EarPos:              acoustics.Point{X: 8, Y: 8},
+		WindowSamples:       256,
+		MaxLagSamples:       32,
+		MinPeak:             0.05,
+		CellSize:            1,
+		MaxX:                16,
+		MaxY:                16,
+		HealthAlpha:         1.0 / 64,
+		SwitchMarginSamples: 8,
 	}
 }
 
@@ -137,7 +128,7 @@ func (h *meshHarness) assertSwitchesWarm(warmup int) {
 		if slot < 0 {
 			continue
 		}
-		if at < warmup {
+		if at+1 < warmup {
 			h.t.Fatalf("switch to slot %d at step %d, before %d samples of history exist", slot, at, warmup)
 		}
 		for j := at - warmup + 1; j <= at; j++ {
@@ -167,7 +158,7 @@ func TestMeshAdoptsBestRelay(t *testing.T) {
 		t.Fatalf("no rounds or handoffs ran: %+v", rep)
 	}
 	steady := rep.Rounds - rep.DistressRounds
-	budget := steady*(cfg.CandidateK+probeCount(cfg.CandidateK)+1) + rep.DistressRounds*(cfg.Capacity+1)
+	budget := steady*(candidateK+probeCount(candidateK)+1) + rep.DistressRounds*(cfg.Capacity+1)
 	if rep.Correlations > budget {
 		t.Fatalf("correlation budget exceeded: %d correlations over %d rounds (%d distress)",
 			rep.Correlations, rep.Rounds, rep.DistressRounds)
@@ -175,7 +166,7 @@ func TestMeshAdoptsBestRelay(t *testing.T) {
 	if steady <= 0 {
 		t.Fatalf("every round ran in distress mode: %+v", rep)
 	}
-	h.assertSwitchesWarm(cfg.WarmupSamples)
+	h.assertSwitchesWarm(warmupSamples)
 }
 
 // TestMeshEmergencyHandoff: the active relay goes dark mid-run; the
@@ -192,7 +183,7 @@ func TestMeshEmergencyHandoff(t *testing.T) {
 		t.Fatalf("associated with %d, want 0", h.sup.Current())
 	}
 	h.down[0] = true
-	h.step(cfg.EmergencyRunSamples + 2)
+	h.step(emergencyRunSamples + 2)
 	if got := h.sup.Current(); got != 1 {
 		t.Fatalf("after the active relay died the supervisor holds slot %d, want emergency handoff to 1; report %+v",
 			got, h.sup.Report())
@@ -202,11 +193,11 @@ func TestMeshEmergencyHandoff(t *testing.T) {
 		t.Fatalf("emergency handoffs = %d, want 1; report %+v", rep.EmergencyHandoffs, rep)
 	}
 	// The dead relay ages out of membership entirely.
-	h.step(cfg.HeartbeatTimeoutSamples + 2)
+	h.step(heartbeatTimeoutSamples + 2)
 	if rep := h.sup.Report(); rep.Expirations != 1 {
 		t.Fatalf("expirations = %d after heartbeat timeout, want 1", rep.Expirations)
 	}
-	h.assertSwitchesWarm(cfg.WarmupSamples)
+	h.assertSwitchesWarm(warmupSamples)
 }
 
 // TestMeshChurnRejoin: a crashed relay ages out, rejoins cold, re-warms,
@@ -221,7 +212,7 @@ func TestMeshChurnRejoin(t *testing.T) {
 		t.Fatalf("associated with %d, want 0", h.sup.Current())
 	}
 	h.down[0] = true
-	h.step(cfg.HeartbeatTimeoutSamples + 50)
+	h.step(heartbeatTimeoutSamples + 50)
 	if h.sup.Current() != 1 {
 		t.Fatalf("after slot 0 died, associated with %d, want 1", h.sup.Current())
 	}
@@ -241,7 +232,7 @@ func TestMeshChurnRejoin(t *testing.T) {
 	if rep.Rejoins != 1 || rep.Expirations != 1 {
 		t.Fatalf("rejoins/expirations = %d/%d, want 1/1", rep.Rejoins, rep.Expirations)
 	}
-	h.assertSwitchesWarm(cfg.WarmupSamples)
+	h.assertSwitchesWarm(warmupSamples)
 }
 
 // TestMeshExpiryOrphansWhenAlone: the only relay expiring orphans the
@@ -255,7 +246,7 @@ func TestMeshExpiryOrphansWhenAlone(t *testing.T) {
 		t.Fatalf("associated with %d, want 0", h.sup.Current())
 	}
 	h.down[0] = true
-	h.step(cfg.HeartbeatTimeoutSamples + 100)
+	h.step(heartbeatTimeoutSamples + 100)
 	if h.sup.Current() != -1 {
 		t.Fatalf("current = %d after the only relay expired, want -1 (orphaned)", h.sup.Current())
 	}
@@ -288,8 +279,8 @@ func TestMeshDecideHysteresis(t *testing.T) {
 	if _, err := sup.Join(101, acoustics.Point{X: 9, Y: 8}); err != nil {
 		t.Fatal(err)
 	}
-	observeRun(&sup.mem.members[0].health, true, 10*cfg.WarmupSamples)
-	observeRun(&sup.mem.members[1].health, true, 10*cfg.WarmupSamples)
+	observeRun(&sup.mem.members[0].health, true, 10*warmupSamples)
+	observeRun(&sup.mem.members[1].health, true, 10*warmupSamples)
 	sup.current = 0
 	sup.currentLag = 20
 
@@ -310,7 +301,7 @@ func TestMeshDecideHysteresis(t *testing.T) {
 	rank(20, 10)
 	sup.decide(0)
 	if sup.current != 0 {
-		t.Fatalf("switched on a one-round glitch (dwell %d)", cfg.DwellRounds)
+		t.Fatalf("switched on a one-round glitch (dwell %d)", dwellRounds)
 	}
 	if sup.rep.FlapsSuppressed != 1 {
 		t.Fatalf("flapsSuppressed = %d after an abandoned candidacy, want 1", sup.rep.FlapsSuppressed)
@@ -323,7 +314,7 @@ func TestMeshDecideHysteresis(t *testing.T) {
 	}
 	// Sustained challenger, but cold: dwell satisfied, switch held.
 	observeRun(&sup.mem.members[1].health, false, 1)
-	for i := 0; i < cfg.DwellRounds+2; i++ {
+	for i := 0; i < dwellRounds+2; i++ {
 		rank(20, 32)
 		sup.decide(1)
 	}
@@ -331,7 +322,7 @@ func TestMeshDecideHysteresis(t *testing.T) {
 		t.Fatal("switched to a cold relay (warm-up gate bypassed)")
 	}
 	// The stream warms: the held switch completes with a crossfade.
-	observeRun(&sup.mem.members[1].health, true, cfg.WarmupSamples)
+	observeRun(&sup.mem.members[1].health, true, warmupSamples)
 	rank(20, 32)
 	sup.decide(1)
 	if sup.current != 1 {
@@ -393,7 +384,7 @@ func TestMeshUnhealthyRelayIneligible(t *testing.T) {
 	if got := h.sup.Current(); got != 1 {
 		t.Fatalf("associated with lossy slot %d, want 1; health %.3f", got, h.sup.mem.members[0].health.EWMA())
 	}
-	h.assertSwitchesWarm(cfg.WarmupSamples)
+	h.assertSwitchesWarm(warmupSamples)
 }
 
 // TestMeshRejoinKeepsHealth: a relay that expires and rejoins keeps its
@@ -408,7 +399,7 @@ func TestMeshRejoinKeepsHealth(t *testing.T) {
 		h.step(1)
 	}
 	h.down[0] = false
-	h.step(cfg.WarmupSamples)
+	h.step(warmupSamples)
 	mb := &h.sup.mem.members[0]
 	ewma := mb.health.EWMA()
 	if ewma <= 0 || !h.sup.mem.warm(0) {

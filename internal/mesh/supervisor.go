@@ -25,8 +25,9 @@ type Report struct {
 	Live int
 
 	// Rounds is how many selection rounds ran; Correlations is the total
-	// GCC-PHAT correlations across all rounds — Correlations/Rounds ≈
-	// CandidateK regardless of mesh size is the O(k) pruning evidence.
+	// GCC-PHAT correlations across all rounds — Correlations/Rounds ≈ 8,
+	// the per-round candidate budget, regardless of mesh size is the O(k)
+	// pruning evidence.
 	// DistressRounds is the subset that widened to a full live-mesh scan
 	// because the mesh was orphaned or the incumbent's lookahead had
 	// collapsed below the usable floor.
@@ -53,7 +54,7 @@ func (r Report) MembershipChanges() int {
 }
 
 // Supervisor runs the churn-tolerant relay mesh: it tracks membership,
-// prunes each GCC-PHAT selection round to the CandidateK nearest live
+// prunes each GCC-PHAT selection round to the candidateK nearest live
 // relays via the spatial grid, applies the hysteretic dwell + warm-up +
 // crossfade handoff policy (or the naive per-round argmax when
 // Config.Naive is set), and keeps the Report.
@@ -119,7 +120,7 @@ func NewSupervisor(cfg Config, reg *telemetry.Registry, trace *telemetry.Trace) 
 	if err != nil {
 		return nil, err
 	}
-	maxCand := cfg.CandidateK + probeCount(cfg.CandidateK) + 1 // + current
+	maxCand := candidateK + probeCount(candidateK) + 1 // + current
 	s := &Supervisor{
 		cfg:       cfg,
 		mem:       newMembership(cfg),
@@ -297,11 +298,11 @@ func (s *Supervisor) Push(local float64, forwarded []float64, real []bool) (floa
 	// than the emergency run but has not yet aged out of membership. The
 	// naive baseline gets none of this — it plays concealment until its
 	// next round.
-	if s.current >= 0 && !s.cfg.Naive && s.mem.members[s.current].health.ConcealedRun() > s.cfg.EmergencyRunSamples {
+	if s.current >= 0 && !s.cfg.Naive && s.mem.members[s.current].health.ConcealedRun() > emergencyRunSamples {
 		s.emergency()
 	}
 
-	if s.fill >= int64(s.cfg.WindowSamples) && s.fill%int64(s.cfg.IntervalSamples) == 0 {
+	if s.fill >= int64(s.cfg.WindowSamples) && s.fill%int64(s.cfg.WindowSamples/2) == 0 {
 		s.round()
 	}
 
@@ -317,11 +318,11 @@ func (s *Supervisor) Push(local float64, forwarded []float64, real []bool) (floa
 		} else {
 			// Equal-steps linear blend; the mask is real only when both
 			// contributions are real, so a fade never launders concealment.
-			w := float64(s.fadePos+1) / float64(s.cfg.CrossfadeSamples+1)
+			w := float64(s.fadePos+1) / float64(crossfadeSamples+1)
 			out = w*out + (1-w)*forwarded[s.fadeFrom]
 			ok = ok && real[s.fadeFrom]
 			s.fadePos++
-			if s.fadePos >= s.cfg.CrossfadeSamples {
+			if s.fadePos >= crossfadeSamples {
 				s.fading = false
 			}
 		}
@@ -329,7 +330,7 @@ func (s *Supervisor) Push(local float64, forwarded []float64, real []bool) (floa
 	return out, ok, nil
 }
 
-// round runs one pruned selection round: gather the CandidateK nearest
+// round runs one pruned selection round: gather the candidateK nearest
 // live relays (anchored at the active relay, or the ear when orphaned),
 // ride a few round-robin probes along, correlate, and apply the handoff
 // policy. Distress rounds — the mesh is orphaned, or the incumbent's
@@ -351,11 +352,11 @@ func (s *Supervisor) round() {
 		}
 	} else {
 		s.anchor = s.mem.members[s.current].pos
-		near := s.mem.grid.nearest(s.anchor, s.cfg.CandidateK, s.eligFn, s.distFn)
+		near := s.mem.grid.nearest(s.anchor, candidateK, s.eligFn, s.distFn)
 		s.candSlot = append(s.candSlot, near...)
 		// Round-robin probes from the full live list.
 		if n := len(s.mem.liveIDs); n > 0 {
-			for p := 0; p < probeCount(s.cfg.CandidateK); p++ {
+			for p := 0; p < probeCount(candidateK); p++ {
 				s.probeCur++
 				slot := s.mem.liveIDs[s.probeCur%n]
 				if !s.hasCandidate(slot) && (s.cfg.Naive || s.mem.healthy(slot)) {
@@ -491,7 +492,7 @@ func (s *Supervisor) decide(best int32) {
 		if s.badRun >= 2 && best >= 0 && best != s.current && s.mem.warm(best) {
 			s.fadeFrom = s.current
 			s.fadePos = 0
-			s.fading = s.cfg.CrossfadeSamples > 0
+			s.fading = true
 			s.current = best
 			for _, rc := range s.ranked {
 				if rc.slot == best {
@@ -547,10 +548,10 @@ func (s *Supervisor) decide(best int32) {
 	s.pendRun++
 	// Dwell satisfied and the incoming stream warm: make-before-break
 	// holds the switch open until both are true.
-	if s.pendRun >= s.cfg.DwellRounds && s.mem.warm(challenger) {
+	if s.pendRun >= dwellRounds && s.mem.warm(challenger) {
 		s.fadeFrom = s.current
 		s.fadePos = 0
-		s.fading = s.cfg.CrossfadeSamples > 0
+		s.fading = true
 		s.current = challenger
 		for _, rc := range s.ranked {
 			if rc.slot == challenger {

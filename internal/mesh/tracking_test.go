@@ -12,13 +12,10 @@ import (
 
 const trackLag = 25 // samples a leading relay leads, and a lagging one lags, the ear
 
-// trackingMesh builds a supervisor over relays slots (all joined) with
-// non-overlapping rounds: IntervalSamples = WindowSamples, so each round
-// correlates exactly the samples pushed since the previous one.
+// trackingMesh builds a supervisor over relays slots (all joined).
 func trackingMesh(t *testing.T, relays int) *Supervisor {
 	t.Helper()
 	cfg := testConfig(relays)
-	cfg.IntervalSamples = cfg.WindowSamples
 	sup, err := NewSupervisor(cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,17 +116,20 @@ func TestMeshNoAssociationWhenAllLag(t *testing.T) {
 	}
 }
 
-// TestMeshOneRoundGlitchDoesNotSwitch: a single round in which the other
-// relay leads — exactly one correlation window — must not move the
-// association.
+// TestMeshOneRoundGlitchDoesNotSwitch: the other relay leads for three
+// quarters of a correlation window, centred on a round. Rounds run every
+// half window, so that round is the only one whose window the glitch
+// dominates, and the association must not move — neither by the dwell
+// nor by the two-bad-rounds rescue.
 func TestMeshOneRoundGlitchDoesNotSwitch(t *testing.T) {
 	tr := newTracker(t, 2, 6144)
 	window := tr.sup.cfg.WindowSamples
-	tr.feed(0, 3072) // a whole number of windows: rounds align with feeds
+	tr.feed(0, 3072+window/8) // rounds fall on multiples of window/2
 	if got := tr.sup.Current(); got != 0 {
 		t.Fatalf("setup: associated with %d, want 0", got)
 	}
-	tr.feed(1, window)
+	tr.feed(1, 3*window/4)
+	tr.feed(0, window/8) // up to and including the glitch round
 	if len(tr.sup.ranked) == 0 || tr.sup.ranked[0].slot != 1 {
 		t.Fatalf("the glitch round did not favour relay 1: %+v", tr.sup.ranked)
 	}
@@ -219,7 +219,7 @@ func TestMeshRingEquivalence(t *testing.T) {
 func TestMeshTrackingPushAllocFree(t *testing.T) {
 	const relays = 4
 	sup := trackingMesh(t, relays)
-	interval := sup.cfg.IntervalSamples
+	interval := sup.cfg.WindowSamples / 2
 	base := audio.Render(audio.NewWhiteNoise(13, 8000, 0.7), 8*sup.cfg.WindowSamples)
 	fwd := make([]float64, relays)
 	real := []bool{true, true, true, true}
@@ -261,7 +261,7 @@ func TestMeshStalePendingCleared(t *testing.T) {
 		if _, err := sup.Join(int64(200+r), acoustics.Point{X: 7 + 2*float64(r), Y: 8}); err != nil {
 			t.Fatal(err)
 		}
-		observeRun(&sup.mem.members[r].health, true, 10*cfg.WarmupSamples)
+		observeRun(&sup.mem.members[r].health, true, 10*warmupSamples)
 	}
 	sup.current = 0
 	sup.currentLag = 20
@@ -292,7 +292,7 @@ func TestMeshStalePendingCleared(t *testing.T) {
 	if sup.pendRun != 1 {
 		t.Fatalf("glitch candidacy run = %d, want a fresh 1", sup.pendRun)
 	}
-	for r := 1; r < cfg.DwellRounds; r++ {
+	for r := 1; r < dwellRounds; r++ {
 		round(1, 32) // full dwell satisfied by the last of these
 	}
 	if sup.current != 1 {

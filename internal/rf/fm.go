@@ -143,44 +143,6 @@ func removeDC(x []float64) {
 	}
 }
 
-// Fade is a scheduled deep-fade event: the channel amplitude ramps down by
-// DepthdB over RampSamples, holds there for HoldSamples, and ramps back up
-// over another RampSamples. Because the receiver noise floor is fixed, an
-// amplitude drop of DepthdB is an SNR drop of DepthdB — the shadowing dips
-// (a person walking between relay and ear, a door closing) that the
-// supervisor's health estimator must detect from the demodulated audio.
-// All counts are in baseband samples (audio index × Oversample).
-type Fade struct {
-	// StartSample is the first baseband sample of the down-ramp.
-	StartSample uint64
-	// RampSamples is the length of each edge; 0 makes the fade a step.
-	RampSamples uint64
-	// HoldSamples is how long the fade floor lasts.
-	HoldSamples uint64
-	// DepthdB is the attenuation at the fade floor (> 0).
-	DepthdB float64
-}
-
-// penaltyDB returns the attenuation in dB the fade applies at sample i.
-func (f Fade) penaltyDB(i uint64) float64 {
-	if i < f.StartSample {
-		return 0
-	}
-	off := i - f.StartSample
-	if off < f.RampSamples {
-		return f.DepthdB * float64(off+1) / float64(f.RampSamples)
-	}
-	off -= f.RampSamples
-	if off < f.HoldSamples {
-		return f.DepthdB
-	}
-	off -= f.HoldSamples
-	if off < f.RampSamples {
-		return f.DepthdB * float64(f.RampSamples-off) / float64(f.RampSamples)
-	}
-	return 0
-}
-
 // ChannelParams models the RF channel and front-end impairments.
 type ChannelParams struct {
 	// SNRdB is the baseband signal-to-noise ratio; +Inf disables noise.
@@ -201,12 +163,6 @@ type ChannelParams struct {
 	Gain float64
 	// Seed drives the deterministic noise processes.
 	Seed uint64
-	// Fades schedules deterministic deep-fade events on top of the flat
-	// gain. They consume no randomness and, outside their windows, leave
-	// the channel bit-identical to one with no fades scheduled. On a
-	// noiseless channel (SNRdB = +Inf) a fade still attenuates the signal
-	// but costs no SNR.
-	Fades []Fade
 }
 
 // DefaultChannel returns a benign channel: 30 dB SNR, 500 Hz CFO, light
@@ -219,11 +175,6 @@ func DefaultChannel() ChannelParams {
 func Apply(p FMParams, ch ChannelParams, x []complex128) ([]complex128, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	for i, f := range ch.Fades {
-		if f.DepthdB <= 0 {
-			return nil, fmt.Errorf("rf: fade %d has non-positive depth %g dB", i, f.DepthdB)
-		}
 	}
 	gain := ch.Gain
 	if gain == 0 {
@@ -254,19 +205,7 @@ func Apply(p FMParams, ch ChannelParams, x []complex128) ([]complex128, error) {
 		if ch.PhaseNoiseStd > 0 {
 			pn += ch.PhaseNoiseStd * rng.Norm()
 		}
-		// Scheduled deep fades attenuate the signal against the fixed
-		// receiver noise floor; dB penalties from overlapping fades add.
-		g := gain
-		if len(ch.Fades) > 0 {
-			pen := 0.0
-			for _, f := range ch.Fades {
-				pen += f.penaltyDB(uint64(i))
-			}
-			if pen > 0 {
-				g *= math.Pow(10, -pen/20)
-			}
-		}
-		v *= cmplx.Rect(g, phase+pn)
+		v *= cmplx.Rect(gain, phase+pn)
 		if noiseStd > 0 {
 			v += complex(noiseStd*rng.Norm(), noiseStd*rng.Norm())
 		}

@@ -288,7 +288,7 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 				} else if ph < -40 {
 					ph = -40
 				}
-				corr += ph * est.Config().PhaseGainPPM
+				corr += ph * stream.DriftPhaseGainPPM
 			}
 			rs.SetRate(1 + corr*1e-6)
 			rate = rs.Rate()

@@ -182,12 +182,10 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 	// never expires: it stays live, acoustically tempting, and delivers
 	// concealment to whoever associates with it.
 	icfg := mesh.InjectorConfig{
-		Seed:              int64(sc.Seed) + 7,
-		Relays:            sc.Relays,
-		Duration:          int64(n),
-		SampleRate:        fs,
-		ChurnPerMin:       sc.ChurnPerMin,
-		FlapPeriodSamples: 1024,
+		Seed:        int64(sc.Seed) + 7,
+		Duration:    int64(n),
+		SampleRate:  fs,
+		ChurnPerMin: sc.ChurnPerMin,
 	}
 	if sc.ChurnPerMin > 0 {
 		for _, f := range []float64{0.25, 0.5, 0.75} {
@@ -204,7 +202,7 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 			icfg.FlapperAt = append(icfg.FlapperAt, flapper)
 		}
 	}
-	inj := mesh.NewInjector(icfg, positions)
+	inj := mesh.NewInjector(icfg, len(positions))
 
 	// Per-relay background burst loss: independent seeded dropout
 	// processes (48-sample bursts at the configured rate).
@@ -226,9 +224,8 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 		// 128 ms window: long enough to steady PHAT lags on band-limited
 		// noise, short enough that a walking source's changing TDOA is not
 		// smeared across the estimate.
-		WindowSamples:   1024,
-		IntervalSamples: 512,
-		MaxLagSamples:   240,
+		WindowSamples: 1024,
+		MaxLagSamples: 240,
 		// A relay must lead the ear by at least a millisecond to be worth
 		// associating with; an incumbent that falls below this floor is
 		// failing and triggers the distress/rescue path.
@@ -237,19 +234,17 @@ func RunMesh(sc MeshScenario) (*MeshResult, error) {
 		// 0.3; spurious PHAT flukes sit just above the package default of
 		// 0.05, and in a wide distress cohort the lag argmax is usually
 		// such a fluke — gate them out.
-		MinPeak:    0.12,
-		CandidateK: 8,
+		MinPeak: 0.12,
 		// Slow concealment EWMA: a relay flapping at ~1024-sample period
 		// must stay marked unhealthy through its up-phases, not be
 		// forgiven the moment its stream briefly recovers.
 		HealthAlpha: 1.0 / 2048,
 		CellSize:    1.5,
-		MinX:        0, MinY: 0, MaxX: 12, MaxY: 12,
+		MaxX:        12, MaxY: 12,
 		// Band-limited noise widens the PHAT peak, so the switch margin
 		// sits above the per-round lag jitter: a challenger must out-lead
 		// the incumbent by more than measurement noise, for a full dwell,
 		// before a handoff is worth its re-adaptation transient.
-		DwellRounds:         3,
 		SwitchMarginSamples: 16,
 		Naive:               sc.Naive,
 	}

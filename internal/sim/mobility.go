@@ -12,18 +12,19 @@ import (
 // MobilityParams configures a head-mobility run (Section 6, "Head
 // Mobility"): the ear device drifts along a straight segment during the
 // run, so the source→ear channel varies with time and the adaptive filter
-// must track it. The simulator recomputes the ear-side impulse response at
-// hop boundaries and cross-fades between segments.
+// must track it. The simulator recomputes the ear-side impulse response
+// every hopSeconds and cross-fades between segments.
 type MobilityParams struct {
 	// Base carries the common simulation parameters; Base.Scene.EarPos is
 	// the starting position.
 	Base Params
 	// EarEnd is the ear position at the end of the run.
 	EarEnd acoustics.Point
-	// HopSeconds is how often the channel is re-sampled along the path
-	// (default 0.25 s).
-	HopSeconds float64
 }
+
+// hopSeconds is how often a mobility run re-samples the channel along the
+// ear's path.
+const hopSeconds = 0.25
 
 // RunMobile simulates MUTE_Hollow with a moving ear device and returns the
 // standard Result (Open and On are the moving-ear recordings).
@@ -38,13 +39,9 @@ func RunMobile(mp MobilityParams) (*Result, error) {
 	if !p.Scene.Room.Inside(mp.EarEnd) {
 		return nil, fmt.Errorf("sim: ear path endpoint %v outside room", mp.EarEnd)
 	}
-	hop := mp.HopSeconds
-	if hop <= 0 {
-		hop = 0.25
-	}
 	fs := p.Scene.SampleRate
 	n := int(p.Duration * fs)
-	hopSamples := int(hop * fs)
+	hopSamples := int(hopSeconds * fs)
 	if hopSamples < 1 {
 		hopSamples = 1
 	}

@@ -17,6 +17,15 @@ type SkewStep struct {
 	DeltaPPM float64
 }
 
+// The skew injector's fixed tuning.
+const (
+	// wanderInterval is how often, in relay samples, the wander walk
+	// takes a step (50 ms at 8 kHz).
+	wanderInterval = 400
+	// skewMaxPPM clamps the total instantaneous skew magnitude.
+	skewMaxPPM = 1000
+)
+
 // SkewParams configures a ClockSkew fault injector: the relay's sample
 // clock runs at fs·(1 + PPM·1e-6) while the ear's runs at fs, plus an
 // optional slow random walk (crystal temperature drift) and scheduled
@@ -25,16 +34,12 @@ type SkewParams struct {
 	// Seed drives the wander random walk (unused when WanderPPM is 0).
 	Seed uint64
 	// PPM is the constant relay-vs-ear frequency offset in parts per
-	// million. Positive = the relay clock runs fast.
+	// million, at most 1000 in magnitude. Positive = the relay clock runs
+	// fast.
 	PPM float64
-	// WanderPPM is the per-interval standard deviation of a random walk
-	// added to PPM (0 = no wander).
+	// WanderPPM is the standard deviation of a random walk added to PPM
+	// every 400 relay samples (0 = no wander).
 	WanderPPM float64
-	// WanderInterval is how often, in relay samples, the walk takes a step
-	// (default 400 = 50 ms at 8 kHz).
-	WanderInterval int
-	// MaxPPM clamps the total instantaneous skew magnitude (default 1000).
-	MaxPPM float64
 	// Steps schedules instantaneous frequency changes.
 	Steps []SkewStep
 }
@@ -49,18 +54,8 @@ func (p SkewParams) Validate() error {
 	if p.WanderPPM < 0 {
 		return fmt.Errorf("stream: negative skew wander %g", p.WanderPPM)
 	}
-	if p.WanderInterval < 0 {
-		return fmt.Errorf("stream: negative wander interval %d", p.WanderInterval)
-	}
-	if p.MaxPPM < 0 {
-		return fmt.Errorf("stream: negative skew clamp %g", p.MaxPPM)
-	}
-	max := p.MaxPPM
-	if max == 0 {
-		max = 1000
-	}
-	if p.PPM > max || p.PPM < -max {
-		return fmt.Errorf("stream: skew %g ppm exceeds clamp %g", p.PPM, max)
+	if p.PPM > skewMaxPPM || p.PPM < -skewMaxPPM {
+		return fmt.Errorf("stream: skew %g ppm exceeds clamp %d", p.PPM, skewMaxPPM)
 	}
 	return nil
 }
@@ -85,7 +80,6 @@ type ClockSkew struct {
 	wander  float64 // random-walk ppm component
 	stepAcc float64 // accumulated Steps ppm
 	stepIdx int
-	maxPPM  float64
 }
 
 // NewClockSkew creates the injector. Steps are applied in AtSample order
@@ -94,29 +88,23 @@ func NewClockSkew(p SkewParams) (*ClockSkew, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.WanderInterval == 0 {
-		p.WanderInterval = 400
-	}
 	steps := append([]SkewStep(nil), p.Steps...)
 	sort.Slice(steps, func(i, j int) bool { return steps[i].AtSample < steps[j].AtSample })
 	p.Steps = steps
-	c := &ClockSkew{p: p, maxPPM: p.MaxPPM}
-	if c.maxPPM == 0 {
-		c.maxPPM = 1000
-	}
+	c := &ClockSkew{p: p}
 	if p.WanderPPM > 0 {
 		c.rng = audio.NewRNG(p.Seed*0x9e3779b9 + 0x7f4a7c15)
 	}
 	return c, nil
 }
 
-// PPM returns the instantaneous relay-vs-ear skew, clamped to MaxPPM.
+// PPM returns the instantaneous relay-vs-ear skew, clamped to ±1000.
 func (c *ClockSkew) PPM() float64 {
 	s := c.p.PPM + c.wander + c.stepAcc
-	if s > c.maxPPM {
-		s = c.maxPPM
-	} else if s < -c.maxPPM {
-		s = -c.maxPPM
+	if s > skewMaxPPM {
+		s = skewMaxPPM
+	} else if s < -skewMaxPPM {
+		s = -skewMaxPPM
 	}
 	return s
 }
@@ -133,7 +121,7 @@ func (c *ClockSkew) Advance() float64 {
 		c.stepAcc += c.p.Steps[c.stepIdx].DeltaPPM
 		c.stepIdx++
 	}
-	if c.rng != nil && c.r%uint64(c.p.WanderInterval) == 0 {
+	if c.rng != nil && c.r%wanderInterval == 0 {
 		c.wander += c.p.WanderPPM * c.rng.Norm()
 	}
 	p := c.pos

@@ -57,19 +57,26 @@ func TestClockSkewConstantSlope(t *testing.T) {
 
 // TestClockSkewWanderDeterministicBySeed checks the wander walk is a pure
 // function of the seed: same seed, same trajectory; different seed,
-// different trajectory; and the instantaneous skew respects MaxPPM.
+// different trajectory; and the instantaneous skew respects the ±1000 ppm
+// clamp, which a walk this wide reaches.
 func TestClockSkewWanderDeterministicBySeed(t *testing.T) {
 	run := func(seed uint64) []float64 {
-		cs, err := NewClockSkew(SkewParams{Seed: seed, WanderPPM: 30, WanderInterval: 100, MaxPPM: 80})
+		cs, err := NewClockSkew(SkewParams{Seed: seed, WanderPPM: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]float64, 2000)
+		out := make([]float64, 8000)
+		clamped := false
 		for i := range out {
 			out[i] = cs.Advance()
-			if ppm := cs.PPM(); ppm > 80 || ppm < -80 {
-				t.Fatalf("sample %d: PPM %v escapes MaxPPM 80", i, ppm)
+			ppm := cs.PPM()
+			if ppm > skewMaxPPM || ppm < -skewMaxPPM {
+				t.Fatalf("sample %d: PPM %v escapes the %d ppm clamp", i, ppm, skewMaxPPM)
 			}
+			clamped = clamped || ppm == skewMaxPPM || ppm == -skewMaxPPM
+		}
+		if !clamped {
+			t.Fatalf("seed %d: the walk never reached the clamp; test is vacuous", seed)
 		}
 		return out
 	}
@@ -126,10 +133,8 @@ func TestSkewParamsValidate(t *testing.T) {
 		p    SkewParams
 	}{
 		{"negative wander", SkewParams{WanderPPM: -1}},
-		{"negative interval", SkewParams{WanderInterval: -5}},
-		{"negative clamp", SkewParams{MaxPPM: -10}},
-		{"ppm beyond clamp", SkewParams{PPM: 200, MaxPPM: 100}},
-		{"ppm beyond default clamp", SkewParams{PPM: 1500}},
+		{"ppm beyond clamp", SkewParams{PPM: 1500}},
+		{"negative ppm beyond clamp", SkewParams{PPM: -1001}},
 	}
 	for _, c := range cases {
 		if err := c.p.Validate(); err == nil {

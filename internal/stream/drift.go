@@ -5,31 +5,36 @@ import (
 	"sort"
 )
 
-// DriftConfig tunes a DriftEstimator and the drift-correction loop built
-// on it. The zero value selects defaults.
+// The drift estimator's fixed tuning.
+const (
+	// driftMinFrames is how many observations are needed before the
+	// estimate counts as locked.
+	driftMinFrames = 8
+	// driftMaxPPM clamps the estimate magnitude.
+	driftMaxPPM = 500
+	// driftJumpPPM is the raw-vs-filtered divergence that flags a
+	// suspected oscillator step; consumers use it to mask adaptation
+	// through the resulting rate jump.
+	driftJumpPPM = 50
+	// driftStaleSpacings is the estimable horizon: with no observation
+	// for this many median inter-frame spacings the estimate is held but
+	// no longer trusted for phase steering.
+	driftStaleSpacings = 8
+)
+
+// DriftPhaseGainPPM is the proportional phase term of the drift-correction
+// loop built on a DriftEstimator: ppm of rate correction per sample of
+// buffer-occupancy error.
+const DriftPhaseGainPPM = 2
+
+// DriftConfig tunes a DriftEstimator. The zero value selects defaults.
 type DriftConfig struct {
 	// WindowFrames is how many (timestamp, arrival) observations the
 	// slope fit spans (default 64).
 	WindowFrames int
-	// MinFrames is how many observations are needed before the estimate
-	// counts as locked (default 8).
-	MinFrames int
 	// SlopeGain is the loop-filter gain applied to each raw-slope
 	// innovation (default 0.05): the frequency half of the PI loop.
 	SlopeGain float64
-	// PhaseGainPPM is the proportional phase term used by consumers: ppm
-	// of rate correction per sample of occupancy error (default 2).
-	PhaseGainPPM float64
-	// MaxPPM clamps the estimate magnitude (default 500).
-	MaxPPM float64
-	// JumpPPM is the raw-vs-filtered divergence that flags a suspected
-	// oscillator step (default 50); consumers use it to mask adaptation
-	// through the resulting rate jump.
-	JumpPPM float64
-	// StaleSpacings is the estimable horizon: with no observation for
-	// this many median inter-frame spacings the estimate is held but no
-	// longer trusted for phase steering (default 8).
-	StaleSpacings float64
 }
 
 func (c DriftConfig) withDefaults() (DriftConfig, error) {
@@ -39,41 +44,11 @@ func (c DriftConfig) withDefaults() (DriftConfig, error) {
 	if c.WindowFrames < 4 {
 		return c, fmt.Errorf("stream: drift window %d below minimum 4", c.WindowFrames)
 	}
-	if c.MinFrames == 0 {
-		c.MinFrames = 8
-	}
-	if c.MinFrames < 2 {
-		return c, fmt.Errorf("stream: drift min frames %d below minimum 2", c.MinFrames)
-	}
 	if c.SlopeGain == 0 {
 		c.SlopeGain = 0.05
 	}
 	if c.SlopeGain < 0 || c.SlopeGain > 1 {
 		return c, fmt.Errorf("stream: drift slope gain %g outside (0, 1]", c.SlopeGain)
-	}
-	if c.PhaseGainPPM == 0 {
-		c.PhaseGainPPM = 2
-	}
-	if c.PhaseGainPPM < 0 {
-		return c, fmt.Errorf("stream: negative drift phase gain %g", c.PhaseGainPPM)
-	}
-	if c.MaxPPM == 0 {
-		c.MaxPPM = 500
-	}
-	if c.MaxPPM < 0 {
-		return c, fmt.Errorf("stream: negative drift clamp %g", c.MaxPPM)
-	}
-	if c.JumpPPM == 0 {
-		c.JumpPPM = 50
-	}
-	if c.JumpPPM < 0 {
-		return c, fmt.Errorf("stream: negative drift jump threshold %g", c.JumpPPM)
-	}
-	if c.StaleSpacings == 0 {
-		c.StaleSpacings = 8
-	}
-	if c.StaleSpacings < 0 {
-		return c, fmt.Errorf("stream: negative drift stale horizon %g", c.StaleSpacings)
 	}
 	return c, nil
 }
@@ -86,7 +61,7 @@ func (c DriftConfig) withDefaults() (DriftConfig, error) {
 // differences across the half-window — one loitering jitter-delayed frame
 // cannot bias it) and low-passes the innovation through an integrator, the
 // frequency half of a PI/PLL loop. Consumers add the phase half from
-// buffer-occupancy error (see PhaseGainPPM).
+// buffer-occupancy error (see DriftPhaseGainPPM).
 //
 // Loss and outage tolerance come for free: a missing frame is just a
 // missing observation, reordered or duplicate timestamps are rejected by
@@ -126,9 +101,6 @@ func NewDriftEstimator(cfg DriftConfig) (*DriftEstimator, error) {
 		arr: make([]float64, cfg.WindowFrames),
 	}, nil
 }
-
-// Config returns the estimator's effective (default-filled) tuning.
-func (d *DriftEstimator) Config() DriftConfig { return d.cfg }
 
 // Observe feeds one delivered frame: its relay-clock timestamp and its
 // ear-clock arrival time. Non-increasing timestamps (duplicates, FEC
@@ -189,10 +161,10 @@ func (d *DriftEstimator) refit() {
 	d.raw = (slope - 1) * 1e6
 	d.haveRaw = true
 	d.est += d.cfg.SlopeGain * (d.raw - d.est)
-	if d.est > d.cfg.MaxPPM {
-		d.est = d.cfg.MaxPPM
-	} else if d.est < -d.cfg.MaxPPM {
-		d.est = -d.cfg.MaxPPM
+	if d.est > driftMaxPPM {
+		d.est = driftMaxPPM
+	} else if d.est < -driftMaxPPM {
+		d.est = -driftMaxPPM
 	}
 }
 
@@ -215,7 +187,7 @@ func (d *DriftEstimator) RawPPM() float64 { return d.raw }
 
 // Locked reports whether enough observations have accumulated for the
 // estimate to be meaningful.
-func (d *DriftEstimator) Locked() bool { return d.obs >= d.cfg.MinFrames }
+func (d *DriftEstimator) Locked() bool { return d.obs >= driftMinFrames }
 
 // LastArrival returns the ear-clock time of the newest accepted
 // observation (0 before any).
@@ -223,8 +195,8 @@ func (d *DriftEstimator) LastArrival() float64 { return d.lastArr }
 
 // Estimable reports whether the estimate is current enough at ear-clock
 // time now to steer a resampler's phase: locked, and the newest
-// observation is within StaleSpacings median inter-frame spacings. During
-// an outage it goes false and the consumer holds frequency only.
+// observation is within driftStaleSpacings median inter-frame spacings.
+// During an outage it goes false and the consumer holds frequency only.
 func (d *DriftEstimator) Estimable(now float64) bool {
 	if !d.Locked() {
 		return false
@@ -233,7 +205,7 @@ func (d *DriftEstimator) Estimable(now float64) bool {
 	if sp <= 0 {
 		return true
 	}
-	return now-d.lastArr <= d.cfg.StaleSpacings*sp
+	return now-d.lastArr <= driftStaleSpacings*sp
 }
 
 // medianSpacing returns the mean arrival spacing across the window (a
@@ -252,7 +224,7 @@ func (d *DriftEstimator) medianSpacing() float64 {
 }
 
 // StepSuspected reports, with hysteresis, that the raw slope has diverged
-// from the filtered estimate by more than JumpPPM — the signature of an
+// from the filtered estimate by more than driftJumpPPM — the signature of an
 // oscillator step mid-run. It re-arms once the loop has re-converged to
 // within half the threshold. Consumers mask canceller adaptation when
 // this first fires, since the alignment is about to slew.
@@ -265,12 +237,12 @@ func (d *DriftEstimator) StepSuspected() bool {
 		div = -div
 	}
 	if d.stepArm {
-		if div < d.cfg.JumpPPM/2 {
+		if div < driftJumpPPM/2 {
 			d.stepArm = false
 		}
 		return false
 	}
-	if div > d.cfg.JumpPPM {
+	if div > driftJumpPPM {
 		d.stepArm = true
 		return true
 	}

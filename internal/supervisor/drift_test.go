@@ -24,7 +24,7 @@ func driveWithDrift(t *testing.T, s *Supervisor, n, obsEvery int, ppm func(int) 
 }
 
 func driftConfig() Config {
-	c := fastConfig()
+	c := testConfig()
 	c.DriftDegradePPM = 100
 	c.DriftFallbackPPM = 300
 	return c

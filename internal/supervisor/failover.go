@@ -2,53 +2,22 @@ package supervisor
 
 import "fmt"
 
-// FailoverConfig parameterizes multi-relay failover.
-type FailoverConfig struct {
-	// Relays is the number of forwarded streams.
-	Relays int
-	// EWMAAlpha smooths each relay's concealment ratio (default 1/256).
-	EWMAAlpha float64
-	// UnhealthyThreshold is the smoothed concealment ratio above which a
-	// relay is ineligible (default 0.25).
-	UnhealthyThreshold float64
-	// SwitchMargin is how much lower (absolute ratio) a challenger's
-	// health must be before the failover abandons the current relay
-	// (default 0.1) — hysteresis against flapping between two mediocre
-	// links.
-	SwitchMargin float64
-	// HoldSamples is the minimum dwell on a relay after a switch
-	// (default 2048).
-	HoldSamples int
-	// WarmupSamples is the make-before-break gate: a relay other than the
+// Failover's fixed tuning.
+const (
+	// switchMargin is how much lower (absolute ratio) a challenger's
+	// health must be before the failover abandons the current relay —
+	// hysteresis against flapping between two mediocre links.
+	switchMargin = 0.1
+	// holdSamples is the minimum dwell on a relay after a switch.
+	holdSamples = 2048
+	// warmupSamples is the make-before-break gate: a relay other than the
 	// active one is only switchable-to after delivering this many
 	// consecutive real (unconcealed) samples, so the canceller never
 	// starts consuming a stream whose recent window still holds
-	// concealment zeros (default 64 — sized to cover the non-causal
-	// gradient window of the cancellers this failover feeds).
-	WarmupSamples int
-}
-
-func (c *FailoverConfig) fill() error {
-	if c.Relays <= 0 {
-		return fmt.Errorf("supervisor: failover needs at least one relay, got %d", c.Relays)
-	}
-	if c.EWMAAlpha <= 0 {
-		c.EWMAAlpha = 1.0 / 256
-	}
-	if c.UnhealthyThreshold <= 0 {
-		c.UnhealthyThreshold = 0.25
-	}
-	if c.SwitchMargin <= 0 {
-		c.SwitchMargin = 0.1
-	}
-	if c.HoldSamples <= 0 {
-		c.HoldSamples = 2048
-	}
-	if c.WarmupSamples <= 0 {
-		c.WarmupSamples = 64
-	}
-	return nil
-}
+	// concealment zeros. It covers the non-causal gradient window of the
+	// cancellers this failover feeds.
+	warmupSamples = 64
+)
 
 // Failover selects which relay's forwarded stream feeds the canceller by
 // link health alone: relay 0 is the standing preference and feeds the
@@ -58,25 +27,23 @@ func (c *FailoverConfig) fill() error {
 // periodic GCC-PHAT re-selection) is the relay mesh's job
 // (internal/mesh).
 type Failover struct {
-	cfg    FailoverConfig
 	health []LinkHealth
 	active int
 	held   int
 	moves  int
 }
 
-// NewFailover builds a failover over cfg.Relays streams.
-func NewFailover(cfg FailoverConfig) (*Failover, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
+// NewFailover builds a failover over the given number of relay streams.
+func NewFailover(relays int) (*Failover, error) {
+	if relays <= 0 {
+		return nil, fmt.Errorf("supervisor: failover needs at least one relay, got %d", relays)
 	}
 	f := &Failover{
-		cfg:    cfg,
-		health: make([]LinkHealth, cfg.Relays),
-		held:   cfg.HoldSamples, // free to switch immediately at start
+		health: make([]LinkHealth, relays),
+		held:   holdSamples, // free to switch immediately at start
 	}
 	for i := range f.health {
-		f.health[i] = NewLinkHealth(cfg.EWMAAlpha)
+		f.health[i] = NewLinkHealth(HealthAlpha)
 	}
 	return f, nil
 }
@@ -85,14 +52,14 @@ func NewFailover(cfg FailoverConfig) (*Failover, error) {
 // relay's concealment flag (true = genuinely received). It returns the
 // relay index whose stream the canceller should consume this period.
 func (f *Failover) Step(forwarded []float64, real []bool) (int, error) {
-	if len(forwarded) != f.cfg.Relays || len(real) != f.cfg.Relays {
+	if len(forwarded) != len(f.health) || len(real) != len(f.health) {
 		return 0, fmt.Errorf("supervisor: failover fed %d/%d streams, want %d",
-			len(forwarded), len(real), f.cfg.Relays)
+			len(forwarded), len(real), len(f.health))
 	}
 	for i, r := range real {
 		f.health[i].Observe(r)
 	}
-	if f.held < f.cfg.HoldSamples {
+	if f.held < holdSamples {
 		f.held++
 		return f.active, nil
 	}
@@ -102,7 +69,7 @@ func (f *Failover) Step(forwarded []float64, real []bool) (int, error) {
 	// association back and forth — and warm: a stream whose recent window
 	// still holds concealment zeros is never adopted, however healthy its
 	// smoothed ratio looks.
-	if f.active != 0 && f.health[0].EWMA() < f.cfg.UnhealthyThreshold/2 && f.warm(0) {
+	if f.active != 0 && f.health[0].EWMA() < IneligibleRatio/2 && f.warm(0) {
 		f.switchTo(0)
 		return f.active, nil
 	}
@@ -110,8 +77,8 @@ func (f *Failover) Step(forwarded []float64, real []bool) (int, error) {
 	// clearly healthier — and warm — alternative exists. During a total
 	// outage (every stream concealed) nothing is warm and the failover
 	// holds position rather than thrash between equally dead relays; the
-	// first relay to deliver WarmupSamples consecutive real samples wins.
-	if cur := f.health[f.active].EWMA(); cur >= f.cfg.UnhealthyThreshold {
+	// first relay to deliver warmupSamples consecutive real samples wins.
+	if cur := f.health[f.active].EWMA(); cur >= IneligibleRatio {
 		best := f.active
 		for i := range f.health {
 			if i != f.active && !f.warm(i) {
@@ -121,7 +88,7 @@ func (f *Failover) Step(forwarded []float64, real []bool) (int, error) {
 				best = i
 			}
 		}
-		if best != f.active && f.health[best].EWMA()+f.cfg.SwitchMargin <= cur {
+		if best != f.active && f.health[best].EWMA()+switchMargin <= cur {
 			f.switchTo(best)
 		}
 	}
@@ -132,7 +99,7 @@ func (f *Failover) Step(forwarded []float64, real []bool) (int, error) {
 // real samples that switching to it cannot feed the canceller concealed
 // reference.
 func (f *Failover) warm(relay int) bool {
-	return f.health[relay].CleanRun() >= f.cfg.WarmupSamples
+	return f.health[relay].CleanRun() >= warmupSamples
 }
 
 func (f *Failover) switchTo(relay int) {

@@ -19,9 +19,9 @@ type failoverHarness struct {
 	switches []int    // step indices where the active relay changed
 }
 
-func newFailoverHarness(t *testing.T, cfg FailoverConfig) *failoverHarness {
+func newFailoverHarness(t *testing.T, relays int) *failoverHarness {
 	t.Helper()
-	f, err := NewFailover(cfg)
+	f, err := NewFailover(relays)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +29,8 @@ func newFailoverHarness(t *testing.T, cfg FailoverConfig) *failoverHarness {
 		t:       t,
 		f:       f,
 		gen:     audio.NewWhiteNoise(17, 8000, 0.3),
-		relays:  cfg.Relays,
-		history: make([][]bool, cfg.Relays),
+		relays:  relays,
+		history: make([][]bool, relays),
 	}
 }
 
@@ -88,15 +88,7 @@ func (h *failoverHarness) assertSwitchesWarm(warmup int) {
 // window, and never — at any switch — land on a relay whose warm-up
 // window still holds concealed samples.
 func TestFailoverSimultaneousOutageStaggeredRecovery(t *testing.T) {
-	const warmup = 96
-	h := newFailoverHarness(t, FailoverConfig{
-		Relays:             3,
-		EWMAAlpha:          1.0 / 32,
-		UnhealthyThreshold: 0.3,
-		SwitchMargin:       0.05,
-		HoldSamples:        16,
-		WarmupSamples:      warmup,
-	})
+	h := newFailoverHarness(t, 3)
 
 	h.feed(300, []bool{true, true, true}) // converge on relay 0
 	if h.f.active != 0 {
@@ -113,7 +105,7 @@ func TestFailoverSimultaneousOutageStaggeredRecovery(t *testing.T) {
 	h.feed(40, []bool{false, false, true}) // relay 2 back but not yet warm
 	if h.f.active != 0 {
 		t.Fatalf("active = %d only %d samples into relay 2's recovery (warm-up %d), want 0",
-			h.f.active, 40, warmup)
+			h.f.active, 40, warmupSamples)
 	}
 	h.feed(400, []bool{false, false, true})
 	if h.f.active != 2 {
@@ -123,12 +115,14 @@ func TestFailoverSimultaneousOutageStaggeredRecovery(t *testing.T) {
 	if h.f.active != 2 {
 		t.Fatalf("active = %d after relay 1 recovered, want 2 still", h.f.active)
 	}
-	h.feed(800, []bool{true, true, true}) // relay 0 (standing preference) back
+	// Relay 0 (the standing preference) back: the failover returns once
+	// the hold after the last switch has run out.
+	h.feed(2000, []bool{true, true, true})
 	if h.f.active != 0 {
 		t.Fatalf("active = %d after full recovery, want the preferred relay 0 (health %v)", h.f.active, h.f.health)
 	}
 
-	h.assertSwitchesWarm(warmup)
+	h.assertSwitchesWarm(warmupSamples)
 }
 
 // TestFailoverColdRelayNeverAdopted pins the gate directly: a relay whose
@@ -136,22 +130,14 @@ func TestFailoverSimultaneousOutageStaggeredRecovery(t *testing.T) {
 // consecutive real samples is never switched to, even when the active
 // relay is dead and the flapper's smoothed health looks better.
 func TestFailoverColdRelayNeverAdopted(t *testing.T) {
-	const warmup = 64
-	h := newFailoverHarness(t, FailoverConfig{
-		Relays:             2,
-		EWMAAlpha:          1.0 / 32,
-		UnhealthyThreshold: 0.3,
-		SwitchMargin:       0.05,
-		HoldSamples:        16,
-		WarmupSamples:      warmup,
-	})
+	h := newFailoverHarness(t, 2)
 	h.feed(200, []bool{true, true})
 	if h.f.active != 0 {
 		t.Fatalf("active = %d, want 0", h.f.active)
 	}
 	// Relay 0 dies outright; relay 1 flaps with a 16-sample period — its
 	// EWMA health stays far better than the dead relay's, but it never
-	// holds warmup consecutive real samples.
+	// holds warmupSamples consecutive real samples.
 	real := []bool{false, true}
 	for i := 0; i < 2000; i++ {
 		if i%16 == 0 {
@@ -169,5 +155,5 @@ func TestFailoverColdRelayNeverAdopted(t *testing.T) {
 	if h.f.active != 1 {
 		t.Fatalf("active = %d after the flapper steadied, want 1", h.f.active)
 	}
-	h.assertSwitchesWarm(warmup)
+	h.assertSwitchesWarm(warmupSamples)
 }

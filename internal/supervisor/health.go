@@ -25,6 +25,16 @@
 // inputs, so a seeded run yields a byte-identical transition trace.
 package supervisor
 
+// HealthAlpha is the link-health EWMA smoothing constant, about a 32 ms
+// horizon at 8 kHz. The ladder, the multi-relay Failover and the relay
+// mesh's default all smooth with it.
+const HealthAlpha = 1.0 / 256
+
+// IneligibleRatio is the smoothed concealment ratio at or above which a
+// relay's link is too lossy to select: Failover abandons it and the
+// relay mesh's default drops it from its candidates.
+const IneligibleRatio = 0.25
+
 // LinkHealth is the link-health estimator shared by the ladder, the
 // multi-relay Failover and the relay mesh. Its single per-sample input is
 // the transport concealment flag (stream.JitterBuffer's PopMask verdict):

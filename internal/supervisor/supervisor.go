@@ -45,12 +45,27 @@ func (s State) String() string {
 // the fallback is then actively hurting.
 const passthroughFactor = 4
 
-// Config parameterizes the supervisor. DefaultConfig fills every field the
-// caller leaves zero.
+// The ladder's fixed tuning, on the sample clock at 8 kHz.
+const (
+	// downDwell is how many consecutive samples a threshold breach must
+	// persist before a demotion fires.
+	downDwell = 64
+	// upDwell is the healthy run required before any promotion (100 ms).
+	upDwell = 800
+	// probeInitial is the first reacquisition probe delay after entering
+	// FALLBACK or PASSTHROUGH.
+	probeInitial = 400
+	// probeMax caps the exponential probe backoff.
+	probeMax = 8000
+	// crossfadeSamples is the transition crossfade length (8 ms):
+	// comfortably click-free, short enough that the old rung's stale
+	// anti-noise barely lingers.
+	crossfadeSamples = 64
+)
+
+// Config parameterizes the supervisor. New fills every field the caller
+// leaves zero.
 type Config struct {
-	// EWMAAlpha is the health estimator's smoothing constant (default
-	// 1/256 ≈ a 32 ms horizon at 8 kHz).
-	EWMAAlpha float64
 	// DegradeThreshold is the concealment ratio above which LANC demotes
 	// to DEGRADED (default 0.05).
 	DegradeThreshold float64
@@ -62,24 +77,6 @@ type Config struct {
 	// should not wait out a ratio filter (default: the wrapped filter's
 	// window length N+L+1).
 	StarvationRun int
-	// DownDwell is how many consecutive samples a threshold breach must
-	// persist before a demotion fires (default 64).
-	DownDwell int
-	// UpDwell is the healthy run required before any promotion
-	// (default 800, 100 ms at 8 kHz).
-	UpDwell int
-	// ProbeInitial is the first reacquisition probe delay in samples
-	// after entering FALLBACK or PASSTHROUGH (default 400).
-	ProbeInitial int
-	// ProbeMax caps the exponential probe backoff (default 8000).
-	ProbeMax int
-	// CrossfadeSamples is the transition crossfade length (default 64,
-	// 8 ms at 8 kHz — comfortably click-free, short enough that the old
-	// rung's stale anti-noise barely lingers).
-	CrossfadeSamples int
-	// DegradedFraction is the fraction of the non-causal window kept
-	// live in DEGRADED (default 0.5).
-	DegradedFraction float64
 	// DriftDegradePPM demotes LANC to DEGRADED while the estimated clock
 	// skew magnitude reported via ObserveDrift stays at or above it, and
 	// blocks promotions until the skew falls back under — misaligned
@@ -96,19 +93,8 @@ type Config struct {
 	Trace *telemetry.Trace
 }
 
-// DefaultConfig returns the standard supervisor tuning for a canceller
-// with the given tap counts.
-func DefaultConfig() Config {
-	c := Config{}
-	c.fill(32 + 160)
-	return c
-}
-
 // fill applies defaults; window is the wrapped filter's N+L.
 func (c *Config) fill(window int) {
-	if c.EWMAAlpha <= 0 {
-		c.EWMAAlpha = 1.0 / 256
-	}
 	if c.DegradeThreshold <= 0 {
 		c.DegradeThreshold = 0.05
 	}
@@ -117,27 +103,6 @@ func (c *Config) fill(window int) {
 	}
 	if c.StarvationRun <= 0 {
 		c.StarvationRun = window + 1
-	}
-	if c.DownDwell <= 0 {
-		c.DownDwell = 64
-	}
-	if c.UpDwell <= 0 {
-		c.UpDwell = 800
-	}
-	if c.ProbeInitial <= 0 {
-		c.ProbeInitial = 400
-	}
-	if c.ProbeMax < c.ProbeInitial {
-		c.ProbeMax = 8000
-		if c.ProbeMax < c.ProbeInitial {
-			c.ProbeMax = c.ProbeInitial
-		}
-	}
-	if c.CrossfadeSamples <= 0 {
-		c.CrossfadeSamples = 64
-	}
-	if c.DegradedFraction <= 0 || c.DegradedFraction >= 1 {
-		c.DegradedFraction = 0.5
 	}
 	if c.DriftDegradePPM <= 0 {
 		c.DriftDegradePPM = 250
@@ -152,7 +117,7 @@ func (c Config) validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"EWMAAlpha", c.EWMAAlpha}, {"DegradeThreshold", c.DegradeThreshold}, {"FallbackThreshold", c.FallbackThreshold}} {
+	}{{"DegradeThreshold", c.DegradeThreshold}, {"FallbackThreshold", c.FallbackThreshold}} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("supervisor: %s %g outside [0, 1]", p.name, p.v)
 		}
@@ -310,12 +275,12 @@ func New(cfg Config, lanc *core.LANC, fallback *headphone.ANC) (*Supervisor, err
 		cfg:        cfg,
 		lanc:       lanc,
 		fb:         fallback,
-		h:          NewLinkHealth(cfg.EWMAAlpha),
+		h:          NewLinkHealth(HealthAlpha),
 		window:     window,
 		fullN:      lanc.NonCausalTaps(),
+		degradedN:  core.DegradedTaps(lanc.NonCausalTaps()),
 		causalTaps: lanc.CausalTaps(),
 	}
-	s.degradedN = int(cfg.DegradedFraction * float64(s.fullN))
 	return s, nil
 }
 
@@ -346,8 +311,8 @@ func (s *Supervisor) Step(fwd, local, ePrev float64, real bool) float64 {
 	}
 	// Residual/open power EWMAs prime the PASSTHROUGH demotion; same
 	// alpha as the health estimator.
-	s.ePow += s.cfg.EWMAAlpha * (ePrev*ePrev - s.ePow)
-	s.openPow += s.cfg.EWMAAlpha * (local*local - s.openPow)
+	s.ePow += HealthAlpha * (ePrev*ePrev - s.ePow)
+	s.openPow += HealthAlpha * (local*local - s.openPow)
 
 	s.maybeTransition()
 	s.rep.TimeInState[s.state]++
@@ -388,7 +353,7 @@ func (s *Supervisor) Step(fwd, local, ePrev float64, real bool) float64 {
 		return cur
 	}
 	prev := legFor(s.fadeFrom, outLANC, outFB)
-	g := float64(s.fadeLeft) / float64(s.cfg.CrossfadeSamples+1)
+	g := float64(s.fadeLeft) / float64(crossfadeSamples+1)
 	s.fadeLeft--
 	s.t++
 	return g*prev + (1-g)*cur
@@ -423,14 +388,14 @@ func (s *Supervisor) maybeTransition() {
 		}
 		if s.h.EWMA() >= down || s.driftExcess(dppm) {
 			s.breachRun++
-			if s.breachRun >= s.cfg.DownDwell {
+			if s.breachRun >= downDwell {
 				s.moveTo(s.state + 1)
 			}
 			return
 		}
 		s.breachRun = 0
 		if s.state == StateDegraded &&
-			s.h.EWMA() < s.cfg.DegradeThreshold/2 && s.h.CleanRun() >= s.cfg.UpDwell &&
+			s.h.EWMA() < s.cfg.DegradeThreshold/2 && s.h.CleanRun() >= upDwell &&
 			!s.driftExcess(s.cfg.DriftDegradePPM) {
 			// Hysteresis: promotion needs the ratio well under the demote
 			// threshold plus a sustained clean run (and no drift breach).
@@ -439,7 +404,7 @@ func (s *Supervisor) maybeTransition() {
 	case StateFallback:
 		if s.openPow > 0 && s.ePow > passthroughFactor*s.openPow {
 			s.breachRun++
-			if s.breachRun >= s.cfg.DownDwell {
+			if s.breachRun >= downDwell {
 				s.moveTo(StatePassthrough)
 				return
 			}
@@ -460,7 +425,7 @@ func (s *Supervisor) probe() {
 		return
 	}
 	s.rep.Probes++
-	healthy := s.h.CleanRun() >= s.cfg.UpDwell && s.taint == 0 &&
+	healthy := s.h.CleanRun() >= upDwell && s.taint == 0 &&
 		s.h.EWMA() < s.cfg.DegradeThreshold/2 &&
 		!s.driftExcess(s.cfg.DriftDegradePPM)
 	if healthy {
@@ -471,7 +436,7 @@ func (s *Supervisor) probe() {
 		}
 		return
 	}
-	if s.h.CleanRun() >= s.cfg.UpDwell && s.taint == 0 &&
+	if s.h.CleanRun() >= upDwell && s.taint == 0 &&
 		s.state == StateFallback && s.h.EWMA() < s.cfg.FallbackThreshold/2 &&
 		!s.driftExcess(s.cfg.DriftFallbackPPM) {
 		// Partially recovered: the link delivers frames again but the
@@ -481,8 +446,8 @@ func (s *Supervisor) probe() {
 	}
 	s.rep.FailedProbes++
 	s.probeWait *= 2
-	if s.probeWait > s.cfg.ProbeMax {
-		s.probeWait = s.cfg.ProbeMax
+	if s.probeWait > probeMax {
+		s.probeWait = probeMax
 	}
 	s.probeAt = s.t + int64(s.probeWait)
 }
@@ -509,12 +474,12 @@ func (s *Supervisor) moveTo(to State) {
 		s.rep.WarmStarts++
 	}
 	if to == StateFallback || to == StatePassthrough {
-		s.probeWait = s.cfg.ProbeInitial
+		s.probeWait = probeInitial
 		s.probeAt = s.t + int64(s.probeWait)
 	}
 	s.state = to
 	s.breachRun = 0
-	s.fadeLeft = s.cfg.CrossfadeSamples
+	s.fadeLeft = crossfadeSamples
 	s.fadeFrom = from
 	s.rep.Transitions = append(s.rep.Transitions, Transition{At: s.t, From: from, To: to})
 	if s.cfg.Trace != nil {

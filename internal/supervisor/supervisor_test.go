@@ -34,21 +34,12 @@ func testPair(t *testing.T) (*core.LANC, *headphone.ANC) {
 	return lanc, fb
 }
 
-// fastConfig is a supervisor tuning scaled down so ladder mechanics play
-// out within a few hundred samples.
-func fastConfig() Config {
-	return Config{
-		EWMAAlpha:         1.0 / 16,
-		DegradeThreshold:  0.2,
-		FallbackThreshold: 0.5,
-		StarvationRun:     12,
-		DownDwell:         8,
-		UpDwell:           32,
-		ProbeInitial:      16,
-		ProbeMax:          64,
-		CrossfadeSamples:  4,
-		DegradedFraction:  0.5,
-	}
+// testConfig is the outage cells' health thresholds on the ladder's fixed
+// tuning. Its starvation run leaves an outage room to breach the ratio
+// threshold and wait out the dwell — DEGRADED after about 121 concealed
+// samples — before the run forces FALLBACK.
+func testConfig() Config {
+	return Config{DegradeThreshold: 0.2, FallbackThreshold: 0.5, StarvationRun: 160}
 }
 
 // drive runs the supervisor over a mask schedule with a deterministic
@@ -108,7 +99,7 @@ func TestLadderTransitions(t *testing.T) {
 		},
 		{
 			name: "glitch below threshold and dwell is ridden out",
-			// Two concealed samples push the EWMA to ~0.12, under the 0.2
+			// Two concealed samples push the EWMA to ~0.008, under the 0.2
 			// demote threshold; no breach ever accumulates.
 			mask:  pattern(100, 2, 300),
 			want:  nil,
@@ -120,18 +111,18 @@ func TestLadderTransitions(t *testing.T) {
 			// over the degrade threshold, under the fallback one, and with
 			// no run long enough to starve. The long clean tail then decays
 			// the EWMA below half the threshold with a clean run past
-			// UpDwell.
-			mask:  append(pattern(100), append(pattern(repeat3(200)...), pattern(400)...)...),
+			// upDwell.
+			mask:  append(pattern(100), append(pattern(repeat3(900)...), pattern(1000)...)...),
 			want:  [][2]State{{StateLANC, StateDegraded}, {StateDegraded, StateLANC}},
 			final: StateLANC,
 		},
 		{
 			name: "outage walks the ladder down and a probe walks it back",
-			// A 60-sample total outage: the EWMA breach demotes to
+			// A 200-sample total outage: the EWMA breach demotes to
 			// DEGRADED after the dwell, the starvation run then forces
 			// FALLBACK, and after the link returns a backoff probe finds
 			// it healthy and promotes straight back to LANC.
-			mask: pattern(100, 60, 600),
+			mask: pattern(100, 200, 1600),
 			want: [][2]State{
 				{StateLANC, StateDegraded},
 				{StateDegraded, StateFallback},
@@ -143,7 +134,7 @@ func TestLadderTransitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lanc, fb := testPair(t)
-			s, err := New(fastConfig(), lanc, fb)
+			s, err := New(testConfig(), lanc, fb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +171,7 @@ func repeat3(n int) []int {
 func TestCleanLinkBitIdentity(t *testing.T) {
 	lancA, fb := testPair(t)
 	lancB, _ := testPair(t)
-	s, err := New(fastConfig(), lancA, fb)
+	s, err := New(testConfig(), lancA, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +194,12 @@ func TestCleanLinkBitIdentity(t *testing.T) {
 
 // TestStarvationBypassesDwell: a dead link must not wait out the EWMA
 // dwell — the starvation run forces FALLBACK the moment it is reached,
-// even with a dwell far longer than the whole schedule.
+// with the EWMA still far under the demote threshold and the dwell longer
+// than the whole outage.
 func TestStarvationBypassesDwell(t *testing.T) {
 	lanc, fb := testPair(t)
-	cfg := fastConfig()
-	cfg.DownDwell = 10000
+	cfg := testConfig()
+	cfg.StarvationRun = 12
 	s, err := New(cfg, lanc, fb)
 	if err != nil {
 		t.Fatal(err)
@@ -224,26 +216,23 @@ func TestStarvationBypassesDwell(t *testing.T) {
 }
 
 // TestProbeBackoffDoubles: while the link stays dead, reacquisition probes
-// must fire on an exponential schedule capped at ProbeMax.
+// must fire on an exponential schedule capped at probeMax.
 func TestProbeBackoffDoubles(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(fastConfig(), lanc, fb)
+	s, err := New(testConfig(), lanc, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 50 clean, then dead for the rest: probes at +16, +32, +64, +64...
-	rep := drive(t, s, pattern(50, 400))
-	if rep.Probes < 4 {
-		t.Fatalf("only %d probes over a 400-sample outage", rep.Probes)
+	// 50 clean, then dead for the rest. FALLBACK is entered at starvation
+	// (sample 50+159); probes then wait 400, 800, 1600, 3200, 6400 and,
+	// capped, 8000 and 8000: seven probes by sample 28609 of the 30050.
+	// Without the cap the sixth wait would be 12800 and only six fit.
+	rep := drive(t, s, pattern(50, 30000))
+	if rep.Probes != 7 {
+		t.Fatalf("%d probes over a 30000-sample outage, want 7", rep.Probes)
 	}
 	if rep.Probes != rep.FailedProbes {
 		t.Fatalf("probes %d != failed %d on a never-recovering link", rep.Probes, rep.FailedProbes)
-	}
-	// Entering FALLBACK at starvation (sample 50+11), probes at 16, then
-	// 32, then 64, 64... over the remaining ~389 samples: 16+32+64=112,
-	// then every 64 → 4 more ≈ 8 total; assert the cap keeps it bounded.
-	if rep.Probes > 9 {
-		t.Fatalf("%d probes — backoff cap not applied", rep.Probes)
 	}
 	if rep.FinalState != StateFallback {
 		t.Fatalf("final state %v, want FALLBACK", rep.FinalState)
@@ -258,7 +247,9 @@ func TestProbeBackoffDoubles(t *testing.T) {
 // residual story improves.
 func TestPassthroughDemotionAndRecovery(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(fastConfig(), lanc, fb)
+	cfg := testConfig()
+	cfg.StarvationRun = 12
+	s, err := New(cfg, lanc, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,15 +284,16 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 	// PASSTHROUGH emits silence.
 	if out := step(false, 5.0); out != 0 {
 		// The crossfade tail may still carry the old leg; skip past it.
-		for i := 0; i < 8; i++ {
+		for i := 0; i < crossfadeSamples; i++ {
 			out = step(false, 5.0)
 		}
 		if out != 0 {
 			t.Fatalf("PASSTHROUGH emitted %v, want 0", out)
 		}
 	}
-	// Link recovers with a sane residual: a probe returns to FALLBACK.
-	for i := 0; i < 600 && s.state == StatePassthrough; i++ {
+	// Link recovers with a sane residual: a probe returns to FALLBACK
+	// once the clean run passes upDwell.
+	for i := 0; i < 3000 && s.state == StatePassthrough; i++ {
 		step(true, 0.05)
 	}
 	if s.state != StateFallback {
@@ -313,7 +305,7 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 // smoothly — no sample may jump beyond what the two legs could produce.
 func TestCrossfadeIsBounded(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(fastConfig(), lanc, fb)
+	s, err := New(testConfig(), lanc, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +313,7 @@ func TestCrossfadeIsBounded(t *testing.T) {
 	e := 0.0
 	var prev float64
 	maxJump := 0.0
-	mask := pattern(200, 60, 600)
+	mask := pattern(200, 200, 1600)
 	for i, real := range mask {
 		x := gen.Next()
 		fwd := x
@@ -352,13 +344,16 @@ func TestCrossfadeIsBounded(t *testing.T) {
 func TestDeterministicTransitionTrace(t *testing.T) {
 	run := func() Report {
 		lanc, fb := testPair(t)
-		s, err := New(fastConfig(), lanc, fb)
+		s, err := New(testConfig(), lanc, fb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return drive(t, s, pattern(100, 60, 300, 30, 500))
+		return drive(t, s, pattern(100, 200, 1600, 180, 2000))
 	}
 	a, b := run(), run()
+	if len(a.Transitions) == 0 {
+		t.Fatal("schedule produced no transitions; test is vacuous")
+	}
 	if !reflect.DeepEqual(a.Transitions, b.Transitions) {
 		t.Fatalf("transition traces differ:\n%v\n%v", a.Transitions, b.Transitions)
 	}
@@ -371,13 +366,7 @@ func TestDeterministicTransitionTrace(t *testing.T) {
 // its link dies the failover moves to relay 1, and when it recovers the
 // preference pulls the association back.
 func TestFailoverSwitchesAndReturns(t *testing.T) {
-	f, err := NewFailover(FailoverConfig{
-		Relays:             2,
-		EWMAAlpha:          1.0 / 16,
-		UnhealthyThreshold: 0.3,
-		SwitchMargin:       0.1,
-		HoldSamples:        32,
-	})
+	f, err := NewFailover(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +390,9 @@ func TestFailoverSwitchesAndReturns(t *testing.T) {
 	if f.Switches() != 1 {
 		t.Fatalf("switches = %d, want 1", f.Switches())
 	}
-	feed(600, true) // relay 0 recovers and, as the standing preference, wins back
+	// Relay 0 recovers and, as the standing preference, wins back once the
+	// hold after the first switch has run out.
+	feed(2400, true)
 	if f.active != 0 {
 		t.Fatalf("active = %d after relay-0 recovery, want 0 (health %v)", f.active, f.health)
 	}
@@ -430,7 +421,7 @@ func TestPrefilteredLANCBitIdenticalOnEveryRung(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, fb := testPair(t)
-		s, err := New(fastConfig(), lanc, fb)
+		s, err := New(testConfig(), lanc, fb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +429,7 @@ func TestPrefilteredLANCBitIdenticalOnEveryRung(t *testing.T) {
 	}
 	pre, preLANC := build()
 	ref, _ := build()
-	mask := pattern(100, 60, 600)
+	mask := pattern(100, 200, 1600)
 	gen := audio.NewWhiteNoise(2, 8000, 0.3)
 	xs := make([]float64, len(mask))
 	fwd := make([]float64, len(mask))

@@ -9,9 +9,9 @@
 # (-gcflags=all=-l) so that a call survives as a symbol; `go tool nm`
 # then lists what the linker kept. Names in scripts/unlinked-allowlist.txt
 # (one "pkg.Name" or "pkg.Type.Method" a line, each followed by " # reason")
-# are left out. The output is informational: the script exits 0 whatever
-# it prints, and 1 only when a build fails or an allowlist entry has no
-# reason.
+# are left out. The script exits 1 when a build fails, an allowlist entry
+# has no reason, a function is unlinked and off the allowlist, or an
+# allowlisted name is linked.
 set -euo pipefail
 
 root=$(pwd)
@@ -64,4 +64,10 @@ echo "declared $declared, unlinked $unlinked, off the allowlist $listed"
 cat "$work/report"
 
 # An allowlist entry that a binary now links is stale.
-comm -12 "$work/allowed" "$work/linked" | sed "s|^$mod/|allowlisted but linked: |"
+comm -12 "$work/allowed" "$work/linked" | sed "s|^$mod/|allowlisted but linked: |" >"$work/stale"
+cat "$work/stale"
+
+if [ "$listed" -ne 0 ] || [ -s "$work/stale" ]; then
+	echo "unlinked.sh: delete the functions above, or allowlist them with a reason" >&2
+	exit 1
+fi
