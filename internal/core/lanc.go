@@ -133,15 +133,29 @@ func (c *Config) Validate() error {
 }
 
 // LANC is the lookahead-aware noise canceller (Algorithm 1).
+//
+// The taps are stored in window order: w[j] multiplies slot j of the
+// reference window xBuf.View(-L, N), so w[j] holds h_AF(L−j) and the
+// most-future tap h_AF(−N) is the last element. Tap loops then walk the
+// weights and the windows with one index, which lets the compiler drop
+// their bounds checks. The public order (Weights, SetWeights) stays
+// Weights()[i] = h_AF(i−N); only those accessors convert.
+//
+// Kernel loops keep the rolled loop's summation order: a sum over taps
+// starts at h_AF(−N) and ends at h_AF(L), one addend at a time into one
+// accumulator, so the loops walk j from high to low. Unrolling, reslicing
+// and reordering loads are free; reassociating the adds is not, because
+// it moves the low bits that the golden traces and digest pins hold.
 type LANC struct {
 	cfg Config
 
-	// Weights: w[i] holds h_AF(k) with k = i - N, i ∈ [0, N+L].
+	// Weights in window order: w[j] holds h_AF(L−j), j ∈ [0, N+L].
 	w []float64
-	// skip is the number of most-future taps (lowest k, lowest i) currently
-	// held at zero by LimitNonCausal. The invariant w[:skip] == 0 lets
-	// AntiNoise read the full window unchanged; only the update loops and
-	// cached-filter loads have to respect it. Zero in normal operation.
+	// skip is the number of most-future taps (lowest k, the tail of w)
+	// currently held at zero by LimitNonCausal. The invariant
+	// w[len(w)-skip:] == 0 lets AntiNoise read the full window unchanged;
+	// only the update loops and cached-filter loads have to respect it.
+	// Zero in normal operation.
 	skip int
 
 	// Reference and filtered-x windows. Both expose offsets
@@ -383,24 +397,22 @@ func (l *LANC) rescanPower() {
 // AntiNoise returns the anti-noise sample α(t) = Σ_{k=-N}^{L} h_AF(k) x(t−k)
 // (Equation 8). The caller plays it through the anti-noise speaker.
 func (l *LANC) AntiNoise() float64 {
-	// Tap i holds k = i - N, so x(t-k) walks the window [-L, +N] backwards:
-	// one contiguous reversed dot product instead of per-tap At() calls.
-	xv := l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)
+	// w[j] pairs with window slot j; the dot product runs from the
+	// most-future tap down (see the LANC comment).
 	w := l.w
-	base := len(w) - 1
+	xs := l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)[:len(w)]
 	var a float64
-	// Unrolled with sequential adds into one accumulator: bit-identical to
-	// the rolled dot product (see StepMasked).
-	i := 0
-	for ; i+3 < len(w); i += 4 {
-		k := base - i
-		a += w[i] * xv[k]
-		a += w[i+1] * xv[k-1]
-		a += w[i+2] * xv[k-2]
-		a += w[i+3] * xv[k-3]
+	k := len(w)
+	for ; k >= 4; k -= 4 {
+		w4 := w[k-4 : k : k]
+		x4 := xs[k-4 : k : k]
+		a += w4[3] * x4[3]
+		a += w4[2] * x4[2]
+		a += w4[1] * x4[1]
+		a += w4[0] * x4[0]
 	}
-	for ; i < len(w); i++ {
-		a += w[i] * xv[base-i]
+	for j := k - 1; j >= 0; j-- {
+		a += w[j] * xs[j]
 	}
 	return a
 }
@@ -411,7 +423,20 @@ func (l *LANC) AntiNoise() float64 {
 // history (Huber-style).
 func (l *LANC) clipError(e float64) float64 {
 	l.errVar = 0.998*l.errVar + 0.002*e*e
-	if limit := 3 * math.Sqrt(l.errVar); limit > 0 && (e > limit || e < -limit) {
+	return huberClip(e, l.errVar)
+}
+
+// huberClip limits e to ±3·√v. An error well inside the limit, the common
+// case, is told apart by comparing squares, without the root: e·e < c·v
+// with c = 9·(1−10⁻¹²) implies |e| ≤ fl(3·fl(√v)), because that relative
+// margin exceeds the few units of 2⁻⁵³ that rounding e·e, c·v, √v and
+// 3·√v can move. v > 2⁻⁹⁰⁰ keeps c·v a normal number. The strict
+// comparison sends an overflowed e·e to the exact path, and so does a NaN.
+func huberClip(e, v float64) float64 {
+	if v > 0x1p-900 && e*e < 8.999999999991*v {
+		return e
+	}
+	if limit := 3 * math.Sqrt(v); limit > 0 && (e > limit || e < -limit) {
 		if e > 0 {
 			return limit
 		}
@@ -449,38 +474,21 @@ func (l *LANC) Adapt(e float64) {
 	e = l.clipError(e)
 	muE := l.effectiveMu() * e * gain
 	// A stale error (ErrorDelay > 0) pairs with the equally stale
-	// filtered-x history: tap i needs (ĥ_se ∗ x) at offset N-i-ErrorDelay,
-	// i.e. the window below walked backwards. Taps disabled by
-	// LimitNonCausal stay out of the update (and at zero).
-	fxv := l.fxBuf.View(-l.cfg.CausalTaps-l.cfg.ErrorDelay, l.cfg.NonCausalTaps-l.cfg.ErrorDelay)
-	ww := l.w[l.skip:]
-	fxs := fxv[:len(fxv)-l.skip]
-	base := len(ww) - 1
+	// filtered-x history: w[j] needs (ĥ_se ∗ x) at slot j of the window
+	// below. Taps disabled by LimitNonCausal (the tail) stay out of the
+	// update (and at zero). Each tap's update stands alone, so the walk
+	// order does not touch the result.
+	ww := l.w[:len(l.w)-l.skip]
+	fxs := l.fxBuf.View(-l.cfg.CausalTaps-l.cfg.ErrorDelay, l.cfg.NonCausalTaps-l.cfg.ErrorDelay)[:len(ww)]
 	if l.cfg.Leak > 0 {
 		leak := 1 - l.cfg.Leak*l.cfg.Mu
-		i := 0
-		for ; i+3 < len(ww); i += 4 {
-			k := base - i
-			ww[i] = ww[i]*leak - muE*fxs[k]
-			ww[i+1] = ww[i+1]*leak - muE*fxs[k-1]
-			ww[i+2] = ww[i+2]*leak - muE*fxs[k-2]
-			ww[i+3] = ww[i+3]*leak - muE*fxs[k-3]
-		}
-		for ; i < len(ww); i++ {
-			ww[i] = ww[i]*leak - muE*fxs[base-i]
+		for j, f := range fxs {
+			ww[j] = ww[j]*leak - muE*f
 		}
 		return
 	}
-	i := 0
-	for ; i+3 < len(ww); i += 4 {
-		k := base - i
-		ww[i] -= muE * fxs[k]
-		ww[i+1] -= muE * fxs[k-1]
-		ww[i+2] -= muE * fxs[k-2]
-		ww[i+3] -= muE * fxs[k-3]
-	}
-	for ; i < len(ww); i++ {
-		ww[i] -= muE * fxs[base-i]
+	for j, f := range fxs {
+		ww[j] -= muE * f
 	}
 }
 
@@ -515,64 +523,64 @@ func (l *LANC) StepMasked(xNew, ePrev float64, real bool) float64 {
 	l.pushSignal(xNew)
 	// Post-push, every pre-push sample sits one slot deeper; the buffers'
 	// extra history slot keeps the oldest gradient sample addressable.
-	// Slicing off the LimitNonCausal skip leaves the active suffix with the
-	// same tap↔sample pairing; at skip == 0 these are the full windows and
-	// the loop below is the unchanged fast path.
-	fxv := l.fxBuf.View(-l.cfg.CausalTaps-l.cfg.ErrorDelay-1, l.cfg.NonCausalTaps-l.cfg.ErrorDelay-1)
-	xv := l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)
-	ww := l.w[l.skip:]
-	fxs := fxv[:len(fxv)-l.skip]
-	xs := xv[:len(xv)-l.skip]
-	base := len(ww) - 1
+	// Slicing off the LimitNonCausal skip (the tail) leaves the active
+	// prefix with the same tap↔sample pairing; at skip == 0 these are the
+	// full windows.
+	ww := l.w[:len(l.w)-l.skip]
+	fxs := l.fxBuf.View(-l.cfg.CausalTaps-l.cfg.ErrorDelay-1, l.cfg.NonCausalTaps-l.cfg.ErrorDelay-1)[:len(ww)]
+	xs := l.xBuf.View(-l.cfg.CausalTaps, l.cfg.NonCausalTaps)[:len(ww)]
 	var a float64
 	// Both tap loops below are unrolled 4× with a single accumulator and
-	// strictly sequential adds: the floating-point evaluation order per tap
-	// is exactly the rolled loop's, so the output is bit-identical while the
-	// wider body drops most bounds checks and loop overhead.
+	// strictly sequential adds from the most-future tap down: the
+	// evaluation order per tap is exactly the rolled loop's, so the output
+	// is bit-identical. The 4-wide subslices carry no bounds checks.
+	k := len(ww)
 	if l.cfg.Leak > 0 {
 		leak := 1 - l.cfg.Leak*l.cfg.Mu
-		i := 0
-		for ; i+3 < len(ww); i += 4 {
-			k := base - i
-			wi := ww[i]*leak - muE*fxs[k]
-			ww[i] = wi
-			a += wi * xs[k]
-			wi = ww[i+1]*leak - muE*fxs[k-1]
-			ww[i+1] = wi
-			a += wi * xs[k-1]
-			wi = ww[i+2]*leak - muE*fxs[k-2]
-			ww[i+2] = wi
-			a += wi * xs[k-2]
-			wi = ww[i+3]*leak - muE*fxs[k-3]
-			ww[i+3] = wi
-			a += wi * xs[k-3]
+		for ; k >= 4; k -= 4 {
+			w4 := ww[k-4 : k : k]
+			f4 := fxs[k-4 : k : k]
+			x4 := xs[k-4 : k : k]
+			wi := w4[3]*leak - muE*f4[3]
+			w4[3] = wi
+			a += wi * x4[3]
+			wi = w4[2]*leak - muE*f4[2]
+			w4[2] = wi
+			a += wi * x4[2]
+			wi = w4[1]*leak - muE*f4[1]
+			w4[1] = wi
+			a += wi * x4[1]
+			wi = w4[0]*leak - muE*f4[0]
+			w4[0] = wi
+			a += wi * x4[0]
 		}
-		for ; i < len(ww); i++ {
-			wi := ww[i]*leak - muE*fxs[base-i]
-			ww[i] = wi
-			a += wi * xs[base-i]
+		for j := k - 1; j >= 0; j-- {
+			wi := ww[j]*leak - muE*fxs[j]
+			ww[j] = wi
+			a += wi * xs[j]
 		}
 	} else {
-		i := 0
-		for ; i+3 < len(ww); i += 4 {
-			k := base - i
-			wi := ww[i] - muE*fxs[k]
-			ww[i] = wi
-			a += wi * xs[k]
-			wi = ww[i+1] - muE*fxs[k-1]
-			ww[i+1] = wi
-			a += wi * xs[k-1]
-			wi = ww[i+2] - muE*fxs[k-2]
-			ww[i+2] = wi
-			a += wi * xs[k-2]
-			wi = ww[i+3] - muE*fxs[k-3]
-			ww[i+3] = wi
-			a += wi * xs[k-3]
+		for ; k >= 4; k -= 4 {
+			w4 := ww[k-4 : k : k]
+			f4 := fxs[k-4 : k : k]
+			x4 := xs[k-4 : k : k]
+			wi := w4[3] - muE*f4[3]
+			w4[3] = wi
+			a += wi * x4[3]
+			wi = w4[2] - muE*f4[2]
+			w4[2] = wi
+			a += wi * x4[2]
+			wi = w4[1] - muE*f4[1]
+			w4[1] = wi
+			a += wi * x4[1]
+			wi = w4[0] - muE*f4[0]
+			w4[0] = wi
+			a += wi * x4[0]
 		}
-		for ; i < len(ww); i++ {
-			wi := ww[i] - muE*fxs[base-i]
-			ww[i] = wi
-			a += wi * xs[base-i]
+		for j := k - 1; j >= 0; j-- {
+			wi := ww[j] - muE*fxs[j]
+			ww[j] = wi
+			a += wi * xs[j]
 		}
 	}
 	if l.cfg.Profiling {
@@ -588,18 +596,20 @@ func (l *LANC) StepMasked(xNew, ePrev float64, real bool) float64 {
 // Weights returns a copy of h_AF indexed so that Weights()[i] is the tap
 // for k = i − NonCausalTaps.
 func (l *LANC) Weights() []float64 {
-	out := make([]float64, len(l.w))
-	copy(out, l.w)
+	out := slices.Clone(l.w)
+	slices.Reverse(out)
 	return out
 }
 
-// SetWeights loads weights (e.g. from a cached profile). Taps disabled by
-// LimitNonCausal are forced back to zero.
+// SetWeights loads weights indexed as Weights returns them (e.g. from a
+// handoff snapshot). Taps disabled by LimitNonCausal are forced back to
+// zero.
 func (l *LANC) SetWeights(w []float64) error {
 	if len(w) != len(l.w) {
 		return fmt.Errorf("core: weight length %d != %d", len(w), len(l.w))
 	}
 	copy(l.w, w)
+	slices.Reverse(l.w)
 	l.zeroSkipped()
 	return nil
 }
@@ -636,12 +646,10 @@ func (l *LANC) LimitNonCausal(n int) {
 // (N unless LimitNonCausal shrank the window).
 func (l *LANC) ActiveNonCausal() int { return l.cfg.NonCausalTaps - l.skip }
 
-// zeroSkipped re-establishes the w[:skip] == 0 invariant after bulk weight
-// loads.
+// zeroSkipped re-establishes the w[len(w)-skip:] == 0 invariant after
+// bulk weight loads.
 func (l *LANC) zeroSkipped() {
-	for i := 0; i < l.skip; i++ {
-		l.w[i] = 0
-	}
+	clear(l.w[len(l.w)-l.skip:])
 }
 
 // NonCausalTaps returns N.
@@ -758,7 +766,8 @@ func (l *LANC) profileStep(xNew float64) bool {
 		return false
 	}
 	// Imminent transition: cache the converged filter for the outgoing
-	// profile and preload the incoming one if we have seen it before.
+	// profile and preload the incoming one if we have seen it before. The
+	// cache is private to this LANC, so it holds the window-order taps.
 	l.cache.Store(l.currentID, l.w)
 	loaded := false
 	if cached := l.cache.Load(id); cached != nil {

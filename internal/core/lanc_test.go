@@ -266,6 +266,29 @@ func BenchmarkLANCStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLANCStepFleetShape times the step at the served fleet's shape
+// (fleet.DefaultProfile through graph.Build): 16 non-causal and 8 causal
+// taps, NLMS with graph.Leak, loss awareness on, the demo ear's secondary
+// path, and a noise reference rather than a constant one.
+func BenchmarkLANCStepFleetShape(b *testing.B) {
+	l, err := New(Config{
+		NonCausalTaps: 16, CausalTaps: EarCausalTaps, Mu: 0.1, Normalized: true,
+		Leak: 0.0005, LossAware: true, SecondaryPath: EarSecondaryPath(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := audio.Render(audio.NewWhiteNoise(8, 8000, 0.5), 4096)
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = l.StepMasked(x[i&4095], 0.01*x[(i+7)&4095], true)
+	}
+	benchSink = sink
+}
+
+var benchSink float64
+
 func TestLANCErrorDelayValidation(t *testing.T) {
 	cfg := Config{
 		NonCausalTaps: 4, CausalTaps: 8, Mu: 0.1,

@@ -60,7 +60,7 @@ func TestLimitNonCausalZeroesAndHoldsFutureTaps(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		x := gen.Next()
 		e = 0.5*x + 0.3*l.StepMasked(x, e, true)
-		for k, w := range l.w[:4] {
+		for k, w := range l.Weights()[:4] {
 			if w != 0 {
 				t.Fatalf("disabled tap %d drifted to %v at sample %d", k, w, i)
 			}
@@ -70,7 +70,7 @@ func TestLimitNonCausalZeroesAndHoldsFutureTaps(t *testing.T) {
 	if err := l.SetWeights(full); err != nil {
 		t.Fatal(err)
 	}
-	for k, w := range l.w[:4] {
+	for k, w := range l.Weights()[:4] {
 		if w != 0 {
 			t.Fatalf("SetWeights resurrected disabled tap %d = %v", k, w)
 		}

@@ -11,9 +11,10 @@ package core
 // cheap scalar proxy for "how converged is the filter" that telemetry
 // samples per block.
 func (l *LANC) TapEnergy() float64 {
+	// Summed from h_AF(−N), the end of the window-order taps.
 	var e float64
-	for _, w := range l.w {
-		e += w * w
+	for j := len(l.w) - 1; j >= 0; j-- {
+		e += l.w[j] * l.w[j]
 	}
 	return e
 }

@@ -1,5 +1,7 @@
 package dsp
 
+import "slices"
+
 // Convolve returns the full linear convolution of x and h
 // (length len(x)+len(h)-1). It picks the direct or FFT algorithm based on
 // the problem size.
@@ -87,6 +89,7 @@ func convolveFFT(x, h []float64) []float64 {
 // ProcessBlockInto.
 type StreamConvolver struct {
 	h    []float64
+	rev  []float64 // h reversed: rev[k] multiplies slot k of Process's window
 	hist []float64 // double-write ring, len == 2*len(h)
 	pos  int       // write cursor in [0, len(h))
 
@@ -110,7 +113,9 @@ const olsMinKernel = 96
 func NewStreamConvolver(h []float64) *StreamConvolver {
 	hc := make([]float64, len(h))
 	copy(hc, h)
-	return &StreamConvolver{h: hc, hist: make([]float64, 2*len(h))}
+	rev := slices.Clone(hc)
+	slices.Reverse(rev)
+	return &StreamConvolver{h: hc, rev: rev, hist: make([]float64, 2*len(h))}
 }
 
 // Process consumes one input sample and returns the convolved output sample.
@@ -121,23 +126,26 @@ func (s *StreamConvolver) Process(x float64) float64 {
 	}
 	s.hist[s.pos] = x
 	s.hist[s.pos+m] = x
-	// The mirrored slot makes hist[pos+m-j] = x[t-j] for all j in [0, m).
+	// The mirrored slot makes win[k] = x[t-(m-1-k)] for all k in [0, m),
+	// the sample that rev[k] = h[m-1-k] multiplies.
 	win := s.hist[s.pos+1 : s.pos+m+1 : s.pos+m+1]
-	h := s.h
-	n1 := m - 1
+	rev := s.rev[:len(win)]
 	var acc float64
-	// Unrolled with a single accumulator and sequential adds: the summation
-	// order is exactly the original tap loop's, so the output bits match.
-	j := 0
-	for ; j+3 < m; j += 4 {
-		k := n1 - j
-		acc += h[j] * win[k]
-		acc += h[j+1] * win[k-1]
-		acc += h[j+2] * win[k-2]
-		acc += h[j+3] * win[k-3]
+	// Unrolled with a single accumulator and sequential adds from h[0]
+	// (the top of rev) down: the summation order is exactly the rolled tap
+	// loop's, which FilterInto keeps too, so the output bits match. The
+	// 4-wide subslices carry no bounds checks.
+	k := len(rev)
+	for ; k >= 4; k -= 4 {
+		r4 := rev[k-4 : k : k]
+		w4 := win[k-4 : k : k]
+		acc += r4[3] * w4[3]
+		acc += r4[2] * w4[2]
+		acc += r4[1] * w4[1]
+		acc += r4[0] * w4[0]
 	}
-	for ; j < m; j++ {
-		acc += h[j] * win[n1-j]
+	for j := k - 1; j >= 0; j-- {
+		acc += rev[j] * win[j]
 	}
 	s.pos++
 	if s.pos == m {

@@ -157,6 +157,22 @@ func BenchmarkConvolveFFT1024(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamConvolverProcessEar times Process on the demo ear's
+// 3-tap secondary path (core.EarSecondaryPath), the per-sample filtered-x
+// filter every fleet session runs.
+func BenchmarkStreamConvolverProcessEar(b *testing.B) {
+	sc := NewStreamConvolver([]float64{0.85, 0.22, 0.06})
+	x := randFloats(4096, 5)
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = sc.Process(x[i&4095])
+	}
+	benchSink = sink
+}
+
+var benchSink float64
+
 func BenchmarkStreamConvolver256(b *testing.B) {
 	h := randFloats(256, 2)
 	sc := NewStreamConvolver(h)

@@ -154,11 +154,18 @@ func (l *LookaheadBuffer) At(k int) float64 {
 // tap loops into contiguous array walks.
 func (l *LookaheadBuffer) View(lo, hi int) []float64 {
 	if lo < -l.history || hi > l.lookahead || lo > hi {
-		panic(fmt.Sprintf("dsp: view [%d, %d] outside buffer window [%d, %d]",
-			lo, hi, -l.history, l.lookahead))
+		panic(viewRangeError{lo, hi, -l.history, l.lookahead})
 	}
 	start := l.pos + l.history + lo
 	return l.buf[start : start+hi-lo+1]
+}
+
+// viewRangeError is View's panic value. The message is formatted only
+// when the panic is reported, which keeps View small enough to inline.
+type viewRangeError struct{ lo, hi, min, max int }
+
+func (e viewRangeError) Error() string {
+	return fmt.Sprintf("dsp: view [%d, %d] outside buffer window [%d, %d]", e.lo, e.hi, e.min, e.max)
 }
 
 // Reset clears the buffer contents and priming state.

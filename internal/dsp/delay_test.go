@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -178,6 +179,28 @@ func TestLookaheadBufferWindow(t *testing.T) {
 	want := []float64{1, 2, 3, 4, 5}
 	if !floatsClose(got, want, 0) {
 		t.Errorf("View(-2, 2) = %v, want %v", got, want)
+	}
+}
+
+// TestLookaheadBufferViewOutsidePanics checks that View refuses every
+// offset range that leaves the window, with the window in the message.
+func TestLookaheadBufferViewOutsidePanics(t *testing.T) {
+	lb, _ := NewLookaheadBuffer(2, 2)
+	for _, r := range [][2]int{{-3, 0}, {0, 3}, {1, 0}, {-3, 3}, {3, 3}, {-4, -3}} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok {
+					t.Errorf("View(%d, %d) did not panic with an error", r[0], r[1])
+					return
+				}
+				want := fmt.Sprintf("dsp: view [%d, %d] outside buffer window [-2, 2]", r[0], r[1])
+				if err.Error() != want {
+					t.Errorf("View(%d, %d) panic %q, want %q", r[0], r[1], err, want)
+				}
+			}()
+			lb.View(r[0], r[1])
+		}()
 	}
 }
 

@@ -13,11 +13,26 @@ import (
 // n samples (capped below the overlap-save threshold, the one inexact
 // path), a positive one FilterInto over that many — and reports the first
 // output or ring state that differs.
+//
+// Process itself is first held to the rolled convolution sum, taps in
+// order from h[0], with zeros before the stream starts.
 func checkFilterIntoSplits(h, x []float64, splits []int) error {
 	ref := NewStreamConvolver(h)
 	want := make([]float64, len(x))
 	for i, v := range x {
 		want[i] = ref.Process(v)
+		var rolled float64
+		for j := range h {
+			var xv float64
+			if i-j >= 0 {
+				xv = x[i-j]
+			}
+			rolled += h[j] * xv
+		}
+		if !sameBits(want[i], rolled) {
+			return fmt.Errorf("Process output %d: got %v (%#x), rolled sum %v (%#x)", i,
+				want[i], math.Float64bits(want[i]), rolled, math.Float64bits(rolled))
+		}
 	}
 	got := make([]float64, len(x))
 	sc := NewStreamConvolver(h)
@@ -146,6 +161,15 @@ func FuzzStreamConvolverFilterInto(f *testing.F) {
 		binary.LittleEndian.AppendUint64(nil, math.Float64bits(5e-324)), math.Float64bits(-2.5)))
 	f.Add(uint8(130), []byte{255, 3}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e300)))
 	f.Add(uint8(9), []byte{2}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Inf(-1))))
+	// The demo ear's secondary path (3 taps), the shortest kernel and one
+	// with several 4-wide steps and a tail, on plain sample values.
+	ear := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.85))
+	ear = binary.LittleEndian.AppendUint64(ear, math.Float64bits(0.22))
+	ear = binary.LittleEndian.AppendUint64(ear, math.Float64bits(-0.06))
+	ear = binary.LittleEndian.AppendUint64(ear, math.Float64bits(1.0/3))
+	f.Add(uint8(3), []byte{0, 7, 0}, ear)
+	f.Add(uint8(1), []byte{0, 5}, ear)
+	f.Add(uint8(40), []byte{0, 9, 0, 0, 4}, ear)
 	f.Fuzz(func(t *testing.T, m uint8, splits []byte, data []byte) {
 		words := len(data) / 8
 		next := 0

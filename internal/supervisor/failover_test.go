@@ -1,6 +1,7 @@
 package supervisor
 
 import (
+	"fmt"
 	"testing"
 
 	"mute/internal/audio"
@@ -64,18 +65,65 @@ func (h *failoverHarness) feed(n int, real []bool) {
 // holds concealed samples.
 func (h *failoverHarness) assertSwitchesWarm(warmup int) {
 	h.t.Helper()
+	if msg := h.coldSwitch(warmup); msg != "" {
+		h.t.Fatal(msg)
+	}
+}
+
+// coldSwitch describes the first switch whose incoming relay's last warmup
+// samples were not all genuinely received, or returns "" when every switch
+// was warm. The window ends at the sample consumed in the switching step,
+// so a switch at step at has at+1 samples of history behind it.
+func (h *failoverHarness) coldSwitch(warmup int) string {
 	for _, at := range h.switches {
 		relay := h.actives[at]
-		if at < warmup {
-			h.t.Fatalf("switch to relay %d at step %d, before %d samples of history exist", relay, at, warmup)
+		if at+1 < warmup {
+			return fmt.Sprintf("switch to relay %d at step %d, before %d samples of history exist", relay, at, warmup)
 		}
-		// The window ends at the sample consumed in the switching step.
 		for j := at - warmup + 1; j <= at; j++ {
 			if !h.history[relay][j] {
-				h.t.Errorf("switch to relay %d at step %d: its sample %d (within the %d-sample warm-up window) was concealed",
+				return fmt.Sprintf("switch to relay %d at step %d: its sample %d (within the %d-sample warm-up window) was concealed",
 					relay, at, j, warmup)
-				break
 			}
+		}
+	}
+	return ""
+}
+
+// TestColdSwitchBoundary pins the harness's own warm-up arithmetic at its
+// edges: a switch at step warmup−1 onto a relay clean since step 0 has
+// exactly warmup samples and is warm; one step earlier it is not, and one
+// concealed sample inside the window makes it cold until the next step.
+func TestColdSwitchBoundary(t *testing.T) {
+	const warmup = 8
+	clean := make([]bool, 2*warmup)
+	for i := range clean {
+		clean[i] = true
+	}
+	h := &failoverHarness{
+		t:       t,
+		history: [][]bool{make([]bool, 2*warmup), clean},
+		actives: make([]int, 2*warmup),
+	}
+	for i := range h.actives {
+		h.actives[i] = 1
+	}
+	for _, c := range []struct {
+		at, concealed int
+		warm          bool
+	}{
+		{warmup - 1, -1, true},
+		{warmup - 2, -1, false},
+		{warmup - 1, 0, false},
+		{warmup, 0, true},
+		{warmup, 1, false},
+	} {
+		for i := range clean {
+			clean[i] = i != c.concealed
+		}
+		h.switches = []int{c.at}
+		if msg := h.coldSwitch(warmup); (msg == "") != c.warm {
+			t.Errorf("switch at step %d, sample %d concealed: warm = %v, want %v (%s)", c.at, c.concealed, msg == "", c.warm, msg)
 		}
 	}
 }
