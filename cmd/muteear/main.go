@@ -30,13 +30,15 @@
 // -outage-at/-outage-dur flags to watch a scripted relay reboot.
 //
 // Drift-corrected mode (-drift-correct) slaves the received reference to
-// the local sample clock: a drift estimator fits the relay-vs-ear skew
-// from frame timestamps against wall-clock arrivals, and a continuous-rate
-// resampler between the jitter buffer and the canceller consumes input at
-// 1 + ppm·1e-6 samples per output sample. Pair with muterelay's -skew-ppm
-// flag to watch a detuned relay oscillator get cancelled anyway; with
-// -supervise, a skew beyond the supervisor's drift thresholds also walks
-// the degradation ladder.
+// the local sample clock through the same drift stage the simulator
+// runs: a drift estimator fits the relay-vs-ear skew from frame
+// timestamps against wall-clock arrivals, and a continuous-rate resampler
+// between the jitter buffer and the canceller consumes input at the
+// estimated rate plus a phase term that holds the read position a frame
+// behind the relay. Pair with muterelay's -skew-ppm flag to watch a
+// detuned relay oscillator get cancelled anyway; with -supervise, a skew
+// the resampler leaves uncorrected beyond the supervisor's drift
+// thresholds also walks the degradation ladder.
 package main
 
 import (
@@ -112,7 +114,8 @@ func main() {
 
 	start := time.Now()
 	var est *mute.DriftEstimator
-	ref := mute.SampleSource(&mute.ReceiverSource{Buf: rx})
+	recv := &mute.ReceiverSource{Buf: rx}
+	ref := mute.SampleSource(recv)
 	var driftCtl mute.DriftControl
 	var rs *mute.VariRateResampler
 	if *driftOn {
@@ -126,17 +129,16 @@ func main() {
 			fatal(err)
 		}
 		rs = mute.NewVariRateResampler()
-		ref = &mute.DriftSource{Inner: ref, Est: est, RS: rs}
-		driftCtl = &mute.LiveDrift{
-			Est:   est,
-			Every: int64(*frame),
-			Now:   func() float64 { return time.Since(start).Seconds() * fs },
-		}
+		// The drift source is also the drift control (holds of two frames
+		// at a suspected oscillator step).
+		ds := &mute.DriftSource{Inner: recv, Est: est, RS: rs, Frame: *frame, Hold: 2 * *frame}
+		ref, driftCtl = ds, ds
 		// Every direct data frame contributes one (relay timestamp,
-		// ear-clock arrival) pair; the wall clock in sample units is the
-		// ear's oscillator as far as the slope fit is concerned.
+		// arrival) pair. The drift source's clock puts output sample o at
+		// o plus one frame, when its block is pulled; stamping arrivals one
+		// frame late makes the phase term keep one frame of jitter margin.
 		rx.SetFrameObserver(func(ts uint64) {
-			est.Observe(ts, time.Since(start).Seconds()*fs)
+			est.Observe(ts, time.Since(start).Seconds()*fs+float64(*frame))
 		})
 	}
 

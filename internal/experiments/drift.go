@@ -2,27 +2,26 @@ package experiments
 
 import (
 	"mute/internal/audio"
-	"mute/internal/graph"
 	"mute/internal/sim"
 	"mute/internal/stream"
 	"mute/internal/supervisor"
 	"mute/internal/telemetry"
 )
 
-// driftPolicy is one clock-skew strategy under test.
+// driftPolicy is one clock-skew strategy under test: a set of stages.
 type driftPolicy int
 
 const (
 	// driftNaive plays the skewed stream as-is: the reference slides past
 	// the canceller's tap span at the skew rate until alignment leaves the
 	// filter entirely.
-	driftNaive driftPolicy = iota
+	driftNaive driftPolicy = 0
 	// driftCorrected runs the estimator + adaptive resampler loop.
-	driftCorrected
-	// driftSupervised runs the estimator without correction and lets the
-	// degradation ladder demote the canceller when the measured skew
+	driftCorrected driftPolicy = 1
+	// driftSupervised lets the degradation ladder demote the canceller
+	// when the measured skew (what correction leaves, if corrected)
 	// exceeds what lookahead alignment can absorb.
-	driftSupervised
+	driftSupervised driftPolicy = 2
 )
 
 // DriftSweep measures cancellation against relay clock skew: the relay's
@@ -183,21 +182,18 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 		link.Loss = dc.bgLoss
 		link.MeanBurst = 4
 	}
-	recv, mask, stats, err := sim.PacketizeReference(clean, sim.LossTransport{
+	sd := synthDeployment{nonCausal: 12, causal: 96, lossAware: true}
+	tp, err := sd.packetize(clean, sim.LossTransport{
 		Link:         link,
 		FrameSamples: frameN,
 		PrimeFrames:  prime,
 		Skew:         &stream.SkewParams{Seed: dc.linkSeed + 41, PPM: dc.ppm},
-		DriftCorrect: dc.policy == driftCorrected,
+		DriftCorrect: dc.policy&driftCorrected != 0,
 	})
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	drift := stats.Drift
-
-	sd := synthDeployment{nonCausal: 12, causal: 96, lossAware: true}
-	shift := sd.shift()
-	if dc.policy == driftSupervised {
+	if dc.policy&driftSupervised != 0 {
 		// Health thresholds as in the outage cell (above the priming
 		// transient); the drift rungs are tuned to this cell's tap span:
 		// ~60 ppm is where a 12-tap lead no longer outlasts the run, and
@@ -208,15 +204,18 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 			DriftDegradePPM: 60, DriftFallbackPPM: 120,
 		}
 	}
-	// Drift-stage decisions replayed on the cell's loop clock: the
-	// reference is read shift samples ahead, so window w of the received
-	// stream is consumed at t = w − shift. A transport with Skew set
-	// always reports its drift stage.
-	sd.drift = drift.Replay(-int64(shift), 2*frameN, dc.policy == driftCorrected, sd.sup != nil)
-	pl, d, res, err := sd.run(c, clean, &graph.SliceSource{Samples: recv[shift:], Mask: mask[shift:]})
+	// The drift source is the cell's drift control: estimator windows for
+	// the supervisor and, where the resampler steers, adaptation holds at
+	// suspected oscillator steps. A transport with Skew set always has one.
+	if dc.policy&driftCorrected != 0 {
+		tp.Drift.Hold = 2 * frameN
+	}
+	sd.drift = tp.Drift
+	pl, d, res, err := sd.run(c, clean, tp)
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	drift := tp.Finish().Drift
 	db := secondHalfDB(d, res, nil)
 
 	supRep := pl.Supervision()

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mute/internal/supervisor"
 )
 
 // TestDriftSweepSmoke checks the sweep's shape and headline ordering at a
@@ -88,5 +90,39 @@ func TestDriftAcceptance(t *testing.T) {
 	}
 	if naive-baseline < 6 {
 		t.Errorf("naive %.2f dB degraded less than 6 dB from baseline %.2f dB — the cell no longer stresses skew", naive, baseline)
+	}
+}
+
+// TestCorrectedSupervisedDriftCellHoldsLANC runs the drift cell with the
+// resampler and the ladder together at 200 ppm under the cell's 60/120
+// ppm drift rungs. The ladder watches the skew left after correction, so
+// it must not demote a stream the resampler already holds aligned: no
+// ladder move, and within 0.5 dB of the unsupervised corrected twin.
+// (Shown the raw estimate instead, the ladder falls back on a stream the
+// resampler holds aligned, some 20 dB worse than the twin.)
+func TestCorrectedSupervisedDriftCellHoldsLANC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("12 s drift cells")
+	}
+	c := Config{Duration: 12, Seed: 11}.Defaults()
+	run := func(p driftPolicy) (float64, *supervisor.Report) {
+		cell := driftCell{cfg: c, policy: p, ppm: 200, linkSeed: c.Seed*2027 + 4*31, noiseSeed: c.Seed + 4*7}
+		db, _, sup, err := cell.run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, sup
+	}
+	twin, _ := run(driftCorrected)
+	db, sup := run(driftCorrected | driftSupervised)
+	if sup == nil {
+		t.Fatal("supervised cell has no supervisor report")
+	}
+	if n := len(sup.Transitions); n != 0 {
+		t.Errorf("ladder moved %d times on a corrected stream: %+v", n, sup.Transitions)
+	}
+	t.Logf("corrected %.2f dB, corrected+supervised %.2f dB", twin, db)
+	if d := db - twin; d > 0.5 || d < -0.5 {
+		t.Errorf("corrected+supervised %.2f dB vs corrected %.2f dB: off by %.2f dB", db, twin, d)
 	}
 }

@@ -137,22 +137,22 @@ func lossRun(c Config, link stream.LossParams, fec, freeze bool, noiseSeed uint6
 	if fec {
 		lt.FECGroup = 4
 	}
-	recv, mask, stats, err := sim.PacketizeReference(clean, lt)
-	if err != nil {
-		return 0, err
-	}
-
 	sd := synthDeployment{nonCausal: 32, causal: 128, lossAware: freeze}
-	shift := sd.shift()
-	pl, d, res, err := sd.run(c, clean, &graph.SliceSource{Samples: recv[shift:], Mask: mask[shift:]})
+	tp, err := sd.packetize(clean, lt)
 	if err != nil {
 		return 0, err
 	}
+	tap := &graph.Tap{Inner: tp}
+	pl, d, res, err := sd.run(c, clean, tap)
+	if err != nil {
+		return 0, err
+	}
+	stats := tp.Finish()
 	// Score only where the anti-noise window is all-real again.
 	keep := make([]bool, len(res))
 	window := 0
 	for t := range keep {
-		if mask[t+shift] {
+		if tap.Mask[t] {
 			window--
 		} else {
 			window = sd.nonCausal + sd.causal + 1

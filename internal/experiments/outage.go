@@ -174,7 +174,8 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 	}
 	clean := audio.Render(src, n)
 
-	packetize := func(seed uint64, outage bool) ([]float64, []bool, error) {
+	sd := synthDeployment{nonCausal: 32, causal: 128, lossAware: oc.policy != outageNaive}
+	packetize := func(seed uint64, outage bool) (*sim.Transport, error) {
 		link := stream.LossParams{Seed: seed, Loss: oc.bgLoss}
 		if oc.bgLoss > 0 {
 			link.MeanBurst = 4
@@ -182,19 +183,13 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		if outage {
 			link.Outages = []stream.Outage{{StartSlot: startSlot, DurationSlots: durSlots}}
 		}
-		recv, mask, _, err := sim.PacketizeReference(clean, sim.LossTransport{
-			Link: link, FrameSamples: frameN, PrimeFrames: prime,
-		})
-		return recv, mask, err
+		return sd.packetize(clean, sim.LossTransport{Link: link, FrameSamples: frameN, PrimeFrames: prime})
 	}
-	recv0, mask0, err := packetize(oc.linkSeed, true)
+	var ref graph.SampleSource
+	ref, err = packetize(oc.linkSeed, true)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-
-	sd := synthDeployment{nonCausal: 32, causal: 128, lossAware: oc.policy != outageNaive}
-	shift := sd.shift()
-	var ref graph.SampleSource = &graph.SliceSource{Samples: recv0[shift:], Mask: mask0[shift:]}
 	var fo *failoverSource
 	switch oc.policy {
 	case outageSupervised:
@@ -207,7 +202,7 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 	case outageFailover:
 		// The second relay hears the same source over an independent,
 		// outage-free link: the redundancy the failover is meant to buy.
-		recv1, mask1, err := packetize(oc.linkSeed+13, false)
+		second, err := packetize(oc.linkSeed+13, false)
 		if err != nil {
 			return 0, nil, 0, err
 		}
@@ -215,11 +210,7 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		fo = &failoverSource{
-			fo:   f,
-			recv: [2][]float64{recv0[shift:], recv1[shift:]},
-			mask: [2][]bool{mask0[shift:], mask1[shift:]},
-		}
+		fo = &failoverSource{fo: f, src: [2]graph.SampleSource{ref, second}}
 		ref = fo
 	}
 	pl, d, res, err := sd.run(c, clean, ref)

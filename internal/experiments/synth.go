@@ -4,6 +4,7 @@ import (
 	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/internal/graph"
+	"mute/internal/sim"
 	"mute/internal/supervisor"
 )
 
@@ -25,6 +26,9 @@ const synthSlack = 4
 type synthDeployment struct {
 	nonCausal, causal int
 	lossAware         bool
+	// prime is the transport's playout prime in samples, booked in the
+	// budget on top of the shift (a bound drift source steers to it).
+	prime int
 	// sup, when non-nil, runs the canceller under the degradation ladder
 	// with this tuning.
 	sup *supervisor.Config
@@ -37,9 +41,22 @@ type synthDeployment struct {
 // index into the received stream that the canceller consumes at t = 0.
 func (sd synthDeployment) shift() int { return sd.nonCausal + synthSlack }
 
+// packetize sends clean through a transport placed to lead the wavefront
+// by the shift, and books the transport's prime.
+func (sd *synthDeployment) packetize(clean []float64, lt sim.LossTransport) (*sim.Transport, error) {
+	tp, err := sim.PacketizeReference(clean, lt)
+	if err != nil {
+		return nil, err
+	}
+	tp.Delay = -sd.shift()
+	sd.prime = lt.PrimeSamples()
+	return tp, nil
+}
+
 // run renders the ear signal d from the clean source, cancels it with ref
-// (which must already lead by shift samples), and returns the pipeline,
-// d and the error-microphone residual, both len(clean) − shift long.
+// (which must lead by shift samples, as packetize places it), and
+// returns the pipeline, d and the error-microphone residual, both
+// len(clean) − shift long.
 func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource) (pl *graph.Pipeline, d, residual []float64, err error) {
 	steps := len(clean) - sd.shift()
 	d = dsp.NewStreamConvolver(core.EarChannel()).ProcessBlock(clean[:steps])
@@ -47,7 +64,8 @@ func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource)
 	sec := core.EarSecondaryPath()
 	cfg := graph.Config{
 		SampleRate:       c.SampleRate,
-		Lookahead:        sd.shift(),
+		Lookahead:        sd.shift() + sd.prime,
+		PrimeSamples:     sd.prime,
 		MaxNonCausalTaps: sd.nonCausal,
 		Canceller: graph.CancellerParams{
 			CausalTaps:    sd.causal,
@@ -95,32 +113,35 @@ func secondHalfDB(d, residual []float64, keep []bool) float64 {
 // The failover reads only link health, so the source needs no feedback
 // from the loop.
 type failoverSource struct {
-	fo   *supervisor.Failover
-	recv [2][]float64 // per relay, already leading by the deployment shift
-	mask [2][]bool
-	pos  int
-	err  error // the failover's error, if any; the stream ends there
+	fo  *supervisor.Failover
+	src [2]graph.SampleSource // per relay, leading by the deployment shift
+	err error                 // the failover's error, if any; the stream ends there
 
-	x    [2]float64
+	x    [2][]float64 // per-relay block scratch
+	m    [2][]bool
+	v    [2]float64
 	live [2]bool
 }
 
 // Pull implements graph.SampleSource.
-func (s *failoverSource) Pull(dst []float64, mask []bool, _ int64) int {
-	for i := range dst {
-		if s.pos == len(s.recv[0]) {
-			return i
+func (s *failoverSource) Pull(dst []float64, mask []bool, start int64) int {
+	n := len(dst)
+	for r, src := range s.src {
+		if len(s.x[r]) < len(dst) {
+			s.x[r], s.m[r] = make([]float64, len(dst)), make([]bool, len(dst))
 		}
-		for r := range s.x {
-			s.x[r], s.live[r] = s.recv[r][s.pos], s.mask[r][s.pos]
+		n = min(n, src.Pull(s.x[r][:len(dst)], s.m[r][:len(dst)], start))
+	}
+	for i := range n {
+		for r := range s.v {
+			s.v[r], s.live[r] = s.x[r][i], s.m[r][i]
 		}
-		idx, err := s.fo.Step(s.x[:], s.live[:])
+		idx, err := s.fo.Step(s.v[:], s.live[:])
 		if err != nil {
 			s.err = err
 			return i
 		}
-		dst[i], mask[i] = s.x[idx], s.live[idx]
-		s.pos++
+		dst[i], mask[i] = s.v[idx], s.live[idx]
 	}
-	return len(dst)
+	return n
 }

@@ -263,6 +263,9 @@ func (b *sessionBuffer) Stats() stream.JitterStats {
 // Buffered implements graph.FrameBuffer.
 func (b *sessionBuffer) Buffered() int { return b.jb.Buffered() }
 
+// PlayoutClock implements graph.FrameBuffer.
+func (b *sessionBuffer) PlayoutClock() uint64 { return b.jb.PlayoutClock() }
+
 // Recovered implements graph.FrameBuffer (the fleet envelope carries no
 // FEC today).
 func (b *sessionBuffer) Recovered() uint64 { return 0 }

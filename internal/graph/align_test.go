@@ -129,7 +129,7 @@ func TestAlignmentCarriesMask(t *testing.T) {
 	}
 	x[lost] = 0
 	cfg := alignedConfig(x, cup)
-	cfg.Reference = &SliceSource{Samples: x, Mask: mask}
+	cfg.Reference = &maskedSource{SliceSource: SliceSource{Samples: x}, mask: mask}
 	cfg.Canceller.LossAware = true
 	pl, err := Build(cfg)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestAlignmentShiftsDriftHolds(t *testing.T) {
 	const n, at = 400, 120
 	x, cup := kindSignals(n)
 	cfg := alignedConfig(x, cup)
-	cfg.Drift = &DriftReplay{Holds: map[int64]bool{at: true}, HoldSamples: 30}
+	cfg.Drift = holdAt{at: at, hold: 30}
 	pl, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,6 +156,32 @@ func TestAlignmentShiftsDriftHolds(t *testing.T) {
 	if got := firstTrue(stepFrozen(t, pl, n)); got != at+pl.align {
 		t.Errorf("drift hold landed at sample %d, want %d (scheduled at %d, aligned by %d)",
 			got, at+pl.align, at, pl.align)
+	}
+}
+
+// maskedSource serves a slice with a concealment mask.
+type maskedSource struct {
+	SliceSource
+	mask []bool
+}
+
+func (s *maskedSource) Pull(dst []float64, mask []bool, start int64) int {
+	at := s.pos
+	n := s.SliceSource.Pull(dst, mask, start)
+	copy(mask[:n], s.mask[at:at+n])
+	return n
+}
+
+// holdAt is a drift control that holds adaptation for hold samples when
+// pulled sample at reaches the canceller.
+type holdAt struct {
+	at   int64
+	hold int
+}
+
+func (h holdAt) Tick(t int64, c Controls) {
+	if t == h.at {
+		c.Hold(h.hold, 0)
 	}
 }
 

@@ -88,8 +88,8 @@ func (c Controls) ObserveDrift(ppm float64, estimable bool) {
 // suspected oscillator steps or report estimator state to the
 // supervisor. Its t indexes samples as pulled: the pipeline ticks t when
 // pulled sample t reaches the canceller, after the reference alignment.
-// The simulator replays a transport run's recorded decisions
-// (DriftReplay); the live ear forwards its online estimator (LiveDrift).
+// DriftSource, the one implementation, is bound alike by the simulator
+// and the live ear: the drift source they pull through is the control.
 type DriftControl interface {
 	Tick(t int64, c Controls)
 }

@@ -68,7 +68,8 @@ type Config struct {
 	Lookahead int
 	// PrimeSamples is the playout buffering the packetized transport
 	// already consumed (0 for a live receiver, whose jitter buffer primes
-	// on the wire).
+	// on the wire). A DriftSource bound as Drift steers its read position
+	// to this prime plus one frame behind the relay.
 	PrimeSamples int
 	// ExtraReferenceDelay is the deliberate delayed-line injection
 	// (Figure 16) in samples.
@@ -157,12 +158,6 @@ type StreamStats interface {
 	Recovered() uint64
 }
 
-// DriftStats is implemented by drift-correcting sources; the per-block
-// live hooks read it for the drift-stage trace events and gauges.
-type DriftStats interface {
-	DriftState() (estPPM, rawPPM, ratePPM float64, locked bool)
-}
-
 // Pipeline is a built cancellation graph. Exported fields are the planned
 // lookahead, fixed at Build; drive the graph with ProcessBlock or Run, and
 // reach the canceller, whichever kind it is, through its methods.
@@ -212,7 +207,7 @@ type Pipeline struct {
 	gRatePPM  *telemetry.Gauge
 
 	streamStats StreamStats
-	driftStats  DriftStats
+	driftStats  *DriftSource
 
 	x []float64
 	m []bool
@@ -249,6 +244,15 @@ func Build(cfg Config) (*Pipeline, error) {
 	}
 	if err := refuseCombinations(cfg); err != nil {
 		return nil, err
+	}
+	if ds, ok := cfg.Reference.(*DriftSource); ok && cfg.Drift != DriftControl(ds) {
+		return nil, fmt.Errorf("graph: a DriftSource reference must also be the Drift control")
+	}
+	if ds, ok := cfg.Drift.(*DriftSource); ok {
+		if ds.Frame <= 0 {
+			return nil, fmt.Errorf("graph: drift source frame %d must be positive", ds.Frame)
+		}
+		ds.prime = cfg.PrimeSamples // the steering target is the booked prime plus one frame
 	}
 	traceEvery := int64(cfg.TraceBlock)
 	if traceEvery <= 0 {
@@ -294,11 +298,12 @@ func Build(cfg Config) (*Pipeline, error) {
 	}
 
 	if cfg.LiveHooks {
-		if ss, ok := cfg.Reference.(StreamStats); ok {
-			pl.streamStats = ss
+		ref := cfg.Reference
+		if ds, ok := ref.(*DriftSource); ok {
+			pl.driftStats, ref = ds, ds.Inner
 		}
-		if ds, ok := cfg.Reference.(DriftStats); ok {
-			pl.driftStats = ds
+		if ss, ok := ref.(StreamStats); ok {
+			pl.streamStats = ss
 		}
 		if cfg.Telemetry != nil {
 			pl.ctrSample = cfg.Telemetry.Counter("pipeline.samples")

@@ -58,7 +58,7 @@ func TestBuildValidation(t *testing.T) {
 		}, true},
 		{"fdaf with drift control", func(c *Config) {
 			c.FDAF = fdaf
-			c.Drift = &DriftReplay{}
+			c.Drift = &DriftSource{}
 		}, true},
 		{"fdaf with profiling", func(c *Config) {
 			c.FDAF = fdaf
@@ -82,7 +82,7 @@ func TestBuildValidation(t *testing.T) {
 		}, true},
 		{"headphone with drift control", func(c *Config) {
 			c.Headphone = true
-			c.Drift = &DriftReplay{}
+			c.Drift = &DriftSource{}
 		}, true},
 		{"headphone with profiling", func(c *Config) {
 			c.Headphone = true
@@ -130,7 +130,7 @@ func TestSupervisedNilConfigStarvesAtWindow(t *testing.T) {
 	for i := range mask {
 		mask[i] = i < clean || i > clean+window
 	}
-	cfg.Reference = &SliceSource{Samples: cfg.Reference.(*SliceSource).Samples, Mask: mask}
+	cfg.Reference = &maskedSource{SliceSource: *cfg.Reference.(*SliceSource), mask: mask}
 	pl, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

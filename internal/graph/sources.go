@@ -5,13 +5,10 @@ import (
 	"mute/internal/stream"
 )
 
-// SliceSource serves a pre-rendered reference stream (and optional
-// concealment mask) from memory — the simulator's binding, where the
-// transport has already been replayed offline. With a nil Mask every
-// sample is real.
+// SliceSource serves a pre-rendered reference stream from memory, every
+// sample real — the simulator's binding for the ideal wire.
 type SliceSource struct {
 	Samples []float64
-	Mask    []bool
 	pos     int
 }
 
@@ -19,12 +16,8 @@ type SliceSource struct {
 // the end of the stream.
 func (s *SliceSource) Pull(dst []float64, mask []bool, _ int64) int {
 	n := copy(dst, s.Samples[s.pos:])
-	if s.Mask != nil {
-		copy(mask[:n], s.Mask[s.pos:s.pos+n])
-	} else {
-		for i := range mask[:n] {
-			mask[i] = true
-		}
+	for i := range mask[:n] {
+		mask[i] = true
 	}
 	s.pos += n
 	return n
@@ -87,6 +80,9 @@ type FrameBuffer interface {
 	Buffered() int
 	// Recovered returns how many lost frames FEC reconstructed.
 	Recovered() uint64
+	// PlayoutClock returns the relay timestamp of the next sample PopMask
+	// hands out (see stream.JitterBuffer.PlayoutClock).
+	PlayoutClock() uint64
 }
 
 // ReceiverSource adapts a jitter-buffered frame stream to a pulled
@@ -122,63 +118,22 @@ func (s *ReceiverSource) Buffered() int { return s.Buf.Buffered() }
 // Recovered implements StreamStats.
 func (s *ReceiverSource) Recovered() uint64 { return s.Buf.Recovered() }
 
-// DriftSource slaves an inner reference source to the local sample
-// clock: jitter-buffer output is consumed at the estimated relay rate
-// (1 + ppm·1e-6 input samples per output sample) through a continuous-
-// rate resampler. Until the estimator locks, the rate stays exactly 1
-// and the resampler is a bit-exact passthrough. The rate is re-steered
-// once per pulled block, matching the estimator's frame-grained view.
-type DriftSource struct {
-	Inner SampleSource
-	Est   *stream.DriftEstimator
-	RS    *dsp.VariRateResampler
+// PlayoutClock forwards the buffer's playout clock.
+func (s *ReceiverSource) PlayoutClock() uint64 { return s.Buf.PlayoutClock() }
 
-	v [1]float64
-	m [1]bool
+// Tap passes an inner source through and records every sample and flag
+// it hands on: the simulator's view of the reference as the pipeline
+// pulled it, for post-run traces and scoring.
+type Tap struct {
+	Inner   SampleSource
+	Samples []float64
+	Mask    []bool
 }
 
-// Pull produces one consumer-clock block.
-func (s *DriftSource) Pull(dst []float64, mask []bool, start int64) int {
-	if s.Est.Locked() {
-		s.RS.SetRate(1 + s.Est.PPM()*1e-6)
-	}
-	for i := range dst {
-		for !s.RS.Ready() {
-			s.Inner.Pull(s.v[:], s.m[:], start+int64(i))
-			s.RS.Push(s.v[0], s.m[0])
-		}
-		dst[i], mask[i], _ = s.RS.Pop()
-	}
-	return len(dst)
-}
-
-// DriftState implements DriftStats for the per-block live hooks.
-func (s *DriftSource) DriftState() (estPPM, rawPPM, ratePPM float64, locked bool) {
-	return s.Est.PPM(), s.Est.RawPPM(), (s.RS.Rate() - 1) * 1e6, s.Est.Locked()
-}
-
-// Stats forwards StreamStats from the wrapped source (zero counters when
-// it has none), so stacking the drift stage keeps the jitter counters
-// observable.
-func (s *DriftSource) Stats() stream.JitterStats {
-	if ss, ok := s.Inner.(StreamStats); ok {
-		return ss.Stats()
-	}
-	return stream.JitterStats{}
-}
-
-// Buffered forwards StreamStats.
-func (s *DriftSource) Buffered() int {
-	if ss, ok := s.Inner.(StreamStats); ok {
-		return ss.Buffered()
-	}
-	return 0
-}
-
-// Recovered forwards StreamStats.
-func (s *DriftSource) Recovered() uint64 {
-	if ss, ok := s.Inner.(StreamStats); ok {
-		return ss.Recovered()
-	}
-	return 0
+// Pull pulls from the inner source and records the block.
+func (t *Tap) Pull(dst []float64, mask []bool, start int64) int {
+	n := t.Inner.Pull(dst, mask, start)
+	t.Samples = append(t.Samples, dst[:n]...)
+	t.Mask = append(t.Mask, mask[:n]...)
+	return n
 }

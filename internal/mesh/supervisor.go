@@ -480,16 +480,17 @@ func (s *Supervisor) decide(best int32) {
 	}
 
 	// Lookahead-margin fusion: an incumbent whose lag has collapsed below
-	// the usable floor for two consecutive rounds is failing, not merely
+	// the usable floor over two disjoint windows is failing, not merely
 	// challenged — the dwell exists to protect a working association from
 	// measurement jitter, and there is nothing left to protect. (One bad
-	// round alone is within PHAT's heavy-tailed error, so the rescue has
-	// its own short confirmation.) Replace it with the round's winner,
-	// warm-up and crossfade still applying: the old stream is alive, just
+	// window alone is within PHAT's heavy-tailed error, so the rescue has
+	// its own short confirmation: rounds run every half window, so three
+	// consecutive bad rounds.) Replace it with the round's winner, warm-up
+	// and crossfade still applying: the old stream is alive, just
 	// acoustically useless, so the blend is real on both sides.
 	if s.currentLag < s.cfg.MinLeadSamples {
 		s.badRun++
-		if s.badRun >= 2 && best >= 0 && best != s.current && s.mem.warm(best) {
+		if s.badRun >= 3 && best >= 0 && best != s.current && s.mem.warm(best) {
 			s.fadeFrom = s.current
 			s.fadePos = 0
 			s.fading = true

@@ -116,26 +116,26 @@ func TestMeshNoAssociationWhenAllLag(t *testing.T) {
 	}
 }
 
-// TestMeshOneRoundGlitchDoesNotSwitch: the other relay leads for three
-// quarters of a correlation window, centred on a round. Rounds run every
-// half window, so that round is the only one whose window the glitch
-// dominates, and the association must not move — neither by the dwell
-// nor by the two-bad-rounds rescue.
+// TestMeshOneRoundGlitchDoesNotSwitch: the other relay leads for one
+// whole correlation window, starting on a round. Rounds run every half
+// window, so three rounds see the glitch (half, all, half of their
+// window), but they span only one window of bad lag: the association
+// must not move — neither by the dwell nor by the rescue, which needs
+// two disjoint windows of bad lag.
 func TestMeshOneRoundGlitchDoesNotSwitch(t *testing.T) {
 	tr := newTracker(t, 2, 6144)
 	window := tr.sup.cfg.WindowSamples
-	tr.feed(0, 3072+window/8) // rounds fall on multiples of window/2
+	tr.feed(0, 3072) // rounds fall on multiples of window/2
 	if got := tr.sup.Current(); got != 0 {
 		t.Fatalf("setup: associated with %d, want 0", got)
 	}
-	tr.feed(1, 3*window/4)
-	tr.feed(0, window/8) // up to and including the glitch round
+	tr.feed(1, window)
 	if len(tr.sup.ranked) == 0 || tr.sup.ranked[0].slot != 1 {
 		t.Fatalf("the glitch round did not favour relay 1: %+v", tr.sup.ranked)
 	}
 	tr.feed(0, 3072-window)
 	if got := tr.sup.Current(); got != 0 {
-		t.Fatalf("a one-round glitch moved the association to %d", got)
+		t.Fatalf("a one-window glitch moved the association to %d", got)
 	}
 	if rep := tr.sup.Report(); rep.Handoffs != 1 {
 		t.Fatalf("handoffs = %d, want only the initial adoption", rep.Handoffs)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mute/internal/audio"
+	"mute/internal/graph"
 	"mute/internal/stream"
 )
 
@@ -51,10 +52,7 @@ func sameBools(a, b []bool) bool {
 func TestDriftCorrectCleanClockIdentity(t *testing.T) {
 	ref := driftRef(8000, 200)
 	base := *burstTransport()
-	wantRecv, wantMask, wantStats, err := PacketizeReference(ref, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantRecv, wantMask, wantStats, _ := packetize(t, ref, base)
 	variants := map[string]LossTransport{
 		"driftCorrectNoSkew": func() LossTransport { lt := base; lt.DriftCorrect = true; return lt }(),
 		"zeroSkewNaive":      func() LossTransport { lt := base; lt.Skew = &stream.SkewParams{}; return lt }(),
@@ -66,10 +64,7 @@ func TestDriftCorrectCleanClockIdentity(t *testing.T) {
 		}(),
 	}
 	for name, lt := range variants {
-		recv, mask, stats, err := PacketizeReference(ref, lt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		recv, mask, stats, _ := packetize(t, ref, lt)
 		if !sameFloats(recv, wantRecv) {
 			t.Errorf("%s: received samples diverge from the loss-only run", name)
 		}
@@ -128,7 +123,7 @@ func TestDriftCorrectCleanClockIdentityEngine(t *testing.T) {
 func TestDriftTransportCorrectsSkew(t *testing.T) {
 	const n = 5 * 8000
 	ref := driftRef(n, 200)
-	skew := func(correct bool) ([]float64, *DriftReport) {
+	skew := func(correct bool) ([]float64, *DriftReport, []graph.DriftWindow) {
 		lt := LossTransport{
 			FrameSamples: 40,
 			PrimeFrames:  1,
@@ -136,15 +131,12 @@ func TestDriftTransportCorrectsSkew(t *testing.T) {
 			Skew:         &stream.SkewParams{PPM: 100},
 			DriftCorrect: correct,
 		}
-		recv, _, stats, err := PacketizeReference(ref, lt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recv, stats.Drift
+		recv, _, stats, wins := packetize(t, ref, lt)
+		return recv, stats.Drift, wins
 	}
-	naive, naiveRep := skew(false)
-	corr, corrRep := skew(true)
-	if !corrRep.Locked {
+	naive, _, naiveWins := skew(false)
+	corr, corrRep, corrWins := skew(true)
+	if !corrWins[len(corrWins)-1].Locked {
 		t.Fatal("estimator failed to lock at constant 100 ppm skew")
 	}
 	if d := corrRep.FinalPPM - 100; d < -10 || d > 10 {
@@ -153,8 +145,8 @@ func TestDriftTransportCorrectsSkew(t *testing.T) {
 	if o := corrRep.FinalOccErr; o < -8 || o > 8 {
 		t.Errorf("final occupancy error %.2f samples, want ~0", o)
 	}
-	if naiveRep.Corrected || !corrRep.Corrected {
-		t.Error("Corrected flag mismatch")
+	if naiveWins[len(naiveWins)-1].RatePPM != 0 || corrWins[len(corrWins)-1].RatePPM == 0 {
+		t.Error("resampler rate applied without correction, or missing with it")
 	}
 	rms := func(x []float64) float64 {
 		var s float64
@@ -188,10 +180,7 @@ func TestDriftReportFlagsOscillatorStep(t *testing.T) {
 		},
 		DriftCorrect: true,
 	}
-	_, _, stats, err := PacketizeReference(ref, lt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, stats, _ := packetize(t, ref, lt)
 	rep := stats.Drift
 	if len(rep.RateJumps) == 0 {
 		t.Error("oscillator step not flagged in RateJumps")

@@ -87,11 +87,9 @@ type Params struct {
 	// lookahead without moving hardware (Figure 16).
 	ExtraReferenceDelay int
 	// LossTransport, when non-nil, routes the forwarded reference through
-	// the packetized stream layer (framing, fault-injected link, optional
-	// FEC, jitter buffer) instead of the ideal sample-synchronous wire.
-	// Its playout buffering consumes PrimeSamples of lookahead, and the
-	// canceller adapts through the returned concealment mask (LANC schemes
-	// only; the Bose schemes have no wireless leg).
+	// the packetized transport (LANC schemes only), pulled through the
+	// live ear's jitter-buffer and drift sources; its playout prime comes
+	// out of the lookahead, and the canceller sees its concealment mask.
 	LossTransport *LossTransport
 	// Supervise runs the LANC schemes under the degradation-ladder
 	// supervisor (internal/supervisor): a link-health estimator demotes
@@ -110,9 +108,9 @@ type Params struct {
 	// relay fast). Any skew fault presupposes the packetized transport; a
 	// default LossTransport is synthesized when none is configured.
 	ClockSkewPPM float64
-	// DriftCorrect inserts the drift estimator + adaptive resampler into
-	// the receive path (see LossTransport.DriftCorrect). On a clean clock
-	// the corrected run is bit-identical to the uncorrected one.
+	// DriftCorrect steers the drift source's resampler (see
+	// LossTransport.DriftCorrect); bit-identical to uncorrected on a clean
+	// clock.
 	DriftCorrect bool
 
 	// BlockFDAF replaces the sample-by-sample LANC with the partitioned
@@ -355,12 +353,14 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	}
 
 	// --- Active cancellation loop -------------------------------------------
-	// The cancellation pipeline itself — supervisor/LANC (or BlockFDAF),
-	// secondary chain, residual metering — is wired once in internal/graph
-	// and shared with the live CLIs; the simulator only binds its offline
-	// sources (pre-rendered acoustics, the replayed packetized transport)
-	// and replayed drift decisions to that one construction site.
+	// The cancellation pipeline is wired once in internal/graph and shared
+	// with the live CLIs; the simulator binds pre-rendered acoustics and
+	// the scheduled transport, whose drift source is also the control.
 	stageStart = time.Now()
+	var (
+		transport *Transport
+		tap       *graph.Tap // the traced reference as the pipeline pulled it
+	)
 	earNoise := audio.NewRNG(p.Seed + 23)
 	on := make([]float64, n)
 	residual := make([]float64, n)
@@ -410,12 +410,8 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		}
 		gcfg.FDAF = &graph.FDAFParams{BlockSize: bsize}
 	default:
-		// The packetized transport replaces the ideal reference wire with
-		// framed, lossy delivery plus a concealment mask. Its playout
-		// buffering delays the reference by PrimeSamples, which comes
-		// straight out of the lookahead budget below.
-		var mask []bool
-		prime := 0
+		// The packetized transport replaces the ideal wire; its playout
+		// prime delays the reference and is booked in the budget.
 		skewed := p.ClockSkewPPM != 0
 		var lt *LossTransport
 		if p.LossTransport != nil {
@@ -426,58 +422,46 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 			// the default framing the drift experiments use.
 			lt = &LossTransport{FrameSamples: 40, PrimeFrames: 1, LossAware: true}
 		}
-		driftGuard := 0
-		frameN := 0
-		var drift *DriftReport
-		if lt != nil {
-			if lt.Trace == nil {
-				// Inherit the run's trace so the stream/lookahead stages
-				// land in the same timeline as the canceller's.
-				lt.Trace = p.Trace
-			}
-			if skewed && lt.Skew == nil {
-				lt.Skew = &stream.SkewParams{Seed: p.Seed + 41, PPM: p.ClockSkewPPM}
-			}
-			if p.DriftCorrect {
-				lt.DriftCorrect = true
-			}
-			recv, m, tstats, err := PacketizeReference(forwarded, *lt)
-			if err != nil {
-				return nil, err
-			}
-			prime = lt.PrimeSamples()
-			frameN = lt.frameSamples()
-			shifted := make([]float64, n)
-			mask = make([]bool, n)
-			for t := prime; t < n; t++ {
-				shifted[t] = recv[t-prime]
-				mask[t] = m[t-prime]
-			}
-			forwarded = shifted
-			res.Transport = &tstats
-			drift = tstats.Drift
-			if lt.DriftCorrect && lt.Skew != nil && lt.Skew.Enabled() {
-				// The resampler's cubic kernel reads up to two samples of
-				// future at fractional positions; with an actual skew in
-				// play those positions are fractional, so the guard comes
-				// out of the lookahead budget. On a clean clock positions
-				// stay integral and the guard — like the resampler — is
-				// free.
-				driftGuard = 2
-			}
-			gcfg.Canceller.LossAware = lt.LossAware
-		}
-		// Drift-stage hooks replayed onto the loop clock, at window time
-		// plus the playout shift: adaptation holds at suspected
-		// oscillator steps, and estimator windows for the supervisor.
-		if drift != nil && (len(drift.RateJumps) > 0 || p.Supervise) {
-			gcfg.Drift = drift.Replay(int64(prime), 2*frameN, true, p.Supervise)
-		}
-		gcfg.PrimeSamples = prime
-		gcfg.DriftGuard = driftGuard
 		gcfg.Supervise = p.Supervise
 		gcfg.SupervisorConfig = p.SupervisorConfig
-		gcfg.Reference = &graph.SliceSource{Samples: forwarded, Mask: mask}
+		if lt == nil {
+			break
+		}
+		if p.Trace != nil && lt.Trace == nil {
+			// The transport's stream/lookahead events lead the run's
+			// timeline, ahead of the budget and canceller events: both
+			// record privately and are spliced after the run.
+			lt.Trace, gcfg.Trace = telemetry.NewTrace(), telemetry.NewTrace()
+		}
+		if skewed && lt.Skew == nil {
+			lt.Skew = &stream.SkewParams{Seed: p.Seed + 41, PPM: p.ClockSkewPPM}
+		}
+		if p.DriftCorrect {
+			lt.DriftCorrect = true
+		}
+		if transport, err = PacketizeReference(forwarded, *lt); err != nil {
+			return nil, err
+		}
+		transport.Delay = lt.PrimeSamples()
+		gcfg.PrimeSamples = transport.Delay
+		if lt.DriftCorrect && lt.Skew != nil && lt.Skew.Enabled() {
+			// The resampler's cubic kernel reads up to two samples of
+			// future at fractional positions; with an actual skew in play
+			// those positions are fractional, so the guard comes out of the
+			// lookahead budget. On a clean clock positions stay integral
+			// and the guard — like the resampler — is free.
+			gcfg.DriftGuard = 2
+		}
+		gcfg.Canceller.LossAware = lt.LossAware
+		if ds := transport.Drift; ds != nil {
+			ds.Hold = 2 * lt.frameSamples()
+			gcfg.Drift = ds
+		}
+		gcfg.Reference = transport
+		if p.Trace != nil {
+			tap = &graph.Tap{Inner: transport}
+			gcfg.Reference = tap
+		}
 	}
 	if scheme != PassiveOnly {
 		pl, err := graph.Build(gcfg)
@@ -492,6 +476,18 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		}
 		res.Switches, _, _ = pl.AdaptState()
 		res.Supervision = pl.Supervision()
+	}
+	if transport != nil {
+		stats := transport.Finish()
+		res.Transport = &stats
+		if tap != nil {
+			forwarded = tap.Samples
+		}
+		if gcfg.Trace != p.Trace {
+			for _, ev := range append(transport.trace.Events(), gcfg.Trace.Events()...) {
+				p.Trace.Record(ev.T, ev.Stage, ev.Name, ev.Values)
+			}
+		}
 	}
 	res.On = on
 	res.Residual = residual

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mute/internal/dsp"
+	"mute/internal/graph"
 	"mute/internal/stream"
 	"mute/internal/telemetry"
 )
@@ -40,15 +41,14 @@ type LossTransport struct {
 	// ear clock (see stream.ClockSkew). Composes with Link faults. A nil
 	// Skew is zero skew; setting it also adds the drift stage's report.
 	Skew *stream.SkewParams
-	// DriftCorrect inserts the drift estimator + adaptive fractional
-	// resampler between the jitter buffer and the playout stream, keeping
-	// the reference sample-aligned to the ear clock under Skew. At zero
-	// skew it changes no sample (TestDriftCorrectCleanClockIdentity).
+	// DriftCorrect steers the drift source's resampler between the jitter
+	// buffer and the canceller, holding the reference sample-aligned to
+	// the ear clock under Skew; at zero skew it changes no sample.
 	DriftCorrect bool
 	// Trace, when non-nil, receives per-playout-window stream events
 	// (cumulative jitter/link counters) and lookahead-buffer occupancy on
-	// the sample clock, every traceEveryFrames windows. sim.Run propagates
-	// its own trace here when the caller left it nil.
+	// the sample clock, every traceEveryFrames windows. When the caller
+	// left it nil, sim.Run splices them into its own trace.
 	Trace *telemetry.Trace
 }
 
@@ -107,95 +107,36 @@ type LossTransportStats struct {
 	Drift *DriftReport
 }
 
-// PacketizeReference pushes ref through the packetized transport and
-// returns the receiver's reconstruction, time-aligned to the capture
-// clock: recv[i] corresponds to ref[i], mask[i] reports whether it is a
-// real received sample (false = zero-filled concealment). The caller
-// applies the PrimeSamples playout shift. The run is fully deterministic
-// for a fixed lt.Link.Seed.
-//
-// The relay captures its samples at the ear-clock positions
-// stream.ClockSkew dictates (a nil Skew is zero skew), frames carry
-// relay-sample timestamps, and every transport event — send, delivery,
-// playout — is interleaved on the ear clock. At zero skew every capture
-// position is an exact integer, so frames carry ref's samples unchanged
-// and every delivery lands on a window start.
-//
-// A drift stage exists only when Skew or DriftCorrect is set: a
-// DriftEstimator then watches delivered data frames, stats.Drift reports
-// it window by window, and the trace gains drift-stage events. With
-// DriftCorrect a VariRateResampler between the jitter buffer and the
-// playout stream consumes input at the estimated relay rate, holding the
-// reference sample-aligned to the ear. At zero skew the estimator reads
-// exactly slope 1, the rate stays exactly 1 and the resampler is an exact
-// passthrough, so the drift stage changes no sample.
-func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, LossTransportStats, error) {
-	var stats LossTransportStats
-	lt, err := lt.withDefaults()
-	if err != nil {
-		return nil, nil, stats, err
-	}
+// delivery is one frame landing at the ear on the ear clock; drain marks
+// the end-of-stream remnant, which lands only at a window start strictly
+// after it.
+type delivery struct {
+	at    float64
+	f     *stream.Frame
+	drain bool
+}
+
+// sendSchedule runs the relay's side — capture on the skewed relay clock
+// (a nil Skew is zero skew: frames carry ref's samples unchanged), the
+// impaired link, FEC — and returns every delivery in ear-time order.
+func sendSchedule(ref []float64, lt LossTransport) ([]delivery, *stream.LossyLink, error) {
 	var sp stream.SkewParams
 	if lt.Skew != nil {
 		sp = *lt.Skew
 	}
 	cs, err := stream.NewClockSkew(sp)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, err
 	}
 	link, err := stream.NewLossyLink(lt.Link)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, err
 	}
 	var enc *stream.FECEncoder
 	if lt.FECGroup > 0 {
 		if enc, err = stream.NewFECEncoder(lt.FECGroup); err != nil {
-			return nil, nil, stats, err
+			return nil, nil, err
 		}
-	}
-	jb, err := stream.NewJitterBuffer(jitterDepth)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	jb.Anchor(0) // the capture epoch is known out of band
-	dec := stream.NewFECDecoder(4 * jitterDepth)
-	var est *stream.DriftEstimator
-	var rs *dsp.VariRateResampler
-	if lt.Skew != nil || lt.DriftCorrect {
-		if est, err = stream.NewDriftEstimator(stream.DriftConfig{}); err != nil {
-			return nil, nil, stats, err
-		}
-		stats.Drift = &DriftReport{Corrected: lt.DriftCorrect}
-		if lt.DriftCorrect {
-			rs = dsp.NewVariRateResampler()
-		}
-	}
-	rep := stats.Drift
-
-	frameN := lt.FrameSamples
-	prime := lt.PrimeFrames
-	n := len(ref)
-	nPops := (n + frameN - 1) / frameN
-	recv := make([]float64, nPops*frameN)
-	mask := make([]bool, nPops*frameN)
-
-	// Phase 1 — capture and send. The relay's side of the run is
-	// independent of playout, so every link event is computed up front and
-	// recorded, frame by frame, with its ear-clock delivery time; playout
-	// then consumes the schedule. A window pops at tPop but its i-th sample
-	// renders at ear time tPop+i, so a frame landing mid-window is in time
-	// for the samples after its arrival — without this, the sub-frame
-	// phase between the arrival lattice (period F/(1+skew)) and the pop
-	// lattice (period F) slips through a whole frame every F/|skew·1e-6|
-	// samples and the buffer margin sawtooths through zero, concealing a
-	// burst of samples once per cycle. Per-sample delivery keeps the
-	// margin at about prime·F at every phase.
-	type delivery struct {
-		at float64
-		f  *stream.Frame
-		// drain marks the end-of-stream remnant: windows due by then play
-		// out first, so it is held until the next window start after at.
-		drain bool
 	}
 	var sched []delivery
 	schedule := func(at float64, frames []*stream.Frame, drain bool) {
@@ -205,9 +146,9 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 	}
 	seq := uint32(0)
 	rIdx := uint64(0) // relay sample counter — the timestamp clock
-	for cs.Pos() < float64(n) {
-		f := &stream.Frame{Seq: seq, Timestamp: rIdx, Samples: cs.Capture(ref, frameN)}
-		rIdx += uint64(frameN)
+	for cs.Pos() < float64(len(ref)) {
+		f := &stream.Frame{Seq: seq, Timestamp: rIdx, Samples: cs.Capture(ref, lt.FrameSamples)}
+		rIdx += uint64(lt.FrameSamples)
 		avail := cs.Pos()
 		seq++
 		schedule(avail, link.Transfer(f), false)
@@ -220,146 +161,204 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 		}
 	}
 	schedule(cs.Pos(), link.Drain(), true)
+	return sched, link, nil
+}
 
-	// Phase 2 — playout. Deliveries due at or before an event time land
-	// first (a send tying a window start precedes the pop); the drain
-	// remnant waits for a strictly later window start.
-	now := 0.0 // ear-clock time of the delivery being made
-	si := 0
-	deliverDue := func(t float64, windowStart bool) {
-		for ; si < len(sched); si++ {
-			d := sched[si]
-			if d.at > t || (d.drain && !(windowStart && d.at < t)) {
-				return
-			}
-			now = d.at
-			out := dec.Add(d.f)
-			if out == nil {
-				continue
-			}
-			if out != d.f {
-				stats.FECRecovered++
-			}
-			jb.Push(out)
-			// Only directly delivered data frames feed the slope fit: FEC
-			// reconstructions land a group late, so their delivery time
-			// says nothing about the relay clock.
-			if est != nil && out == d.f && !d.f.Parity {
-				est.Observe(d.f.Timestamp, now)
-			}
-		}
-	}
-	occSm := 0.0
-	lastOcc := 0.0
-	// The resampler's input for one run of a window.
-	var pulled []float64
-	var pulledMask []bool
-	for j := 0; j < nPops; j++ {
-		start := j * frameN
-		tPop := float64((j + prime + 1) * frameN)
-		deliverDue(tPop, true)
-		estPPM, fresh := 0.0, false
-		if est != nil {
-			estPPM, fresh = est.PPM(), est.Estimable(tPop)
-		}
-		rate := 1.0
-		if rs != nil {
-			occ := 0.0
-			if est.Observations() > 0 {
-				// Occupancy error against the estimator's fitted timestamp
-				// line, extrapolated from the newest observation to this
-				// pop: the target keeps the read position the playout
-				// prime plus one in-flight frame behind the relay's clock.
-				// Extrapolating (rather than reading the newest delivered
-				// timestamp) makes the measure loss-robust — a dropped
-				// frame never perturbs the line — and exactly 0 at zero
-				// skew, where the line's slope is exactly 1.
-				horizon := float64(est.LastTimestamp()) + float64(frameN) +
-					(tPop-est.LastArrival())*(1+est.PPM()*1e-6)
-				occ = horizon - rs.Position() - float64((prime+1)*frameN)
-			}
-			occSm += 0.125 * (occ - occSm)
-			lastOcc = occ
-			corr := estPPM
-			if fresh {
-				ph := occSm
-				if ph > 40 {
-					ph = 40
-				} else if ph < -40 {
-					ph = -40
-				}
-				corr += ph * stream.DriftPhaseGainPPM
-			}
-			rs.SetRate(1 + corr*1e-6)
-			rate = rs.Rate()
-		}
-		// Play the window in runs that end where the next delivery is due,
-		// so sample i still sees every frame landed by tPop+i. At zero skew
-		// no delivery falls inside a window, which then plays whole. With
-		// the resampler, a run pulls the input its outputs consume in one
-		// pop: no delivery lands between those samples, so it is the input
-		// a pop per Ready miss would see.
-		for i := 0; i < frameN; {
-			next := math.Inf(1)
-			if si < len(sched) && !sched[si].drain {
-				next = sched[si].at
-			}
-			k := i + 1
-			for k < frameN && tPop+float64(k) < next {
-				k++
-			}
-			if rs == nil {
-				jb.PopMask(recv[start+i:start+k], mask[start+i:start+k])
-			} else {
-				need := rs.Need(k - i)
-				if need > len(pulled) {
-					pulled = make([]float64, need)
-					pulledMask = make([]bool, need)
-				}
-				if need > 0 {
-					jb.PopMask(pulled[:need], pulledMask[:need])
-					for q := 0; q < need; q++ {
-						rs.Push(pulled[q], pulledMask[q])
-					}
-				}
-				for q := i; q < k; q++ {
-					recv[start+q], mask[start+q], _ = rs.Pop()
-				}
-			}
-			if k < frameN {
-				deliverDue(tPop+float64(k), false)
-			}
-			i = k
-		}
-		if rep != nil {
-			rep.observe(DriftWindow{
-				AtSample: int64(start),
-				PPM:      estPPM,
-				RatePPM:  (rate - 1) * 1e6,
-				OccErr:   lastOcc,
-				Locked:   fresh,
-			}, est.StepSuspected())
-		}
-		if lt.Trace != nil && j%traceEveryFrames == 0 {
-			tracePlayout(lt.Trace, int64(start), jb, &stats, frameN)
-			if rep != nil {
-				traceDrift(lt.Trace, int64(start), estPPM, rate, lastOcc, fresh)
-			}
-		}
-	}
-	// Anything still scheduled (a remnant landing after the last window)
-	// lands too, so the counters and the drift report cover the full
-	// stream.
-	deliverDue(math.Inf(1), true)
+// Transport is the receive side of one packetized run on a simulated ear
+// clock, pulled through the stack the live ear binds: a ReceiverSource
+// over the jitter buffer, under a DriftSource when the run has a drift
+// stage. Before each sample it lands the deliveries due by the sample's
+// ear time, s + (PrimeFrames+1)·FrameSamples for stream sample s: FEC
+// decode, JitterBuffer.Push, and the estimator's observation of a direct
+// data frame. Landing mid-window keeps the buffer margin from sawtoothing
+// through zero as skewed arrivals slip against the window grid; at zero
+// skew every delivery lands on a window start.
+type Transport struct {
+	// Drift is the drift stage (nil without Skew or DriftCorrect): bind
+	// it as graph.Config.Drift, with the prime booked as PrimeSamples.
+	Drift *graph.DriftSource
+	// Delay is the pipeline index of stream sample 0: positive plays that
+	// many concealed zeros first, negative skips −Delay samples.
+	Delay int
 
-	if rep != nil {
-		rep.FinalPPM = est.PPM()
-		rep.Locked = est.Locked()
-		rep.FinalOccErr = lastOcc
+	frameN int
+	ear    int // ear time of stream sample 0
+	n      int // stream length
+	next   int // stream index of the next sample through the stack
+
+	sched []delivery
+	si    int
+	link  *stream.LossyLink
+	dec   *stream.FECDecoder
+	jb    *stream.JitterBuffer
+	stack graph.SampleSource
+	stats LossTransportStats
+	trace *telemetry.Trace
+
+	x []float64 // scratch for skipped and finishing samples
+	m []bool
+}
+
+// jitterBuf is the jitter buffer plus the FEC count: a FrameBuffer.
+type jitterBuf struct {
+	*stream.JitterBuffer
+	recovered *uint64
+}
+
+func (b jitterBuf) Recovered() uint64 { return *b.recovered }
+
+// PacketizeReference runs ref through the transport's send side and
+// returns its receive side, deterministic for a fixed lt.Link.Seed. Skew
+// or DriftCorrect adds the drift stage (its resampler only with
+// DriftCorrect), which at zero skew changes no sample.
+func PacketizeReference(ref []float64, lt LossTransport) (*Transport, error) {
+	lt, err := lt.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	stats.Jitter = jb.Stats()
-	stats.Link = link.Stats()
-	return recv[:n], mask[:n], stats, nil
+	sched, link, err := sendSchedule(ref, lt)
+	if err != nil {
+		return nil, err
+	}
+	jb, err := stream.NewJitterBuffer(jitterDepth)
+	if err != nil {
+		return nil, err
+	}
+	jb.Anchor(0) // the capture epoch is known out of band
+	frameN := lt.FrameSamples
+	tp := &Transport{
+		frameN: frameN,
+		ear:    (lt.PrimeFrames + 1) * frameN,
+		n:      len(ref),
+		sched:  sched,
+		link:   link,
+		dec:    stream.NewFECDecoder(4 * jitterDepth),
+		jb:     jb,
+		trace:  lt.Trace,
+		x:      make([]float64, frameN),
+		m:      make([]bool, frameN),
+	}
+	recv := &graph.ReceiverSource{Buf: jitterBuf{jb, &tp.stats.FECRecovered}}
+	tp.stack = recv
+	if lt.Skew != nil || lt.DriftCorrect {
+		est, err := stream.NewDriftEstimator(stream.DriftConfig{})
+		if err != nil {
+			return nil, err
+		}
+		tp.stats.Drift = &DriftReport{}
+		tp.Drift = &graph.DriftSource{Inner: recv, Est: est, Frame: frameN}
+		if lt.DriftCorrect {
+			tp.Drift.RS = dsp.NewVariRateResampler()
+		}
+		tp.stack = tp.Drift
+	}
+	return tp, nil
+}
+
+// Pull produces the block starting at pipeline index start; it is short
+// at the end of the stream.
+func (tp *Transport) Pull(dst []float64, mask []bool, start int64) int {
+	s := int(start) - tp.Delay // stream index of dst[0]
+	i := 0
+	for ; i < len(dst) && s+i < 0; i++ {
+		dst[i], mask[i] = 0, false
+	}
+	tp.skipTo(s + i)
+	end := max(i, min(len(dst), tp.n-s))
+	tp.play(dst[i:end], mask[i:end])
+	return end
+}
+
+// play pulls the next len(dst) stream samples through the stack.
+func (tp *Transport) play(dst []float64, mask []bool) {
+	for i := 0; i < len(dst); {
+		s := tp.next
+		ear := float64(tp.ear + s)
+		tp.deliverDue(ear, s%tp.frameN == 0)
+		next := math.Inf(1)
+		if tp.si < len(tp.sched) && !tp.sched[tp.si].drain {
+			next = tp.sched[tp.si].at
+		}
+		end := min(len(dst), i+tp.frameN-s%tp.frameN)
+		k := i + 1
+		for k < end && ear+float64(k-i) < next {
+			k++
+		}
+		tp.stack.Pull(dst[i:k], mask[i:k], int64(s+tp.Delay))
+		tp.next += k - i
+		if tp.next%tp.frameN == 0 {
+			tp.endWindow(tp.next - tp.frameN)
+		}
+		i = k
+	}
+}
+
+// skipTo plays the stream up to stream index s, discarding the samples.
+func (tp *Transport) skipTo(s int) {
+	for tp.next < s {
+		k := min(s-tp.next, tp.frameN)
+		tp.play(tp.x[:k], tp.m[:k])
+	}
+}
+
+// deliverDue lands every delivery due at or before ear time t (a send
+// tying a window start precedes the pop); the drain remnant lands only at
+// a window start strictly after it.
+func (tp *Transport) deliverDue(t float64, windowStart bool) {
+	for ; tp.si < len(tp.sched); tp.si++ {
+		d := tp.sched[tp.si]
+		if d.at > t || (d.drain && !(windowStart && d.at < t)) {
+			return
+		}
+		out := tp.dec.Add(d.f)
+		if out == nil {
+			continue
+		}
+		if out != d.f {
+			tp.stats.FECRecovered++
+		}
+		tp.jb.Push(out)
+		// Only directly delivered data frames feed the slope fit: FEC
+		// reconstructions land a group late, so their delivery time says
+		// nothing about the relay clock.
+		if tp.Drift != nil && out == d.f && !d.f.Parity {
+			tp.Drift.Est.Observe(d.f.Timestamp, d.at)
+		}
+	}
+}
+
+// endWindow folds the window starting at stream index start into the
+// drift report and, every traceEveryFrames windows, the trace.
+func (tp *Transport) endWindow(start int) {
+	var w graph.DriftWindow
+	if rep := tp.stats.Drift; rep != nil {
+		w = tp.Drift.Window()
+		if w.Step {
+			rep.RateJumps = append(rep.RateJumps, int64(start))
+		}
+		rep.MaxAbsPPM = max(rep.MaxAbsPPM, math.Abs(w.PPM))
+		rep.FinalOccErr = w.OccErr
+	}
+	if tp.trace != nil && start/tp.frameN%traceEveryFrames == 0 {
+		tracePlayout(tp.trace, int64(start), tp.jb, tp.stats.FECRecovered, tp.frameN)
+		if tp.Drift != nil {
+			traceDrift(tp.trace, int64(start), w)
+		}
+	}
+}
+
+// Finish plays the stream out to its last window end and lands every
+// remaining delivery, then returns the run's counters and drift report.
+// Call it once, after the last pull.
+func (tp *Transport) Finish() LossTransportStats {
+	tp.skipTo((tp.n + tp.frameN - 1) / tp.frameN * tp.frameN)
+	tp.deliverDue(math.Inf(1), true)
+	if tp.Drift != nil {
+		tp.stats.Drift.FinalPPM = tp.Drift.Est.PPM()
+	}
+	tp.stats.Jitter = tp.jb.Stats()
+	tp.stats.Link = tp.link.Stats()
+	return tp.stats
 }
 
 // tracePlayout records the transport's view at one playout window: the
@@ -367,7 +366,7 @@ func PacketizeReference(ref []float64, lt LossTransport) ([]float64, []bool, Los
 // first-class series) and the lookahead-buffer occupancy — how many
 // frames of forwarded future are sitting between the link and the
 // canceller at this instant.
-func tracePlayout(tr *telemetry.Trace, t int64, jb *stream.JitterBuffer, stats *LossTransportStats, frameN int) {
+func tracePlayout(tr *telemetry.Trace, t int64, jb *stream.JitterBuffer, fecRecovered uint64, frameN int) {
 	st := jb.Stats()
 	tr.Record(t, telemetry.StageStream, "jitter", map[string]float64{
 		"frames_received":   float64(st.FramesReceived),
@@ -376,7 +375,7 @@ func tracePlayout(tr *telemetry.Trace, t int64, jb *stream.JitterBuffer, stats *
 		"frames_duplicate":  float64(st.FramesDuplicate),
 		"samples_concealed": float64(st.SamplesConcealed),
 		"samples_delivered": float64(st.SamplesDelivered),
-		"fec_recovered":     float64(stats.FECRecovered),
+		"fec_recovered":     float64(fecRecovered),
 	})
 	buffered := jb.Buffered()
 	tr.Record(t, telemetry.StageLookahead, "occupancy", map[string]float64{

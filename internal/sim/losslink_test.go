@@ -9,12 +9,9 @@ import (
 
 func TestPacketizeReferencePerfectLinkIsIdentity(t *testing.T) {
 	ref := audio.Render(audio.NewWhiteNoise(1, fs, 0.5), 1000)
-	recv, mask, st, err := PacketizeReference(ref, LossTransport{
+	recv, mask, st, _ := packetize(t, ref, LossTransport{
 		Link: stream.LossParams{Seed: 1}, FrameSamples: 40,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range ref {
 		if recv[i] != ref[i] || !mask[i] {
 			t.Fatalf("sample %d altered by perfect link: %g vs %g (mask %v)",
@@ -29,12 +26,9 @@ func TestPacketizeReferencePerfectLinkIsIdentity(t *testing.T) {
 func TestPacketizeReferenceHandlesPartialTailFrame(t *testing.T) {
 	// 1000 samples at frame size 80 leaves a 40-sample tail frame.
 	ref := audio.Render(audio.NewWhiteNoise(2, fs, 0.5), 1000)
-	recv, mask, _, err := PacketizeReference(ref, LossTransport{
+	recv, mask, _, _ := packetize(t, ref, LossTransport{
 		Link: stream.LossParams{Seed: 1}, PrimeFrames: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(recv) != len(ref) || len(mask) != len(ref) {
 		t.Fatalf("length changed: %d/%d vs %d", len(recv), len(mask), len(ref))
 	}
@@ -52,14 +46,8 @@ func TestPacketizeReferenceDeterministicAndLossy(t *testing.T) {
 		FECGroup:    4,
 		PrimeFrames: 5,
 	}
-	r1, m1, s1, err := PacketizeReference(ref, lt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, m2, s2, err := PacketizeReference(ref, lt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, m1, s1, _ := packetize(t, ref, lt)
+	r2, m2, s2, _ := packetize(t, ref, lt)
 	if s1 != s2 {
 		t.Errorf("same seed produced different stats: %+v vs %+v", s1, s2)
 	}
@@ -105,19 +93,16 @@ func TestPacketizeReferenceValidation(t *testing.T) {
 		{Link: stream.LossParams{Loss: 2}},
 	}
 	for i, lt := range bad {
-		if _, _, _, err := PacketizeReference(ref, lt); err == nil {
+		if _, err := PacketizeReference(ref, lt); err == nil {
 			t.Errorf("case %d: %+v should be rejected", i, lt)
 		}
 	}
 	// The deepest accepted prime still delivers every sample of a perfect
 	// link.
 	ref = audio.Render(audio.NewWhiteNoise(4, fs, 0.5), 8000)
-	recv, _, st, err := PacketizeReference(ref, LossTransport{
+	recv, _, st, _ := packetize(t, ref, LossTransport{
 		Link: stream.LossParams{Seed: 1}, FrameSamples: 40, PrimeFrames: jitterDepth - 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.Jitter.SamplesConcealed != 0 || st.Jitter.FramesDropped != 0 || !sameFloats(recv, ref) {
 		t.Errorf("prime %d lost samples on a perfect link: %+v", jitterDepth-1, st.Jitter)
 	}

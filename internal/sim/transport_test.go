@@ -8,15 +8,16 @@ import (
 	"testing"
 
 	"mute/internal/audio"
+	"mute/internal/graph"
 	"mute/internal/stream"
 	"mute/internal/telemetry"
 )
 
-// transportDigest hashes everything a PacketizeReference run hands back
-// to its callers: the received samples' bits, the concealment mask, the
-// jitter/link/FEC counters, the drift report (when there is one) and
-// every trace event the transport records.
-func transportDigest(recv []float64, mask []bool, st LossTransportStats, events []telemetry.Event) uint64 {
+// transportDigest hashes everything a transport run hands back to its
+// callers: the received samples' bits, the concealment mask, the
+// jitter/link/FEC counters, the drift report and windows (when there is
+// a drift stage) and every trace event the transport records.
+func transportDigest(recv []float64, mask []bool, st LossTransportStats, wins []graph.DriftWindow, events []telemetry.Event) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
@@ -48,8 +49,8 @@ func transportDigest(recv []float64, mask []bool, st LossTransportStats, events 
 		for _, at := range d.RateJumps {
 			put(uint64(at))
 		}
-		for _, w := range d.Windows {
-			put(uint64(w.AtSample))
+		for _, w := range wins {
+			put(uint64(w.At))
 			putF(w.PPM)
 			putF(w.RatePPM)
 			putF(w.OccErr)
@@ -72,8 +73,9 @@ func transportDigest(recv []float64, mask []bool, st LossTransportStats, events 
 }
 
 // TestPacketizeReferenceDigestsPinned pins the transport's exact output
-// as data: each configuration's digest (samples, mask, counters, drift
-// report, trace) must not move, so any change to what a packetized run
+// as data, pulled through the bound source stack: each configuration's
+// digest (samples, mask, counters, drift report and windows, trace) must
+// not move, so any change to what a packetized run
 // delivers shows here. Loss-only runs must also carry no drift report
 // and record no drift-stage events.
 func TestPacketizeReferenceDigestsPinned(t *testing.T) {
@@ -118,12 +120,9 @@ func TestPacketizeReferenceDigestsPinned(t *testing.T) {
 			tr := telemetry.NewTrace()
 			lt := c.lt
 			lt.Trace = tr
-			recv, mask, st, err := PacketizeReference(c.ref, lt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			recv, mask, st, wins := packetize(t, c.ref, lt)
 			events := tr.Events()
-			if got := transportDigest(recv, mask, st, events); got != c.want {
+			if got := transportDigest(recv, mask, st, wins, events); got != c.want {
 				t.Errorf("digest %#x, want %#x", got, c.want)
 			}
 			// Each impaired case must actually exercise its impairment.
@@ -171,9 +170,7 @@ func BenchmarkPacketizeReference(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := PacketizeReference(ref, c.lt); err != nil {
-					b.Fatal(err)
-				}
+				packetize(b, ref, c.lt)
 			}
 			b.ReportMetric(float64(len(ref))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 		})

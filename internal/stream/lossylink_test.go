@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -288,5 +289,54 @@ func TestSenderImpairEndToEnd(t *testing.T) {
 	if real == len(dst) && st.Dropped > rx.Recovered() {
 		t.Errorf("lost %d frames, FEC recovered %d, yet nothing was concealed",
 			st.Dropped, rx.Recovered())
+	}
+}
+
+// TestReceiverFrameObserverSkipsFECReconstructions drives the live
+// binding's estimator feed over loopback: the observer fires once per
+// direct data frame, with its relay timestamp, and never for a frame FEC
+// reconstructed (it surfaces at the parity frame's arrival, which says
+// nothing about the relay clock).
+func TestReceiverFrameObserverSkipsFECReconstructions(t *testing.T) {
+	rx, err := NewReceiver("127.0.0.1:0", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	var seen []uint64
+	rx.SetFrameObserver(func(ts uint64) { seen = append(seen, ts) })
+	tx, err := NewSender(rx.Addr(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	if err := tx.EnableFEC(4); err != nil {
+		t.Fatal(err)
+	}
+	// Slots count datagrams, parity included: slot 1 is data frame 1.
+	link, err := NewLossyLink(LossParams{Outages: []Outage{{StartSlot: 1, DurationSlots: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Impair(link)
+	const nFrames = 8
+	if err := tx.Send(audio.Render(audio.NewTone(440, 8000, 0.5, 0), nFrames*40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// 8 data + 2 parity datagrams were offered and one data frame dropped.
+	for got := 0; got < 9; got++ {
+		if _, err := rx.Poll(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rx.Recovered() != 1 {
+		t.Fatalf("FEC recovered %d frames, want the dropped one", rx.Recovered())
+	}
+	want := []uint64{0, 80, 120, 160, 200, 240, 280}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("observer saw timestamps %v, want %v (every direct data frame once, no reconstruction)", seen, want)
 	}
 }

@@ -246,6 +246,9 @@ func (r *Receiver) Stats() JitterStats {
 	return st
 }
 
+// PlayoutClock returns the jitter buffer's playout clock.
+func (r *Receiver) PlayoutClock() uint64 { return r.jb.PlayoutClock() }
+
 // Buffered returns the number of frames waiting in the jitter buffer.
 func (r *Receiver) Buffered() int { return r.jb.Buffered() }
 

@@ -413,14 +413,12 @@ type (
 	DriftControl = graph.DriftControl
 	// ReceiverSource adapts a jitter-buffered Receiver to a SampleSource.
 	ReceiverSource = graph.ReceiverSource
-	// DriftSource slaves a SampleSource to the local clock through a
-	// DriftEstimator-steered VariRateResampler.
+	// DriftSource slaves a ReceiverSource to the local clock through a
+	// DriftEstimator-steered VariRateResampler; it is the DriftControl.
 	DriftSource = graph.DriftSource
 	// DerivedAmbient synthesizes the acoustic leg from the delayed
 	// reference (the live demo's binding).
 	DerivedAmbient = graph.DerivedAmbient
-	// LiveDrift reports an online estimator to the supervisor per block.
-	LiveDrift = graph.LiveDrift
 )
 
 // BuildPipeline plans the lookahead budget and assembles the unified
