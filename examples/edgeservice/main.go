@@ -1,9 +1,9 @@
 // Edgeservice: the Figure 10(b) architectural variant — noise cancellation
 // as an edge service. One DSP server process receives waveform streams
-// from two ceiling relays over UDP, runs a LANC instance per user, and
-// reports each user's cancellation. In a deployment the server would send
-// anti-noise back over RF; here the acoustic legs are simulated locally so
-// the example is self-contained on loopback.
+// from two ceiling relays over UDP, runs one cancellation pipeline per
+// user, and reports each user's cancellation. In a deployment the server
+// would send anti-noise back over RF; here the acoustic legs are simulated
+// locally so the example is self-contained on loopback.
 package main
 
 import (
@@ -18,37 +18,20 @@ import (
 	"mute/pkg/mute"
 )
 
-// user is one served listener: a UDP receiver, a LANC instance, and the
-// simulated acoustic leg from the relay's sound field to the user's ear.
+// frame is the relay's frame size and the server's processing block.
+const frame = 80
+
+// user is one served listener: a UDP receiver and the pipeline that pulls
+// from it, with the acoustic leg from the relay's sound field to the
+// user's ear derived from the received reference.
 type user struct {
-	name     string
-	rx       *mute.Receiver
-	lanc     *mute.Canceller
-	acoustic *dsp.DelayLine
-	channel  *dsp.StreamConvolver
-	sec      *dsp.StreamConvolver
-	noisePow float64
-	resPow   float64
-	err      float64
+	name string
+	rx   *mute.Receiver
+	pl   *mute.Pipeline
 }
 
-func newUser(name string, lookahead int) (*user, error) {
+func newUser(name string, lookahead int, fs float64) (*user, error) {
 	rx, err := mute.NewReceiver("127.0.0.1:0", 256)
-	if err != nil {
-		return nil, err
-	}
-	secPath := core.EarSecondaryPath()
-	budget, err := mute.PlanBudget(lookahead, core.DefaultPipeline())
-	if err != nil {
-		return nil, err
-	}
-	lanc, err := mute.NewCanceller(mute.CancellerConfig{
-		NonCausalTaps: budget.UsableTaps,
-		CausalTaps:    64,
-		Mu:            0.1,
-		Normalized:    true,
-		SecondaryPath: secPath,
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -56,20 +39,35 @@ func newUser(name string, lookahead int) (*user, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &user{
-		name:     name,
-		rx:       rx,
-		lanc:     lanc,
-		acoustic: delay,
-		channel:  dsp.NewStreamConvolver([]float64{0.8, 0.3, 0.12, 0.05}),
-		sec:      dsp.NewStreamConvolver(secPath),
-	}, nil
+	secPath := core.EarSecondaryPath()
+	// The simulated ear's chain carries no device latency, so no pipeline
+	// is debited (see core.EarSecondaryPath).
+	pl, err := mute.BuildPipeline(mute.PipelineConfig{
+		SampleRate: fs,
+		Lookahead:  lookahead,
+		Canceller: mute.PipelineCancellerParams{
+			CausalTaps:    64,
+			Mu:            0.1,
+			SecondaryPath: secPath,
+		},
+		Reference: &mute.ReceiverSource{Buf: rx},
+		Ambient: &mute.DerivedAmbient{
+			Delay:   delay,
+			Channel: dsp.NewStreamConvolver([]float64{0.8, 0.3, 0.12, 0.05}),
+		},
+		SecondaryIR: secPath,
+	})
+	if err != nil {
+		rx.Close()
+		return nil, err
+	}
+	return &user{name: name, rx: rx, pl: pl}, nil
 }
 
-// serve drains the user's stream for the given duration, running LANC.
-func (u *user) serve(d time.Duration) {
+// serve drains the user's stream for the given duration, one block per
+// 10 ms tick.
+func (u *user) serve(d time.Duration) error {
 	deadline := time.Now().Add(d)
-	block := make([]float64, 80)
 	for time.Now().Before(deadline) {
 		for {
 			got, _ := u.rx.Poll(time.Millisecond)
@@ -77,30 +75,24 @@ func (u *user) serve(d time.Duration) {
 				break
 			}
 		}
-		u.rx.Pop(block)
-		for _, x := range block {
-			u.lanc.Adapt(u.err)
-			u.lanc.Push(x)
-			a := u.lanc.AntiNoise()
-			dSig := u.channel.Process(u.acoustic.Process(x))
-			u.err = dSig + u.sec.Process(a)
-			u.noisePow += dSig * dSig
-			u.resPow += u.err * u.err
+		if _, err := u.pl.ProcessBlock(frame); err != nil {
+			return err
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	return nil
 }
 
 func main() {
 	const fs = 8000.0
 	users := make([]*user, 0, 2)
 	for i, name := range []string{"alice", "bob"} {
-		u, err := newUser(name, 48+16*i)
+		u, err := newUser(name, 48+16*i, fs)
 		if err != nil {
 			log.Fatal(err)
 		}
 		users = append(users, u)
-		fmt.Printf("edge server: serving %s on %s\n", name, u.rx.Addr())
+		fmt.Printf("edge server: serving %s on %s (N=%d non-causal taps)\n", name, u.rx.Addr(), u.pl.NonCausalTaps)
 	}
 
 	// Two ceiling relays stream different ambient sounds to their users.
@@ -110,7 +102,7 @@ func main() {
 	}
 	var wg sync.WaitGroup
 	for i, u := range users {
-		tx, err := mute.NewSender(u.rx.Addr(), 80)
+		tx, err := mute.NewSender(u.rx.Addr(), frame)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -119,7 +111,7 @@ func main() {
 			defer wg.Done()
 			defer tx.Close()
 			for f := 0; f < 400; f++ { // 4 seconds of audio
-				if err := tx.Send(audio.Render(gen, 80)); err != nil {
+				if err := tx.Send(audio.Render(gen, frame)); err != nil {
 					log.Println("send:", err)
 					return
 				}
@@ -129,15 +121,18 @@ func main() {
 		}(sounds[i], tx)
 		go func(u *user) {
 			defer wg.Done()
-			u.serve(4500 * time.Millisecond)
+			if err := u.serve(4500 * time.Millisecond); err != nil {
+				log.Println("serve:", err)
+			}
 		}(u)
 	}
 	wg.Wait()
 
 	for _, u := range users {
 		st := u.rx.Stats()
+		noisePow, resPow := u.pl.Meters()
 		fmt.Printf("%s: cancellation %.1f dB (%d frames, %d samples concealed)\n",
-			u.name, dsp.DB(u.resPow/(u.noisePow+1e-12)), st.FramesReceived, st.SamplesConcealed)
-		u.rx.Close()
+			u.name, dsp.DB(resPow/(noisePow+1e-12)), st.FramesReceived, st.SamplesConcealed)
+		u.pl.Close() // closes the receiver
 	}
 }

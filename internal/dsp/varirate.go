@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // CubicHermite evaluates the Catmull-Rom cubic through four equally spaced
 // samples at fractional position frac ∈ [0, 1) between y0 and y1. At
@@ -105,17 +102,6 @@ func (r *VariRateResampler) Rate() float64 { return r.rate }
 // how many input samples the resampler has consumed, fractionally.
 func (r *VariRateResampler) Position() float64 { return r.pos }
 
-// Pending returns how many pushed input samples lie at or beyond the
-// current read position (buffered input not yet turned into output).
-func (r *VariRateResampler) Pending() int {
-	// pos is invariantly >= 0, so integer truncation is floor.
-	i := uint64(r.pos)
-	if r.head <= i {
-		return 0
-	}
-	return int(r.head - i)
-}
-
 // Push appends one input sample with its concealment flag (real = a
 // genuinely received sample, false = concealed).
 func (r *VariRateResampler) Push(x float64, real bool) {
@@ -208,18 +194,4 @@ func (r *VariRateResampler) compact() {
 	r.buf = append(r.buf[:0], r.buf[n:]...)
 	r.real = append(r.real[:0], r.real[n:]...)
 	r.base = keep
-}
-
-// Reset returns the resampler to its initial state at unity rate.
-func (r *VariRateResampler) Reset() {
-	r.buf = r.buf[:0]
-	r.real = r.real[:0]
-	r.base, r.head = 0, 0
-	r.pos = 0
-	r.rate = 1
-}
-
-// String aids debugging.
-func (r *VariRateResampler) String() string {
-	return fmt.Sprintf("VariRateResampler{pos=%.3f rate=%.6f pending=%d}", r.pos, r.rate, r.Pending())
 }

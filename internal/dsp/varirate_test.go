@@ -253,3 +253,23 @@ func TestVariRateNeedMatchesReadyLoop(t *testing.T) {
 		}
 	}
 }
+
+// Pending returns how many pushed input samples lie at or beyond the
+// current read position (buffered input not yet turned into output).
+func (r *VariRateResampler) Pending() int {
+	// pos is invariantly >= 0, so integer truncation is floor.
+	i := uint64(r.pos)
+	if r.head <= i {
+		return 0
+	}
+	return int(r.head - i)
+}
+
+// Reset returns the resampler to its initial state at unity rate.
+func (r *VariRateResampler) Reset() {
+	r.buf = r.buf[:0]
+	r.real = r.real[:0]
+	r.base, r.head = 0, 0
+	r.pos = 0
+	r.rate = 1
+}

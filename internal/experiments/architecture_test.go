@@ -22,8 +22,8 @@ var cancellerConstructors = map[string]bool{
 	"mute/internal/headphone.NewANC": true,
 }
 
-// handWired lists the loops in internal/sim and internal/experiments
-// that still build and step their own canceller, keyed by
+// handWired lists the loops in internal/sim, internal/experiments, cmd/
+// and examples/ that still build and step their own canceller, keyed by
 // "dir/file.go:Func callee", each with the graph feature it is waiting
 // for. Every other run goes through graph.Build.
 var handWired = map[string]string{
@@ -32,12 +32,23 @@ var handWired = map[string]string{
 }
 
 // TestCancellationLoopsGoThroughGraph fails when a non-test file in
-// internal/sim or internal/experiments constructs a canceller outside the
-// handWired list, and when a listed site no longer does (so the list only
-// ever shrinks with the code).
+// internal/sim, internal/experiments or a cmd/ or examples/ binary
+// constructs a canceller outside the handWired list, and when a listed
+// site no longer does (so the list only ever shrinks with the code).
 func TestCancellationLoopsGoThroughGraph(t *testing.T) {
 	found := map[string]bool{}
-	for _, dir := range []string{"../sim", "."} {
+	dirs := []string{"../sim", "."}
+	for _, pattern := range []string{"../../cmd/*", "../../examples/*"} {
+		bins, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bins) == 0 {
+			t.Fatalf("no directory matches %s", pattern)
+		}
+		dirs = append(dirs, bins...)
+	}
+	for _, dir := range dirs {
 		abs, err := filepath.Abs(dir)
 		if err != nil {
 			t.Fatal(err)

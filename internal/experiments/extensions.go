@@ -24,20 +24,12 @@ func Variants(c Config) (*Figure, error) {
 	}
 	cases := []struct {
 		name string
-		vp   func(sim.Params) sim.VariantParams
+		set  func(*sim.Params)
 	}{
-		{"WallRelay", func(p sim.Params) sim.VariantParams {
-			return sim.VariantParams{Base: p, Variant: sim.WallRelay}
-		}},
-		{"Tabletop (loop 8)", func(p sim.Params) sim.VariantParams {
-			return sim.VariantParams{Base: p, Variant: sim.Tabletop, ControlLoopDelaySamples: 8}
-		}},
-		{"Tabletop (loop 40)", func(p sim.Params) sim.VariantParams {
-			return sim.VariantParams{Base: p, Variant: sim.Tabletop, ControlLoopDelaySamples: 40}
-		}},
-		{"SmartNoise", func(p sim.Params) sim.VariantParams {
-			return sim.VariantParams{Base: p, Variant: sim.SmartNoise}
-		}},
+		{"WallRelay", func(*sim.Params) {}},
+		{"Tabletop (loop 8)", func(p *sim.Params) { p.ControlLoopDelaySamples = 8 }},
+		{"Tabletop (loop 40)", func(p *sim.Params) { p.ControlLoopDelaySamples = 40 }},
+		{"SmartNoise", func(p *sim.Params) { p.Scene = p.Scene.RelayOnSource() }},
 	}
 	type out struct {
 		db   float64
@@ -49,7 +41,8 @@ func Variants(c Config) (*Figure, error) {
 		p := sim.DefaultParams(sim.DefaultScene(gen()))
 		p.Duration = c.Duration
 		p.Seed = c.Seed
-		r, err := sim.RunVariant(cases[i].vp(p))
+		cases[i].set(&p)
+		r, err := sim.Run(p, sim.MUTEHollow)
 		if err != nil {
 			return err
 		}
@@ -97,7 +90,8 @@ func Mobility(c Config) (*Figure, error) {
 		if !p.Scene.Room.Inside(end) {
 			end.Y = p.Scene.EarPos.Y - drifts[i]
 		}
-		r, err := sim.RunMobile(sim.MobilityParams{Base: p, EarEnd: end})
+		p.EarEnd = &end
+		r, err := sim.Run(p, sim.MUTEHollow)
 		if err != nil {
 			return err
 		}

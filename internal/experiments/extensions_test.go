@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestVariantsExperiment(t *testing.T) {
 	fig, err := Variants(Config{Duration: 4})
@@ -33,6 +36,25 @@ func TestMobilityExperiment(t *testing.T) {
 	// The largest drift must not beat the static case.
 	if s.Y[len(s.Y)-1] < s.Y[0]-0.5 {
 		t.Errorf("1.2 m drift (%.1f dB) should not beat static (%.1f dB)", s.Y[len(s.Y)-1], s.Y[0])
+	}
+}
+
+// TestMobilityStaticCellIsWallRelay holds the mobility sweep's 0 m cell to
+// the variants figure's WallRelay cell bit for bit: an ear that does not
+// move is the static run, through the same render and capture chain.
+func TestMobilityStaticCellIsWallRelay(t *testing.T) {
+	c := Config{Duration: 2}
+	mob, err := Mobility(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars, err := Variants(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	still, wall := mob.Series[0].Y[0], vars.Series[0].Y[0]
+	if math.Float64bits(still) != math.Float64bits(wall) {
+		t.Errorf("mobility 0 m cell %v dB, variants WallRelay %v dB: want the same bits", still, wall)
 	}
 }
 

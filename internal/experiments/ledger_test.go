@@ -19,9 +19,8 @@ var optionsLedger = map[string]int{
 	"graph.Config":          25,
 	"graph.CancellerParams": 6,
 	"graph.FDAFParams":      2,
-	"sim.Params":            24,
+	"sim.Params":            26,
 	"sim.LossTransport":     8,
-	"sim.MobilityParams":    2,
 	"core.Config":           14,
 	"supervisor.Config":     6,
 	"fleet.Profile":         16,

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
 	"mute/internal/audio"
 	"mute/internal/dsp"
 	"mute/internal/graph"
+	"mute/internal/stream"
 	"mute/internal/telemetry"
 )
 
@@ -80,19 +82,21 @@ func TestBlockFDAFPathCancels(t *testing.T) {
 	}
 }
 
-// TestBlockFDAFRejectsUnsupportedCombos pins the compatibility contract:
-// the block path has no sample-clocked transport/supervisor machinery,
-// and Run refuses each combination with graph.ErrUnsupported.
+// TestBlockFDAFRejectsUnsupportedCombos pins the compatibility contract
+// through Run: BlockFDAF only selects the canceller kind, the transport
+// binds as for LANC, and graph.Build refuses each stage the block
+// canceller lacks with graph.ErrUnsupported. A loss-blind lossy transport
+// is no such stage: the block canceller runs over the concealed reference.
 func TestBlockFDAFRejectsUnsupportedCombos(t *testing.T) {
 	gen := func() audio.Generator { return audio.NewWhiteNoise(1, 8000, 0.3) }
-	mods := map[string]func(*Params){
-		"supervise": func(p *Params) { p.Supervise = true },
-		"profiling": func(p *Params) { p.Profiling = true },
-		"transport": func(p *Params) { p.LossTransport = &LossTransport{FrameSamples: 40} },
-		"skew":      func(p *Params) { p.ClockSkewPPM = 100 },
-		"drift":     func(p *Params) { p.DriftCorrect = true },
-	}
-	for name, mod := range mods {
+	for name, mod := range map[string]func(*Params){
+		"supervise":  func(p *Params) { p.Supervise = true },
+		"profiling":  func(p *Params) { p.Profiling = true },
+		"loss-aware": func(p *Params) { p.LossTransport = &LossTransport{FrameSamples: 40, LossAware: true} },
+		"skew":       func(p *Params) { p.ClockSkewPPM = 100 },
+		"drift":      func(p *Params) { p.LossTransport = &LossTransport{FrameSamples: 40, DriftCorrect: true} },
+		"loop":       func(p *Params) { p.ControlLoopDelaySamples = 8 },
+	} {
 		p := DefaultParams(DefaultScene(gen()))
 		p.Duration = 0.1
 		p.BlockFDAF = true
@@ -108,6 +112,34 @@ func TestBlockFDAFRejectsUnsupportedCombos(t *testing.T) {
 	p.BlockSize = 12
 	if _, err := Run(p, MUTEHollow); err == nil {
 		t.Error("BlockFDAF with non-power-of-two block size should be rejected")
+	}
+
+	p = DefaultParams(DefaultScene(gen()))
+	p.Duration = 2
+	p.BlockFDAF = true
+	p.LossTransport = &LossTransport{
+		Link:         stream.LossParams{Seed: 42, Loss: 0.10, MeanBurst: 4},
+		FrameSamples: 40,
+		PrimeFrames:  1,
+	}
+	r, err := Run(p, MUTEHollow)
+	if err != nil {
+		t.Fatalf("BlockFDAF over a loss-blind lossy transport: %v", err)
+	}
+	if r.Transport == nil || r.Transport.Link.Dropped == 0 {
+		t.Fatalf("transport stats %+v: want a lossy link", r.Transport)
+	}
+	for i, v := range r.Residual {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("residual[%d] = %v", i, v)
+		}
+	}
+	db, err := r.CancellationDB(50, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db > 0.5 {
+		t.Errorf("BlockFDAF over a lossy transport: %.2f dB, want no worse than passthrough + 0.5 dB", db)
 	}
 }
 

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"mute/internal/acoustics"
 	"mute/internal/audio"
 	"mute/internal/core"
 	"mute/internal/dsp"
@@ -64,6 +66,12 @@ func (s Scheme) usesPassive() bool { return s != MUTEHollow }
 type Params struct {
 	// Scene is the physical layout.
 	Scene Scene
+	// EarEnd, when non-nil and away from Scene.EarPos, moves the ear
+	// device in a straight line from Scene.EarPos to EarEnd over the run
+	// (Section 6, head mobility): the source→ear channels are re-sampled
+	// every hopSeconds and cross-faded, and the canceller must track
+	// them. The lookahead is budgeted at the start position.
+	EarEnd *acoustics.Point
 	// Duration is the simulated time in seconds.
 	Duration float64
 
@@ -86,6 +94,13 @@ type Params struct {
 	// forwarded reference — the paper's delayed-line trick for shrinking
 	// lookahead without moving hardware (Figure 16).
 	ExtraReferenceDelay int
+	// ControlLoopDelaySamples is the Tabletop variant's control loop
+	// (Figure 10(a)): the DSP sits at the relay, so the anti-noise takes a
+	// downlink to the ear and the error signal an uplink back, in samples
+	// of digital framing. The downlink half (L/2) adds to the speaker
+	// latency and the secondary path; the uplink half (L − L/2) delays the
+	// fed-back error. 0 is the wall relay, with the DSP at the ear.
+	ControlLoopDelaySamples int
 	// LossTransport, when non-nil, routes the forwarded reference through
 	// the packetized transport (LANC schemes only), pulled through the
 	// live ear's jitter-buffer and drift sources; its playout prime comes
@@ -116,9 +131,11 @@ type Params struct {
 	// BlockFDAF replaces the sample-by-sample LANC with the partitioned
 	// frequency-domain canceller (core.BlockLANC): anti-noise is produced
 	// in blocks of BlockSize samples with FFT-economics filtering, adapting
-	// once per block. It applies to the LANC schemes only and is
-	// incompatible with the packetized transport, supervisor, profiling,
-	// and clock-fault machinery (all sample-clocked).
+	// once per block. It applies to the LANC schemes only and selects the
+	// canceller kind alone: the transport binds as for LANC, and
+	// graph.Build refuses the stages the block canceller lacks
+	// (supervision, profiling, the concealment gate, drift control and a
+	// control loop) with graph.ErrUnsupported.
 	BlockFDAF bool
 	// BlockSize is the FDAF block size B in samples (power of two,
 	// 0 = 32). The block costs no lookahead; larger blocks adapt less
@@ -173,6 +190,39 @@ func DefaultParams(scene Scene) Params {
 	}
 }
 
+// validate checks the settings every simulated run reads and returns the
+// run's length in samples.
+func (p Params) validate() (int, error) {
+	if err := p.Scene.Validate(); err != nil {
+		return 0, err
+	}
+	if p.Duration <= 0 {
+		return 0, fmt.Errorf("sim: duration %g must be positive", p.Duration)
+	}
+	if p.CausalTaps <= 0 {
+		return 0, fmt.Errorf("sim: causal taps %d must be positive", p.CausalTaps)
+	}
+	if p.Mu <= 0 {
+		return 0, fmt.Errorf("sim: mu %g must be positive", p.Mu)
+	}
+	if p.EarEnd != nil && !p.Scene.Room.Inside(*p.EarEnd) {
+		return 0, fmt.Errorf("sim: ear path endpoint %v outside room", *p.EarEnd)
+	}
+	n := int(p.Duration * p.Scene.SampleRate)
+	if n < 1 {
+		return 0, fmt.Errorf("sim: duration too short")
+	}
+	return n, nil
+}
+
+// observeStage records the wall time since start on a stage timer when the
+// run carries a registry.
+func (p Params) observeStage(name string, start time.Time) {
+	if p.Telemetry != nil {
+		p.Telemetry.Timer(name).Since(start)
+	}
+}
+
 // Result is the outcome of one simulated run.
 type Result struct {
 	// Scheme that was simulated.
@@ -213,94 +263,41 @@ type Result struct {
 	SampleRate float64
 }
 
-// Run simulates the scheme and returns the recordings.
+// Run simulates the scheme and returns the recordings. It is the one
+// path from a single-relay scene to graph.Build: the architectural variants
+// (Tabletop's control loop, the smart-noise relay placement) and the
+// moving ear are Params and Scene settings of the same run.
 func Run(p Params, scheme Scheme) (*Result, error) {
-	if err := p.Scene.Validate(); err != nil {
+	n, err := p.validate()
+	if err != nil {
 		return nil, err
-	}
-	if p.Duration <= 0 {
-		return nil, fmt.Errorf("sim: duration %g must be positive", p.Duration)
-	}
-	if p.CausalTaps <= 0 {
-		return nil, fmt.Errorf("sim: causal taps %d must be positive", p.CausalTaps)
-	}
-	if p.Mu <= 0 {
-		return nil, fmt.Errorf("sim: mu %g must be positive", p.Mu)
 	}
 	if p.ExtraReferenceDelay < 0 {
 		return nil, fmt.Errorf("sim: negative extra reference delay %d", p.ExtraReferenceDelay)
 	}
-	if p.BlockFDAF {
-		if p.Supervise || p.Profiling || p.LossTransport != nil ||
-			p.ClockSkewPPM != 0 || p.DriftCorrect {
-			return nil, fmt.Errorf("sim: %w: BlockFDAF with the transport/supervisor/profiling/clock-fault options", graph.ErrUnsupported)
-		}
+	loop := p.ControlLoopDelaySamples
+	if loop < 0 {
+		return nil, fmt.Errorf("sim: negative control loop delay %d", loop)
 	}
 	fs := p.Scene.SampleRate
-	n := int(p.Duration * fs)
-	if n < 1 {
-		return nil, fmt.Errorf("sim: duration too short")
-	}
 
-	// --- Acoustic channels -------------------------------------------------
+	// --- Acoustic channels, relay and wireless link --------------------------
 	stageStart := time.Now()
-	var (
-		refStreams [][]float64 // per-source contribution at the relay mic
-		earStreams [][]float64 // per-source contribution at the ear (open)
-	)
-	for _, src := range p.Scene.Sources {
-		hnr, err := p.Scene.Room.ImpulseResponse(src.Pos, p.Scene.RelayPos, fs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: source→relay RIR: %w", err)
-		}
-		hne, err := p.Scene.Room.ImpulseResponse(src.Pos, p.Scene.EarPos, fs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: source→ear RIR: %w", err)
-		}
-		wave := audio.Render(src.Gen, n)
-		// Pre-render via the convolver's block path: room IRs are long
-		// enough that partitioned overlap-save beats direct convolution,
-		// and the streaming-from-zero semantics match ConvolveSame. The
-		// render cache folds the repeated per-scheme renders of one scene
-		// into a single convolution (bit-identical by construction); the
-		// shared slices are read-only from here on.
-		refStreams = append(refStreams, acousticRenders.render(wave, hnr))
-		earStreams = append(earStreams, acousticRenders.render(wave, hne))
-	}
-	ref := sumStreams(refStreams, n)
-	open := sumStreams(earStreams, n)
-	if p.Telemetry != nil {
-		p.Telemetry.Timer("sim.stage.acoustics").Since(stageStart)
-	}
-
-	// --- Relay and wireless link -------------------------------------------
-	stageStart = time.Now()
-	relay, err := rf.NewRelay(p.Relay, fmParamsFor(p, fs))
+	waves := sourceWaves(p.Scene, n)
+	open, err := earLeg(p, waves)
 	if err != nil {
 		return nil, err
 	}
-	var forwarded []float64
+	p.observeStage("sim.stage.acoustics", stageStart)
 	// The Bose schemes never read the forwarded reference (their mic is
-	// local), so the capture chain only runs when the canceller — or an
-	// attached trace, which records forwarded block levels for every
-	// scheme — consumes it. Relay parameter validation above still applies
-	// to all schemes.
-	switch {
-	case !scheme.usesLANC() && p.Trace == nil:
-	case p.UseFMLink:
-		forwarded, err = relay.Forward(ref, p.Channel)
-		if err != nil {
-			return nil, fmt.Errorf("sim: FM link: %w", err)
-		}
-	default:
-		// The analog capture is deterministic in (ref, relay params), so
-		// schemes of one figure share a single render. The cached slice is
-		// shared: copy before any in-place processing below.
-		forwarded = acousticRenders.memoized(ref, []float64{
-			p.Relay.MicNoiseRMS, p.Relay.LPFCutoffHz, p.Relay.Gain,
-			float64(p.Relay.Seed), fs,
-		}, renderKindCapture, func() []float64 { return relay.Capture(ref) })
+	// local), so the relay's front end only runs when the canceller — or
+	// an attached trace, which records forwarded block levels for every
+	// scheme — consumes it.
+	ref, forwarded, err := relayLeg(p, waves, p.Scene.RelayPos, p.Relay.Seed, scheme.usesLANC() || p.Trace != nil)
+	if err != nil {
+		return nil, err
 	}
+	stageStart = time.Now()
 	if p.ExtraReferenceDelay > 0 && forwarded != nil {
 		dl, err := dsp.NewDelayLine(p.ExtraReferenceDelay)
 		if err != nil {
@@ -312,9 +309,7 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		}
 		forwarded = shifted
 	}
-	if p.Telemetry != nil {
-		p.Telemetry.Timer("sim.stage.link").Since(stageStart)
-	}
+	p.observeStage("sim.stage.link", stageStart)
 
 	// --- Passive isolation --------------------------------------------------
 	underCup := open
@@ -331,8 +326,12 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	}
 
 	// --- Secondary (speaker → error mic) chain ------------------------------
-	// The acoustic part is shared; each device adds its own latency.
-	delay := sampleDelay(p.Pipeline.Total()) // MUTE's TI-board pipeline
+	// The acoustic part is shared; each device adds its own latency. A
+	// Tabletop's anti-noise downlink is half its control loop, charged to
+	// the speaker; the uplink half delays the fed-back error.
+	pipe := p.Pipeline
+	pipe.Speaker += loop / 2
+	delay := sampleDelay(pipe.Total()) // MUTE's TI-board pipeline
 	if !scheme.usesLANC() {
 		// The commercial headphone's optimized (sub-sample) latency.
 		if delay, err = dsp.FractionalDelayFIR(headphone.LatencySamples); err != nil {
@@ -368,8 +367,9 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		SampleRate:          fs,
 		Lookahead:           res.LookaheadSamples,
 		ExtraReferenceDelay: p.ExtraReferenceDelay,
-		Pipeline:            p.Pipeline,
+		Pipeline:            pipe,
 		MaxNonCausalTaps:    p.MaxNonCausalTaps,
+		ErrorDelay:          loop - loop/2,
 		Canceller: graph.CancellerParams{
 			CausalTaps:    p.CausalTaps,
 			Mu:            p.Mu,
@@ -399,17 +399,14 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		gcfg.Headphone = true
 		gcfg.Canceller = graph.CancellerParams{SecondaryPath: secEst}
 		gcfg.Reference = &graph.SliceSource{Samples: open}
-	case p.BlockFDAF:
-		// Partitioned frequency-domain path: anti-noise is produced one
-		// block at a time, adapting on the previous block's error. It plans
-		// the same budget as the time-domain path: anti-noise sample t
-		// depends only on reference samples up to t.
-		bsize := p.BlockSize
-		if bsize == 0 {
-			bsize = 32
-		}
-		gcfg.FDAF = &graph.FDAFParams{BlockSize: bsize}
 	default:
+		if p.BlockFDAF {
+			// Partitioned frequency-domain kind: anti-noise is produced one
+			// block at a time, adapting on the previous block's error. It
+			// plans the same budget as the time-domain kind: anti-noise
+			// sample t depends only on reference samples up to t.
+			gcfg.FDAF = &graph.FDAFParams{BlockSize: cmp.Or(p.BlockSize, 32)}
+		}
 		// The packetized transport replaces the ideal wire; its playout
 		// prime delays the reference and is booked in the budget.
 		skewed := p.ClockSkewPPM != 0

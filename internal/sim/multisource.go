@@ -8,7 +8,6 @@ import (
 	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/internal/graph"
-	"mute/internal/rf"
 )
 
 // MultiRelayParams configures a multi-source, multi-relay run: one relay
@@ -29,11 +28,9 @@ type MultiRelayParams struct {
 // sums one adaptive filter per relay.
 func RunMultiRelay(mp MultiRelayParams) (*Result, error) {
 	p := mp.Base
-	if err := p.Scene.Validate(); err != nil {
+	n, err := p.validate()
+	if err != nil {
 		return nil, err
-	}
-	if p.Duration <= 0 {
-		return nil, fmt.Errorf("sim: duration %g must be positive", p.Duration)
 	}
 	if len(mp.RelayPositions) != len(p.Scene.Sources) {
 		return nil, fmt.Errorf("sim: %d relay positions for %d sources",
@@ -45,45 +42,20 @@ func RunMultiRelay(mp MultiRelayParams) (*Result, error) {
 		}
 	}
 	fs := p.Scene.SampleRate
-	n := int(p.Duration * fs)
 
-	// Acoustic legs: every source contributes to every relay and to the ear.
-	waves := make([][]float64, len(p.Scene.Sources))
-	for i, src := range p.Scene.Sources {
-		waves[i] = audio.Render(src.Gen, n)
-	}
-	open := make([]float64, n)
-	for i, src := range p.Scene.Sources {
-		hne, err := p.Scene.Room.ImpulseResponse(src.Pos, p.Scene.EarPos, fs)
-		if err != nil {
-			return nil, err
-		}
-		leg := dsp.ConvolveSame(waves[i], hne)
-		for t := range open {
-			open[t] += leg[t]
-		}
+	// Acoustic legs: every source contributes to every relay and to the
+	// ear, through Run's renders and relay capture chain (independent
+	// mic-noise streams per relay).
+	waves := sourceWaves(p.Scene, n)
+	open, err := earLeg(p, waves)
+	if err != nil {
+		return nil, err
 	}
 	refs := make([][]float64, len(mp.RelayPositions))
 	for r, rp := range mp.RelayPositions {
-		refs[r] = make([]float64, n)
-		for i, src := range p.Scene.Sources {
-			hnr, err := p.Scene.Room.ImpulseResponse(src.Pos, rp, fs)
-			if err != nil {
-				return nil, err
-			}
-			leg := dsp.ConvolveSame(waves[i], hnr)
-			for t := range refs[r] {
-				refs[r][t] += leg[t]
-			}
-		}
-		// Relay analog front end (independent mic-noise streams).
-		relayParams := p.Relay
-		relayParams.Seed = p.Relay.Seed + uint64(r)*101
-		relay, err := rf.NewRelay(relayParams, fmParamsFor(p, fs))
-		if err != nil {
+		if _, refs[r], err = relayLeg(p, waves, rp, p.Relay.Seed+uint64(r)*101, true); err != nil {
 			return nil, err
 		}
-		refs[r] = relay.Capture(refs[r])
 	}
 
 	// Secondary chain and per-relay budgets.

@@ -87,6 +87,19 @@ func (s Scene) Validate() error {
 	return nil
 }
 
+// RelayOnSource returns the scene with the relay taped to the dominant
+// source (Figure 10(c), smart noise): 10 cm beside it, so the reference
+// microphone hears the source with negligible acoustic delay and the
+// lookahead is maximal.
+func (s Scene) RelayOnSource() Scene {
+	src := s.Sources[0].Pos
+	s.RelayPos = acoustics.Point{X: src.X + 0.1, Y: src.Y, Z: src.Z}
+	if !s.Room.Inside(s.RelayPos) {
+		s.RelayPos.X = src.X - 0.1
+	}
+	return s
+}
+
 // LookaheadSamples returns the geometric lookahead (in samples) the relay
 // provides for the dominant source: acoustic source→ear delay minus
 // source→relay delay (Equation 4).

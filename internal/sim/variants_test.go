@@ -1,38 +1,29 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"mute/internal/acoustics"
 	"mute/internal/audio"
 	"mute/internal/core"
+	"mute/internal/graph"
+	"mute/internal/stream"
+	"mute/internal/supervisor"
 )
-
-func TestVariantString(t *testing.T) {
-	names := map[Variant]string{
-		WallRelay:  "WallRelay",
-		Tabletop:   "Tabletop",
-		SmartNoise: "SmartNoise",
-		Variant(9): "Variant(9)",
-	}
-	for v, want := range names {
-		if v.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(v), v.String(), want)
-		}
-	}
-}
 
 func TestSmartNoiseMaximizesLookahead(t *testing.T) {
 	base := DefaultParams(whiteScene(1))
 	base.Duration = 6
-	wall, err := RunVariant(VariantParams{Base: base, Variant: WallRelay})
+	wall, err := Run(base, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base2 := DefaultParams(whiteScene(1))
 	base2.Duration = 6
-	smart, err := RunVariant(VariantParams{Base: base2, Variant: SmartNoise})
+	base2.Scene = base2.Scene.RelayOnSource()
+	smart, err := Run(base2, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +44,8 @@ func TestTabletopControlLoopCostsCancellation(t *testing.T) {
 	run := func(loop int) float64 {
 		base := DefaultParams(whiteScene(2))
 		base.Duration = 6
-		r, err := RunVariant(VariantParams{Base: base, Variant: Tabletop, ControlLoopDelaySamples: loop})
+		base.ControlLoopDelaySamples = loop
+		r, err := Run(base, MUTEHollow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,26 +70,135 @@ func TestTabletopControlLoopCostsCancellation(t *testing.T) {
 
 func TestTabletopErrors(t *testing.T) {
 	base := DefaultParams(whiteScene(3))
-	if _, err := RunVariant(VariantParams{Base: base, Variant: Tabletop, ControlLoopDelaySamples: -1}); err == nil {
+	base.ControlLoopDelaySamples = -1
+	if _, err := Run(base, MUTEHollow); err == nil {
 		t.Error("negative loop delay should error")
 	}
-	bad := base
+	bad := DefaultParams(whiteScene(3))
+	bad.ControlLoopDelaySamples = 8
 	bad.Duration = 0
-	if _, err := RunVariant(VariantParams{Base: bad, Variant: Tabletop}); err == nil {
+	if _, err := Run(bad, MUTEHollow); err == nil {
 		t.Error("zero duration should error")
 	}
-	if _, err := RunVariant(VariantParams{Base: base, Variant: Variant(42)}); err == nil {
-		t.Error("unknown variant should error")
+}
+
+// TestTabletopRefusals pins the combinations the control loop's stale
+// error cannot join: graph.Build refuses each with ErrUnsupported.
+func TestTabletopRefusals(t *testing.T) {
+	for name, tc := range map[string]struct {
+		scheme Scheme
+		mod    func(*Params)
+	}{
+		"supervise":    {MUTEHollow, func(p *Params) { p.Supervise = true }},
+		"block fdaf":   {MUTEHollow, func(p *Params) { p.BlockFDAF = true }},
+		"bose active":  {BoseActive, func(*Params) {}},
+		"bose overall": {BoseOverall, func(*Params) {}},
+	} {
+		p := DefaultParams(whiteScene(3))
+		p.Duration = 0.1
+		p.ControlLoopDelaySamples = 8
+		tc.mod(&p)
+		if _, err := Run(p, tc.scheme); !errors.Is(err, graph.ErrUnsupported) {
+			t.Errorf("Tabletop + %s: err = %v, want graph.ErrUnsupported", name, err)
+		}
+	}
+}
+
+// TestTabletopZeroLoopIsWallRelay holds a zero control loop to the wall
+// relay's run bit for bit: the pins are the wall relay's residual power
+// and last sample on this scene.
+func TestTabletopZeroLoopIsWallRelay(t *testing.T) {
+	p := DefaultParams(whiteScene(2))
+	p.Duration = 1
+	p.ControlLoopDelaySamples = 0
+	r, err := Run(p, MUTEHollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pow float64
+	for _, v := range r.Residual {
+		pow += v * v
+	}
+	if got, want := math.Float64bits(pow), uint64(0x4043286e962015b9); got != want {
+		t.Errorf("residual power bits %#x, want the wall relay's %#x", got, want)
+	}
+	if got, want := math.Float64bits(r.Residual[len(r.Residual)-1]), uint64(0x3fc14082ace302db); got != want {
+		t.Errorf("last residual bits %#x, want the wall relay's %#x", got, want)
+	}
+}
+
+// TestEarEndAtStartIsStatic holds an EarEnd that does not move the ear to
+// the static run bit for bit.
+func TestEarEndAtStartIsStatic(t *testing.T) {
+	static := DefaultParams(whiteScene(4))
+	static.Duration = 1
+	still := DefaultParams(whiteScene(4))
+	still.Duration = 1
+	still.EarEnd = &still.Scene.EarPos
+	assertSameResidual(t, static, still)
+}
+
+// assertSameResidual runs both parameter sets on MUTE_Hollow and requires
+// bit-identical residuals.
+func assertSameResidual(t *testing.T, want, got Params) {
+	t.Helper()
+	a, err := Run(want, MUTEHollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(got, MUTEHollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Residual) != len(b.Residual) {
+		t.Fatalf("residual lengths %d and %d", len(a.Residual), len(b.Residual))
+	}
+	for i := range a.Residual {
+		if math.Float64bits(a.Residual[i]) != math.Float64bits(b.Residual[i]) {
+			t.Fatalf("residual differs at %d: %v vs %v", i, b.Residual[i], a.Residual[i])
+		}
+	}
+}
+
+// TestTabletopOverLossyTransport composes the control loop with the
+// packetized transport: the prime and the downlink both come out of the
+// lookahead, and the run still cancels.
+func TestTabletopOverLossyTransport(t *testing.T) {
+	p := DefaultParams(whiteScene(2))
+	p.Duration = 4
+	p.ControlLoopDelaySamples = 8
+	p.LossTransport = &LossTransport{
+		Link:         stream.LossParams{Seed: 42, Loss: 0.05, MeanBurst: 2},
+		FrameSamples: 40,
+		PrimeFrames:  1,
+		LossAware:    true,
+	}
+	r, err := Run(p, MUTEHollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Transport == nil || r.Transport.Link.Dropped == 0 {
+		t.Fatalf("transport stats %+v: want a lossy link", r.Transport)
+	}
+	// 70 samples of lookahead less the 4-sample pipeline, the 4-sample
+	// downlink and the 40-sample prime.
+	if r.Budget.UsableTaps != 22 {
+		t.Errorf("usable taps %d, want 22", r.Budget.UsableTaps)
+	}
+	db, err := r.CancellationDB(50, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(db) || db > -5 {
+		t.Errorf("lossy Tabletop cancellation = %.1f dB, want < -5", db)
 	}
 }
 
 func TestRunMobileTracksMovingEar(t *testing.T) {
 	base := DefaultParams(whiteScene(4))
 	base.Duration = 6
-	r, err := RunMobile(MobilityParams{
-		Base:   base,
-		EarEnd: acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}, // ~0.6 m drift
-	})
+	base.EarEnd = &acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2} // ~0.6 m drift
+	r, err := Run(base, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +210,7 @@ func TestRunMobileTracksMovingEar(t *testing.T) {
 		t.Errorf("mobile-ear cancellation = %.1f dB, want < -3 (tracking)", db)
 	}
 	// Mobility should cost something versus the static run.
+	base.EarEnd = nil
 	static, err := Run(base, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
@@ -122,18 +224,42 @@ func TestRunMobileTracksMovingEar(t *testing.T) {
 	}
 }
 
+// TestMovingEarUnderSupervision composes the moving ear with the
+// degradation ladder: on a clean link the ladder stays in LANC, and the
+// supervised run equals the unsupervised one bit for bit.
+func TestMovingEarUnderSupervision(t *testing.T) {
+	params := func(supervise bool) Params {
+		p := DefaultParams(whiteScene(4))
+		p.Duration = 2
+		p.EarEnd = &acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}
+		p.Supervise = supervise
+		return p
+	}
+	r, err := Run(params(true), MUTEHollow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Supervision == nil || r.Supervision.FinalState != supervisor.StateLANC {
+		t.Fatalf("supervision report %+v: want a run that ends in LANC", r.Supervision)
+	}
+	assertSameResidual(t, params(false), params(true))
+}
+
 func TestRunMobileErrors(t *testing.T) {
 	base := DefaultParams(whiteScene(5))
-	if _, err := RunMobile(MobilityParams{Base: base, EarEnd: acoustics.Point{X: 99}}); err == nil {
+	base.EarEnd = &acoustics.Point{X: 99}
+	if _, err := Run(base, MUTEHollow); err == nil {
 		t.Error("endpoint outside room should error")
 	}
-	bad := base
+	bad := DefaultParams(whiteScene(5))
+	bad.EarEnd = &acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}
 	bad.Duration = 0
-	if _, err := RunMobile(MobilityParams{Base: bad, EarEnd: base.Scene.EarPos}); err == nil {
+	if _, err := Run(bad, MUTEHollow); err == nil {
 		t.Error("zero duration should error")
 	}
 	bad2 := DefaultParams(Scene{})
-	if _, err := RunMobile(MobilityParams{Base: bad2, EarEnd: base.Scene.EarPos}); err == nil {
+	bad2.EarEnd = &acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}
+	if _, err := Run(bad2, MUTEHollow); err == nil {
 		t.Error("invalid scene should error")
 	}
 }
@@ -142,7 +268,9 @@ func TestRunMobileStationaryMatchesStaticClosely(t *testing.T) {
 	// Degenerate path (start == end) should behave like the static run.
 	base := DefaultParams(DefaultScene(audio.NewWhiteNoise(6, fs, 0.5)))
 	base.Duration = 4
-	r, err := RunMobile(MobilityParams{Base: base, EarEnd: base.Scene.EarPos})
+	end := base.Scene.EarPos
+	base.EarEnd = &end
+	r, err := Run(base, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,22 +283,23 @@ func TestRunMobileStationaryMatchesStaticClosely(t *testing.T) {
 	}
 }
 
-// TestRunMobileBitsPinned holds a moving-ear run's residual to the exact
-// bits it had when RunMobile stepped its own LANC loop, with and without
-// error-microphone self-noise (the graph draws the noise only when its
-// RMS is non-zero).
+// TestRunMobileBitsPinned holds a moving-ear run's residual to exact bits,
+// with and without error-microphone self-noise (the graph draws the noise
+// only when its RMS is non-zero). The relay leg is Run's: the room render
+// and the relay's analog capture (mic noise, anti-alias LPF, gain).
 func TestRunMobileBitsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		rms           float64
 		pow, last, on uint64
 	}{
-		{0, 0x406000a8f4409596, 0xbfa9d090717682c4, 0xbfa9d090717682c4},
-		{1e-3, 0x406001b27e78e296, 0xbfaa895c3dfeb0f9, 0xbfa9e7307624f922},
+		{0, 0x405fee6982a6362b, 0xbfaad2a86b126ca0, 0xbfaad2a86b126ca0},
+		{1e-3, 0x405ff0840a8174fd, 0xbfab8b17d360c4d3, 0xbfaae8ec0b870cfc},
 	} {
 		base := DefaultParams(whiteScene(4))
 		base.Duration = 2
 		base.EarMicNoiseRMS = tc.rms
-		r, err := RunMobile(MobilityParams{Base: base, EarEnd: acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}})
+		base.EarEnd = &acoustics.Point{X: 3.6, Y: 2.4, Z: 1.2}
+		r, err := Run(base, MUTEHollow)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,24 +324,24 @@ func TestRunMobileBitsPinned(t *testing.T) {
 	}
 }
 
-// TestTabletopBitsPinned holds a Tabletop run's residual to the exact bits
-// it had when runTabletop stepped its own LANC loop behind a hand-built
-// error delay line, with and without error-microphone self-noise. The
-// odd control loop splits unevenly (4 samples down, 5 up), so the
-// downlink's secondary-path delay and the uplink's error delay are
-// distinguishable.
+// TestTabletopBitsPinned holds a Tabletop run's residual to exact bits,
+// with and without error-microphone self-noise. The odd control loop
+// splits unevenly (4 samples down, 5 up), so the downlink's
+// secondary-path delay and the uplink's error delay are distinguishable.
+// The relay leg is Run's: the room render and the relay's analog capture.
 func TestTabletopBitsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		rms           float64
 		pow, last, on uint64
 	}{
-		{0, 0x404f32109e0f3538, 0xbf9b806917e2ec3a, 0xbf9b806917e2ec3a},
-		{1e-3, 0x404f36d4b554d411, 0xbf9d0ee2efc71d48, 0xbf9bca8b6013ad9a},
+		{0, 0x40505293ef9b08d5, 0xbf9bb61707af439e, 0xbf9bb61707af439e},
+		{1e-3, 0x40505500fb6e8a4d, 0xbf9d41b68cab1106, 0xbf9bfd5efcf7a158},
 	} {
 		base := DefaultParams(whiteScene(2))
 		base.Duration = 2
 		base.EarMicNoiseRMS = tc.rms
-		r, err := RunVariant(VariantParams{Base: base, Variant: Tabletop, ControlLoopDelaySamples: 9})
+		base.ControlLoopDelaySamples = 9
+		r, err := Run(base, MUTEHollow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,9 +52,9 @@ func NewJitterBuffer(depth int) (*JitterBuffer, error) {
 }
 
 // SetRelease registers fn to receive every frame the buffer is finished
-// with: frames fully consumed by a Pop, frames discarded because earlier
+// with: frames fully consumed by a PopMask, frames discarded because earlier
 // coverage shadowed them, frames evicted by a depth overflow, and frames
-// dropped by Reset. Pop copies samples out before releasing, so fn may
+// dropped by Reset. PopMask copies samples out before releasing, so fn may
 // recycle the frame immediately (the fleet server returns frames to a
 // sync.Pool this way). Frames Push rejects (late, duplicate) were never
 // retained and are NOT passed to fn — the pusher still owns those. fn runs
@@ -119,7 +119,7 @@ func (j *JitterBuffer) Anchor(ts uint64) {
 // entirely before the playout point are dropped as late, duplicates are
 // ignored, and a full buffer evicts its oldest frame (counted as dropped,
 // not late — it arrived on time) to bound memory; only a true return
-// means the frame's samples can still reach a Pop.
+// means the frame's samples can still reach a PopMask.
 //
 // Tie-break under skewed or non-monotonic re-stamping: for two frames
 // with the same timestamp, the first received wins and the later one is
@@ -161,17 +161,14 @@ func (j *JitterBuffer) Push(f *Frame) bool {
 	return true
 }
 
-// Pop fills dst with the next len(dst) samples of the reassembled stream,
-// zero-filling gaps, and advances the playout clock. It returns the number
-// of real (non-concealed) samples delivered. Before the clock has started,
-// dst is all zeros and the clock does not advance.
-func (j *JitterBuffer) Pop(dst []float64) int { return j.PopMask(dst, nil) }
-
-// PopMask is Pop plus a concealment mask: when mask is non-nil it must be
-// at least len(dst) long, and mask[i] is set true where dst[i] is a real
-// received sample and false where it was concealed (zero-filled). The
-// walk follows the ordered frame index, so a fully-concealed pop costs
-// O(len(dst)) rather than a map scan per sample.
+// PopMask fills dst with the next len(dst) samples of the reassembled
+// stream, zero-filling gaps, and advances the playout clock. It returns
+// the number of real (non-concealed) samples delivered. Before the clock
+// has started, dst is all zeros and the clock does not advance. When mask
+// is non-nil it must be at least len(dst) long, and mask[i] is set true
+// where dst[i] is a real received sample and false where it was concealed
+// (zero-filled). The walk follows the ordered frame index, so a
+// fully-concealed pop costs O(len(dst)) rather than a map scan per sample.
 func (j *JitterBuffer) PopMask(dst []float64, mask []bool) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -160,3 +160,9 @@ func BenchmarkJitterBufferConcealedPop(b *testing.B) {
 		jb.Pop(dst)
 	}
 }
+
+// Pop is PopMask without the mask: the tests' shorthand.
+func (j *JitterBuffer) Pop(dst []float64) int { return j.PopMask(dst, nil) }
+
+// Pop drains the next len(dst) ordered samples without the mask.
+func (r *Receiver) Pop(dst []float64) int { return r.jb.PopMask(dst, nil) }

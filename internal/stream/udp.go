@@ -231,11 +231,9 @@ func (r *Receiver) SetFrameObserver(fn func(timestamp uint64)) { r.obs = fn }
 // Recovered returns how many lost frames FEC has reconstructed.
 func (r *Receiver) Recovered() uint64 { return r.recovered.Load() }
 
-// Pop drains the next len(dst) ordered samples from the jitter buffer.
-func (r *Receiver) Pop(dst []float64) int { return r.jb.Pop(dst) }
-
-// PopMask is Pop plus the concealment mask: mask[i] is set true where
-// dst[i] is a real received sample and false where it was zero-filled.
+// PopMask drains the next len(dst) ordered samples from the jitter buffer
+// plus the concealment mask: mask[i] is set true where dst[i] is a real
+// received sample and false where it was zero-filled.
 func (r *Receiver) PopMask(dst []float64, mask []bool) int { return r.jb.PopMask(dst, mask) }
 
 // Stats returns jitter-buffer statistics plus the receiver's own

@@ -8,11 +8,16 @@
 //
 //   - Scenario simulation: build a Scene (room, sources, relay, ear),
 //     choose a Scheme, and Run it to obtain recordings and cancellation
-//     reports. This is what the examples and the benchmark harness use.
+//     reports. The architectural variants are settings of the same run:
+//     Params.ControlLoopDelaySamples for the tabletop relay (Figure
+//     10(a)), Scene.RelayOnSource for smart noise (Figure 10(c)), and
+//     Params.EarEnd for a moving ear. This is what the examples and the
+//     benchmark harness use.
 //
-//   - Algorithm embedding: NewCanceller exposes the LANC adaptive filter
-//     directly for integration into custom sample loops, along with
-//     lookahead budgeting (PlanBudget) and relay selection (SelectRelay).
+//   - Algorithm embedding: BuildPipeline wires the cancellation pipeline
+//     around your own reference source and acoustic leg, plans its
+//     lookahead budget (Pipeline.Budget, Pipeline.Spend) and meters the
+//     result; SelectRelay picks the relay to listen to.
 //
 //   - Live transport: Sender/Receiver stream timestamped audio frames
 //     over UDP for split relay/ear deployments (see cmd/muterelay and
@@ -236,52 +241,14 @@ func FromSamples(data []float64, srcRate, dstRate float64, loop bool) (Generator
 	return audio.NewSliceSource(resampled, dstRate, loop), nil
 }
 
-// --- Architectural variants -------------------------------------------------
-
-// The architectural variants of Figure 10.
-const (
-	// WallRelay is the evaluated basic architecture.
-	WallRelay = sim.WallRelay
-	// Tabletop hosts the DSP at a portable relay (Figure 10(a)).
-	Tabletop = sim.Tabletop
-	// SmartNoise attaches the relay to the noise source (Figure 10(c)).
-	SmartNoise = sim.SmartNoise
-)
-
-// VariantParams configures a variant run.
-type VariantParams = sim.VariantParams
-
-// RunVariant simulates an architectural variant with the MUTE algorithm.
-func RunVariant(vp VariantParams) (*Result, error) { return sim.RunVariant(vp) }
-
-// --- Algorithm embedding ----------------------------------------------------
-
-// CancellerConfig configures an embedded LANC instance.
-type CancellerConfig = core.Config
-
-// Canceller is the LANC adaptive filter for custom sample loops: call
-// Push with each wirelessly received reference sample, play AntiNoise
-// through your speaker, and feed the measured residual to Adapt. When the
-// reference arrives over a lossy packet link, set CancellerConfig.LossAware
-// and use PushMasked/StepMasked with the jitter buffer's concealment mask
-// (Receiver.PopMask) so adaptation freezes over zero-filled gaps instead
-// of corrupting the filter.
-type Canceller = core.LANC
-
-// NewCanceller creates an embedded LANC instance.
-func NewCanceller(cfg CancellerConfig) (*Canceller, error) { return core.New(cfg) }
+// --- Lookahead budgeting -----------------------------------------------------
 
 // PipelineDelays models converter/DSP/speaker latency (Equation 3).
 type PipelineDelays = core.PipelineDelays
 
 // LookaheadBudget splits available lookahead between the processing
-// pipeline and non-causal filter taps.
+// pipeline and non-causal filter taps (Result.Budget, Pipeline.Budget).
 type LookaheadBudget = core.Budget
-
-// PlanBudget computes the lookahead budget for a deployment.
-func PlanBudget(lookaheadSamples int, p PipelineDelays) (LookaheadBudget, error) {
-	return core.NewBudget(lookaheadSamples, p)
-}
 
 // --- Relay selection ----------------------------------------------------------
 

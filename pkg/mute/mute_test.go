@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"mute/internal/dsp"
 )
 
 func TestFacadeSimulationFlow(t *testing.T) {
@@ -144,28 +146,52 @@ func TestFacadeWAVRoundTrip(t *testing.T) {
 	}
 }
 
+// noiseSource is a test reference: white noise, every sample real.
+type noiseSource struct{ gen Generator }
+
+func (s noiseSource) Pull(dst []float64, mask []bool, _ int64) int {
+	for i := range dst {
+		dst[i], mask[i] = s.gen.Next(), true
+	}
+	return len(dst)
+}
+
+// TestFacadeCancellerEmbedding embeds the canceller through BuildPipeline
+// around a caller's own reference source and acoustic leg: the budget is
+// planned from the lookahead, and the metered residual falls below the
+// ambient noise.
 func TestFacadeCancellerEmbedding(t *testing.T) {
-	c, err := NewCanceller(CancellerConfig{
-		NonCausalTaps: 8,
-		CausalTaps:    16,
-		Mu:            0.2,
-		Normalized:    true,
-		SecondaryPath: []float64{0.8, 0.2},
+	delay, err := dsp.NewDelayLine(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := []float64{0.8, 0.2}
+	pl, err := BuildPipeline(PipelineConfig{
+		SampleRate: 8000,
+		Lookahead:  24,
+		Pipeline:   PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1},
+		Canceller: PipelineCancellerParams{
+			CausalTaps:    16,
+			Mu:            0.2,
+			SecondaryPath: sec,
+		},
+		Reference:   noiseSource{WhiteNoise(5, 8000, 0.5)},
+		Ambient:     &DerivedAmbient{Delay: delay, Channel: dsp.NewStreamConvolver([]float64{0.7, 0.2})},
+		SecondaryIR: sec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		c.Push(0.5)
-		_ = c.AntiNoise()
-		c.Adapt(0.01)
+	defer pl.Close()
+	if b := pl.Budget; !b.DeadlineMet || b.UsableTaps != 20 {
+		t.Errorf("budget = %+v, want the deadline met with 20 usable taps", b)
 	}
-	b, err := PlanBudget(24, PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 1})
-	if err != nil {
+	if err := pl.Run(8000, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !b.DeadlineMet || b.UsableTaps != 20 {
-		t.Errorf("budget = %+v", b)
+	noisePow, resPow := pl.Meters()
+	if !(resPow < noisePow/10) {
+		t.Errorf("residual power %g vs ambient %g: want at least 10 dB of cancellation", resPow, noisePow)
 	}
 }
 
@@ -214,8 +240,8 @@ func TestFacadeStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := make([]float64, 160)
-	if got := rx.Pop(out); got < 150 {
+	out, mask := make([]float64, 160), make([]bool, 160)
+	if got := rx.PopMask(out, mask); got < 150 {
 		t.Errorf("delivered %d samples", got)
 	}
 }
@@ -223,15 +249,27 @@ func TestFacadeStreaming(t *testing.T) {
 func TestFacadeVariants(t *testing.T) {
 	p := DefaultParams(DefaultScene(WhiteNoise(11, 8000, 0.5)))
 	p.Duration = 3
-	r, err := RunVariant(VariantParams{Base: p, Variant: SmartNoise})
+	p.Scene = p.Scene.RelayOnSource()
+	r, err := Run(p, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.LookaheadSamples <= 0 {
 		t.Error("smart-noise lookahead should be positive")
 	}
-	if _, err := RunVariant(VariantParams{Base: p, Variant: 99}); err == nil {
-		t.Error("unknown variant should error")
+	tabletop := DefaultParams(DefaultScene(WhiteNoise(11, 8000, 0.5)))
+	tabletop.Duration = 3
+	tabletop.ControlLoopDelaySamples = 8
+	if r, err = Run(tabletop, MUTEHollow); err != nil {
+		t.Fatal(err)
+	}
+	want := PipelineDelays{ADC: 1, DSP: 1, DAC: 1, Speaker: 5}
+	if r.Budget.Pipeline != want {
+		t.Errorf("tabletop budget pipeline %+v, want the downlink on the speaker %+v", r.Budget.Pipeline, want)
+	}
+	tabletop.ControlLoopDelaySamples = -1
+	if _, err := Run(tabletop, MUTEHollow); err == nil {
+		t.Error("negative control loop should error")
 	}
 }
 

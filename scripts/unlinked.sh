@@ -12,6 +12,11 @@
 # are left out. The script exits 1 when a build fails, an allowlist entry
 # has no reason, a function is unlinked and off the allowlist, or an
 # allowlisted name is linked.
+#
+# Blind spot: the linker keeps every method of a type stored in an
+# interface value whose name and signature match a method some linked
+# interface declares (String, Reset, Close, ...), called or not, so a dead
+# method that shares such a name does not show here. Find those by grep.
 set -euo pipefail
 
 root=$(pwd)
