@@ -16,10 +16,11 @@ import (
 // "package-dir.Type". A value with one value in use is a constant, not an
 // option, so adding a knob takes a deliberate edit here.
 var optionsLedger = map[string]int{
-	"graph.Config":          25,
+	"graph.Config":          26,
 	"graph.CancellerParams": 6,
 	"graph.FDAFParams":      2,
 	"sim.Params":            26,
+	"sim.Scene":             6,
 	"sim.LossTransport":     8,
 	"core.Config":           14,
 	"supervisor.Config":     6,

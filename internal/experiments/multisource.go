@@ -33,19 +33,10 @@ func MultiSource(c Config) (*Figure, error) {
 		p := sim.DefaultParams(makeScene())
 		p.Duration = c.Duration
 		p.Seed = c.Seed
-		var r *sim.Result
-		var err error
-		if i == 0 {
-			r, err = sim.Run(p, sim.MUTEHollow)
-		} else {
-			r, err = sim.RunMultiRelay(sim.MultiRelayParams{
-				Base: p,
-				RelayPositions: []acoustics.Point{
-					{X: 1.0, Y: 2.0, Z: 1.5},
-					{X: 1.2, Y: 3.3, Z: 1.5},
-				},
-			})
+		if i == 1 {
+			p.Scene.ExtraRelays = []acoustics.Point{{X: 1.2, Y: 3.3, Z: 1.5}}
 		}
+		r, err := sim.Run(p, sim.MUTEHollow)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -185,17 +186,19 @@ func (h holdAt) Tick(t int64, c Controls) {
 	}
 }
 
-// FuzzGraphConfig builds random configurations: Build either refuses one
-// or returns a pipeline whose budget sums to the lookahead, books a
-// non-negative align entry and no unused entry, and runs without
-// panicking.
+// FuzzGraphConfig builds random configurations, with up to two further
+// references: Build either refuses one with ErrUnsupported or returns a
+// pipeline whose budget sums to the lookahead, books a non-negative align
+// entry and no unused entry, and runs to a finite residual.
 func FuzzGraphConfig(f *testing.F) {
-	f.Add(uint8(64), uint8(0), uint8(0), uint8(0), uint8(4), uint8(16), uint8(8), uint8(0), false, false)
-	f.Add(uint8(70), uint8(40), uint8(3), uint8(2), uint8(4), uint8(32), uint8(160), uint8(5), true, true)
-	f.Add(uint8(10), uint8(0), uint8(0), uint8(0), uint8(40), uint8(0), uint8(1), uint8(4), false, false)
-	f.Fuzz(func(t *testing.T, lookahead, prime, extra, guard, pipe, maxNC, causal, fdafLog uint8, supervise, lossAware bool) {
+	f.Add(uint8(64), uint8(0), uint8(0), uint8(0), uint8(4), uint8(16), uint8(8), uint8(0), uint8(0), false, false)
+	f.Add(uint8(70), uint8(40), uint8(3), uint8(2), uint8(4), uint8(32), uint8(160), uint8(5), uint8(1), true, true)
+	f.Add(uint8(10), uint8(0), uint8(0), uint8(0), uint8(40), uint8(0), uint8(1), uint8(4), uint8(2), false, false)
+	f.Add(uint8(90), uint8(8), uint8(2), uint8(0), uint8(9), uint8(12), uint8(24), uint8(0), uint8(2), false, false)
+	f.Fuzz(func(t *testing.T, lookahead, prime, extra, guard, pipe, maxNC, causal, fdafLog, more uint8, supervise, lossAware bool) {
 		const n = 300
 		x, cup := kindSignals(n)
+		residual := make([]float64, n)
 		cfg := Config{
 			SampleRate:          8000,
 			Lookahead:           int(lookahead),
@@ -205,7 +208,7 @@ func FuzzGraphConfig(f *testing.F) {
 			Pipeline:            core.PipelineDelays{ADC: int(pipe % 8), DSP: int(pipe / 8 % 4), DAC: 1, Speaker: 1},
 			MaxNonCausalTaps:    int(maxNC),
 			Canceller: CancellerParams{
-				CausalTaps:    int(causal),
+				CausalTaps:    int(causal) + 1, // at least one tap: a tapless filter is a malformed binding
 				Mu:            0.1,
 				SecondaryPath: []float64{0.85, 0.22, 0.06},
 				LossAware:     lossAware,
@@ -214,13 +217,20 @@ func FuzzGraphConfig(f *testing.F) {
 			Reference:   &SliceSource{Samples: x},
 			Ambient:     &SliceAmbient{Local: cup, Cup: cup},
 			SecondaryIR: []float64{0, 0.85, 0.22, 0.06},
+			Residual:    residual,
 			TraceBlock:  int(causal%64) + 1,
+		}
+		for r := range int(more % 3) {
+			cfg.ExtraReferences = append(cfg.ExtraReferences, &SliceSource{Samples: cup[r:]})
 		}
 		if fdafLog%8 != 0 {
 			cfg.FDAF = &FDAFParams{BlockSize: 1 << (fdafLog % 8)}
 		}
 		pl, err := Build(cfg)
 		if err != nil {
+			if !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("Build refused a well-formed config without ErrUnsupported: %v", err)
+			}
 			return
 		}
 		if got := pl.Spend.SpentSamples(); got != cfg.Lookahead {
@@ -246,6 +256,11 @@ func FuzzGraphConfig(f *testing.F) {
 		}
 		if pl.Samples() != n {
 			t.Fatalf("processed %d samples, want %d", pl.Samples(), n)
+		}
+		for i, e := range residual {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				t.Fatalf("residual[%d] = %v", i, e)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"mute/internal/core"
@@ -39,6 +40,63 @@ type supervisedKind struct {
 
 func (k supervisedKind) Step(x, local, ePrev float64, real bool) float64 {
 	return k.Supervisor.Step(x, local, ePrev, real)
+}
+
+// multiKind sums one LANC bank per reference — the paper's §6
+// multi-source direction, one microphone for each noise channel. banks[0]
+// steps Reference and banks[r] ExtraReferences[r-1], all on the one
+// shared error. The gradient of the summed output separates per
+// reference, so each bank adapts as a lone LANC on its reference would.
+type multiKind struct {
+	*core.LANC // banks[0]: every bank runs the same live window, so its count stands for all
+	banks      []*core.LANC
+	more       []reference // the further references' pull scratch, aligned like Reference
+	i          int         // samples of the announced block already stepped
+}
+
+func (k *multiKind) Prefilter(xs []float64) {
+	k.i = 0
+	k.LANC.Prefilter(xs)
+	for r := range k.more {
+		k.banks[1+r].Prefilter(k.more[r].x[:len(xs)])
+	}
+}
+
+func (k *multiKind) Step(x, _, ePrev float64, real bool) float64 {
+	a := k.LANC.StepMasked(x, ePrev, real)
+	for r := range k.more {
+		a += k.banks[1+r].StepMasked(k.more[r].x[k.i], ePrev, k.more[r].m[k.i])
+	}
+	k.i++
+	return a
+}
+
+func (k *multiKind) LimitNonCausal(n int) {
+	for _, b := range k.banks {
+		b.LimitNonCausal(n)
+	}
+}
+
+// Weights returns every bank's taps, bank after bank.
+func (k *multiKind) Weights() []float64 {
+	var w []float64
+	for _, b := range k.banks {
+		w = append(w, b.Weights()...)
+	}
+	return w
+}
+
+func (k *multiKind) SetWeights(w []float64) error {
+	n := len(w) / len(k.banks)
+	if n*len(k.banks) != len(w) {
+		return fmt.Errorf("graph: %d weights do not split over %d banks", len(w), len(k.banks))
+	}
+	for i, b := range k.banks {
+		if err := b.SetWeights(w[i*n : (i+1)*n]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // headphoneKind steps the headphone canceller on the cup microphone,

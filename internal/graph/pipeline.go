@@ -115,6 +115,15 @@ type Config struct {
 
 	// Reference is the pulled reference input (required).
 	Reference SampleSource
+	// ExtraReferences are the further relays' reference inputs, one per
+	// further noise source (the paper's §6 multi-source direction). Each
+	// is pulled and aligned like Reference, on its clock and from its
+	// budget, and steps its own LANC bank; the banks sum their anti-noise
+	// and share the one error and Mu, split evenly. A reference that runs
+	// short reads as silence. Incompatible with FDAF, Headphone,
+	// Supervise, Drift, Canceller.Profiling and Canceller.LossAware
+	// (Build returns ErrUnsupported).
+	ExtraReferences []SampleSource
 	// Ambient is the acoustic leg (required).
 	Ambient Ambient
 	// Drift is the optional clock-drift control stage.
@@ -176,12 +185,14 @@ type Pipeline struct {
 	canc    canceller
 	quantum int
 	// align is the reference alignment: the lookahead no other stage
-	// spends. x and m keep the last align pulled samples and flags at
-	// their front, so the canceller reads the reference align samples
-	// after the ambient leg does, and its taps need not model the delay.
+	// spends. Every reference keeps its last align pulled samples and
+	// flags at the front of its scratch, so the canceller reads the
+	// references align samples after the ambient leg does, and its taps
+	// need not model the delay.
 	align int
+	// refs are the pulled references: Reference, then ExtraReferences.
+	refs []reference
 
-	ref   SampleSource
 	amb   Ambient
 	drift DriftControl
 	sec   *dsp.StreamConvolver
@@ -209,9 +220,6 @@ type Pipeline struct {
 	streamStats StreamStats
 	driftStats  *DriftSource
 
-	x []float64
-	m []bool
-
 	t        int64
 	e        float64
 	noisePow float64
@@ -232,6 +240,11 @@ func Build(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Reference == nil {
 		return nil, fmt.Errorf("graph: a Reference source is required")
+	}
+	for i, r := range cfg.ExtraReferences {
+		if r == nil {
+			return nil, fmt.Errorf("graph: extra reference %d is nil", i)
+		}
 	}
 	if cfg.Ambient == nil {
 		return nil, fmt.Errorf("graph: an Ambient leg is required")
@@ -259,7 +272,7 @@ func Build(cfg Config) (*Pipeline, error) {
 		traceEvery = DefaultTraceBlock
 	}
 	pl := &Pipeline{
-		ref:        cfg.Reference,
+		refs:       make([]reference, 1+len(cfg.ExtraReferences)),
 		amb:        cfg.Ambient,
 		drift:      cfg.Drift,
 		sec:        dsp.NewStreamConvolver(cfg.SecondaryIR),
@@ -285,9 +298,12 @@ func Build(cfg Config) (*Pipeline, error) {
 	// The pull scratch is sized once, for the alignment plus Run's block
 	// (the trace cadence) in whole pull quanta.
 	block := pl.align + (int(traceEvery)+pl.quantum-1)/pl.quantum*pl.quantum
-	pl.x, pl.m = make([]float64, block), make([]bool, block)
-	for i := range pl.m[:pl.align] {
-		pl.m[i] = true // the canceller starts on align samples of real silence
+	for i, src := range append([]SampleSource{cfg.Reference}, cfg.ExtraReferences...) {
+		r := reference{src: src, x: make([]float64, block), m: make([]bool, block)}
+		for j := range r.m[:pl.align] {
+			r.m[j] = true // the canceller starts on align samples of real silence
+		}
+		pl.refs[i] = r
 	}
 	if cfg.ErrorDelay > 0 {
 		dl, err := dsp.NewDelayLine(cfg.ErrorDelay)
@@ -334,6 +350,26 @@ func refuseCombinations(cfg Config) error {
 		// The FALLBACK canceller adapts on the error as it arrives.
 		return fmt.Errorf("%w: ErrorDelay with Supervise", ErrUnsupported)
 	}
+	if len(cfg.ExtraReferences) > 0 {
+		// One LANC bank per reference: the other kinds have no banks, and
+		// the ladder, drift holds, filter profiles and the concealment
+		// gate each act on one LANC.
+		for _, c := range []struct {
+			set  bool
+			name string
+		}{
+			{cfg.FDAF != nil, "FDAF"},
+			{cfg.Headphone, "Headphone"},
+			{cfg.Supervise, "Supervise"},
+			{cfg.Drift != nil, "Drift control"},
+			{cfg.Canceller.Profiling, "Canceller.Profiling"},
+			{cfg.Canceller.LossAware, "Canceller.LossAware"},
+		} {
+			if c.set {
+				return fmt.Errorf("%w: ExtraReferences with %s", ErrUnsupported, c.name)
+			}
+		}
+	}
 	// The ladder, drift holds, filter profiles, the concealment gate and
 	// the stale-error pairing all act on the sample-domain LANC; the block
 	// canceller and the headphone canceller have none of them.
@@ -363,7 +399,7 @@ func refuseCombinations(cfg Config) error {
 // microphone hears the open-ear field, and its physical latency is
 // already inside SecondaryIR via the shared chain.
 func newHeadphone(cfg Config) (*headphone.ANC, error) {
-	return headphone.NewANC(headphone.DefaultConfig(cfg.SampleRate, cfg.Canceller.SecondaryPath))
+	return headphone.NewANC(cfg.SampleRate, cfg.Canceller.SecondaryPath)
 }
 
 // planCanceller plans the lookahead budget, records its spend into the
@@ -412,20 +448,30 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 		return nil
 	}
 	c := cfg.Canceller
-	lanc, err := core.New(core.Config{
-		NonCausalTaps: nTaps,
-		CausalTaps:    c.CausalTaps,
-		Mu:            c.Mu,
-		Normalized:    !c.PlainLMS,
-		Leak:          Leak,
-		SecondaryPath: c.SecondaryPath,
-		ErrorDelay:    cfg.ErrorDelay,
-		Profiling:     c.Profiling,
-		SampleRate:    cfg.SampleRate,
-		LossAware:     c.LossAware,
-	})
-	if err != nil {
-		return err
+	// The banks share one error, so they split the step.
+	banks := make([]*core.LANC, 1+len(cfg.ExtraReferences))
+	for i := range banks {
+		l, err := core.New(core.Config{
+			NonCausalTaps: nTaps,
+			CausalTaps:    c.CausalTaps,
+			Mu:            c.Mu / float64(len(banks)),
+			Normalized:    !c.PlainLMS,
+			Leak:          Leak,
+			SecondaryPath: c.SecondaryPath,
+			ErrorDelay:    cfg.ErrorDelay,
+			Profiling:     c.Profiling,
+			SampleRate:    cfg.SampleRate,
+			LossAware:     c.LossAware,
+		})
+		if err != nil {
+			return err
+		}
+		banks[i] = l
+	}
+	lanc := banks[0]
+	if len(banks) > 1 {
+		pl.canc = &multiKind{LANC: lanc, banks: banks, more: pl.refs[1:]}
+		return nil
 	}
 	if !cfg.Supervise {
 		pl.canc = lancKind{lanc}
@@ -459,21 +505,21 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 		return 0, fmt.Errorf("graph: block size %d must be positive", n)
 	}
 	n = (n + pl.quantum - 1) / pl.quantum * pl.quantum
-	if len(pl.x) < pl.align+n {
-		x, m := make([]float64, pl.align+n), make([]bool, pl.align+n)
-		copy(x, pl.x[:pl.align])
-		copy(m, pl.m[:pl.align])
-		pl.x, pl.m = x, m
-	}
-	pulled := pl.x[pl.align : pl.align+n]
-	got := pl.ref.Pull(pulled, pl.m[pl.align:pl.align+n], pl.t)
+	ref := &pl.refs[0]
+	got := ref.pull(pl.align, n, pl.t)
 	if got <= 0 {
 		return 0, nil
 	}
+	for i := range pl.refs[1:] {
+		r := &pl.refs[1+i]
+		k := max(r.pull(pl.align, got, pl.t), 0)
+		clear(r.x[pl.align+k : pl.align+got])
+		clear(r.m[pl.align+k : pl.align+got])
+	}
 	// The canceller reads the aligned reference and its mask, align
 	// samples behind the pull; the ambient leg reads the pull itself.
-	x, m := pl.x[:got], pl.m[:got]
-	local, cup := pl.amb.Next(pulled[:got])
+	x, m := ref.x[:got], ref.m[:got]
+	local, cup := pl.amb.Next(ref.x[pl.align : pl.align+got])
 	// The block is known before it is stepped: the filtered-x legs run a
 	// block at a time, and the FDAF kind takes its blocks from here.
 	pl.canc.Prefilter(x)
@@ -509,11 +555,39 @@ func (pl *Pipeline) ProcessBlock(n int) (int, error) {
 		blockRes += e * e
 		pl.t++
 	}
-	// Keep the last align pulled samples for the next block's front.
-	copy(pl.x, pl.x[got:got+pl.align])
-	copy(pl.m, pl.m[got:got+pl.align])
+	for i := range pl.refs {
+		pl.refs[i].keep(pl.align, got)
+	}
 	pl.afterBlock(got, blockRes)
 	return got, nil
+}
+
+// reference is one pulled reference: its source and its pull scratch,
+// whose front holds the last align pulled samples and flags.
+type reference struct {
+	src SampleSource
+	x   []float64
+	m   []bool
+}
+
+// pull grows the scratch to fit n samples behind the align front and
+// pulls them for the block starting at start, returning the source's
+// count.
+func (r *reference) pull(align, n int, start int64) int {
+	if len(r.x) < align+n {
+		x, m := make([]float64, align+n), make([]bool, align+n)
+		copy(x, r.x[:align])
+		copy(m, r.m[:align])
+		r.x, r.m = x, m
+	}
+	return r.src.Pull(r.x[align:align+n], r.m[align:align+n], start)
+}
+
+// keep moves the last align of the got pulled samples and flags to the
+// front, for the next block.
+func (r *reference) keep(align, got int) {
+	copy(r.x, r.x[got:got+align])
+	copy(r.m, r.m[got:got+align])
 }
 
 // Run drives the pipeline for total samples in blocks of block samples
@@ -545,17 +619,21 @@ func (pl *Pipeline) Samples() int64 { return pl.t }
 // pipeline must not be driven afterwards. The first stage close error
 // wins, but every stage is still closed.
 func (pl *Pipeline) Close() error {
-	pl.x, pl.m = nil, nil
+	stages := make([]any, 0, len(pl.refs)+2)
+	for i := range pl.refs {
+		stages = append(stages, pl.refs[i].src)
+		pl.refs[i] = reference{}
+	}
 	pl.canc.Prefilter(nil)
 	var first error
-	for _, stage := range []any{pl.ref, pl.amb, pl.drift} {
+	for _, stage := range append(stages, pl.amb, pl.drift) {
 		if c, ok := stage.(interface{ Close() error }); ok {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	pl.ref, pl.amb, pl.drift = nil, nil, nil
+	pl.amb, pl.drift = nil, nil
 	return first
 }
 

@@ -42,6 +42,12 @@ func validConfig(n int) Config {
 // are not.
 func TestBuildValidation(t *testing.T) {
 	fdaf := &FDAFParams{BlockSize: 64, Mu: 0.05}
+	more := func(f func(*Config)) func(*Config) {
+		return func(c *Config) {
+			c.ExtraReferences = []SampleSource{&SliceSource{Samples: make([]float64, 256)}}
+			f(c)
+		}
+	}
 	cases := []struct {
 		name        string
 		mutate      func(*Config)
@@ -101,6 +107,13 @@ func TestBuildValidation(t *testing.T) {
 			c.Supervise = true
 		}, true},
 		{"negative error delay", func(c *Config) { c.ErrorDelay = -1 }, false},
+		{"nil extra reference", func(c *Config) { c.ExtraReferences = []SampleSource{nil} }, false},
+		{"extra references with fdaf", more(func(c *Config) { c.FDAF = fdaf }), true},
+		{"extra references with headphone", more(func(c *Config) { c.Headphone = true }), true},
+		{"extra references with supervisor", more(func(c *Config) { c.Supervise = true }), true},
+		{"extra references with drift control", more(func(c *Config) { c.Drift = &DriftSource{} }), true},
+		{"extra references with profiling", more(func(c *Config) { c.Canceller.Profiling = true }), true},
+		{"extra references with loss-aware", more(func(c *Config) { c.Canceller.LossAware = true }), true},
 	}
 	for _, tc := range cases {
 		cfg := validConfig(256)
@@ -322,7 +335,7 @@ func TestHeadphoneKindMatchesHandLoop(t *testing.T) {
 		t.Errorf("headphone pipeline traced %d events, want none", len(ev))
 	}
 
-	hp, err := headphone.NewANC(headphone.DefaultConfig(cfg.SampleRate, cfg.Canceller.SecondaryPath))
+	hp, err := headphone.NewANC(cfg.SampleRate, cfg.Canceller.SecondaryPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +349,60 @@ func TestHeadphoneKindMatchesHandLoop(t *testing.T) {
 		want[i] = e
 	}
 	sameBits(t, got, want)
+}
+
+// TestHeadphoneKindHasNoTaps checks the Headphone kind's tap face: no
+// live non-causal window, no taps to hand off, and a warm start refused.
+func TestHeadphoneKindHasNoTaps(t *testing.T) {
+	cfg := validConfig(256)
+	cfg.Headphone = true
+	pl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.LimitNonCausal(4)
+	if got := pl.ActiveNonCausal(); got != 0 {
+		t.Errorf("ActiveNonCausal = %d, want 0", got)
+	}
+	if w := pl.Weights(); w != nil {
+		t.Errorf("Weights = %v, want nil", w)
+	}
+	if err := pl.SetWeights([]float64{1}); err == nil {
+		t.Error("SetWeights on the Headphone kind should error")
+	}
+}
+
+// TestMetersSumPowers checks Meters against the run's recordings: the
+// ambient power is Σcup² over the bound under-cup field, and the residual
+// power is Σresidual², which equals ΣOn² without error-mic noise.
+func TestMetersSumPowers(t *testing.T) {
+	const n = 1000
+	x, cup := kindSignals(n)
+	cfg := validConfig(n)
+	on, residual := make([]float64, n), make([]float64, n)
+	cfg.Reference = &SliceSource{Samples: x}
+	cfg.Ambient = &SliceAmbient{Local: x, Cup: cup}
+	cfg.On, cfg.Residual = on, residual
+	pl, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Run(n, 96); err != nil {
+		t.Fatal(err)
+	}
+	var cupPow, onPow, resPow float64
+	for i := range n {
+		cupPow += cup[i] * cup[i]
+		onPow += on[i] * on[i]
+		resPow += residual[i] * residual[i]
+	}
+	gotNoise, gotRes := pl.Meters()
+	if gotNoise != cupPow || gotRes != resPow || gotRes != onPow {
+		t.Errorf("Meters = (%v, %v), want (Σcup² %v, Σresidual² %v = ΣOn² %v)", gotNoise, gotRes, cupPow, resPow, onPow)
+	}
+	if resPow == 0 || resPow == cupPow {
+		t.Error("the run cancelled nothing — test is vacuous")
+	}
 }
 
 // TestFDAFKindMatchesHandLoop shows the FDAF kind, stepped sample by

@@ -57,7 +57,7 @@ func TestPipelineCloseReleasesStages(t *testing.T) {
 			t.Fatalf("ProcessBlock(120) = %d, %v; want %d", got, err, want)
 		}
 		k, isFDAF := pl.canc.(*fdafKind)
-		if pl.x == nil || isFDAF && k.xs == nil {
+		if pl.refs[0].x == nil || isFDAF && k.xs == nil {
 			t.Fatal("scratch not grown before Close — test is vacuous")
 		}
 		if err := pl.Close(); err != nil {
@@ -66,7 +66,7 @@ func TestPipelineCloseReleasesStages(t *testing.T) {
 		if src.closed != 1 || amb.closed != 1 {
 			t.Fatalf("closed source %d times, ambient %d times; want 1 and 1", src.closed, amb.closed)
 		}
-		if pl.x != nil || pl.m != nil || isFDAF && k.xs != nil {
+		if pl.refs[0].x != nil || pl.refs[0].m != nil || isFDAF && k.xs != nil {
 			t.Fatal("block scratch, or the FDAF kind's view of it, survived Close")
 		}
 		// Idempotent: stages are not closed twice.

@@ -37,66 +37,32 @@ const Leak = 0.001
 // cancellation.
 const LatencySamples = 0.5
 
-// Config parameterizes the conventional headphone baseline.
-type Config struct {
-	// SampleRate of the processing pipeline in Hz.
-	SampleRate float64
-	// Taps is the causal adaptive-filter length.
-	Taps int
-	// Mu is the LMS step size.
-	Mu float64
-	// AntiNoiseCutoffHz band-limits the anti-noise path; commercial ANC
-	// deliberately cancels only below ~1 kHz (Section 1).
-	AntiNoiseCutoffHz float64
-	// SecondaryPath is the ĥ_se estimate for the filtered-x update.
-	SecondaryPath []float64
-}
-
-// DefaultConfig returns the QC35-like baseline at the given sample rate.
-func DefaultConfig(sampleRate float64, secondaryPath []float64) Config {
-	return Config{
-		SampleRate:        sampleRate,
-		Taps:              64,
-		Mu:                0.05,
-		AntiNoiseCutoffHz: 1000,
-		SecondaryPath:     secondaryPath,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.SampleRate <= 0 {
-		return fmt.Errorf("headphone: sample rate %g must be positive", c.SampleRate)
-	}
-	if c.Taps <= 0 {
-		return fmt.Errorf("headphone: taps must be positive, got %d", c.Taps)
-	}
-	if c.Mu <= 0 {
-		return fmt.Errorf("headphone: mu must be positive, got %g", c.Mu)
-	}
-	if c.AntiNoiseCutoffHz <= 0 || c.AntiNoiseCutoffHz >= c.SampleRate/2 {
-		return fmt.Errorf("headphone: anti-noise cutoff %g outside (0, %g)", c.AntiNoiseCutoffHz, c.SampleRate/2)
-	}
-	if len(c.SecondaryPath) == 0 {
-		return fmt.Errorf("headphone: missing secondary path estimate")
-	}
-	return nil
-}
+// The product's own canceller tuning, one value each: the causal
+// adaptive-filter length, the NLMS step, and the anti-noise band limit —
+// commercial ANC deliberately cancels only below ~1 kHz (Section 1).
+const (
+	Taps              = 64
+	Mu                = 0.05
+	AntiNoiseCutoffHz = 1000
+)
 
 // ANC is the conventional active canceller: a zero-lookahead LANC behind
 // the band-limiting anti-noise filter.
 type ANC struct {
-	cfg   Config
 	lanc  *core.LANC
 	bandl *dsp.Biquad
 }
 
-// NewANC builds the baseline canceller.
-func NewANC(cfg Config) (*ANC, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewANC builds the baseline canceller at the given sample rate around the
+// ĥ_se estimate secondaryPath, for the filtered-x update.
+func NewANC(sampleRate float64, secondaryPath []float64) (*ANC, error) {
+	if sampleRate <= 2*AntiNoiseCutoffHz {
+		return nil, fmt.Errorf("headphone: sample rate %g must exceed %g Hz", sampleRate, 2.0*AntiNoiseCutoffHz)
 	}
-	lp, err := dsp.NewLowPassBiquad(cfg.AntiNoiseCutoffHz, cfg.SampleRate, 0.7071)
+	if len(secondaryPath) == 0 {
+		return nil, fmt.Errorf("headphone: missing secondary path estimate")
+	}
+	lp, err := dsp.NewLowPassBiquad(AntiNoiseCutoffHz, sampleRate, 0.7071)
 	if err != nil {
 		return nil, err
 	}
@@ -110,16 +76,16 @@ func NewANC(cfg Config) (*ANC, error) {
 	copy(lpIR, probe)
 	lp.Reset()
 	lanc, err := core.New(core.Config{
-		CausalTaps:    cfg.Taps - 1,
-		Mu:            cfg.Mu,
+		CausalTaps:    Taps - 1,
+		Mu:            Mu,
 		Normalized:    true,
 		Leak:          Leak,
-		SecondaryPath: dsp.Convolve(lpIR, cfg.SecondaryPath),
+		SecondaryPath: dsp.Convolve(lpIR, secondaryPath),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ANC{cfg: cfg, lanc: lanc, bandl: lp}, nil
+	return &ANC{lanc: lanc, bandl: lp}, nil
 }
 
 // Step advances one sample period: the reference microphone hears x(t),
@@ -156,7 +122,7 @@ func (h *ANC) Reset() {
 // instead of silence. w[0] is the tap for the newest reference sample;
 // shorter or longer slices are truncated/zero-padded to the filter length.
 func (h *ANC) WarmStart(w []float64) {
-	seed := make([]float64, h.cfg.Taps)
+	seed := make([]float64, Taps)
 	copy(seed, w)
 	// SetWeights only rejects a length mismatch, which the copy precludes.
 	_ = h.lanc.SetWeights(seed)

@@ -2,6 +2,7 @@ package headphone
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"mute/internal/audio"
@@ -12,42 +13,29 @@ const fs = 8000.0
 
 var secPath = []float64{0.8, 0.25, 0.05}
 
+// TestConfigValidate checks the product's tuning constants are a valid
+// filter and NewANC accepts them at the test rate, but refuses a sample
+// rate with no room for the anti-noise band.
 func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig(fs, secPath)
-	if err := good.Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+	if Taps <= 0 || Mu <= 0 || AntiNoiseCutoffHz <= 0 || AntiNoiseCutoffHz >= fs/2 {
+		t.Errorf("tuning constants Taps %d, Mu %g, cutoff %g Hz do not make a valid filter at %g Hz",
+			Taps, Mu, float64(AntiNoiseCutoffHz), fs)
 	}
-	mut := func(f func(*Config)) Config {
-		c := DefaultConfig(fs, secPath)
-		f(&c)
-		return c
+	if _, err := NewANC(fs, secPath); err != nil {
+		t.Errorf("default canceller refused: %v", err)
 	}
-	bad := []Config{
-		mut(func(c *Config) { c.SampleRate = 0 }),
-		mut(func(c *Config) { c.Taps = 0 }),
-		mut(func(c *Config) { c.Mu = 0 }),
-		mut(func(c *Config) { c.AntiNoiseCutoffHz = 0 }),
-		mut(func(c *Config) { c.AntiNoiseCutoffHz = 5000 }),
-		mut(func(c *Config) { c.SecondaryPath = nil }),
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d should be invalid", i)
-		}
-		if _, err := NewANC(c); err == nil {
-			t.Errorf("constructor should reject case %d", i)
+	for _, rate := range []float64{0, -fs, 2 * AntiNoiseCutoffHz} {
+		if _, err := NewANC(rate, secPath); err == nil {
+			t.Errorf("sample rate %g should error", rate)
 		}
 	}
 }
 
-// TestHeadphoneConstructorErrors checks NewANC refuses an invalid filter
-// config and an empty secondary path.
+// TestHeadphoneConstructorErrors checks NewANC refuses an empty secondary
+// path.
 func TestHeadphoneConstructorErrors(t *testing.T) {
-	if _, err := NewANC(Config{SampleRate: fs, Taps: 0, Mu: 1, AntiNoiseCutoffHz: 1000, SecondaryPath: []float64{1}}); err == nil {
-		t.Error("invalid config should error")
-	}
 	for _, sec := range [][]float64{nil, {}} {
-		if _, err := NewANC(Config{SampleRate: fs, Taps: 4, Mu: 0.1, AntiNoiseCutoffHz: 1000, SecondaryPath: sec}); err == nil {
+		if _, err := NewANC(fs, sec); err == nil {
 			t.Errorf("empty secondary path %v should error", sec)
 		}
 	}
@@ -86,7 +74,7 @@ func bandDB(t *testing.T, res, pri []float64, lo, hi float64) float64 {
 }
 
 func TestBaselineCancelsLowFrequencyHum(t *testing.T) {
-	h, err := NewANC(DefaultConfig(fs, secPath))
+	h, err := NewANC(fs, secPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +89,7 @@ func TestBaselineCancelsLowFrequencyHum(t *testing.T) {
 func TestBaselineFailsAboveOneKilohertz(t *testing.T) {
 	// The defining limitation: on wide-band noise the baseline gets little
 	// or no cancellation above 1 kHz.
-	h, err := NewANC(DefaultConfig(fs, secPath))
+	h, err := NewANC(fs, secPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +110,7 @@ func TestBaselineFailsAboveOneKilohertz(t *testing.T) {
 }
 
 func TestBaselineResetRepeatable(t *testing.T) {
-	h, err := NewANC(DefaultConfig(fs, secPath))
+	h, err := NewANC(fs, secPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +167,7 @@ func TestPassiveIsolationErrors(t *testing.T) {
 func TestHeadphoneCancelsToneThroughSecondaryPath(t *testing.T) {
 	primary := []float64{0, 0, 0.9, 0.3, -0.1} // noise → error mic
 	secondary := []float64{0.7, 0.25, 0.1}     // speaker → error mic
-	cfg := DefaultConfig(fs, secondary)
-	cfg.Taps = 16
-	h, err := NewANC(cfg)
+	h, err := NewANC(fs, secondary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +194,7 @@ func TestHeadphoneCancelsToneThroughSecondaryPath(t *testing.T) {
 // TestHeadphoneLeakStable drives the canceller with an error uncorrelated
 // with its reference: the leak must keep the weights bounded.
 func TestHeadphoneLeakStable(t *testing.T) {
-	h, err := NewANC(Config{SampleRate: fs, Taps: 8, Mu: 0.05, AntiNoiseCutoffHz: 1000, SecondaryPath: []float64{0.8, 0.1}})
+	h, err := NewANC(fs, []float64{0.8, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +213,25 @@ func TestHeadphoneLeakStable(t *testing.T) {
 // handed — zero-padded when short, truncated when long — and Reset clears
 // them.
 func TestHeadphoneWarmStartRoundTrip(t *testing.T) {
-	cfg := DefaultConfig(fs, secPath)
-	cfg.Taps = 4
-	h, err := NewANC(cfg)
+	h, err := NewANC(fs, secPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ramp := func(n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = float64(i+1) / 10
+		}
+		return w
+	}
 	for _, tc := range []struct{ in, want []float64 }{
-		{[]float64{0.1, 0.2, 0.3, 0.4}, []float64{0.1, 0.2, 0.3, 0.4}},
-		{[]float64{0.5, 0.6}, []float64{0.5, 0.6, 0, 0}},
-		{[]float64{1, 2, 3, 4, 5, 6}, []float64{1, 2, 3, 4}},
+		{ramp(Taps), ramp(Taps)},
+		{ramp(2), append(ramp(2), make([]float64, Taps-2)...)},
+		{ramp(Taps + 6), ramp(Taps)},
 	} {
 		h.WarmStart(tc.in)
-		got := h.lanc.Weights()
-		for i := range tc.want {
-			if got[i] != tc.want[i] {
-				t.Fatalf("WarmStart(%v) loaded %v, want %v", tc.in, got, tc.want)
-			}
+		if got := h.lanc.Weights(); !slices.Equal(got, tc.want) {
+			t.Fatalf("WarmStart(%d taps) loaded %v, want %v", len(tc.in), got, tc.want)
 		}
 	}
 	h.Reset()
@@ -258,7 +246,7 @@ func TestHeadphoneWarmStartRoundTrip(t *testing.T) {
 // loop (the Bose baselines' and the FALLBACK rung's inner loop): Step and
 // Emit must not allocate in steady state.
 func TestHeadphoneStepAllocatesNothing(t *testing.T) {
-	h, err := NewANC(DefaultConfig(fs, []float64{0.85, 0.22, 0.06}))
+	h, err := NewANC(fs, []float64{0.85, 0.22, 0.06})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +262,7 @@ func TestHeadphoneStepAllocatesNothing(t *testing.T) {
 }
 
 func BenchmarkHeadphoneStep(b *testing.B) {
-	h, err := NewANC(DefaultConfig(fs, []float64{0.7, 0.2, 0.1}))
+	h, err := NewANC(fs, []float64{0.7, 0.2, 0.1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,11 +279,11 @@ func BenchmarkHeadphoneStep(b *testing.B) {
 // bit unchanged, across a Reset in the middle of an announced block.
 func TestPrefilterMatchesPerSample(t *testing.T) {
 	sec := []float64{0.7, 0.2, -0.1, 0.05}
-	pre, err := NewANC(DefaultConfig(8000, sec))
+	pre, err := NewANC(8000, sec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewANC(DefaultConfig(8000, sec))
+	ref, err := NewANC(8000, sec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"mute/internal/acoustics"
@@ -264,12 +265,15 @@ type Result struct {
 }
 
 // Run simulates the scheme and returns the recordings. It is the one
-// path from a single-relay scene to graph.Build: the architectural variants
-// (Tabletop's control loop, the smart-noise relay placement) and the
-// moving ear are Params and Scene settings of the same run.
+// path from a scene to graph.Build: the architectural variants (Tabletop's
+// control loop, the smart-noise relay placement), the moving ear and the
+// extra relays are Params and Scene settings of the same run.
 func Run(p Params, scheme Scheme) (*Result, error) {
 	n, err := p.validate()
 	if err != nil {
+		return nil, err
+	}
+	if err := p.refuse(scheme); err != nil {
 		return nil, err
 	}
 	if p.ExtraReferenceDelay < 0 {
@@ -297,18 +301,21 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stageStart = time.Now()
-	if p.ExtraReferenceDelay > 0 && forwarded != nil {
-		dl, err := dsp.NewDelayLine(p.ExtraReferenceDelay)
+	// Relay r is captured with seed Relay.Seed + 101·r. The pipeline
+	// budgets the smallest relay lookahead, so every other relay's stream
+	// is held back by its lead over it.
+	las := p.Scene.relayLookaheads()
+	lookahead := slices.Min(las)
+	extra := make([]graph.SampleSource, len(p.Scene.ExtraRelays))
+	for i, pos := range p.Scene.ExtraRelays {
+		_, fwd, err := relayLeg(p, waves, pos, p.Relay.Seed+101*uint64(i+1), true)
 		if err != nil {
 			return nil, err
 		}
-		shifted := make([]float64, len(forwarded))
-		for i, v := range forwarded {
-			shifted[i] = dl.Process(v)
-		}
-		forwarded = shifted
+		extra[i] = &graph.SliceSource{Samples: delayed(fwd, las[i+1]-lookahead+p.ExtraReferenceDelay)}
 	}
+	stageStart = time.Now()
+	forwarded = delayed(forwarded, las[0]-lookahead+p.ExtraReferenceDelay)
 	p.observeStage("sim.stage.link", stageStart)
 
 	// --- Passive isolation --------------------------------------------------
@@ -347,7 +354,7 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		Scheme:           scheme,
 		Open:             open,
 		Off:              underCup,
-		LookaheadSamples: p.Scene.LookaheadSamples(),
+		LookaheadSamples: lookahead,
 		SampleRate:       fs,
 	}
 
@@ -377,15 +384,25 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 			SecondaryPath: secEst,
 			Profiling:     p.Profiling,
 		},
-		Reference:   &graph.SliceSource{Samples: forwarded},
-		Ambient:     &graph.SliceAmbient{Local: open, Cup: underCup},
-		SecondaryIR: secIR,
-		NoiseRMS:    p.EarMicNoiseRMS,
-		Noise:       earNoise,
-		On:          on,
-		Residual:    residual,
-		Trace:       p.Trace,
-		Telemetry:   p.Telemetry,
+		Supervise:        p.Supervise,
+		SupervisorConfig: p.SupervisorConfig,
+		Reference:        &graph.SliceSource{Samples: forwarded},
+		ExtraReferences:  extra,
+		Ambient:          &graph.SliceAmbient{Local: open, Cup: underCup},
+		SecondaryIR:      secIR,
+		NoiseRMS:         p.EarMicNoiseRMS,
+		Noise:            earNoise,
+		On:               on,
+		Residual:         residual,
+		Trace:            p.Trace,
+		Telemetry:        p.Telemetry,
+	}
+	if p.BlockFDAF {
+		// Partitioned frequency-domain kind: anti-noise is produced one
+		// block at a time, adapting on the previous block's error. It
+		// plans the same budget as the time-domain kind: anti-noise
+		// sample t depends only on reference samples up to t.
+		gcfg.FDAF = &graph.FDAFParams{BlockSize: cmp.Or(p.BlockSize, 32)}
 	}
 	switch {
 	case scheme == PassiveOnly:
@@ -395,18 +412,11 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		// The Bose schemes: the headphone's reference mic sits on the cup
 		// exterior and hears the open-ear field, and the secondary chain
 		// carries its physical latency. The headphone keeps its own
-		// tuning; only the secondary-path estimate is shared.
+		// tuning and reads only the secondary-path estimate; Build
+		// refuses the canceller settings it lacks.
 		gcfg.Headphone = true
-		gcfg.Canceller = graph.CancellerParams{SecondaryPath: secEst}
 		gcfg.Reference = &graph.SliceSource{Samples: open}
 	default:
-		if p.BlockFDAF {
-			// Partitioned frequency-domain kind: anti-noise is produced one
-			// block at a time, adapting on the previous block's error. It
-			// plans the same budget as the time-domain kind: anti-noise
-			// sample t depends only on reference samples up to t.
-			gcfg.FDAF = &graph.FDAFParams{BlockSize: cmp.Or(p.BlockSize, 32)}
-		}
 		// The packetized transport replaces the ideal wire; its playout
 		// prime delays the reference and is booked in the budget.
 		skewed := p.ClockSkewPPM != 0
@@ -419,8 +429,6 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 			// the default framing the drift experiments use.
 			lt = &LossTransport{FrameSamples: 40, PrimeFrames: 1, LossAware: true}
 		}
-		gcfg.Supervise = p.Supervise
-		gcfg.SupervisorConfig = p.SupervisorConfig
 		if lt == nil {
 			break
 		}
@@ -500,6 +508,51 @@ func Run(p Params, scheme Scheme) (*Result, error) {
 		traceBlockLevels(p.Trace, telemetry.StageResidual, "ear", residual)
 	}
 	return res, nil
+}
+
+// refuse rejects, with graph.ErrUnsupported, the settings a run would
+// otherwise drop. graph.Build refuses the canceller settings the Headphone
+// kind and the extra relays' banks lack, but sim binds the transport, the
+// clock faults and the extra relays itself, and PassiveOnly builds no
+// pipeline at all.
+func (p Params) refuse(scheme Scheme) error {
+	extras := len(p.Scene.ExtraRelays) > 0
+	lanc, passive := scheme.usesLANC(), scheme == PassiveOnly
+	who := scheme.String()
+	if lanc {
+		who = "extra relays"
+	}
+	for _, c := range []struct {
+		set  bool
+		name string
+	}{
+		{p.LossTransport != nil && (extras || !lanc), "LossTransport"},
+		{p.ClockSkewPPM != 0 && (extras || !lanc), "ClockSkewPPM"},
+		{p.DriftCorrect && (extras || !lanc), "DriftCorrect"},
+		{extras && !lanc, "Scene.ExtraRelays"},
+		{passive && p.Supervise, "Supervise"},
+		{passive && p.Profiling, "Profiling"},
+		{passive && p.BlockFDAF, "BlockFDAF"},
+		{passive && p.ControlLoopDelaySamples > 0, "ControlLoopDelaySamples"},
+	} {
+		if c.set {
+			return fmt.Errorf("%w: %s with %s", graph.ErrUnsupported, who, c.name)
+		}
+	}
+	return nil
+}
+
+// delayed returns x held back by d samples (x itself when d is 0). The
+// renders are shared and read-only, so the shift is a copy.
+func delayed(x []float64, d int) []float64 {
+	if x == nil || d == 0 {
+		return x
+	}
+	out := make([]float64, len(x))
+	if d < len(x) {
+		copy(out[d:], x)
+	}
+	return out
 }
 
 // traceBlockLevels records one stage's per-block signal level (dB relative

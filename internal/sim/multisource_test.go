@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"mute/internal/acoustics"
 	"mute/internal/audio"
+	"mute/internal/graph"
 )
 
 // twoSourceScene builds a scene with independent wide-band sources at
@@ -21,9 +23,9 @@ func twoSourceScene(seed uint64) Scene {
 func TestMultiRelayBeatsSingleOnTwoSources(t *testing.T) {
 	// The paper's multi-source limitation: one reference cannot cancel
 	// two independent sources. Two relays, one per source, should.
-	base := DefaultParams(twoSourceScene(1))
-	base.Duration = 10
-	single, err := Run(base, MUTEHollow)
+	p := DefaultParams(twoSourceScene(1))
+	p.Duration = 10
+	single, err := Run(p, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,15 +33,8 @@ func TestMultiRelayBeatsSingleOnTwoSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2 := DefaultParams(twoSourceScene(1))
-	base2.Duration = 10
-	multi, err := RunMultiRelay(MultiRelayParams{
-		Base: base2,
-		RelayPositions: []acoustics.Point{
-			{X: 1.0, Y: 2.0, Z: 1.5}, // near source 0 (door)
-			{X: 1.2, Y: 3.3, Z: 1.5}, // near source 1 (north)
-		},
-	})
+	p.Scene.ExtraRelays = []acoustics.Point{{X: 1.2, Y: 3.3, Z: 1.5}} // near source 1 (north)
+	multi, err := Run(p, MUTEHollow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,37 +42,96 @@ func TestMultiRelayBeatsSingleOnTwoSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mdb >= sdb-2 {
-		t.Errorf("multi-reference (%.1f dB) should beat single reference (%.1f dB) by > 2 dB on two sources", mdb, sdb)
+	if mdb >= sdb-5 {
+		t.Errorf("multi-reference (%.1f dB) should beat single reference (%.1f dB) by > 5 dB on two sources", mdb, sdb)
 	}
 	if mdb > -8 {
 		t.Errorf("multi-reference cancellation = %.1f dB, want < -8", mdb)
 	}
+	// The pipeline budgets the smaller of the two relays' lookaheads.
+	las := p.Scene.relayLookaheads()
+	if want := min(las[0], las[1]); multi.LookaheadSamples != want || multi.BudgetSpend.SpentSamples() != want {
+		t.Errorf("lookahead %d, budget spends %d; want the smaller relay lookahead %d of %v",
+			multi.LookaheadSamples, multi.BudgetSpend.SpentSamples(), want, las)
+	}
 }
 
+// TestRunMultiRelayValidation checks a multi-relay scene is validated
+// before anything renders: every extra relay needs a source to pair with
+// and a place inside the room.
 func TestRunMultiRelayValidation(t *testing.T) {
 	base := DefaultParams(twoSourceScene(2))
 	base.Duration = 2
-	if _, err := RunMultiRelay(MultiRelayParams{Base: base, RelayPositions: []acoustics.Point{{X: 1, Y: 2, Z: 1.5}}}); err == nil {
-		t.Error("relay/source count mismatch should error")
-	}
-	if _, err := RunMultiRelay(MultiRelayParams{
-		Base:           base,
-		RelayPositions: []acoustics.Point{{X: 1, Y: 2, Z: 1.5}, {X: 99, Y: 0, Z: 0}},
-	}); err == nil {
-		t.Error("relay outside room should error")
+	for name, relays := range map[string][]acoustics.Point{
+		"more relays than sources": {{X: 1.2, Y: 3.3, Z: 1.5}, {X: 1, Y: 3, Z: 1.5}},
+		"relay outside room":       {{X: 99, Y: 0, Z: 0}},
+	} {
+		p := base
+		p.Scene.ExtraRelays = relays
+		if err := p.Scene.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the scene", name)
+		}
+		if _, err := Run(p, MUTEHollow); err == nil {
+			t.Errorf("%s: Run accepted the scene", name)
+		}
 	}
 	bad := base
+	bad.Scene.ExtraRelays = []acoustics.Point{{X: 1.2, Y: 3.3, Z: 1.5}}
 	bad.Duration = 0
-	if _, err := RunMultiRelay(MultiRelayParams{
-		Base:           bad,
-		RelayPositions: []acoustics.Point{{X: 1, Y: 2, Z: 1.5}, {X: 1.2, Y: 3.3, Z: 1.5}},
-	}); err == nil {
+	if _, err := Run(bad, MUTEHollow); err == nil {
 		t.Error("zero duration should error")
 	}
-	badScene := base
-	badScene.Scene = Scene{}
-	if _, err := RunMultiRelay(MultiRelayParams{Base: badScene}); err == nil {
-		t.Error("invalid scene should error")
+}
+
+// activeSettings are the Params and Scene settings that only MUTE's
+// canceller reads, each set on its own.
+var activeSettings = map[string]func(*Params){
+	"supervise":     func(p *Params) { p.Supervise = true },
+	"profiling":     func(p *Params) { p.Profiling = true },
+	"block fdaf":    func(p *Params) { p.BlockFDAF = true },
+	"transport":     func(p *Params) { p.LossTransport = &LossTransport{FrameSamples: 40, PrimeFrames: 1} },
+	"clock skew":    func(p *Params) { p.ClockSkewPPM = 50 },
+	"drift correct": func(p *Params) { p.DriftCorrect = true },
+	"control loop":  func(p *Params) { p.ControlLoopDelaySamples = 8 },
+	"extra relay":   func(p *Params) { p.Scene.ExtraRelays = []acoustics.Point{{X: 1.2, Y: 3.3, Z: 1.5}} },
+}
+
+// TestCancellerlessSchemesRefuseActiveSettings holds the Bose schemes and
+// PassiveOnly to graph.ErrUnsupported for every setting their cancellers
+// would drop, instead of a run that silently ignores it.
+func TestCancellerlessSchemesRefuseActiveSettings(t *testing.T) {
+	for _, scheme := range []Scheme{BoseActive, BoseOverall, PassiveOnly} {
+		for name, set := range activeSettings {
+			p := DefaultParams(twoSourceScene(3))
+			p.Duration = 0.1
+			set(&p)
+			if _, err := Run(p, scheme); !errors.Is(err, graph.ErrUnsupported) {
+				t.Errorf("%v with %s: err = %v, want graph.ErrUnsupported", scheme, name, err)
+			}
+		}
+	}
+}
+
+// TestMultiRelayRefusals holds a multi-relay run to graph.ErrUnsupported
+// for the settings its LANC banks lack, and runs the control loop, whose
+// stale error every bank pairs alike.
+func TestMultiRelayRefusals(t *testing.T) {
+	for name, set := range activeSettings {
+		if name == "extra relay" {
+			continue
+		}
+		p := DefaultParams(twoSourceScene(3))
+		p.Duration = 0.1
+		p.Scene.ExtraRelays = []acoustics.Point{{X: 1.2, Y: 3.3, Z: 1.5}}
+		set(&p)
+		_, err := Run(p, MUTEHollow)
+		switch {
+		case name == "control loop":
+			if err != nil {
+				t.Errorf("two relays with a control loop: %v", err)
+			}
+		case !errors.Is(err, graph.ErrUnsupported):
+			t.Errorf("two relays with %s: err = %v, want graph.ErrUnsupported", name, err)
+		}
 	}
 }

@@ -33,6 +33,11 @@ type Scene struct {
 	Sources []Source
 	// RelayPos is where the IoT relay (reference microphone) is mounted.
 	RelayPos acoustics.Point
+	// ExtraRelays mounts one further relay per further source (the
+	// paper's §6 multi-source direction): ExtraRelays[i] pairs with
+	// Sources[i+1] for its lookahead, and the ear runs one LANC bank per
+	// relay. Empty is the single-relay system.
+	ExtraRelays []acoustics.Point
 	// EarPos is the ear-device position (error microphone, anti-noise
 	// speaker, and measurement microphone are co-located here, as in the
 	// paper's platform).
@@ -78,6 +83,15 @@ func (s Scene) Validate() error {
 	if !s.Room.Inside(s.RelayPos) {
 		return fmt.Errorf("sim: relay at %v outside room", s.RelayPos)
 	}
+	if len(s.ExtraRelays) >= len(s.Sources) {
+		return fmt.Errorf("sim: %d extra relays for %d sources: relay i+1 pairs with source i+1",
+			len(s.ExtraRelays), len(s.Sources))
+	}
+	for i, pos := range s.ExtraRelays {
+		if !s.Room.Inside(pos) {
+			return fmt.Errorf("sim: extra relay %d at %v outside room", i, pos)
+		}
+	}
 	if !s.Room.Inside(s.EarPos) {
 		return fmt.Errorf("sim: ear device at %v outside room", s.EarPos)
 	}
@@ -103,10 +117,23 @@ func (s Scene) RelayOnSource() Scene {
 // LookaheadSamples returns the geometric lookahead (in samples) the relay
 // provides for the dominant source: acoustic source→ear delay minus
 // source→relay delay (Equation 4).
-func (s Scene) LookaheadSamples() int {
-	src := s.Sources[0].Pos
+func (s Scene) LookaheadSamples() int { return s.lookahead(s.Sources[0].Pos, s.RelayPos) }
+
+// relayLookaheads returns every relay's lookahead over its paired source:
+// RelayPos over Sources[0], then ExtraRelays[i] over Sources[i+1].
+func (s Scene) relayLookaheads() []int {
+	las := []int{s.LookaheadSamples()}
+	for i, pos := range s.ExtraRelays {
+		las = append(las, s.lookahead(s.Sources[i+1].Pos, pos))
+	}
+	return las
+}
+
+// lookahead is how many samples earlier a relay at relay hears src than
+// the ear does.
+func (s Scene) lookahead(src, relay acoustics.Point) int {
 	d := acoustics.DirectDelaySamples(src, s.EarPos, s.SampleRate) -
-		acoustics.DirectDelaySamples(src, s.RelayPos, s.SampleRate)
+		acoustics.DirectDelaySamples(src, relay, s.SampleRate)
 	return int(d)
 }
 

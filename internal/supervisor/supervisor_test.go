@@ -25,9 +25,7 @@ func testPair(t *testing.T) (*core.LANC, *headphone.ANC) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hcfg := headphone.DefaultConfig(8000, []float64{1})
-	hcfg.Taps = 16
-	fb, err := headphone.NewANC(hcfg)
+	fb, err := headphone.NewANC(8000, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

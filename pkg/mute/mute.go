@@ -10,8 +10,9 @@
 //     choose a Scheme, and Run it to obtain recordings and cancellation
 //     reports. The architectural variants are settings of the same run:
 //     Params.ControlLoopDelaySamples for the tabletop relay (Figure
-//     10(a)), Scene.RelayOnSource for smart noise (Figure 10(c)), and
-//     Params.EarEnd for a moving ear. This is what the examples and the
+//     10(a)), Scene.RelayOnSource for smart noise (Figure 10(c)),
+//     Params.EarEnd for a moving ear, and Scene.ExtraRelays for one relay
+//     per noise source (Section 6). This is what the examples and the
 //     benchmark harness use.
 //
 //   - Algorithm embedding: BuildPipeline wires the cancellation pipeline
