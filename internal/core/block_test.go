@@ -180,6 +180,37 @@ func BenchmarkBlockLANCPerSample(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockLANCFleetShape times one block at the FDAF fleet
+// session's shape (fleet.DefaultProfile with FDAFBlock 16 through
+// graph.Build): B = 16, 16 non-causal plus EarCausalTaps causal taps
+// (M = 24 in two 16-tap partitions, each on 32-point real FFTs), the
+// default step and the demo ear's secondary path, on a noise reference.
+func BenchmarkBlockLANCFleetShape(b *testing.B) {
+	const blockSize = 16
+	bl, err := NewBlock(BlockConfig{
+		FilterTaps: 16 + EarCausalTaps, BlockSize: blockSize,
+		SecondaryPath: EarSecondaryPath(), NonCausalTaps: 16,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := audio.Render(audio.NewWhiteNoise(8, 8000, 0.5), 4096)
+	e := make([]float64, blockSize)
+	out := make([]float64, blockSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := (i * blockSize) & 4095
+		xb := x[at : at+blockSize]
+		for k, v := range xb {
+			e[k] = 0.01*v + out[k]
+		}
+		if err := bl.ProcessBlockInto(out, xb, e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSampleLANC512 is the sample-domain counterpart at the same
 // filter length.
 func BenchmarkSampleLANC512(b *testing.B) {

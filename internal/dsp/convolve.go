@@ -144,8 +144,20 @@ func (s *StreamConvolver) Process(x float64) float64 {
 		acc += r4[1] * w4[1]
 		acc += r4[0] * w4[0]
 	}
-	for j := k - 1; j >= 0; j-- {
-		acc += rev[j] * win[j]
+	// The last k < 4 taps, in the same order and with no loop: a kernel
+	// shorter than 4 taps (the ear's 3-tap secondary path, filtered once
+	// per sample) runs only this.
+	r, w := rev[:k:k], win[:k:k]
+	switch k {
+	case 3:
+		acc += r[2] * w[2]
+		acc += r[1] * w[1]
+		acc += r[0] * w[0]
+	case 2:
+		acc += r[1] * w[1]
+		acc += r[0] * w[0]
+	case 1:
+		acc += r[0] * w[0]
 	}
 	s.pos++
 	if s.pos == m {

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"mute/internal/audio"
 )
 
 // fleetDigestRun serves two sessions of profile p on a server with the
@@ -88,15 +90,34 @@ func residualDigest(x []float64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// roomIR is a seeded 64-tap decaying room response, generated as
+// perfbench's churn-fdaf workload generates its room.
+func roomIR(seed uint64) []float64 {
+	rng := audio.NewRNG(seed*0x9e3779b97f4a7c15 + 5)
+	ir := make([]float64, 64)
+	ir[0] = 1
+	for k := 1; k < len(ir); k++ {
+		ir[k] = 0.3 * math.Exp(-float64(k)/12) * rng.Uniform()
+	}
+	return ir
+}
+
 // TestFleetResidualDigestsPinned pins the bits a fleet serves: the
 // residuals of a time-domain and an FDAF (B=16) profile, at one and two
 // shards, over lossy skewed links, through a DEGRADED pressure move and
 // back and a Drain → Adopt handoff: a change to the sample loop, the
 // reference alignment, the whole-frame pull or the tap controls that
-// moves one served sample changes a digest.
+// moves one served sample changes a digest. The fdaf16-room case is the
+// full default FDAF session with a memoized room render and a calibrated
+// secondary path, so the small real FFTs' exact arithmetic is pinned too.
 func TestFleetResidualDigestsPinned(t *testing.T) {
 	fdaf := lightProfile()
 	fdaf.FDAFBlock = 16
+	room := DefaultProfile()
+	room.FDAFBlock = 16
+	room.RoomIR = roomIR(1)
+	room.EstimateSecondary = true
+	room.EstimateNoiseRMS = 0.01
 	cases := []struct {
 		name string
 		p    Profile
@@ -104,6 +125,7 @@ func TestFleetResidualDigestsPinned(t *testing.T) {
 	}{
 		{"td", lightProfile(), [2]string{"eb2835b9005b58f1", "96a946f0f9134047"}},
 		{"fdaf16", fdaf, [2]string{"f7a21fce3e500751", "31b6c6ad488e943f"}},
+		{"fdaf16-room", room, [2]string{"50685830ac95e594", "a74ec774c926f4b7"}},
 	}
 	for _, tc := range cases {
 		for _, shards := range []int{1, 2} {
