@@ -69,8 +69,8 @@ const DefaultBlockMu = 0.4
 
 // BlockConfig configures a BlockLANC.
 type BlockConfig struct {
-	// FilterTaps is the total filter length M (the sample-domain
-	// N + L + 1).
+	// FilterTaps is the total filter length M. graph.Build passes N + L,
+	// one tap short of the sample-domain LANC's N + L + 1.
 	FilterTaps int
 	// BlockSize is B, the samples produced per call. Adaptation lag grows
 	// with B.

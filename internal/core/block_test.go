@@ -173,6 +173,7 @@ func BenchmarkBlockLANCPerSample(b *testing.B) {
 		x[i] = 0.3
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i += 64 {
 		if err := bl.ProcessBlockInto(out, x, e); err != nil {
 			b.Fatal(err)
@@ -222,6 +223,7 @@ func BenchmarkSampleLANC512(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Step(0.3, 0.05)
 	}

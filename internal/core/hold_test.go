@@ -29,7 +29,7 @@ func TestHoldAdaptationFreezesWithoutLossAware(t *testing.T) {
 	refCh := dsp.NewStreamConvolver(testHnr)
 	priCh := dsp.NewStreamConvolver(testHne)
 	secCh := dsp.NewStreamConvolver(testHse)
-	N := l.NonCausalTaps()
+	N := l.cfg.NonCausalTaps
 	noise := audio.Render(gen, 4000+N+1)
 	ref := refCh.ProcessBlock(noise)
 
@@ -71,7 +71,7 @@ func TestHoldAdaptationNeverCalledIsBitIdentical(t *testing.T) {
 	priCh := dsp.NewStreamConvolver(testHne)
 	secCh1 := dsp.NewStreamConvolver(testHse)
 	secCh2 := dsp.NewStreamConvolver(testHse)
-	N := plain.NonCausalTaps()
+	N := plain.cfg.NonCausalTaps
 	noise := audio.Render(gen, 2000+N+1)
 	ref := refCh.ProcessBlock(noise)
 
@@ -99,7 +99,7 @@ func TestHoldAdaptationLongerFreezeWins(t *testing.T) {
 	refCh := dsp.NewStreamConvolver(testHnr)
 	priCh := dsp.NewStreamConvolver(testHne)
 	secCh := dsp.NewStreamConvolver(testHse)
-	N := l.NonCausalTaps()
+	N := l.cfg.NonCausalTaps
 	noise := audio.Render(gen, 1000+N+1)
 	ref := refCh.ProcessBlock(noise)
 

@@ -614,21 +614,13 @@ func (l *LANC) SetWeights(w []float64) error {
 	return nil
 }
 
-// degradedFraction is the share of the non-causal window kept live on a
-// DEGRADED rung: the supervisor's per-link ladder and the fleet's
-// pressure ladder both shrink to it.
-const degradedFraction = 0.5
-
-// DegradedTaps returns how many of n non-causal taps stay live on a
-// DEGRADED rung.
-func DegradedTaps(n int) int { return int(degradedFraction * float64(n)) }
-
 // LimitNonCausal shrinks the live non-causal tap window to at most n future
 // taps, zeroing the most-future taps beyond it; n ≥ N restores the full
-// window. The supervisor's DEGRADED rung uses this when the link still
-// delivers frames but the lookahead budget no longer covers the full
-// window: the far-future taps — the ones a late frame starves first — are
-// parked at zero while the near-future and causal taps keep adapting.
+// window. graph's window owner shrinks it on the DEGRADED rung, when the
+// link still delivers frames but the lookahead budget no longer covers
+// the full window, and under fleet pressure: the far-future taps — the
+// ones a late frame starves first — are parked at zero while the
+// near-future and causal taps keep adapting.
 // Re-widening is graceful: re-enabled taps resume from zero. With the full
 // window active the canceller is bit-identical to one without this call.
 func (l *LANC) LimitNonCausal(n int) {
@@ -651,12 +643,6 @@ func (l *LANC) ActiveNonCausal() int { return l.cfg.NonCausalTaps - l.skip }
 func (l *LANC) zeroSkipped() {
 	clear(l.w[len(l.w)-l.skip:])
 }
-
-// NonCausalTaps returns N.
-func (l *LANC) NonCausalTaps() int { return l.cfg.NonCausalTaps }
-
-// CausalTaps returns L.
-func (l *LANC) CausalTaps() int { return l.cfg.CausalTaps }
 
 // Switches returns how many predictive filter swaps the profiler has
 // performed.

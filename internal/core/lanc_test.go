@@ -14,7 +14,7 @@ import (
 // in dB over the final quarter (negative is better).
 func runANC(t *testing.T, l *LANC, gen audio.Generator, hnr, hne, hse []float64, n int) float64 {
 	t.Helper()
-	N := l.NonCausalTaps()
+	N := l.cfg.NonCausalTaps
 	refCh := dsp.NewStreamConvolver(hnr)
 	priCh := dsp.NewStreamConvolver(hne)
 	secCh := dsp.NewStreamConvolver(hse)
@@ -221,8 +221,8 @@ func TestLANCStepWrapper(t *testing.T) {
 	if math.IsNaN(out) {
 		t.Error("Step produced NaN")
 	}
-	if l.NonCausalTaps() != 2 || l.CausalTaps() != 24 {
-		t.Error("tap accessors mismatch")
+	if l.cfg.NonCausalTaps != 2 || l.cfg.CausalTaps != 24 {
+		t.Error("tap counts mismatch")
 	}
 }
 
@@ -261,6 +261,7 @@ func BenchmarkLANCStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Step(0.3, 0.05)
 	}
@@ -281,6 +282,7 @@ func BenchmarkLANCStepFleetShape(b *testing.B) {
 	x := audio.Render(audio.NewWhiteNoise(8, 8000, 0.5), 4096)
 	var sink float64
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink = l.StepMasked(x[i&4095], 0.01*x[(i+7)&4095], true)
 	}

@@ -15,7 +15,7 @@ import (
 // loss only happens on the RF link.
 func runANCMasked(t *testing.T, l *LANC, gen audio.Generator, conceal func(int) bool, n int) float64 {
 	t.Helper()
-	N := l.NonCausalTaps()
+	N := l.cfg.NonCausalTaps
 	refCh := dsp.NewStreamConvolver(testHnr)
 	priCh := dsp.NewStreamConvolver(testHne)
 	secCh := dsp.NewStreamConvolver(testHse)

@@ -133,3 +133,102 @@ func constructorCalls(t *testing.T, path string) []string {
 	}
 	return sites
 }
+
+// windowCallers are the functions outside internal/core that may call
+// LimitNonCausal, keyed "dir.Recv.Func": graph's window owner, the one
+// place the live non-causal window is granted, and the canceller kind
+// that fans the grant out over its banks.
+var windowCallers = map[string]bool{
+	"internal/graph.window.set":               true,
+	"internal/graph.multiKind.LimitNonCausal": true,
+}
+
+// TestWindowHasOneOwner fails when a non-test file outside internal/core
+// calls .LimitNonCausal( from anywhere but windowCallers (a second place
+// sizing the live window, which would not compose with the owner's
+// grant), when a windowCallers entry no longer calls it, and when
+// internal/supervisor's non-test files import internal/core (the ladder
+// emits a rung and steps its leg through an interface).
+func TestWindowHasOneOwner(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	supervisorFiles := 0
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		if rel == "internal/supervisor" {
+			supervisorFiles++
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"mute/internal/core"` {
+					t.Errorf("%s/%s imports mute/internal/core; the ladder steps its leg through supervisor.Leg", rel, d.Name())
+				}
+			}
+		}
+		if rel == "internal/core" {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := rel + "." + fn.Name.Name
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				if id, ok := typ.(*ast.Ident); ok {
+					name = rel + "." + id.Name + "." + fn.Name.Name
+				}
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "LimitNonCausal" {
+					found[name] = true
+					if !windowCallers[name] {
+						t.Errorf("%s calls LimitNonCausal; set the window through graph's owner (Pipeline.SetPressure or the supervisor's rung)", name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if supervisorFiles == 0 {
+		t.Error("found no internal/supervisor file; the import check is vacuous")
+	}
+	for name := range windowCallers {
+		if !found[name] {
+			t.Errorf("windowCallers lists %s, which no longer calls LimitNonCausal; delete the entry", name)
+		}
+	}
+}

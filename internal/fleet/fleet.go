@@ -174,14 +174,13 @@ type Session struct {
 
 	// Lifecycle state (see lifecycle.go). quarantined/panicMsg are
 	// atomics because Ingest and tickSession both observe them under the
-	// server's read lock; pressureSeen and the probes are touched only on
-	// the session's own tick/ingest path.
-	quarantined  atomic.Bool
-	panicMsg     atomic.Pointer[string]
-	pressureSeen uint64
-	lastFrame    atomic.Int64 // server tick count when a frame last landed
-	tickProbe    func(block int64)
-	ingestProbe  func(payload []byte)
+	// server's read lock; the probes are touched only on the session's
+	// own tick/ingest path.
+	quarantined atomic.Bool
+	panicMsg    atomic.Pointer[string]
+	lastFrame   atomic.Int64 // server tick count when a frame last landed
+	tickProbe   func(block int64)
+	ingestProbe func(payload []byte)
 }
 
 // Stats returns the session's transport counters (jitter buffer plus the
@@ -300,14 +299,13 @@ type Server struct {
 	cache memo
 
 	// Lifecycle state (lifecycle.go): the ladder itself lives in lc; the
-	// current rung and its change epoch are mirrored into atomics so the
-	// per-session tick path reads them lock-free, and draining gates
-	// admissions once Drain has begun.
-	lc            lifecycle
-	pressure      atomic.Int32
-	pressureEpoch atomic.Uint64
-	draining      atomic.Bool
-	ticks         atomic.Int64
+	// current rung is mirrored into an atomic so the per-session tick path
+	// reads it lock-free, and draining gates admissions once Drain has
+	// begun.
+	lc       lifecycle
+	pressure atomic.Int32
+	draining atomic.Bool
+	ticks    atomic.Int64
 
 	reg         *telemetry.Registry
 	retired     *telemetry.Registry // closed sessions' registries, pre-merged
@@ -475,11 +473,8 @@ func (s *Server) Open(id uint32, profile Profile, opts ...SessionOption) (*Sessi
 		pl.Close()
 		return nil, fmt.Errorf("fleet: session %d already open", id)
 	}
-	// Adopt the current pressure posture at birth (a session opened under
-	// DEGRADED starts with the shrunken window); later rung changes are
-	// picked up by applyPressure on the session's own ticks.
-	sess.pressureSeen = s.pressureEpoch.Load()
-	sess.limitTaps(s)
+	// A session opened under DEGRADED starts with the shrunken window.
+	sess.applyPressure(s)
 	sess.lastFrame.Store(s.ticks.Load())
 	s.sessions[id] = sess
 	i := sort.Search(len(s.order), func(k int) bool { return s.order[k] > id })
@@ -724,9 +719,8 @@ func (s *Server) tickSession(sess *Session) (err error) {
 // period (no miss); lateness > 0 means every session in the tick missed
 // its block deadline. The pacer (cmd/mutefleet's paced loop) calls this
 // once per tick. It also feeds the overload watchdog: the smoothed
-// lateness drives the fleet-wide pressure ladder (lifecycle.go), and a
-// rung change bumps the pressure epoch that sessions re-read on their
-// next tick.
+// lateness drives the fleet-wide pressure ladder (lifecycle.go), whose
+// rung sessions read on their next tick.
 func (s *Server) ObserveTick(latenessNS int64) {
 	if latenessNS > 0 {
 		s.mu.RLock()
@@ -740,7 +734,6 @@ func (s *Server) ObserveTick(latenessNS int64) {
 	s.gLateEWMA.Set(ewma)
 	if changed {
 		s.pressure.Store(int32(state))
-		s.pressureEpoch.Add(1)
 		s.gPressure.Set(float64(state))
 	}
 }

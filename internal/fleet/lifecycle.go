@@ -3,8 +3,6 @@ package fleet
 import (
 	"errors"
 	"sync"
-
-	"mute/internal/core"
 )
 
 // This file is the fleet lifecycle layer's overload-control half: a
@@ -16,9 +14,9 @@ import (
 // fleet-wide liveness:
 //
 //	NORMAL    — full profiles, admissions open.
-//	DEGRADED  — every session's non-causal tap window is shrunk via the
-//	            supervisor's LimitNonCausal hook (the cheaper posture on
-//	            both the time-domain and FDAF paths); admissions stay open.
+//	DEGRADED  — every session's pipeline caps its non-causal tap window
+//	            through graph's pressure input (the cheaper posture on
+//	            both the time-domain and FDAF paths); admissions open.
 //	SHEDDING  — new Opens are refused with ErrOverloaded, and sessions
 //	            that have not delivered a frame within IdleReapTicks are
 //	            reaped (counted fleet.shed): an overloaded fleet sheds
@@ -30,10 +28,10 @@ import (
 // under half the demotion threshold, so the ladder never flaps on one
 // slow tick (a GC pause, a scheduler hiccup).
 //
-// The posture is applied lazily: state changes bump an epoch counter, and
-// each session re-reads the epoch at the start of its own tick and
-// reconfigures itself on its own goroutine. Sessions stay shared-nothing
-// — the watchdog never reaches into a session from outside its tick.
+// The posture is applied lazily: each session reads the rung at the start
+// of its own tick and sets its pipeline's pressure input on its own
+// goroutine. Sessions stay shared-nothing — the watchdog never reaches
+// into a session from outside its tick.
 
 // ErrOverloaded is returned by Open while the pressure ladder is in
 // PressureShedding: the fleet is missing tick deadlines badly enough that
@@ -117,8 +115,8 @@ func (c LifecycleConfig) withDefaults() LifecycleConfig {
 
 // lifecycle is the server's watchdog state. Ladder evaluation runs once
 // per tick under its own mutex (never on the per-session path); the
-// current rung and epoch are mirrored into atomics on the Server so the
-// per-session tick reads them lock-free.
+// current rung is mirrored into an atomic on the Server so the
+// per-session tick reads it lock-free.
 type lifecycle struct {
 	mu  sync.Mutex
 	cfg LifecycleConfig
@@ -187,29 +185,10 @@ func (s *Server) Pressure() PressureState {
 	return PressureState(s.pressure.Load())
 }
 
-// applyPressure reconfigures the session for the fleet's current pressure
-// posture, if it changed since this session last ticked. It runs at the
-// start of tickSession — on the session's own tick goroutine, the only
-// place session-owned filter state may be touched — so a rung change
-// propagates within one tick without any cross-goroutine mutation. In
-// steady state it costs one atomic load.
-func (sess *Session) applyPressure(s *Server) {
-	epoch := s.pressureEpoch.Load()
-	if epoch == sess.pressureSeen {
-		return
-	}
-	sess.pressureSeen = epoch
-	sess.limitTaps(s)
-}
-
-// limitTaps sizes the session's non-causal window for the current rung.
-func (sess *Session) limitTaps(s *Server) {
-	n := sess.pl.NonCausalTaps
-	if PressureState(s.pressure.Load()) >= PressureDegraded {
-		n = core.DegradedTaps(n)
-	}
-	sess.pl.LimitNonCausal(n)
-}
+// applyPressure sets the session pipeline's pressure input from the
+// fleet's rung, at birth and at the start of each of the session's own
+// ticks, the only place session-owned filter state may be touched.
+func (sess *Session) applyPressure(s *Server) { sess.pl.SetPressure(s.Pressure() >= PressureDegraded) }
 
 // quarantine marks the session poisoned after a recovered panic: it stops
 // ticking, its datagrams are dropped on ingest, and Drain skips it. The

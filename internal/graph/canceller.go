@@ -15,13 +15,11 @@ import (
 // loop (LANC, §4 and Eq. 3). Prefilter announces a pulled block before
 // its samples are stepped; Step returns the anti-noise for the forwarded
 // reference x, the open-ear sample local, the previous residual ePrev and
-// the concealment flag real. The fleet's pressure ladder and session
-// handoff reach the taps.
+// the concealment flag real. Session handoff reaches the taps, and the
+// window owner the non-causal window through the limiter face.
 type canceller interface {
 	Prefilter(xs []float64)
 	Step(x, local, ePrev float64, real bool) float64
-	LimitNonCausal(n int)
-	ActiveNonCausal() int
 	Weights() []float64
 	SetWeights(w []float64) error
 }
@@ -31,15 +29,18 @@ type lancKind struct{ *core.LANC }
 
 func (k lancKind) Step(x, _, ePrev float64, real bool) float64 { return k.StepMasked(x, ePrev, real) }
 
-// supervisedKind steps the degradation ladder; the supervisor pushes every
-// forwarded sample to its LANC on every rung, so the rest goes there.
+// supervisedKind steps the degradation ladder over the LANC: the ladder
+// rules on the sample, the window owner grants the rung's window, then
+// the legs step. The rest goes to the LANC, which sees every sample.
 type supervisedKind struct {
-	*supervisor.Supervisor
 	*core.LANC
+	sup *supervisor.Supervisor
+	win *window
 }
 
 func (k supervisedKind) Step(x, local, ePrev float64, real bool) float64 {
-	return k.Supervisor.Step(x, local, ePrev, real)
+	k.win.set(k.sup.Advance(local, ePrev, real) == supervisor.StateDegraded, k.win.pressure)
+	return k.sup.StepLegs(x, local, ePrev, real)
 }
 
 // multiKind sums one LANC bank per reference — the paper's §6
@@ -100,20 +101,14 @@ func (k *multiKind) SetWeights(w []float64) error {
 }
 
 // headphoneKind steps the headphone canceller on the cup microphone,
-// which has no lossy link to mask, and exposes no taps.
-type headphoneKind struct {
-	*headphone.ANC
-	noTaps
-}
+// which has no lossy link to mask, and exposes no taps and no window.
+type headphoneKind struct{ *headphone.ANC }
 
 func (k headphoneKind) Step(x, _, ePrev float64, _ bool) float64 { return k.ANC.Step(x, ePrev) }
-
-type noTaps struct{}
-
-func (noTaps) LimitNonCausal(int)         {}
-func (noTaps) ActiveNonCausal() int       { return 0 }
-func (noTaps) Weights() []float64         { return nil }
-func (noTaps) SetWeights([]float64) error { return errors.New("graph: the Headphone kind has no taps") }
+func (headphoneKind) Weights() []float64                         { return nil }
+func (headphoneKind) SetWeights([]float64) error {
+	return errors.New("graph: the Headphone kind has no taps")
+}
 
 // fdafKind runs the block canceller behind the per-sample step. At a
 // block's first sample the step has just been handed the previous
@@ -163,13 +158,6 @@ func (pl *Pipeline) lanc() *core.LANC {
 	return nil
 }
 
-// LimitNonCausal shrinks the live non-causal window to at most n taps; n
-// ≥ NonCausalTaps restores it.
-func (pl *Pipeline) LimitNonCausal(n int) { pl.canc.LimitNonCausal(n) }
-
-// ActiveNonCausal returns how many non-causal taps are live.
-func (pl *Pipeline) ActiveNonCausal() int { return pl.canc.ActiveNonCausal() }
-
 // Weights returns a copy of the canceller's sample-domain taps.
 func (pl *Pipeline) Weights() []float64 { return pl.canc.Weights() }
 
@@ -190,7 +178,7 @@ func (pl *Pipeline) AdaptState() (switches int, tapEnergy, muEff float64) {
 // supervised).
 func (pl *Pipeline) Supervision() *supervisor.Report {
 	if k, ok := pl.canc.(supervisedKind); ok {
-		r := k.Report()
+		r := k.sup.Report()
 		return &r
 	}
 	return nil

@@ -79,7 +79,7 @@ func (c Controls) Hold(hold, ramp int) {
 // ObserveDrift feeds a skew estimate to the supervisor's health view.
 func (c Controls) ObserveDrift(ppm float64, estimable bool) {
 	if k, ok := c.pl.canc.(supervisedKind); ok {
-		k.ObserveDrift(ppm, estimable)
+		k.sup.ObserveDrift(ppm, estimable)
 	}
 }
 

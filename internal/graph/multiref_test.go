@@ -137,14 +137,14 @@ func TestMultiReferenceShapes(t *testing.T) {
 	cfg.ExtraReferences = []SampleSource{&SliceSource{Samples: x}, &SliceSource{Samples: x[:n/2]}}
 	pl, _ := runKind(t, cfg, x, cup)
 	k := pl.canc.(*multiKind)
-	pl.LimitNonCausal(3)
+	pl.SetPressure(true) // the DEGRADED window: 4 of the 8 planned taps
 	for i, b := range k.banks {
-		if b.ActiveNonCausal() != 3 {
-			t.Errorf("bank %d keeps %d live non-causal taps, want 3", i, b.ActiveNonCausal())
+		if b.ActiveNonCausal() != 4 {
+			t.Errorf("bank %d keeps %d live non-causal taps, want 4", i, b.ActiveNonCausal())
 		}
 	}
-	if pl.ActiveNonCausal() != 3 {
-		t.Errorf("pipeline reports %d live non-causal taps, want 3", pl.ActiveNonCausal())
+	if pl.ActiveNonCausal() != 4 {
+		t.Errorf("pipeline reports %d live non-causal taps, want 4", pl.ActiveNonCausal())
 	}
 	// The short reference's bank heard silence after its stream ended: its
 	// last pulled block is zero past the end.

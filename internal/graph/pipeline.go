@@ -177,13 +177,15 @@ type Pipeline struct {
 	// Spend itemizes where the lookahead went (recorded into the trace
 	// at Build; nil for the Headphone kind).
 	Spend *telemetry.BudgetReport
-	// NonCausalTaps is the N the canceller actually runs with.
+	// NonCausalTaps is the N the canceller is built with (ActiveNonCausal
+	// reads how many of them are live).
 	NonCausalTaps int
 
 	// canc is the canceller the sample loop steps; quantum is its pull
 	// granularity (the FDAF block size, else 1).
 	canc    canceller
 	quantum int
+	win     window // the owner of canc's live non-causal window
 	// align is the reference alignment: the lookahead no other stage
 	// spends. Every reference keeps its last align pulled samples and
 	// flags at the front of its scratch, so the canceller reads the
@@ -295,6 +297,8 @@ func Build(cfg Config) (*Pipeline, error) {
 	} else if err := pl.planCanceller(cfg); err != nil {
 		return nil, err
 	}
+	pl.win.c, _ = pl.canc.(limiter)
+	pl.win.planned, pl.win.live = pl.NonCausalTaps, pl.NonCausalTaps
 	// The pull scratch is sized once, for the alignment plus Run's block
 	// (the trace cadence) in whole pull quanta.
 	block := pl.align + (int(traceEvery)+pl.quantum-1)/pl.quantum*pl.quantum
@@ -486,11 +490,11 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 		scfg = *cfg.SupervisorConfig
 	}
 	scfg.Trace = cfg.Trace
-	sup, err := supervisor.New(scfg, lanc, fb)
+	sup, err := supervisor.New(scfg, lanc, nTaps, c.CausalTaps, fb)
 	if err != nil {
 		return err
 	}
-	pl.canc = supervisedKind{sup, lanc}
+	pl.canc = supervisedKind{LANC: lanc, sup: sup, win: &pl.win}
 	return nil
 }
 
@@ -665,7 +669,7 @@ func (pl *Pipeline) traceCancelState() {
 		"ramp_left":  float64(rampLeft),
 	})
 	if k, ok := pl.canc.(supervisedKind); ok {
-		k.TraceState(pl.trace, pl.t)
+		k.sup.TraceState(pl.trace, pl.t)
 	}
 }
 

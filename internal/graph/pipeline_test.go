@@ -151,7 +151,7 @@ func TestSupervisedNilConfigStarvesAtWindow(t *testing.T) {
 	if err := pl.Run(n, 64); err != nil {
 		t.Fatal(err)
 	}
-	rep := pl.canc.(supervisedKind).Report()
+	rep := pl.Supervision()
 	var got []supervisor.Transition
 	for _, tr := range rep.Transitions {
 		if tr.To == supervisor.StateFallback {
@@ -360,7 +360,7 @@ func TestHeadphoneKindHasNoTaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.LimitNonCausal(4)
+	pl.SetPressure(true)
 	if got := pl.ActiveNonCausal(); got != 0 {
 		t.Errorf("ActiveNonCausal = %d, want 0", got)
 	}

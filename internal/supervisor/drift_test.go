@@ -17,7 +17,7 @@ func driveWithDrift(t *testing.T, s *Supervisor, n, obsEvery int, ppm func(int) 
 			s.ObserveDrift(ppm(i), estimable(i))
 		}
 		x := gen.Next()
-		a := s.Step(x, x, e, true)
+		a := step(s, x, x, e, true)
 		e = 0.6*x + a
 	}
 	return s.Report()
@@ -35,7 +35,7 @@ func driftConfig() Config {
 // FALLBACK, on an otherwise clean link.
 func TestDriftLadderDegradeAndFallback(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(driftConfig(), lanc, fb)
+	s, err := New(driftConfig(), lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDriftLadderDegradeAndFallback(t *testing.T) {
 // ladder down, and clearing the skew lets it climb back to LANC.
 func TestDriftLadderBlocksPromotionUntilClear(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(driftConfig(), lanc, fb)
+	s, err := New(driftConfig(), lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDriftLadderBlocksPromotionUntilClear(t *testing.T) {
 // but never forces FALLBACK on its own.
 func TestDriftUnestimableCountsAsDegrade(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(driftConfig(), lanc, fb)
+	s, err := New(driftConfig(), lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestDriftUnestimableCountsAsDegrade(t *testing.T) {
 // awareness — the clean-link run stays in LANC with no transitions.
 func TestDriftNeverObservedIsInert(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(driftConfig(), lanc, fb)
+	s, err := New(driftConfig(), lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@
 // zeros. The ladder bounds that failure:
 //
 //	LANC        full non-causal window, the paper's algorithm
-//	DEGRADED    shrunken non-causal window (core.LANC.LimitNonCausal)
+//	DEGRADED    shrunken non-causal window (sized by internal/graph's
+//	            window owner, which reads the rung)
 //	FALLBACK    local headphone canceller (internal/headphone, a
 //	            zero-lookahead LANC), warm-started from LANC's causal
 //	            taps — the Bose-class canceller the paper compares

@@ -3,7 +3,6 @@ package supervisor
 import (
 	"fmt"
 
-	"mute/internal/core"
 	"mute/internal/headphone"
 	"mute/internal/telemetry"
 )
@@ -179,23 +178,31 @@ func (r Report) Publish(reg *telemetry.Registry) {
 	}
 }
 
-// Supervisor drives one canceller pair through the degradation ladder.
-// It is not safe for concurrent use; one instance per simulated ear.
+// Leg is the lookahead-aware canceller of the LANC and DEGRADED rungs, as
+// *core.LANC presents it: Weights returns the taps non-causal first.
+type Leg interface {
+	StepMasked(x, e float64, real bool) float64
+	PushMasked(x float64, real bool)
+	AntiNoise() float64
+	Weights() []float64
+}
+
+// Supervisor drives one canceller pair through the degradation ladder;
+// the caller sizes the rung's window between Advance and StepLegs. It is
+// not safe for concurrent use; one instance per simulated ear.
 type Supervisor struct {
-	cfg  Config
-	lanc *core.LANC
-	fb   *headphone.ANC
+	cfg Config
+	leg Leg
+	fb  *headphone.ANC
 
 	h     LinkHealth
 	state State
 	t     int64 // sample clock
 
-	breachRun  int // consecutive samples the active down-threshold is breached
-	taint      int // samples until the last concealed sample leaves LANC's window
-	window     int // N+L of the wrapped LANC
-	degradedN  int // non-causal taps kept live in DEGRADED
-	fullN      int
-	causalTaps int
+	breachRun int // consecutive samples the active down-threshold is breached
+	taint     int // samples until the last concealed sample leaves the leg's window
+	window    int // N+L of the leg
+	nonCausal int // N: the leg's Weights()[N:] are its causal taps
 
 	// Reacquisition probe state (FALLBACK / PASSTHROUGH only).
 	probeWait int
@@ -259,29 +266,25 @@ func (s *Supervisor) driftExcess(threshold float64) bool {
 	return s.driftPPM >= threshold
 }
 
-// New wraps a canceller and its local fallback in a supervisor. Both must
-// be dedicated to this supervisor: it owns their weight loads and window
-// limits from here on.
-func New(cfg Config, lanc *core.LANC, fallback *headphone.ANC) (*Supervisor, error) {
-	if lanc == nil || fallback == nil {
-		return nil, fmt.Errorf("supervisor: needs both a LANC and a fallback canceller")
+// New wraps a leg of nonCausal + causal taps (N and L) and its local
+// fallback in a supervisor, which owns stepping both from here on.
+func New(cfg Config, leg Leg, nonCausal, causal int, fallback *headphone.ANC) (*Supervisor, error) {
+	if leg == nil || fallback == nil {
+		return nil, fmt.Errorf("supervisor: needs both a LANC leg and a fallback canceller")
 	}
-	window := lanc.NonCausalTaps() + lanc.CausalTaps()
+	window := nonCausal + causal
 	cfg.fill(window)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Supervisor{
-		cfg:        cfg,
-		lanc:       lanc,
-		fb:         fallback,
-		h:          NewLinkHealth(HealthAlpha),
-		window:     window,
-		fullN:      lanc.NonCausalTaps(),
-		degradedN:  core.DegradedTaps(lanc.NonCausalTaps()),
-		causalTaps: lanc.CausalTaps(),
-	}
-	return s, nil
+	return &Supervisor{
+		cfg:       cfg,
+		leg:       leg,
+		fb:        fallback,
+		h:         NewLinkHealth(HealthAlpha),
+		window:    window,
+		nonCausal: nonCausal,
+	}, nil
 }
 
 // Report returns the run summary so far.
@@ -293,17 +296,14 @@ func (s *Supervisor) Report() Report {
 	return r
 }
 
-// Step advances one sample period. fwd is the wirelessly forwarded
-// reference sample x(t+N) (concealment-filled when real is false), local
-// is the sample the ear-cup reference microphone hears now — the fallback's
-// wire-free reference — and ePrev is the previous residual. It returns the
-// anti-noise sample to play. On a clean link the supervisor stays in
-// StateLANC and the output is bit-identical to calling the wrapped LANC's
-// StepMasked directly.
-func (s *Supervisor) Step(fwd, local, ePrev float64, real bool) float64 {
+// Advance runs the ladder for one sample period and returns the rung it is
+// played on: local is the ear-cup reference microphone's sample now (the
+// fallback's wire-free reference), ePrev the previous residual and real
+// the forwarded sample's concealment flag.
+func (s *Supervisor) Advance(local, ePrev float64, real bool) State {
 	s.h.Observe(real)
 	if !real {
-		// A concealed sample enters LANC's anti-noise window at +N and
+		// A concealed sample enters the leg's anti-noise window at +N and
 		// takes N+L+1 pushes to slide out of it.
 		s.taint = s.window + 1
 	} else if s.taint > 0 {
@@ -316,18 +316,25 @@ func (s *Supervisor) Step(fwd, local, ePrev float64, real bool) float64 {
 
 	s.maybeTransition()
 	s.rep.TimeInState[s.state]++
+	return s.state
+}
 
-	// Advance the legs. The wrapped LANC always consumes the forwarded
-	// sample so its reference and filtered-x windows stay time-aligned for
-	// a later promotion; it only adapts while its output drives the
-	// residual (LANC and DEGRADED rungs).
+// StepLegs steps the legs for the sample Advance ruled on, fwd being the
+// forwarded reference sample x(t+N) (concealment-filled when real is
+// false), and returns the anti-noise to play. On a clean link it is
+// bit-identical to the leg's StepMasked.
+func (s *Supervisor) StepLegs(fwd, local, ePrev float64, real bool) float64 {
+	// The leg always consumes the forwarded sample so its reference and
+	// filtered-x windows stay time-aligned for a later promotion; it only
+	// adapts while its output drives the residual (LANC and DEGRADED
+	// rungs).
 	var outLANC, outFB float64
 	fadingLANC := s.fadeLeft > 0 && s.fadeFrom <= StateDegraded
 	fadingFB := s.fadeLeft > 0 && s.fadeFrom == StateFallback
 	if s.state <= StateDegraded {
-		outLANC = s.lanc.StepMasked(fwd, ePrev, real)
+		outLANC = s.leg.StepMasked(fwd, ePrev, real)
 	} else {
-		s.lanc.PushMasked(fwd, real)
+		s.leg.PushMasked(fwd, real)
 		if fadingLANC {
 			// The FALLBACK guarantee: a fading-out LANC leg is muted while
 			// concealed samples contaminate its window, so concealed-
@@ -335,7 +342,7 @@ func (s *Supervisor) Step(fwd, local, ePrev float64, real bool) float64 {
 			if s.taint > 0 {
 				s.rep.TaintedSuppressed++
 			} else {
-				outLANC = s.lanc.AntiNoise()
+				outLANC = s.leg.AntiNoise()
 			}
 		}
 	}
@@ -452,25 +459,18 @@ func (s *Supervisor) probe() {
 	s.probeAt = s.t + int64(s.probeWait)
 }
 
-// moveTo performs a transition: filter reconfiguration, crossfade arming,
-// bookkeeping, and the trace event.
+// moveTo performs a transition: the fallback's warm start, crossfade
+// arming, bookkeeping, and the trace event.
 func (s *Supervisor) moveTo(to State) {
 	from := s.state
 	if to == from {
 		return
 	}
-	switch to {
-	case StateLANC:
-		s.lanc.LimitNonCausal(s.fullN)
-	case StateDegraded:
-		s.lanc.LimitNonCausal(s.degradedN)
-	case StateFallback:
-		// Restore the full window so a later promotion returns to the
-		// paper's filter, and seed the local fallback from LANC's causal
-		// taps: the room's causal inverse is the part both filters share.
-		s.lanc.LimitNonCausal(s.fullN)
+	if to == StateFallback {
+		// Seed the local fallback from the leg's causal taps: the room's
+		// causal inverse is the part both filters share.
 		s.fb.Reset()
-		s.fb.WarmStart(s.lanc.Weights()[s.fullN:])
+		s.fb.WarmStart(s.leg.Weights()[s.nonCausal:])
 		s.rep.WarmStarts++
 	}
 	if to == StateFallback || to == StatePassthrough {

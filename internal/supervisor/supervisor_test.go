@@ -40,6 +40,13 @@ func testConfig() Config {
 	return Config{DegradeThreshold: 0.2, FallbackThreshold: 0.5, StarvationRun: 160}
 }
 
+// step runs one sample through the ladder and the legs, as graph's
+// supervised kind does, less the window grant graph owns.
+func step(s *Supervisor, fwd, local, ePrev float64, real bool) float64 {
+	s.Advance(local, ePrev, real)
+	return s.StepLegs(fwd, local, ePrev, real)
+}
+
 // drive runs the supervisor over a mask schedule with a deterministic
 // reference and a simple unit acoustic loop, returning the report.
 func drive(t *testing.T, s *Supervisor, mask []bool) Report {
@@ -52,7 +59,7 @@ func drive(t *testing.T, s *Supervisor, mask []bool) Report {
 		if !real {
 			fwd = 0 // concealment zero-fills
 		}
-		a := s.Step(fwd, x, e, real)
+		a := step(s, fwd, x, e, real)
 		e = 0.6*x + a
 	}
 	return s.Report()
@@ -132,7 +139,7 @@ func TestLadderTransitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lanc, fb := testPair(t)
-			s, err := New(testConfig(), lanc, fb)
+			s, err := New(testConfig(), lanc, 4, 8, fb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +176,7 @@ func repeat3(n int) []int {
 func TestCleanLinkBitIdentity(t *testing.T) {
 	lancA, fb := testPair(t)
 	lancB, _ := testPair(t)
-	s, err := New(testConfig(), lancA, fb)
+	s, err := New(testConfig(), lancA, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +184,7 @@ func TestCleanLinkBitIdentity(t *testing.T) {
 	eS, eR := 0.0, 0.0
 	for i := 0; i < 2000; i++ {
 		x := gen.Next()
-		aS := s.Step(x, x, eS, true)
+		aS := step(s, x, x, eS, true)
 		aR := lancB.StepMasked(x, eR, true)
 		if aS != aR {
 			t.Fatalf("sample %d: supervised %v != raw %v", i, aS, aR)
@@ -198,7 +205,7 @@ func TestStarvationBypassesDwell(t *testing.T) {
 	lanc, fb := testPair(t)
 	cfg := testConfig()
 	cfg.StarvationRun = 12
-	s, err := New(cfg, lanc, fb)
+	s, err := New(cfg, lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +224,7 @@ func TestStarvationBypassesDwell(t *testing.T) {
 // must fire on an exponential schedule capped at probeMax.
 func TestProbeBackoffDoubles(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(testConfig(), lanc, fb)
+	s, err := New(testConfig(), lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,26 +254,26 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 	lanc, fb := testPair(t)
 	cfg := testConfig()
 	cfg.StarvationRun = 12
-	s, err := New(cfg, lanc, fb)
+	s, err := New(cfg, lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Walk into FALLBACK with an outage.
 	gen := audio.NewWhiteNoise(4, 8000, 0.3)
 	e := 0.0
-	step := func(real bool, eVal float64) float64 {
+	tick := func(real bool, eVal float64) float64 {
 		x := gen.Next()
 		fwd := x
 		if !real {
 			fwd = 0
 		}
-		return s.Step(fwd, x, eVal, real)
+		return step(s, fwd, x, eVal, real)
 	}
 	for i := 0; i < 50; i++ {
-		step(true, e)
+		tick(true, e)
 	}
 	for i := 0; i < 20; i++ {
-		step(false, 0.1)
+		tick(false, 0.1)
 	}
 	if s.state != StateFallback {
 		t.Fatalf("setup failed: state %v, want FALLBACK", s.state)
@@ -274,16 +281,16 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 	// Feed a residual far louder than the open field: ePow EWMA blows past
 	// passthroughFactor × openPow within the dwell.
 	for i := 0; i < 200 && s.state == StateFallback; i++ {
-		step(false, 5.0)
+		tick(false, 5.0)
 	}
 	if s.state != StatePassthrough {
 		t.Fatalf("state %v after runaway residual, want PASSTHROUGH", s.state)
 	}
 	// PASSTHROUGH emits silence.
-	if out := step(false, 5.0); out != 0 {
+	if out := tick(false, 5.0); out != 0 {
 		// The crossfade tail may still carry the old leg; skip past it.
 		for i := 0; i < crossfadeSamples; i++ {
-			out = step(false, 5.0)
+			out = tick(false, 5.0)
 		}
 		if out != 0 {
 			t.Fatalf("PASSTHROUGH emitted %v, want 0", out)
@@ -292,7 +299,7 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 	// Link recovers with a sane residual: a probe returns to FALLBACK
 	// once the clean run passes upDwell.
 	for i := 0; i < 3000 && s.state == StatePassthrough; i++ {
-		step(true, 0.05)
+		tick(true, 0.05)
 	}
 	if s.state != StateFallback {
 		t.Fatalf("state %v after recovery, want FALLBACK", s.state)
@@ -303,7 +310,7 @@ func TestPassthroughDemotionAndRecovery(t *testing.T) {
 // smoothly — no sample may jump beyond what the two legs could produce.
 func TestCrossfadeIsBounded(t *testing.T) {
 	lanc, fb := testPair(t)
-	s, err := New(testConfig(), lanc, fb)
+	s, err := New(testConfig(), lanc, 4, 8, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +325,7 @@ func TestCrossfadeIsBounded(t *testing.T) {
 		if !real {
 			fwd = 0
 		}
-		a := s.Step(fwd, x, e, real)
+		a := step(s, fwd, x, e, real)
 		e = 0.6*x + a
 		if i > 0 {
 			if d := math.Abs(a - prev); d > maxJump {
@@ -342,7 +349,7 @@ func TestCrossfadeIsBounded(t *testing.T) {
 func TestDeterministicTransitionTrace(t *testing.T) {
 	run := func() Report {
 		lanc, fb := testPair(t)
-		s, err := New(testConfig(), lanc, fb)
+		s, err := New(testConfig(), lanc, 4, 8, fb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +426,7 @@ func TestPrefilteredLANCBitIdenticalOnEveryRung(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, fb := testPair(t)
-		s, err := New(testConfig(), lanc, fb)
+		s, err := New(testConfig(), lanc, 4, 8, fb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,8 +450,8 @@ func TestPrefilteredLANCBitIdenticalOnEveryRung(t *testing.T) {
 		if i%block == 0 {
 			preLANC.Prefilter(fwd[i:min(i+block, len(fwd))])
 		}
-		aP := pre.Step(fwd[i], xs[i], eP, mask[i])
-		aR := ref.Step(fwd[i], xs[i], eR, mask[i])
+		aP := step(pre, fwd[i], xs[i], eP, mask[i])
+		aR := step(ref, fwd[i], xs[i], eR, mask[i])
 		if math.Float64bits(aP) != math.Float64bits(aR) {
 			t.Fatalf("sample %d (%v): prefiltered %v != per-sample %v", i, pre.state, aP, aR)
 		}
