@@ -19,7 +19,8 @@
 // multisource, loss (cancellation vs packet loss on the forwarded
 // reference, with FEC and concealment-freeze policies), and outage
 // (cancellation vs scheduled relay outage duration, comparing naive,
-// freeze, supervised degradation-ladder, and two-relay failover policies).
+// freeze, supervised degradation-ladder, and two-relay failover policies;
+// the two-relay cell picks its stream with the relay mesh).
 package main
 
 import (

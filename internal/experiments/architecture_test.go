@@ -150,44 +150,19 @@ var windowCallers = map[string]bool{
 // internal/supervisor's non-test files import internal/core (the ladder
 // emits a rung and steps its leg through an interface).
 func TestWindowHasOneOwner(t *testing.T) {
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
 	found := map[string]bool{}
 	supervisorFiles := 0
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-		if err != nil {
-			return err
-		}
+	walkNonTestFiles(t, func(rel, file string, f *ast.File) {
 		if rel == "internal/supervisor" {
 			supervisorFiles++
 			for _, imp := range f.Imports {
 				if imp.Path.Value == `"mute/internal/core"` {
-					t.Errorf("%s/%s imports mute/internal/core; the ladder steps its leg through supervisor.Leg", rel, d.Name())
+					t.Errorf("%s/%s imports mute/internal/core; the ladder steps its leg through supervisor.Leg", rel, file)
 				}
 			}
 		}
 		if rel == "internal/core" {
-			return nil
+			return
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -218,11 +193,7 @@ func TestWindowHasOneOwner(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if supervisorFiles == 0 {
 		t.Error("found no internal/supervisor file; the import check is vacuous")
 	}
@@ -230,5 +201,111 @@ func TestWindowHasOneOwner(t *testing.T) {
 		if !found[name] {
 			t.Errorf("windowCallers lists %s, which no longer calls LimitNonCausal; delete the entry", name)
 		}
+	}
+}
+
+// TestOneRelaySelector fails when a second relay selector appears beside
+// internal/mesh: a non-test file other than the ladder's
+// (internal/supervisor/supervisor.go, one link) or the mesh's that builds
+// a supervisor.LinkHealth, or an exported internal/supervisor function or
+// method that takes per-relay concealment flags ([]bool) and returns a
+// relay index (int).
+func TestOneRelaySelector(t *testing.T) {
+	linkHealthUsers := 0
+	walkNonTestFiles(t, func(rel, file string, f *ast.File) {
+		allowed := rel == "internal/mesh" || rel+"/"+file == "internal/supervisor/supervisor.go"
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var name string
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				name = fun.Name
+			case *ast.SelectorExpr:
+				name = fun.Sel.Name
+			}
+			if name != "NewLinkHealth" {
+				return true
+			}
+			linkHealthUsers++
+			if !allowed {
+				t.Errorf("%s/%s builds a supervisor.LinkHealth; relay selection belongs to internal/mesh", rel, file)
+			}
+			return true
+		})
+		if rel != "internal/supervisor" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || fn.Type.Results == nil {
+				continue
+			}
+			if hasType(fn.Type.Params, "[]bool") && hasType(fn.Type.Results, "int") {
+				t.Errorf("%s/%s: %s takes per-relay flags and returns a relay index; relay selection belongs to internal/mesh",
+					rel, file, fn.Name.Name)
+			}
+		}
+	})
+	if linkHealthUsers == 0 {
+		t.Error("found no NewLinkHealth call; the check is vacuous")
+	}
+}
+
+// hasType reports whether a field list holds a field of the given type,
+// written as Go source ("int", "[]bool").
+func hasType(fields *ast.FieldList, typ string) bool {
+	for _, fl := range fields.List {
+		switch ft := fl.Type.(type) {
+		case *ast.Ident:
+			if ft.Name == typ {
+				return true
+			}
+		case *ast.ArrayType:
+			if elt, ok := ft.Elt.(*ast.Ident); ok && ft.Len == nil && "[]"+elt.Name == typ {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// walkNonTestFiles parses every non-test Go file of the module and hands
+// each to visit with its directory relative to the module root (slash
+// separated) and its file name.
+func walkNonTestFiles(t *testing.T, visit func(rel, file string, f *ast.File)) {
+	t.Helper()
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(rel), d.Name(), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -211,7 +211,8 @@ func (dc driftCell) run(reg *telemetry.Registry) (float64, *sim.DriftReport, *su
 		tp.Drift.Hold = 2 * frameN
 	}
 	sd.drift = tp.Drift
-	pl, d, res, err := sd.run(c, clean, tp)
+	d := sd.ear(clean)
+	pl, res, err := sd.run(c, d, tp)
 	if err != nil {
 		return 0, nil, nil, err
 	}

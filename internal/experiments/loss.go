@@ -143,7 +143,8 @@ func lossRun(c Config, link stream.LossParams, fec, freeze bool, noiseSeed uint6
 		return 0, err
 	}
 	tap := &graph.Tap{Inner: tp}
-	pl, d, res, err := sd.run(c, clean, tap)
+	d := sd.ear(clean)
+	pl, res, err := sd.run(c, d, tap)
 	if err != nil {
 		return 0, err
 	}

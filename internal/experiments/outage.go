@@ -113,7 +113,7 @@ func OutageSweep(c Config) (*Figure, error) {
 	fig.Notes = append(fig.Notes,
 		note("%.2g s outage: supervised %.1f dB, failover %.1f dB vs naive %.1f dB",
 			fracs[last]*c.Duration, at(2, last), at(3, last), at(0, last)),
-		note("failover switched relays %d times over the longest outage", switches[last]))
+		note("failover made %d mesh handoffs over the longest outage, the first association included", switches[last]))
 	if rep := reports[last]; rep != nil {
 		var total int64
 		for _, s := range rep.TimeInState {
@@ -190,7 +190,8 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	var fo *failoverSource
+	d := sd.ear(clean)
+	var relays *relayMesh
 	switch oc.policy {
 	case outageSupervised:
 		// Demotion thresholds sit above the priming transient's EWMA peak
@@ -206,23 +207,18 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		f, err := supervisor.NewFailover(2)
-		if err != nil {
+		if relays, err = newRelayMesh([]graph.SampleSource{ref, second}, d, reg); err != nil {
 			return 0, nil, 0, err
 		}
-		fo = &failoverSource{fo: f, src: [2]graph.SampleSource{ref, second}}
-		ref = fo
+		ref = relays
 	}
-	pl, d, res, err := sd.run(c, clean, ref)
+	pl, res, err := sd.run(c, d, ref)
 	if err != nil {
 		return 0, nil, 0, err
 	}
 	var moves int
-	if fo != nil {
-		if fo.err != nil {
-			return 0, nil, 0, fo.err
-		}
-		moves = fo.fo.Switches()
+	if relays != nil {
+		moves = relays.sel.Sup.Report().Handoffs
 	}
 	db := secondHalfDB(d, res, nil)
 	rep := pl.Supervision()
@@ -233,9 +229,6 @@ func (oc outageCell) run(reg *telemetry.Registry) (float64, *supervisor.Report, 
 		reg.Counter("outage.samples").Add(int64(len(res)))
 		if rep != nil {
 			rep.Publish(reg)
-		}
-		if fo != nil {
-			reg.Counter("failover.switches").Add(int64(moves))
 		}
 		reg.Histogram("outage.cell_residual_db", telemetry.HistogramOpts{Lo: 1e-2, Ratio: 2, Buckets: 16}).Observe(-db)
 	}

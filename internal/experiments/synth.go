@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"mute/internal/acoustics"
 	"mute/internal/core"
 	"mute/internal/dsp"
 	"mute/internal/graph"
+	"mute/internal/mesh"
 	"mute/internal/sim"
 	"mute/internal/supervisor"
+	"mute/internal/telemetry"
 )
 
 // The synthetic deployment the loss, outage and drift cells share is the
@@ -53,13 +56,17 @@ func (sd *synthDeployment) packetize(clean []float64, lt sim.LossTransport) (*si
 	return tp, nil
 }
 
-// run renders the ear signal d from the clean source, cancels it with ref
-// (which must lead by shift samples, as packetize places it), and
-// returns the pipeline, d and the error-microphone residual, both
+// ear renders the uncancelled ear signal d from the clean source,
 // len(clean) − shift long.
-func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource) (pl *graph.Pipeline, d, residual []float64, err error) {
-	steps := len(clean) - sd.shift()
-	d = dsp.NewStreamConvolver(core.EarChannel()).ProcessBlock(clean[:steps])
+func (sd synthDeployment) ear(clean []float64) []float64 {
+	return dsp.NewStreamConvolver(core.EarChannel()).ProcessBlock(clean[:len(clean)-sd.shift()])
+}
+
+// run cancels the ear signal d with ref (which must lead by shift
+// samples, as packetize places it) and returns the pipeline and the
+// error-microphone residual, as long as d.
+func (sd synthDeployment) run(c Config, d []float64, ref graph.SampleSource) (pl *graph.Pipeline, residual []float64, err error) {
+	steps := len(d)
 	residual = make([]float64, steps)
 	sec := core.EarSecondaryPath()
 	cfg := graph.Config{
@@ -84,12 +91,12 @@ func (sd synthDeployment) run(c Config, clean []float64, ref graph.SampleSource)
 		cfg.SupervisorConfig = sd.sup
 	}
 	if pl, err = graph.Build(cfg); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err = pl.Run(steps, 0); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return pl, d, residual, nil
+	return pl, residual, nil
 }
 
 // secondHalfDB scores a run: residual power at the ear versus the
@@ -108,40 +115,72 @@ func secondHalfDB(d, residual []float64, keep []bool) float64 {
 	return dsp.DB((resPow + dsp.EpsilonPower) / (priPow + dsp.EpsilonPower))
 }
 
-// failoverSource feeds the canceller from whichever of two relays a
-// supervisor.Failover selects, stepping the failover once per sample.
-// The failover reads only link health, so the source needs no feedback
-// from the loop.
-type failoverSource struct {
-	fo  *supervisor.Failover
-	src [2]graph.SampleSource // per relay, leading by the deployment shift
-	err error                 // the failover's error, if any; the stream ends there
+// relayMesh feeds the canceller from several packetized relays through
+// one mesh.Supervisor at its default policy: each block pulls every
+// relay's transport, then the mesh picks the reference sample by sample,
+// correlating each relay against the uncancelled ear signal. A relay
+// re-joins on its concealed→real edge, so one whose outage outlived the
+// heartbeat timeout comes back (cold) when its link does.
+type relayMesh struct {
+	sel   mesh.Source
+	src   []graph.SampleSource // per relay (slot), leading by the deployment shift
+	start int64                // first sample of the pulled block
+	was   []bool               // each relay's last flag, for the rejoin edge
 
-	x    [2][]float64 // per-relay block scratch
-	m    [2][]bool
-	v    [2]float64
-	live [2]bool
+	x [][]float64 // per-relay block scratch
+	m [][]bool
+}
+
+// newRelayMesh joins one member per source; d is the uncancelled ear
+// signal the mesh correlates against. reg, when non-nil, receives the
+// mesh's counters.
+func newRelayMesh(src []graph.SampleSource, d []float64, reg *telemetry.Registry) (*relayMesh, error) {
+	sup, err := mesh.NewSupervisor(mesh.Config{Capacity: len(src)}, reg, nil)
+	if err != nil {
+		return nil, err
+	}
+	rm := &relayMesh{
+		src: src,
+		was: make([]bool, len(src)),
+		x:   make([][]float64, len(src)),
+		m:   make([][]bool, len(src)),
+	}
+	// Slots fill in join order, so relay r holds slot r.
+	for r := range src {
+		if _, err := sup.Join(int64(r), acoustics.Point{}); err != nil {
+			return nil, err
+		}
+	}
+	rm.sel = mesh.Source{
+		Sup: sup,
+		Tick: func(t int64) {
+			for r := range rm.src {
+				real := rm.m[r][t-rm.start]
+				if real && !rm.was[r] {
+					if _, err := sup.Join(int64(r), acoustics.Point{}); err != nil {
+						panic(err) // a rejoin reuses its own slot
+					}
+				}
+				rm.was[r] = real
+			}
+		},
+		Local: func(t int64) float64 { return d[t] },
+		Feed: func(slot int, t int64) (float64, bool) {
+			return rm.x[slot][t-rm.start], rm.m[slot][t-rm.start]
+		},
+	}
+	return rm, nil
 }
 
 // Pull implements graph.SampleSource.
-func (s *failoverSource) Pull(dst []float64, mask []bool, start int64) int {
+func (rm *relayMesh) Pull(dst []float64, mask []bool, start int64) int {
 	n := len(dst)
-	for r, src := range s.src {
-		if len(s.x[r]) < len(dst) {
-			s.x[r], s.m[r] = make([]float64, len(dst)), make([]bool, len(dst))
+	for r, src := range rm.src {
+		if len(rm.x[r]) < len(dst) {
+			rm.x[r], rm.m[r] = make([]float64, len(dst)), make([]bool, len(dst))
 		}
-		n = min(n, src.Pull(s.x[r][:len(dst)], s.m[r][:len(dst)], start))
+		n = min(n, src.Pull(rm.x[r][:len(dst)], rm.m[r][:len(dst)], start))
 	}
-	for i := range n {
-		for r := range s.v {
-			s.v[r], s.live[r] = s.x[r][i], s.m[r][i]
-		}
-		idx, err := s.fo.Step(s.v[:], s.live[:])
-		if err != nil {
-			s.err = err
-			return i
-		}
-		dst[i], mask[i] = s.v[idx], s.live[idx]
-	}
-	return n
+	rm.start = start
+	return rm.sel.Pull(dst[:n], mask[:n], start)
 }

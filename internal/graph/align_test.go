@@ -103,7 +103,7 @@ func stepFrozen(t *testing.T, pl *Pipeline, n int) []bool {
 		if _, err := pl.ProcessBlock(1); err != nil {
 			t.Fatal(err)
 		}
-		_, frozen[i], _ = pl.lanc().LossState()
+		_, frozen[i], _ = pl.banks[0].LossState()
 	}
 	return frozen
 }

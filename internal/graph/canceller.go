@@ -146,18 +146,6 @@ func (k *fdafKind) Step(_, _, ePrev float64, _ bool) float64 {
 	return k.a[k.i-1]
 }
 
-// lanc returns the sample-domain LANC, supervised or not (nil for the
-// Headphone and FDAF kinds): drift holds and the LANC reads reach it.
-func (pl *Pipeline) lanc() *core.LANC {
-	switch k := pl.canc.(type) {
-	case lancKind:
-		return k.LANC
-	case supervisedKind:
-		return k.LANC
-	}
-	return nil
-}
-
 // Weights returns a copy of the canceller's sample-domain taps.
 func (pl *Pipeline) Weights() []float64 { return pl.canc.Weights() }
 
@@ -166,12 +154,18 @@ func (pl *Pipeline) Weights() []float64 { return pl.canc.Weights() }
 func (pl *Pipeline) SetWeights(w []float64) error { return pl.canc.SetWeights(w) }
 
 // AdaptState reads the sample-domain LANC's profile switches, tap energy
-// and effective step (all zero for the Headphone and FDAF kinds).
+// and effective step (all zero for the Headphone and FDAF kinds). For the
+// multi-reference kind the switches and the tap energy are the banks'
+// sums and the step is the first bank's.
 func (pl *Pipeline) AdaptState() (switches int, tapEnergy, muEff float64) {
-	if l := pl.lanc(); l != nil {
-		return l.Switches(), l.TapEnergy(), l.EffectiveStep()
+	for _, l := range pl.banks {
+		switches += l.Switches()
+		tapEnergy += l.TapEnergy()
 	}
-	return 0, 0, 0
+	if len(pl.banks) > 0 {
+		muEff = pl.banks[0].EffectiveStep()
+	}
+	return switches, tapEnergy, muEff
 }
 
 // Supervision returns the degradation ladder's report (nil unless

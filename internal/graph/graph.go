@@ -71,7 +71,7 @@ type Controls struct {
 // Hold freezes the canceller's adaptation for hold samples, then ramps
 // back over ramp samples (see core.LANC.HoldAdaptation).
 func (c Controls) Hold(hold, ramp int) {
-	if l := c.pl.lanc(); l != nil {
+	for _, l := range c.pl.banks {
 		l.HoldAdaptation(hold, ramp)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"mute/internal/audio"
 	"mute/internal/dsp"
+	"mute/internal/telemetry"
 )
 
 // TestMultiReferenceSilentBankIsSingleAtHalfMu shows the multi-reference
@@ -186,5 +187,47 @@ func TestMultiReferenceArity(t *testing.T) {
 		if err := pl.SetWeights(w); err != nil || !slices.Equal(pl.Weights(), w) {
 			t.Fatalf("SetWeights round trip at %d banks: %v", banks, err)
 		}
+	}
+}
+
+// TestMultiReferenceAdaptStateSumsBanks: on the multi-reference kind
+// AdaptState and the lanc.tap_energy gauge report the banks' summed tap
+// energy, and the trace carries one step event per bank.
+func TestMultiReferenceAdaptStateSumsBanks(t *testing.T) {
+	const n = 2048
+	x, cup := kindSignals(n)
+	y, _ := kindSignals(2 * n)
+	cfg := validConfig(n)
+	cfg.MaxNonCausalTaps = 8
+	cfg.ExtraReferences = []SampleSource{&SliceSource{Samples: y[n:]}}
+	cfg.LiveHooks = true
+	cfg.Telemetry = telemetry.NewRegistry()
+	cfg.Trace = telemetry.NewTrace()
+	pl, _ := runKind(t, cfg, x, cup)
+	k, ok := pl.canc.(*multiKind)
+	if !ok {
+		t.Fatalf("wired canceller %T, want *multiKind", pl.canc)
+	}
+	var sum float64
+	for _, b := range k.banks {
+		if b.TapEnergy() == 0 {
+			t.Fatal("a bank never adapted — test is vacuous")
+		}
+		sum += b.TapEnergy()
+	}
+	if _, e, _ := pl.AdaptState(); e != sum {
+		t.Errorf("AdaptState tap energy %v, want the banks' sum %v", e, sum)
+	}
+	if g := cfg.Telemetry.Snapshot().Gauges["lanc.tap_energy"]; g != sum {
+		t.Errorf("lanc.tap_energy gauge %v, want the banks' sum %v", g, sum)
+	}
+	steps := map[float64]int{}
+	for _, ev := range cfg.Trace.Events() {
+		if ev.Stage == telemetry.StageLANC && ev.Name == "step" {
+			steps[ev.Values["bank"]]++
+		}
+	}
+	if len(steps) != 2 || steps[0] == 0 || steps[0] != steps[1] {
+		t.Errorf("step events per bank %v, want as many for bank 0 as for bank 1", steps)
 	}
 }

@@ -186,6 +186,9 @@ type Pipeline struct {
 	canc    canceller
 	quantum int
 	win     window // the owner of canc's live non-causal window
+	// banks are canc's sample-domain LANCs, one per reference (nil for
+	// the Headphone and FDAF kinds): what the trace and AdaptState read.
+	banks []*core.LANC
 	// align is the reference alignment: the lookahead no other stage
 	// spends. Every reference keeps its last align pulled samples and
 	// flags at the front of its scratch, so the canceller reads the
@@ -472,6 +475,7 @@ func (pl *Pipeline) planCanceller(cfg Config) error {
 		}
 		banks[i] = l
 	}
+	pl.banks = banks
 	lanc := banks[0]
 	if len(banks) > 1 {
 		pl.canc = &multiKind{LANC: lanc, banks: banks, more: pl.refs[1:]}
@@ -649,25 +653,28 @@ func (pl *Pipeline) Meters() (noisePow, resPow float64) {
 
 // traceCancelState records the canceller's observable state at a trace
 // cadence boundary: effective step size, tap energy, the loss-aware
-// posture, and (when supervised) the ladder state. All reads — the run's
-// samples are unchanged.
+// posture, and (when supervised) the ladder state. The multi-reference
+// kind records one step event per bank, each carrying its bank index.
+// All reads — the run's samples are unchanged.
 func (pl *Pipeline) traceCancelState() {
-	l := pl.lanc()
-	if l == nil {
-		return // the headphone and block cancellers expose no LANC state
+	for b, l := range pl.banks {
+		gain, frozen, rampLeft := l.LossState()
+		fz := 0.0
+		if frozen {
+			fz = 1
+		}
+		ev := map[string]float64{
+			"mu_eff":     l.EffectiveStep(),
+			"tap_energy": l.TapEnergy(),
+			"gain":       gain,
+			"frozen":     fz,
+			"ramp_left":  float64(rampLeft),
+		}
+		if len(pl.banks) > 1 {
+			ev["bank"] = float64(b)
+		}
+		pl.trace.Record(pl.t, telemetry.StageLANC, "step", ev)
 	}
-	gain, frozen, rampLeft := l.LossState()
-	fz := 0.0
-	if frozen {
-		fz = 1
-	}
-	pl.trace.Record(pl.t, telemetry.StageLANC, "step", map[string]float64{
-		"mu_eff":     l.EffectiveStep(),
-		"tap_energy": l.TapEnergy(),
-		"gain":       gain,
-		"frozen":     fz,
-		"ramp_left":  float64(rampLeft),
-	})
 	if k, ok := pl.canc.(supervisedKind); ok {
 		k.sup.TraceState(pl.trace, pl.t)
 	}
@@ -717,8 +724,9 @@ func (pl *Pipeline) afterBlock(got int, blockRes float64) {
 	if pl.ctrSample != nil {
 		pl.ctrSample.Add(int64(got))
 	}
-	if l := pl.lanc(); pl.gTapE != nil && l != nil {
-		pl.gTapE.Set(l.TapEnergy())
+	if pl.gTapE != nil && pl.banks != nil {
+		_, tapEnergy, _ := pl.AdaptState()
+		pl.gTapE.Set(tapEnergy)
 	}
 	if pl.gBuffered != nil {
 		pl.gBuffered.Set(float64(pl.streamStats.Buffered()))

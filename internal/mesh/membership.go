@@ -191,7 +191,7 @@ func (m *membership) warm(slot int32) bool {
 // concealment ratio.
 func (m *membership) healthy(slot int32) bool {
 	mb := &m.members[slot]
-	return mb.state == live && mb.health.EWMA() < supervisor.IneligibleRatio
+	return mb.state == live && mb.health.EWMA() < ineligibleRatio
 }
 
 // Live returns the number of live members.

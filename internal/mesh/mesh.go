@@ -11,10 +11,10 @@
 //
 //   - Membership (membership.go) tracks the dynamic relay set with
 //     per-relay liveness from a supervisor.LinkHealth — the estimator
-//     the outage ladder and the multi-relay failover also use: its
-//     concealed run is the heartbeat age, its clean run the warm-up
-//     gate, its EWMA the eligibility test — so relays can come and go
-//     without resetting anyone's state.
+//     the outage ladder also uses: its concealed run is the heartbeat
+//     age, its clean run the warm-up gate, its EWMA the eligibility
+//     test — so relays can come and go without resetting anyone's
+//     state.
 //   - A spatial grid index (grid.go) prunes each selection round to the
 //     O(k) live relays nearest the current association, so re-running
 //     GCC-PHAT over a 200-relay mesh costs the same as over 8 relays.
@@ -54,6 +54,11 @@ const (
 	// relay that triggers an immediate (between-rounds) emergency handoff
 	// to the best warm candidate from the last round.
 	emergencyRunSamples = 160
+	// ineligibleRatio is the smoothed concealment ratio at or above which
+	// a relay's link is too lossy to select: the mesh drops it from its
+	// candidates, and an incumbent that reaches it triggers the emergency
+	// handoff.
+	ineligibleRatio = 0.25
 	// dwellRounds is how many consecutive rounds a challenger must win by
 	// the switch margin before a handoff begins.
 	dwellRounds = 3

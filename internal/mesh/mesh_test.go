@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"testing"
 
 	"mute/internal/acoustics"
@@ -123,21 +124,73 @@ func (h *meshHarness) step(n int) {
 // incoming relay's last warmup samples were all genuinely received.
 func (h *meshHarness) assertSwitchesWarm(warmup int) {
 	h.t.Helper()
+	if msg := h.coldSwitch(warmup); msg != "" {
+		h.t.Fatal(msg)
+	}
+}
+
+// coldSwitch describes the first switch onto a relay whose last warmup
+// samples were not all genuinely received, or returns "" when every
+// switch was warm. The window ends at the sample consumed in the
+// switching step, so a switch at step at has at+1 samples of history
+// behind it.
+func (h *meshHarness) coldSwitch(warmup int) string {
 	for _, at := range h.switches {
 		slot := h.actives[at]
 		if slot < 0 {
 			continue
 		}
 		if at+1 < warmup {
-			h.t.Fatalf("switch to slot %d at step %d, before %d samples of history exist", slot, at, warmup)
+			return fmt.Sprintf("switch to slot %d at step %d, before %d samples of history exist", slot, at, warmup)
 		}
 		for j := at - warmup + 1; j <= at; j++ {
 			if !h.hist[slot][j] {
-				h.t.Errorf("switch to slot %d at step %d: sample %d inside the %d-sample warm-up window was concealed",
+				return fmt.Sprintf("switch to slot %d at step %d: its sample %d (within the %d-sample warm-up window) was concealed",
 					slot, at, j, warmup)
-				break
 			}
 		}
+	}
+	return ""
+}
+
+// TestColdSwitchBoundary pins the harness's own warm-up arithmetic at its
+// edges: a switch at step warmup−1 onto a relay clean since step 0 has
+// exactly warmup samples and is warm; one step earlier it is not, and one
+// concealed sample inside the window makes it cold until the next step.
+func TestColdSwitchBoundary(t *testing.T) {
+	const warmup = 8
+	clean := make([]bool, 2*warmup)
+	h := &meshHarness{
+		t:       t,
+		hist:    [][]bool{make([]bool, 2*warmup), clean},
+		actives: make([]int, 2*warmup),
+	}
+	for i := range h.actives {
+		h.actives[i] = 1
+	}
+	for _, c := range []struct {
+		at, concealed int
+		warm          bool
+	}{
+		{warmup - 1, -1, true},
+		{warmup - 2, -1, false},
+		{warmup - 1, 0, false},
+		{warmup, 0, true},
+		{warmup, 1, false},
+	} {
+		for i := range clean {
+			clean[i] = i != c.concealed
+		}
+		h.switches = []int{c.at}
+		if msg := h.coldSwitch(warmup); (msg == "") != c.warm {
+			t.Errorf("switch at step %d, sample %d concealed: warm = %v, want %v (%s)", c.at, c.concealed, msg == "", c.warm, msg)
+		}
+	}
+	// An orphaning is not a switch onto a stream.
+	h.actives[warmup-2] = -1
+	h.switches = []int{warmup - 2}
+	if msg := h.coldSwitch(warmup); msg != "" {
+		t.Errorf("orphaning judged as a cold switch: %s", msg)
 	}
 }
 
@@ -420,4 +473,119 @@ func TestMeshRejoinKeepsHealth(t *testing.T) {
 	if rep := h.sup.Report(); rep.Rejoins != 1 || rep.Expirations != 1 {
 		t.Errorf("membership accounting: %+v", rep)
 	}
+}
+
+// TestMeshLeavesUnhealthyIncumbent: an incumbent whose link drops every
+// third sample never has a concealed run near emergencyRunSamples, but
+// its smoothed concealment ratio crosses the eligibility a candidate must
+// meet; the mesh leaves it for the warm, healthy relay at once, even
+// though that relay offers less lookahead.
+func TestMeshLeavesUnhealthyIncumbent(t *testing.T) {
+	cfg := testConfig(4)
+	h := newMeshHarness(t, cfg, 5000)
+	h.join(0, 24, acoustics.Point{X: 8, Y: 8.5})
+	h.join(1, 12, acoustics.Point{X: 8.5, Y: 8})
+	h.step(2000)
+	if h.sup.Current() != 0 {
+		t.Fatalf("associated with %d, want 0", h.sup.Current())
+	}
+	// 64 samples take the EWMA (alpha 1/64) from 0 to about 0.2; by 128
+	// it is past ineligibleRatio.
+	for i := 0; i < 2000; i++ {
+		h.down[0] = i%3 == 0
+		h.step(1)
+		if i == 128 && h.sup.Current() != 1 {
+			t.Fatalf("still on slot %d with health %.3f after %d samples of 1-in-3 loss, want 1",
+				h.sup.Current(), h.sup.mem.members[0].health.EWMA(), i+1)
+		}
+	}
+	if got := h.sup.Current(); got != 1 {
+		t.Fatalf("associated with lossy slot %d, want 1", got)
+	}
+	if rep := h.sup.Report(); rep.EmergencyHandoffs != 1 || rep.Handoffs != 2 || rep.OrphanedWindows != 0 {
+		t.Fatalf("emergency handoffs/handoffs/orphanings = %d/%d/%d, want 1/2/0", rep.EmergencyHandoffs, rep.Handoffs, rep.OrphanedWindows)
+	}
+	h.assertSwitchesWarm(warmupSamples)
+}
+
+// TestMeshSimultaneousOutageHoldsThenStaggeredRecovery: every relay's
+// link dies at once, for less than the heartbeat timeout, so the
+// incumbent stays live. With nothing warm to move to the mesh holds the
+// incumbent — no handoff between equally dead relays and no orphaning,
+// which would play nothing even after the incumbent's link came back.
+// The relays then recover one at a time, and the mesh adopts the first
+// one that warms, never landing on a stream whose warm-up window still
+// holds concealed samples.
+func TestMeshSimultaneousOutageHoldsThenStaggeredRecovery(t *testing.T) {
+	cfg := testConfig(4)
+	h := newMeshHarness(t, cfg, 6000)
+	h.join(0, 24, acoustics.Point{X: 8, Y: 8.5})
+	h.join(1, 12, acoustics.Point{X: 8.5, Y: 8})
+	h.join(2, 6, acoustics.Point{X: 7.5, Y: 8})
+	h.step(2000)
+	if h.sup.Current() != 0 {
+		t.Fatalf("associated with %d, want 0", h.sup.Current())
+	}
+	switches := len(h.switches)
+
+	h.down[0], h.down[1], h.down[2] = true, true, true
+	h.step(1000)
+	if got := len(h.switches) - switches; got != 0 || h.sup.Current() != 0 {
+		t.Fatalf("%d association changes while every relay was dark (now %d), want 0 on slot 0; report %+v",
+			got, h.sup.Current(), h.sup.Report())
+	}
+	if rep := h.sup.Report(); rep.OrphanedWindows != 0 || rep.Expirations != 0 {
+		t.Fatalf("orphanings/expirations = %d/%d during a sub-timeout outage, want 0/0", rep.OrphanedWindows, rep.Expirations)
+	}
+
+	// Staggered recovery: slot 2 first, then slot 1.
+	h.down[2] = false
+	h.step(40)
+	if h.sup.Current() != 0 {
+		t.Fatalf("moved to slot %d only 40 samples into slot 2's recovery (warm-up %d), want 0", h.sup.Current(), warmupSamples)
+	}
+	h.step(500)
+	if h.sup.Current() != 2 {
+		t.Fatalf("associated with %d after slot 2 recovered and warmed, want 2; report %+v", h.sup.Current(), h.sup.Report())
+	}
+	h.down[1] = false
+	h.step(500)
+	if h.sup.Current() != 2 {
+		t.Fatalf("associated with %d after slot 1 recovered inside the switch margin, want 2 still", h.sup.Current())
+	}
+	h.assertSwitchesWarm(warmupSamples)
+}
+
+// TestMeshFlappingRelayNeverAdopted pins the warm-up gate: a relay whose
+// link drops one sample in 16 looks healthy to the smoothed ratio but
+// never holds warmupSamples consecutive real samples, so it is never
+// adopted — not while the incumbent is dark, nor once the incumbent has
+// expired and the mesh is orphaned. When it steadies, it warms and is
+// adopted.
+func TestMeshFlappingRelayNeverAdopted(t *testing.T) {
+	cfg := testConfig(4)
+	h := newMeshHarness(t, cfg, 6000)
+	h.join(0, 24, acoustics.Point{X: 8, Y: 8.5})
+	h.join(1, 12, acoustics.Point{X: 8.5, Y: 8})
+	h.step(1000)
+	if h.sup.Current() != 0 {
+		t.Fatalf("associated with %d, want 0", h.sup.Current())
+	}
+	h.down[0] = true
+	for i := 0; i < 3000; i++ {
+		h.down[1] = i%16 == 0
+		h.step(1)
+		if h.sup.Current() == 1 {
+			t.Fatalf("adopted the flapping slot 1 at sample %d of the flap; its stream never warmed", i)
+		}
+	}
+	if !h.sup.mem.healthy(1) {
+		t.Fatalf("setup: flapper health %.3f should pass the eligibility test", h.sup.mem.members[1].health.EWMA())
+	}
+	h.down[1] = false
+	h.step(600)
+	if h.sup.Current() != 1 {
+		t.Fatalf("associated with %d after the flapper steadied, want 1; report %+v", h.sup.Current(), h.sup.Report())
+	}
+	h.assertSwitchesWarm(warmupSamples)
 }

@@ -216,9 +216,11 @@ func (s *Supervisor) dropped(slot int32) {
 	}
 }
 
-// emergency reassociates immediately — the active relay is gone or dark —
-// using the last round's cached ranking, falling back to the orphaned
-// state when no warm, healthy, live candidate exists.
+// emergency reassociates immediately — the active relay is dark,
+// unhealthy or gone — using the last round's cached ranking. With no
+// warm, healthy, live candidate a live incumbent keeps the association
+// (its burst may end before the next round could replace it), and only
+// an expired one orphans the mesh.
 func (s *Supervisor) emergency() {
 	for _, rc := range s.ranked {
 		if rc.slot == s.current {
@@ -232,21 +234,46 @@ func (s *Supervisor) emergency() {
 		}
 		// Hard cut: the outgoing stream is dead, so crossfading with it
 		// would blend in concealed samples.
-		s.current = rc.slot
-		s.currentLag = rc.lag
-		s.fading = false
-		s.pendSlot = -1
-		s.pendRun = 0
-		s.badRun = 0
-		s.rep.Handoffs++
 		s.rep.EmergencyHandoffs++
-		if s.cHandoff != nil {
-			s.cHandoff.Inc()
-		}
-		s.traceEvent("emergency_handoff", s.current)
+		s.associate(rc.slot, "emergency_handoff", false)
 		return
 	}
-	s.orphan()
+	if s.mem.members[s.current].state != live {
+		s.orphan()
+	}
+}
+
+// associate makes slot the active relay: its lag comes from the last
+// round's ranking, any candidacy and bad-round run clear, and the handoff
+// is counted and traced as event. fade crossfades from the outgoing
+// relay; a hard cut drops any fade in flight.
+func (s *Supervisor) associate(slot int32, event string, fade bool) {
+	if fade {
+		s.fadeFrom = s.current
+		s.fadePos = 0
+	}
+	s.fading = fade
+	s.current = slot
+	s.remeasure()
+	s.pendSlot = -1
+	s.pendRun = 0
+	s.badRun = 0
+	s.rep.Handoffs++
+	if s.cHandoff != nil {
+		s.cHandoff.Inc()
+	}
+	s.traceEvent(event, slot)
+}
+
+// remeasure sets the active relay's lag from the last round's ranking,
+// keeping the previous lag when the round did not measure it.
+func (s *Supervisor) remeasure() {
+	for _, rc := range s.ranked {
+		if rc.slot == s.current {
+			s.currentLag = rc.lag
+			return
+		}
+	}
 }
 
 // orphan enters the no-relay-associated state.
@@ -295,10 +322,12 @@ func (s *Supervisor) Push(local float64, forwarded []float64, real []bool) (floa
 		s.dropped(slot)
 	}
 	// Between-rounds emergency: the active relay has gone dark for longer
-	// than the emergency run but has not yet aged out of membership. The
-	// naive baseline gets none of this — it plays concealment until its
-	// next round.
-	if s.current >= 0 && !s.cfg.Naive && s.mem.members[s.current].health.ConcealedRun() > emergencyRunSamples {
+	// than the emergency run, or its link has fallen below the eligibility
+	// a candidate must meet, but it has not yet aged out of membership.
+	// The naive baseline gets none of this — it plays concealment until
+	// its next round.
+	if s.current >= 0 && !s.cfg.Naive &&
+		(s.mem.members[s.current].health.ConcealedRun() > emergencyRunSamples || !s.mem.healthy(s.current)) {
 		s.emergency()
 	}
 
@@ -406,14 +435,7 @@ func (s *Supervisor) round() {
 			break
 		}
 	}
-	if s.current >= 0 {
-		for _, rc := range s.ranked {
-			if rc.slot == s.current {
-				s.currentLag = rc.lag
-				break
-			}
-		}
-	}
+	s.remeasure()
 	s.decide(best)
 }
 
@@ -446,12 +468,7 @@ func (s *Supervisor) decide(best int32) {
 				}
 			}
 		}
-		for _, rc := range s.ranked {
-			if rc.slot == s.current {
-				s.currentLag = rc.lag
-				break
-			}
-		}
+		s.remeasure()
 		return
 	}
 
@@ -460,21 +477,7 @@ func (s *Supervisor) decide(best int32) {
 		// nothing is playing, but the make-before-break gate still refuses
 		// a stream whose window holds concealed samples.
 		if best >= 0 && s.mem.warm(best) {
-			s.current = best
-			for _, rc := range s.ranked {
-				if rc.slot == best {
-					s.currentLag = rc.lag
-					break
-				}
-			}
-			s.pendSlot = -1
-			s.pendRun = 0
-			s.badRun = 0
-			s.rep.Handoffs++
-			if s.cHandoff != nil {
-				s.cHandoff.Inc()
-			}
-			s.traceEvent("adopted", best)
+			s.associate(best, "adopted", false)
 		}
 		return
 	}
@@ -491,24 +494,7 @@ func (s *Supervisor) decide(best int32) {
 	if s.currentLag < s.cfg.MinLeadSamples {
 		s.badRun++
 		if s.badRun >= 3 && best >= 0 && best != s.current && s.mem.warm(best) {
-			s.fadeFrom = s.current
-			s.fadePos = 0
-			s.fading = true
-			s.current = best
-			for _, rc := range s.ranked {
-				if rc.slot == best {
-					s.currentLag = rc.lag
-					break
-				}
-			}
-			s.pendSlot = -1
-			s.pendRun = 0
-			s.badRun = 0
-			s.rep.Handoffs++
-			if s.cHandoff != nil {
-				s.cHandoff.Inc()
-			}
-			s.traceEvent("rescue_handoff", s.current)
+			s.associate(best, "rescue_handoff", true)
 		}
 		return
 	}
@@ -550,23 +536,7 @@ func (s *Supervisor) decide(best int32) {
 	// Dwell satisfied and the incoming stream warm: make-before-break
 	// holds the switch open until both are true.
 	if s.pendRun >= dwellRounds && s.mem.warm(challenger) {
-		s.fadeFrom = s.current
-		s.fadePos = 0
-		s.fading = true
-		s.current = challenger
-		for _, rc := range s.ranked {
-			if rc.slot == challenger {
-				s.currentLag = rc.lag
-				break
-			}
-		}
-		s.pendSlot = -1
-		s.pendRun = 0
-		s.rep.Handoffs++
-		if s.cHandoff != nil {
-			s.cHandoff.Inc()
-		}
-		s.traceEvent("handoff", s.current)
+		s.associate(challenger, "handoff", true)
 	}
 }
 

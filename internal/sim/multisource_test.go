@@ -7,6 +7,7 @@ import (
 	"mute/internal/acoustics"
 	"mute/internal/audio"
 	"mute/internal/graph"
+	"mute/internal/telemetry"
 )
 
 // twoSourceScene builds a scene with independent wide-band sources at
@@ -133,5 +134,43 @@ func TestMultiRelayRefusals(t *testing.T) {
 		case !errors.Is(err, graph.ErrUnsupported):
 			t.Errorf("two relays with %s: err = %v, want graph.ErrUnsupported", name, err)
 		}
+	}
+}
+
+// TestMultiRelayTraceRecordsEveryBank: a traced two-relay run records one
+// lanc.step event per LANC bank at each trace cadence, each carrying its
+// bank index, and both banks adapt (non-zero tap energy) — a multi-relay
+// trace is not silent about the canceller.
+func TestMultiRelayTraceRecordsEveryBank(t *testing.T) {
+	p := DefaultParams(twoSourceScene(4))
+	p.Duration = 1
+	p.Scene.ExtraRelays = []acoustics.Point{{X: 1.2, Y: 3.3, Z: 1.5}}
+	p.Trace = telemetry.NewTrace()
+	if _, err := Run(p, MUTEHollow); err != nil {
+		t.Fatal(err)
+	}
+	banks := map[int64][]float64{} // cadence time → bank indices, in record order
+	var lastEnergy [2]float64
+	for _, ev := range p.Trace.Events() {
+		if ev.Stage != telemetry.StageLANC || ev.Name != "step" {
+			continue
+		}
+		b, ok := ev.Values["bank"]
+		if !ok {
+			t.Fatalf("t=%d: lanc.step event without a bank value: %v", ev.T, ev.Values)
+		}
+		banks[ev.T] = append(banks[ev.T], b)
+		lastEnergy[int(b)] = ev.Values["tap_energy"]
+	}
+	if len(banks) < 2 {
+		t.Fatalf("%d cadence times with lanc.step events, want several", len(banks))
+	}
+	for at, bs := range banks {
+		if len(bs) != 2 || bs[0] != 0 || bs[1] != 1 {
+			t.Fatalf("t=%d: step events for banks %v, want [0 1]", at, bs)
+		}
+	}
+	if lastEnergy[0] <= 0 || lastEnergy[1] <= 0 {
+		t.Errorf("final tap energies %v, want both banks adapting", lastEnergy)
 	}
 }

@@ -27,21 +27,17 @@
 package supervisor
 
 // HealthAlpha is the link-health EWMA smoothing constant, about a 32 ms
-// horizon at 8 kHz. The ladder, the multi-relay Failover and the relay
-// mesh's default all smooth with it.
+// horizon at 8 kHz. The ladder and the relay mesh's default both smooth
+// with it.
 const HealthAlpha = 1.0 / 256
 
-// IneligibleRatio is the smoothed concealment ratio at or above which a
-// relay's link is too lossy to select: Failover abandons it and the
-// relay mesh's default drops it from its candidates.
-const IneligibleRatio = 0.25
-
-// LinkHealth is the link-health estimator shared by the ladder, the
-// multi-relay Failover and the relay mesh. Its single per-sample input is
-// the transport concealment flag (stream.JitterBuffer's PopMask verdict):
-// a concealed sample is evidence of loss, jitter-buffer starvation, or a
-// lookahead-budget deficit — whichever layer failed, the canceller saw a
-// fabricated reference sample. From the flag it maintains the EWMA
+// LinkHealth is the link-health estimator shared by the ladder and the
+// relay mesh (internal/mesh, the one relay selector). Its single
+// per-sample input is the transport concealment flag
+// (stream.JitterBuffer's PopMask verdict): a concealed sample is evidence
+// of loss, jitter-buffer starvation, or a lookahead-budget deficit —
+// whichever layer failed, the canceller saw a fabricated reference
+// sample. From the flag it maintains the EWMA
 // concealment ratio (the smoothed loss rate), the current concealed run
 // (the outage and heartbeat detector) and the current clean run (the
 // recovery dwell and make-before-break warm-up gate).

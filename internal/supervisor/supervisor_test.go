@@ -367,45 +367,6 @@ func TestDeterministicTransitionTrace(t *testing.T) {
 	}
 }
 
-// TestFailoverSwitchesAndReturns: relay 0 is acoustically preferred; when
-// its link dies the failover moves to relay 1, and when it recovers the
-// preference pulls the association back.
-func TestFailoverSwitchesAndReturns(t *testing.T) {
-	f, err := NewFailover(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := audio.NewWhiteNoise(8, 8000, 0.3)
-	feed := func(n int, real0 bool) {
-		for i := 0; i < n; i++ {
-			x := gen.Next()
-			if _, err := f.Step([]float64{x, x}, []bool{real0, true}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(100, true)
-	if f.active != 0 {
-		t.Fatalf("active = %d on healthy links, want 0", f.active)
-	}
-	feed(200, false) // relay 0 outage
-	if f.active != 1 {
-		t.Fatalf("active = %d during relay-0 outage, want 1", f.active)
-	}
-	if f.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1", f.Switches())
-	}
-	// Relay 0 recovers and, as the standing preference, wins back once the
-	// hold after the first switch has run out.
-	feed(2400, true)
-	if f.active != 0 {
-		t.Fatalf("active = %d after relay-0 recovery, want 0 (health %v)", f.active, f.health)
-	}
-	if f.Switches() != 2 {
-		t.Fatalf("switches = %d, want 2", f.Switches())
-	}
-}
-
 // TestPrefilteredLANCBitIdenticalOnEveryRung drives two supervisors
 // through the outage walk (LANC → DEGRADED → FALLBACK → LANC), one whose
 // LANC has every block announced through Prefilter, and requires
